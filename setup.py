@@ -1,23 +1,3 @@
-import numpy
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "randblock.eigen._ckernels",
-                ["src/randblock/eigen/_ckernels.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    # no Cython: the pure NumPy backend is used at runtime
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

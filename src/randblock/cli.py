@@ -60,11 +60,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _blas_identity() -> dict | None:
+    """Name and version of the BLAS/LAPACK library that NumPy's solves use."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):     # show_config(mode=...) needs NumPy >= 1.25
+        return None
+    return {k: blas[k] for k in ("name", "version") if k in blas}
+
+
 def _write_manifest(out_dir: Path, command: str, echo: dict, seed: int,
                     elapsed: float, files: list[Path], failures: int = 0) -> None:
     manifest = {
         "tool_version": __version__,
         "backend": backend_name(),
+        # spectra depend in the last bits on the BLAS build and its threads
+        "blas": _blas_identity(),
+        "thread_env": {k: v for k, v in sorted(os.environ.items())
+                       if k.endswith("_NUM_THREADS")},
         "command": command,
         "config": echo,
         "base_seed": seed,
@@ -254,6 +267,7 @@ def cmd_lifshits(args) -> int:
 
 
 def cmd_dostransform(args) -> int:
+    t0 = time.monotonic()
     config, extras, _ = load_config(args.config, args.seed, args.threads)
     if "dos_transform" not in extras:
         raise ConfigError("dos_transform: section missing from config")
@@ -281,7 +295,6 @@ def cmd_dostransform(args) -> int:
         d_block = np.where(finite, d_block, cap)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
     path = out_dir / "dos_transform.csv"
     _write_csv(path,
                [f"constant off-diagonal block beta = {beta!r}",

@@ -128,10 +128,10 @@ def parse_config(doc: dict, seed_override: int | None = None,
             grid_lo=grid_lo,
             grid_hi=grid_hi,
             grid_points=grid_points,
-            bin_width=doc.get("bin_width"),
+            bin_width=None if doc.get("bin_width") is None else float(doc["bin_width"]),
             threads=threads,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     extras = {}
@@ -148,6 +148,9 @@ def parse_config(doc: dict, seed_override: int | None = None,
     if "dos_transform" in doc:
         rec = doc["dos_transform"]
         _check_keys(rec, {"beta", "source", "energies"}, {"beta", "source"}, "dos_transform")
+        if "energies" in rec:
+            _check_keys(rec["energies"], {"lo", "hi", "points"}, {"lo", "hi"},
+                        "dos_transform.energies")
         extras["dos_transform"] = rec
     return config, extras
 

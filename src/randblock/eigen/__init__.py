@@ -1,9 +1,9 @@
 """Real symmetric eigensolver and eigenvalue-counting utilities.
 
-The heavy kernels (Householder reduction, QL iteration, Sturm counts) live in
-a compiled extension when available; otherwise a pure NumPy implementation of
-the same algorithms is used.  Set ``RANDBLOCK_FORCE_PY=1`` to force the
-fallback (used by the backend benchmark).
+Dense solves go through NumPy's LAPACK (``dsyevd``).  The in-house kernels in
+``_pykernels`` (Householder reduction, implicitly shifted QL, Sturm counts)
+serve the tridiagonal Sturm bisection and are the independent reference the
+tests compare LAPACK against.
 """
 
 from .core import (

@@ -1,9 +1,9 @@
-"""Pure NumPy implementation of the dense symmetric eigensolver kernels.
+"""In-house symmetric eigensolver kernels in pure NumPy.
 
-Fallback backend used when the compiled extension is unavailable (or when
-forced via ``RANDBLOCK_FORCE_PY=1``).  Same algorithms as the C kernels:
 Householder reduction to tridiagonal form followed by implicitly shifted QL
 iteration, plus Sturm-sequence eigenvalue counting on tridiagonal matrices.
+The Sturm count drives `min_eig_tridiag`; the dense kernels are the
+independent reference that the tests compare the LAPACK solves against.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-BACKEND = "python"
 
 _EPS = np.finfo(np.float64).eps
 

@@ -1,40 +1,32 @@
 """Driver layer over the eigensolver kernels.
 
-Provides full dense solves (`eigvalsh`), the tridiagonal Sturm-bisection
-ground-state probe (`min_eig_tridiag`) and the normalized eigenvalue counting
-function used by the ensemble statistics.
+Provides full dense solves (`eigvalsh`, through NumPy's LAPACK), the
+tridiagonal Sturm-bisection ground-state probe (`min_eig_tridiag`) and the
+normalized eigenvalue counting function used by the ensemble statistics.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-if os.environ.get("RANDBLOCK_FORCE_PY") == "1":
-    from . import _pykernels as _K
-else:
-    try:
-        from . import _ckernels as _K  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as _K
+from . import _pykernels
 
 
 def backend_name() -> str:
-    """Identity of the active kernel backend: 'c' or 'python'."""
-    return _K.BACKEND
+    """Identity of the dense eigensolver: LAPACK ``dsyevd`` via NumPy."""
+    return "lapack"
 
 
 class EigenError(RuntimeError):
-    """Raised when the iterative eigensolve fails to converge."""
+    """Raised when the eigensolve fails to converge."""
 
 
 @dataclass
 class SolveReport:
     max_residual: float
     orthogonality_defect: float
-    iterations: int
     converged: bool
 
 
@@ -45,7 +37,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     dim: int
     eigenvectors: np.ndarray | None = None
-    report: SolveReport = field(default_factory=lambda: SolveReport(0.0, 0.0, 0, True))
+    report: SolveReport = field(default_factory=lambda: SolveReport(0.0, 0.0, True))
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -56,10 +48,13 @@ class Spectrum:
 
 
 def eigvalsh(m, want_vectors: bool = False, check_finite: bool = True) -> Spectrum:
-    """Full spectrum of a real symmetric matrix.
+    """Full spectrum of a real symmetric matrix, ascending.
 
-    Householder tridiagonalization followed by implicitly shifted QL.  Raises
-    EigenError on non-convergence (iteration cap exceeded).
+    LAPACK's divide-and-conquer solver (``dsyevd``) through
+    ``numpy.linalg.eigvalsh``, or ``numpy.linalg.eigh`` when eigenvectors
+    are wanted; it reads the lower triangle only.  With vectors, the report
+    carries the relative residual and the orthogonality defect.  Raises
+    EigenError when LAPACK does not converge.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -67,22 +62,20 @@ def eigvalsh(m, want_vectors: bool = False, check_finite: bool = True) -> Spectr
     if check_finite and not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     n = m.shape[0]
-    d, e, q = _K.tridiagonalize(m, want_vectors)
-    w, iters, converged = _K.tql(d, e, q)
-    if not converged:
-        raise EigenError(f"QL iteration did not converge (n={n})")
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    vectors = None
+    try:
+        if want_vectors:
+            w, vectors = np.linalg.eigh(m)
+        else:
+            w, vectors = np.linalg.eigvalsh(m), None
+    except np.linalg.LinAlgError as exc:
+        raise EigenError(f"LAPACK eigensolve failed (n={n}): {exc}") from exc
     max_res = 0.0
     orth = 0.0
     if want_vectors:
-        vectors = q[:, order]
         scale = max(abs(w[0]), abs(w[-1]), 1e-300)
         max_res = float(np.abs(m @ vectors - vectors * w).max() / scale)
         orth = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
-    report = SolveReport(max_res, orth, int(iters), converged)
-    return Spectrum(w, n, vectors, report)
+    return Spectrum(w, n, vectors, SolveReport(max_res, orth, True))
 
 
 def _tridiag_parts(m):
@@ -103,7 +96,7 @@ def _tridiag_parts(m):
 def sturm_count_matrix(m, x: float) -> int:
     """Eigenvalues of a tridiagonal symmetric matrix strictly below x."""
     d, e = _tridiag_parts(m)
-    return int(_K.sturm_count(d, e, float(x)))
+    return int(_pykernels.sturm_count(d, e, float(x)))
 
 
 def min_eig_tridiag(m, tol: float = 1e-10) -> float:
@@ -122,7 +115,7 @@ def min_eig_tridiag(m, tol: float = 1e-10) -> float:
     hi = np.nextafter(hi, np.inf)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _K.sturm_count(d, e, mid) >= 1:
+        if _pykernels.sturm_count(d, e, mid) >= 1:
             hi = mid
         else:
             lo = mid

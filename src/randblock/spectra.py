@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ValueError("grid_lo and grid_hi must be given together")
         if self.grid_lo is not None and not self.grid_hi > self.grid_lo:
             raise ValueError("grid_hi must exceed grid_lo")
+        if self.bin_width is not None and not (np.isfinite(self.bin_width) and self.bin_width > 0):
+            raise ValueError("bin_width must be a positive finite number")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -105,6 +106,26 @@ class TestConfigErrors:
         assert main(["wegner", "--config", path, "--out", str(tmp_path)]) == 2
         assert "certify" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"pts": 3}}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": -1, "hi": 1, "step": 0.1}}}),
+        ("dos", {"bin_width": -0.1}),
+        ("dos", {"bin_width": 0}),
+        ("dos", {"bin_width": "wide"}),
+    ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
+            "bin-width-zero", "bin-width-not-a-number"])
+    def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
+        path = write_config(tmp_path, base_doc(**overrides))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_lifshits_needs_section(self, tmp_path, capsys):
         path = write_config(tmp_path, base_doc())
         assert main(["lifshits", "--config", path, "--out", str(tmp_path)]) == 2
@@ -120,6 +141,10 @@ class TestEnsembleCommands:
         m1 = json.loads((d1 / "ids_manifest.json").read_text())
         m2 = json.loads((d2 / "ids_manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
+        assert m1["backend"] == "lapack"
+        assert set(m1["blas"]) == {"name", "version"}
+        assert m1["thread_env"] == {k: v for k, v in os.environ.items()
+                                    if k.endswith("_NUM_THREADS")}
 
     def test_ids_csv_contents(self, tmp_path):
         path = write_config(tmp_path, base_doc())

@@ -1,3 +1,5 @@
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import numpy as np
 import pytest
 
 import randblock
+from randblock.cli import main
+from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import (
     EigenError,
     Spectrum,
@@ -17,7 +21,9 @@ from randblock.eigen import (
     sturm_count_matrix,
 )
 from randblock.eigen import _pykernels
+from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import assemble
+from randblock.spectra import ExperimentConfig, run_ensemble
 
 
 class TestEigvalsh:
@@ -64,7 +70,10 @@ class TestEigvalsh:
             m = rng.standard_normal((n, n))
             m = m + m.T
             got = eigvalsh(m).eigenvalues
-            ref = np.linalg.eigvalsh(m)
+            d, e, _ = _pykernels.tridiagonalize(m, False)
+            w, _, ok = _pykernels.tql(d, e, None)
+            assert ok
+            ref = np.sort(w)
             assert np.abs(got - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
     def test_non_square(self):
@@ -74,6 +83,60 @@ class TestEigvalsh:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             eigvalsh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestLapackFailure:
+    """A LAPACK LinAlgError surfaces as EigenError, is counted per realization
+    by run_ensemble, and is exit code 3 in the CLI."""
+
+    @staticmethod
+    def fail_on(monkeypatch, failing_calls):
+        real = np.linalg.eigvalsh
+        calls = itertools.count()
+
+        def flaky(m):
+            if next(calls) in failing_calls:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+
+    @staticmethod
+    def config(realizations):
+        disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
+        return ExperimentConfig(Cube(1, 5), "N", disorder, PeriodicPotential.zero(1),
+                                realizations, 0)
+
+    def test_eigvalsh_raises_eigen_error(self, monkeypatch):
+        self.fail_on(monkeypatch, {0})
+        with pytest.raises(EigenError, match="did not converge"):
+            eigvalsh(np.eye(3))
+
+    def test_ensemble_records_failed_index(self, monkeypatch):
+        self.fail_on(monkeypatch, {7})   # serial runs solve in index order
+        result = run_ensemble(self.config(100))
+        assert result.failures == [7]
+        assert 7 not in result.realization_ids
+        assert len(result.spectra) == 99
+
+    def test_ensemble_raises_above_one_percent(self, monkeypatch):
+        self.fail_on(monkeypatch, {3, 50})
+        with pytest.raises(EigenError, match="2 of 100"):
+            run_ensemble(self.config(100))
+
+    def test_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        doc = {"schema_version": 1, "cube": {"dim": 1, "side": 5}, "boundary": "N",
+               "disorder": {"V": {"type": "uniform", "lo": 1, "hi": 2},
+                            "b": {"type": "uniform", "lo": -0.5, "hi": 0.5}},
+               "realizations": 3, "seed": 0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        self.fail_on(monkeypatch, set(range(3)))
+        assert main(["ids", "--config", str(path), "--out", str(tmp_path),
+                     "--threads", "1"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure:")
 
 
 class TestSturm:
@@ -134,7 +197,7 @@ def test_spectrum_rejects_unsorted():
 
 
 def test_backend_name_valid():
-    assert backend_name() in ("c", "python")
+    assert backend_name() == "lapack"
 
 
 def test_python_kernels_agree_with_active_backend():
@@ -148,10 +211,11 @@ def test_python_kernels_agree_with_active_backend():
 
 
 def test_forced_python_backend_subprocess():
+    # A stale RANDBLOCK_FORCE_PY in the environment must not change the solver.
     code = (
         "import randblock.eigen as e; import numpy as np;"
         "m = np.array([[0.,1.],[1.,0.]]);"
-        "assert e.backend_name() == 'python';"
+        "assert e.backend_name() == 'lapack';"
         "assert np.allclose(e.eigvalsh(m).eigenvalues, [-1, 1])"
     )
     # The child inherits the parent's environment and is pointed at the very

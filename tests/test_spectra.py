@@ -47,10 +47,14 @@ class TestDeterminism:
         assert np.array_equal(r1.ids_mean, r2.ids_mean)
 
     def test_parallel_matches_serial(self):
-        serial = run_ensemble(make_config(realizations=4))
-        parallel = run_ensemble(make_config(realizations=4, threads=2))
-        for a, b in zip(serial.spectra, parallel.spectra):
-            assert np.array_equal(a, b)
+        # side 201 is the c08 size: the 402 x 402 solve is large enough for
+        # OpenBLAS to thread, which side 5 never is
+        for side in (5, 201):
+            serial = run_ensemble(make_config(side=side, realizations=4))
+            parallel = run_ensemble(make_config(side=side, realizations=4, threads=2))
+            assert len(serial.spectra) == len(parallel.spectra) == 4
+            for a, b in zip(serial.spectra, parallel.spectra):
+                assert np.array_equal(a, b)
 
     def test_fields_independent_of_realization_count(self):
         a = realization_fields(make_config(realizations=2), 1)
