@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .disorder import DensitySpec, SeedPolicy, bv_norm, sample_iid, support_bounds
 from .eigen import Spectrum, eigvalsh, min_eig_tridiag
+from .lattice import Cube
+from .operators import BoundaryMode, laplacian
 from .spectra import EnsembleResult
 
 
@@ -63,6 +64,8 @@ def dos_transform_measure_check(transform: DosTransform, a: float,
     """Both sides of the change-of-variables identity
     ∫_beta^sqrt(a²+beta²) block-DOS dE  =  ∫_{-a}^a D dE0, by quadrature
     (both ±E0 land on the positive branch)."""
+    from scipy.integrate import quad     # only the quadrature checks need it
+
     if a <= 0:
         raise ValueError("need a > 0")
     beta = abs(transform.beta)
@@ -192,6 +195,8 @@ def bv_inequality_probe(f_prime, oscillation: float, phi: DensitySpec,
                         epsabs: float = 1e-10) -> tuple[float, float]:
     """lhs = |∫ F'(x) phi(x) dx| by adaptive quadrature, rhs = a * ||phi||_BV
     for a C^1 function F with sup-oscillation a."""
+    from scipy.integrate import quad
+
     lo, hi = support_bounds(phi)
     interior = [p for p in phi.breakpoints if lo < p < hi]
     val, err = quad(lambda x: f_prime(x) * phi.pdf(x), lo, hi,
@@ -226,6 +231,8 @@ class LifshitsRun:
         object.__setattr__(self, "epsilons", eps)
         if any(e <= 0 for e in eps):
             raise ValueError("epsilons must be positive")
+        if self.realizations < 1:
+            raise ValueError("need at least one realization per epsilon")
         if self.dim != 1:
             raise ValueError("only the one-dimensional tridiagonal probe is implemented")
         v_lo, _ = support_bounds(self.mu_v)
@@ -245,32 +252,22 @@ class LifshitsTable:
     stderr: np.ndarray
 
 
-def _neumann_tridiag_1d(side: int):
-    """Diagonal and subdiagonal of the 1-d graph Laplacian."""
-    d = np.full(side, 2.0)
-    d[0] = d[-1] = 1.0
-    e = np.full(side - 1, -1.0)
-    return d, e
-
-
 def lifshits_probe(run: LifshitsRun, tol: float = 1e-8) -> LifshitsTable:
     """Estimate P[min spec(H_N) <= lam + eps] per epsilon via Sturm
-    bisection on the tridiagonal realizations."""
+    bisection on the tridiagonal realizations, batched over realizations."""
     policy = SeedPolicy(run.base_seed)
     p_hat = np.zeros(len(run.epsilons))
     sides = np.zeros(len(run.epsilons), dtype=int)
     for k, eps in enumerate(run.epsilons):
         side = run.side_for(eps)
         sides[k] = side
-        lap_d, lap_e = _neumann_tridiag_1d(side)
-        hits = 0
-        for r in range(run.realizations):
-            rng = policy.generator(k * run.realizations + r, "V")
-            v = sample_iid(run.mu_v, side, rng)
-            tri = np.diag(lap_d + v) + np.diag(lap_e, -1) + np.diag(lap_e, 1)
-            if min_eig_tridiag(tri, tol) <= run.lam + eps:
-                hits += 1
-        p_hat[k] = hits / run.realizations
+        # band storage of -lap_N: row 0 the diagonal, row 1 the off-diagonal
+        lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
+        v = np.stack([sample_iid(run.mu_v, side,
+                                 policy.generator(k * run.realizations + r, "V"))
+                      for r in range(run.realizations)])
+        ground = min_eig_tridiag((lap[0] + v, lap[1, :-1]), tol)
+        p_hat[k] = np.count_nonzero(ground <= run.lam + eps) / run.realizations
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / run.realizations)
     return LifshitsTable(np.array(run.epsilons), sides, run.realizations, p_hat, stderr)
 

@@ -32,7 +32,8 @@ from .analysis import (
 from .config import ConfigError, config_echo, load_config, parse_density
 from .disorder import DensitySpec, support_bounds
 from .eigen import EigenError, backend_name
-from .spectra import gap_estimate, run_ensemble
+from .lattice import MemoryLimitError
+from .spectra import gap_estimate, run_ensemble, solver_plan
 from .verify import run_all
 
 EXIT_OK = 0
@@ -70,10 +71,15 @@ def _blas_identity() -> dict | None:
 
 
 def _write_manifest(out_dir: Path, command: str, echo: dict, seed: int,
-                    elapsed: float, files: list[Path], failures: int = 0) -> None:
+                    elapsed: float, files: list[Path], failures: int = 0,
+                    solver: tuple[str, int] | None = None) -> None:
+    driver, half_bandwidth = solver or (None, None)
     manifest = {
         "tool_version": __version__,
         "backend": backend_name(),
+        # LAPACK driver and half-bandwidth of the ensemble solves, if any
+        "driver": driver,
+        "half_bandwidth": half_bandwidth,
         # spectra depend in the last bits on the BLAS build and its threads
         "blas": _blas_identity(),
         "thread_env": {k: v for k, v in sorted(os.environ.items())
@@ -128,7 +134,8 @@ def cmd_ids(args) -> int:
                ["E", "N_mean", "N_stderr"],
                zip(result.grid, result.ids_mean, result.ids_stderr))
     _write_manifest(out_dir, "ids", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures))
+                    time.monotonic() - t0, [path], len(result.failures),
+                    solver_plan(config))
     return EXIT_OK
 
 
@@ -141,7 +148,8 @@ def cmd_dos(args) -> int:
                zip(result.dos_centers, result.dos_density, result.dos_stderr,
                    result.dos_counts))
     _write_manifest(out_dir, "dos", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures))
+                    time.monotonic() - t0, [path], len(result.failures),
+                    solver_plan(config))
     return EXIT_OK
 
 
@@ -155,7 +163,8 @@ def cmd_gap(args) -> int:
                ["realization", "min_abs_eig"],
                zip(result.realization_ids, per_real))
     _write_manifest(out_dir, "gap", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures))
+                    time.monotonic() - t0, [path], len(result.failures),
+                    solver_plan(config))
     return EXIT_OK
 
 
@@ -198,7 +207,8 @@ def cmd_wegner(args) -> int:
     }
     path.write_text(json.dumps(doc, indent=2) + "\n")
     _write_manifest(out_dir, "wegner", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures))
+                    time.monotonic() - t0, [path], len(result.failures),
+                    solver_plan(config))
     if not args.quiet:
         print(f"wegner: {report.checked_bins} bins checked, "
               f"{len(report.violations)} violations")
@@ -220,16 +230,19 @@ def cmd_lifshits(args) -> int:
     rec = extras["lifshits"]
     if not isinstance(config.disorder.mu_v, DensitySpec):
         raise ConfigError("lifshits: V must have a density")
-    run = LifshitsRun(
-        epsilons=tuple(rec["epsilons"]),
-        mu_v=config.disorder.mu_v,
-        lam=float(rec["lam"]),
-        base_seed=config.base_seed,
-        realizations=int(rec.get("realizations", 2000)),
-        c=float(rec.get("c", 4.0)),
-        alpha=float(rec.get("alpha", config.cube.dim / 2.0)),
-        dim=config.cube.dim,
-    )
+    try:
+        run = LifshitsRun(
+            epsilons=tuple(rec["epsilons"]),
+            mu_v=config.disorder.mu_v,
+            lam=float(rec["lam"]),
+            base_seed=config.base_seed,
+            realizations=int(rec.get("realizations", 2000)),
+            c=float(rec.get("c", 4.0)),
+            alpha=float(rec.get("alpha", config.cube.dim / 2.0)),
+            dim=config.cube.dim,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"lifshits: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
@@ -275,17 +288,20 @@ def cmd_dostransform(args) -> int:
     source = parse_density(rec["source"], "dos_transform.source")
     if not isinstance(source, DensitySpec):
         raise ConfigError("dos_transform: source must have a density")
-    beta = float(rec["beta"])
-    transform = DosTransform(source, beta)
     lo, hi = support_bounds(source)
     amax = max(abs(lo), abs(hi))
-    if "energies" in rec:
-        erec = rec["energies"]
-        energies = np.linspace(float(erec["lo"]), float(erec["hi"]),
-                               int(erec.get("points", 512)))
-    else:
-        top = math.sqrt(amax**2 + beta**2) + 0.5
-        energies = np.linspace(-top, top, 512)
+    try:
+        beta = float(rec["beta"])
+        transform = DosTransform(source, beta)
+        if "energies" in rec:
+            erec = rec["energies"]
+            energies = np.linspace(float(erec["lo"]), float(erec["hi"]),
+                                   int(erec.get("points", 512)))
+        else:
+            top = math.sqrt(amax**2 + beta**2) + 0.5
+            energies = np.linspace(-top, top, 512)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dos_transform: {exc}") from exc
     d_h = np.array([source.pdf(e) for e in energies])
     d_block = np.array([const_b_dos(transform, e) for e in energies])
     # the band-edge singularity is clipped to the largest finite value for CSV
@@ -354,7 +370,7 @@ def main(argv=None) -> int:
         if args.needs_config and not args.config:
             raise ConfigError(f"{args.command}: --config is required")
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigenError, RuntimeError) as exc:

@@ -34,6 +34,15 @@ def _check_keys(record: dict, allowed: set[str], required: set[str], where: str)
         raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+def _optional_number(value, where: str) -> float | None:
+    """A JSON number as float; null stays None.  Strings are refused."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_density(record: dict, where: str) -> Density:
     _check_keys(record, {"type", "lo", "hi", "value", "breakpoints", "heights"},
                 {"type"}, where)
@@ -111,9 +120,8 @@ def parse_config(doc: dict, seed_override: int | None = None,
     if "grid" in doc:
         grid_rec = doc["grid"]
         _check_keys(grid_rec, {"lo", "hi", "points"}, set(), "grid")
-        grid_lo = grid_rec.get("lo")
-        grid_hi = grid_rec.get("hi")
-        grid_points = int(grid_rec.get("points", 512))
+        grid_lo, grid_hi = (_optional_number(grid_rec.get(k), f"grid.{k}") for k in ("lo", "hi"))
+        grid_points = grid_rec.get("points", 512)
 
     seed = int(doc["seed"]) if seed_override is None else int(seed_override)
     try:
@@ -127,7 +135,7 @@ def parse_config(doc: dict, seed_override: int | None = None,
             laplacian_sign=int(doc.get("laplacian_sign", -1)),
             grid_lo=grid_lo,
             grid_hi=grid_hi,
-            grid_points=grid_points,
+            grid_points=int(grid_points),
             bin_width=None if doc.get("bin_width") is None else float(doc["bin_width"]),
             threads=threads,
         )

@@ -1,19 +1,23 @@
 """Real symmetric eigensolver and eigenvalue-counting utilities.
 
-Dense solves go through NumPy's LAPACK (``dsyevd``).  The in-house kernels in
-``_pykernels`` (Householder reduction, implicitly shifted QL, Sturm counts)
-serve the tridiagonal Sturm bisection and are the independent reference the
-tests compare LAPACK against.
+Full spectra come from LAPACK: ``dsyevd`` through NumPy for dense matrices,
+``dsbevd`` through SciPy for thin bands (`SymmetricBand`).  The in-house
+kernels in ``_pykernels`` (Householder reduction, implicitly shifted QL,
+Sturm counts) are the independent reference the tests compare LAPACK and the
+batched Sturm bisection against.
 """
 
 from .core import (
     EigenError,
     SolveReport,
     Spectrum,
+    SymmetricBand,
     backend_name,
     counting,
     eigvalsh,
     min_eig_tridiag,
+    solve_bytes,
+    solver_driver,
     sturm_count_matrix,
 )
 
@@ -21,9 +25,12 @@ __all__ = [
     "EigenError",
     "SolveReport",
     "Spectrum",
+    "SymmetricBand",
     "backend_name",
     "counting",
     "eigvalsh",
     "min_eig_tridiag",
+    "solve_bytes",
+    "solver_driver",
     "sturm_count_matrix",
 ]

@@ -2,7 +2,8 @@
 
 Householder reduction to tridiagonal form followed by implicitly shifted QL
 iteration, plus Sturm-sequence eigenvalue counting on tridiagonal matrices.
-The Sturm count drives `min_eig_tridiag`; the dense kernels are the
+The Sturm count serves `sturm_count_matrix` and is the one-matrix reference
+for the batched bisection in `min_eig_tridiag`; the dense kernels are the
 independent reference that the tests compare the LAPACK solves against.
 """
 

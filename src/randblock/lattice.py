@@ -2,18 +2,37 @@
 
 Sites are ordered row-major over coordinates (last coordinate fastest); the
 linear index of a site is fixed once here and used for every matrix layout in
-the package.
+the package.  The per-site helpers (`neighbours`, `boundary_deficiency`,
+`parity`) take one site; the array helpers (`coordinates`, `hops`,
+`deficiencies`, `parities`) give the same data for every site at once, from
+index arithmetic on `np.indices`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-# guard against absurd configuration blowing up memory downstream
-_MAX_SITES = 50_000_000
+
+class MemoryLimitError(ValueError):
+    """A computation would need more memory than the machine has."""
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(needed: int, what: str) -> None:
+    """Raise MemoryLimitError, naming both numbers, when ``needed`` bytes
+    exceed physical memory; called before anything is allocated."""
+    available = physical_memory()
+    if needed > available:
+        raise MemoryLimitError(f"{what} needs an estimated {needed / 1e9:.3g} GB, more than "
+                               f"the {available / 1e9:.3g} GB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -33,12 +52,19 @@ class Cube:
             raise ValueError("dim must be a positive integer")
         if self.side < 1:
             raise ValueError("side must be a positive integer")
-        if self.side**self.dim > _MAX_SITES:
-            raise ValueError(f"cube with {self.side}^{self.dim} sites is too large")
+        # one float per site is the least any computation on the cube holds
+        check_memory(8 * self.side**self.dim,
+                     f"a vector on the cube with {self.side}^{self.dim} sites")
 
     @property
     def n_sites(self) -> int:
         return self.side**self.dim
+
+    @property
+    def half_bandwidth(self) -> int:
+        """Largest index distance between neighbouring sites: the stride of
+        axis 0, L^(d-1), or 0 on a single-site cube."""
+        return self.side ** (self.dim - 1) if self.side > 1 else 0
 
     @property
     def origin(self) -> int:
@@ -106,6 +132,34 @@ def parity(j) -> int:
     return 1 if sum(j) % 2 == 0 else -1
 
 
+def coordinates(cube: Cube) -> np.ndarray:
+    """Site coordinates as a (dim, n_sites) integer array, in linear-index
+    order."""
+    shape = (cube.side,) * cube.dim
+    return np.indices(shape).reshape(cube.dim, -1) + cube.origin
+
+
+def hops(cube: Cube) -> list[tuple[int, np.ndarray]]:
+    """Nearest-neighbour pairs, one entry per axis: (stride, sites i whose
+    neighbour i + stride along that axis lies in the cube)."""
+    if cube.side == 1:
+        return []
+    rel = coordinates(cube) - cube.origin
+    return [(cube.side ** (cube.dim - 1 - axis), np.flatnonzero(rel[axis] < cube.side - 1))
+            for axis in range(cube.dim)]
+
+
+def deficiencies(cube: Cube) -> np.ndarray:
+    """Missing-neighbour count of every site (`boundary_deficiency`)."""
+    rel = coordinates(cube) - cube.origin
+    return (rel == 0).sum(axis=0) + (rel == cube.side - 1).sum(axis=0)
+
+
+def parities(cube: Cube) -> np.ndarray:
+    """(-1)^(j_1 + ... + j_d) of every site (`parity`)."""
+    return 1 - 2 * (coordinates(cube).sum(axis=0) % 2)
+
+
 @dataclass(frozen=True)
 class PeriodicPotential:
     """Periodic background potential on Z^d, evaluated componentwise mod p."""
@@ -132,4 +186,8 @@ class PeriodicPotential:
 
     def on_cube(self, cube: Cube) -> np.ndarray:
         """Potential evaluated at every site, in linear-index order."""
-        return np.array([self.at(j) for j in sites(cube)])
+        idx = tuple(c % p for c, p in zip(coordinates(cube), self.period))
+        vals = self.values[idx].reshape(cube.n_sites, -1)
+        if vals.shape[1] != 1:      # as in `at`, surplus period axes must be trivial
+            raise ValueError(f"period {self.period} has more axes than the {cube.dim}-d cube")
+        return vals[:, 0].copy()

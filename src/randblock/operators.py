@@ -4,7 +4,9 @@ Builds the discrete Laplacian under three boundary modes, multiplication
 operators, the d-wave off-diagonal block, the block assemblies
 [[A, B], [B, -A]] (plain and with different diagonal blocks), the explicit
 unitary conjugations used as independent oracles, and a plain-text triplet
-export.  All matrices are dense, symmetric by construction.
+export.  Matrices are dense and symmetric by construction, except that the
+Laplacian and the lattice block operator also come in LAPACK lower band
+storage, which the ensemble solve reads without an n x n intermediate.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import Cube, boundary_deficiency, neighbours, parity, sites
+from .lattice import Cube, deficiencies, hops, neighbours, parities, sites
 
 
 class BoundaryMode(Enum):
@@ -26,41 +28,54 @@ class PreconditionError(ValueError):
     """A transform was applied to a matrix violating its hypothesis."""
 
 
-def adjacency(cube: Cube) -> np.ndarray:
-    """Nearest-neighbour adjacency matrix of the cube (0/1 entries)."""
+def adjacency(cube: Cube, band: bool = False) -> np.ndarray:
+    """Nearest-neighbour adjacency matrix of the cube (0/1 entries).
+
+    With ``band`` set, the matrix comes in LAPACK lower band storage instead:
+    shape (cube.half_bandwidth + 1, n), row k holding the entries (i + k, i),
+    so no n x n array is formed.
+    """
     n = cube.n_sites
-    a = np.zeros((n, n))
-    for j in sites(cube):
-        i = cube.index_of(j)
-        for k in neighbours(cube, j):
-            a[i, cube.index_of(k)] = 1.0
+    a = np.zeros((cube.half_bandwidth + 1, n) if band else (n, n))
+    for stride, i in hops(cube):
+        if band:
+            a[stride, i] = 1.0
+        else:
+            a[i + stride, i] = a[i, i + stride] = 1.0
     return a
 
 
 def gamma(cube: Cube) -> np.ndarray:
     """Diagonal boundary-deficiency operator (missing-neighbour counts)."""
-    return np.diag([float(boundary_deficiency(cube, j)) for j in sites(cube)])
+    return np.diag(deficiencies(cube).astype(np.float64))
 
 
-def laplacian(cube: Cube, mode: BoundaryMode, sign: int = 1) -> np.ndarray:
+def laplacian(cube: Cube, mode: BoundaryMode, sign: int = 1, band: bool = False) -> np.ndarray:
     """sign times the truncated Laplacian in the given boundary mode.
 
     ADJACENCY: hopping only, zero diagonal (sign=+1 gives the centred
     discrete Laplacian restricted to the cube).  NEUMANN: adjacency minus
     degree, so sign=-1 yields the positive semidefinite graph Laplacian.
     DIRICHLET: Neumann shifted by -2*Gamma, i.e. -lap_D = -lap_N + 2*Gamma.
+    With ``band`` set, the result is in the lower band storage of
+    `adjacency`; its row 0 is the diagonal.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    a = adjacency(cube)
-    if mode is BoundaryMode.ADJACENCY:
-        lap = a
-    elif mode is BoundaryMode.NEUMANN:
-        lap = a - np.diag(a.sum(axis=1))
-    elif mode is BoundaryMode.DIRICHLET:
-        lap = a - np.diag(a.sum(axis=1)) - 2.0 * gamma(cube)
-    else:
+    if not isinstance(mode, BoundaryMode):
         raise ValueError(f"unknown boundary mode {mode}")
+    lap = adjacency(cube, band)
+    if mode is not BoundaryMode.ADJACENCY:
+        if band:
+            # the degree (row sum of the adjacency) is 2d minus the missing neighbours
+            missing = deficiencies(cube)
+            lap[0] -= 2 * cube.dim - missing
+            if mode is BoundaryMode.DIRICHLET:
+                lap[0] -= 2.0 * missing
+        else:
+            lap = lap - np.diag(lap.sum(axis=1))
+            if mode is BoundaryMode.DIRICHLET:
+                lap = lap - 2.0 * gamma(cube)
     return sign * lap
 
 
@@ -74,7 +89,7 @@ def diag_op(values) -> np.ndarray:
 
 def parity_values(cube: Cube) -> np.ndarray:
     """(-1)^(sum of coordinates) per site, in linear-index order."""
-    return np.array([float(parity(j)) for j in sites(cube)])
+    return parities(cube).astype(np.float64)
 
 
 def dwave_b(cube: Cube, beta: float, mode: BoundaryMode = BoundaryMode.ADJACENCY) -> np.ndarray:
@@ -103,23 +118,48 @@ def dwave_b(cube: Cube, beta: float, mode: BoundaryMode = BoundaryMode.ADJACENCY
     return beta * b
 
 
-def assemble(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The block operator [[H, B], [B, -H]]."""
-    h = np.asarray(h, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if h.shape != b.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("H and B must be square matrices of equal dimension")
-    return np.block([[h, b], [b, -h]])
-
-
 def assemble_bracketing(h_top: np.ndarray, h_bot: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The block operator [[H_top, B], [B, -H_bot]] (bracketing variant)."""
     h_top = np.asarray(h_top, dtype=np.float64)
     h_bot = np.asarray(h_bot, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if not (h_top.shape == h_bot.shape == b.shape) or h_top.ndim != 2:
+    if (not (h_top.shape == h_bot.shape == b.shape) or h_top.ndim != 2
+            or h_top.shape[0] != h_top.shape[1]):
         raise ValueError("blocks must be square matrices of equal dimension")
     return np.block([[h_top, b], [b, -h_bot]])
+
+
+def assemble(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block operator [[H, B], [B, -H]]."""
+    return assemble_bracketing(h, h, b)
+
+
+def block_band(h_top: np.ndarray, h_bot: np.ndarray, b) -> np.ndarray:
+    """[[H_top, diag(b)], [diag(b), -H_bot]] in interleaved order
+    (psi1(0), psi2(0), psi1(1), ...), in LAPACK lower band storage.
+
+    ``h_top`` and ``h_bot`` are lower band storages (s+1, n) of the diagonal
+    blocks.  Interleaving doubles every index distance, so the result has
+    half-bandwidth w = max(2s, 1) and shape (w+1, 2n); it is Fortran-ordered,
+    as LAPACK reads it.
+    """
+    h_top = np.asarray(h_top, dtype=np.float64)
+    if h_top.ndim != 2 or np.shape(h_bot) != h_top.shape:
+        raise ValueError("H_top and H_bot must be band storages of equal shape")
+    rows, n = h_top.shape
+    ab = np.zeros((max(2 * (rows - 1), 1) + 1, 2 * n), order="F")
+    ab[2::2, 0::2] = h_top[1:]
+    ab[2::2, 1::2] = -np.asarray(h_bot, dtype=np.float64)[1:]
+    write_block_diagonals(ab, h_top[0], h_bot[0], b)
+    return ab
+
+
+def write_block_diagonals(ab: np.ndarray, top, bot, b) -> None:
+    """Write the diagonals of H_top and H_bot (``top``, ``bot``) and of B into
+    the interleaved band storage ``ab`` made by `block_band`, in place."""
+    ab[0, 0::2] = top
+    ab[0, 1::2] = -np.asarray(bot, dtype=np.float64)
+    ab[1, 0::2] = b
 
 
 def _split_blocks(m: np.ndarray):

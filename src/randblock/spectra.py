@@ -2,20 +2,24 @@
 
 Realizations are independent and reproducible from (base_seed, index); the
 driver can run them across a process pool, and aggregation does not depend on
-completion order.
+completion order.  The block operator is held in interleaved order
+(psi1(0), psi2(0), psi1(1), ...), where it is a band matrix of half-bandwidth
+max(2 L^(d-1), 1): the clean part is built once per run, and each realization
+only rewrites the diagonal and the b entries of that band.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .disorder import Density, DisorderModel, SeedPolicy, sample_iid, support_bounds
-from .eigen import EigenError, Spectrum, counting, eigvalsh
-from .lattice import Cube, PeriodicPotential
-from .operators import BoundaryMode, assemble, assemble_bracketing, laplacian
+from .eigen import EigenError, Spectrum, SymmetricBand, eigvalsh, solve_bytes, solver_driver
+from .lattice import Cube, PeriodicPotential, check_memory
+from .operators import BoundaryMode, block_band, laplacian, write_block_diagonals
 
 BOUNDARY_CHOICES = ("D", "N", "+", "-")
 
@@ -72,34 +76,59 @@ class EnsembleResult:
     failures: list[int] = field(default_factory=list)
 
 
-def base_matrices(config: ExperimentConfig):
-    """Deterministic parts: (H Laplacian for D, for N, U0 site values).
+_BOUNDARY_MODES = {   # (top block, bottom block) of [[H_top, B], [B, -H_bot]]
+    "D": (BoundaryMode.DIRICHLET, BoundaryMode.DIRICHLET),
+    "N": (BoundaryMode.NEUMANN, BoundaryMode.NEUMANN),
+    "+": (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN),
+    "-": (BoundaryMode.NEUMANN, BoundaryMode.DIRICHLET),
+}
 
-    For boundary D/N only the matching Laplacian is relevant; both are
-    returned so bracketing assemblies can mix them.
+
+@dataclass
+class CleanPart:
+    """The realization-independent part of one experiment's block operator.
+
+    ``band`` is the interleaved lower band storage of the block operator
+    (`operators.block_band`); its rows 0 and 1 (the diagonal and b) are
+    rewritten by every realization.  ``top`` and ``bot`` are the diagonals of
+    the Laplacian terms of H_top and H_bot, ``u0`` the background potential.
     """
-    sign = config.laplacian_sign
-    lap_d = laplacian(config.cube, BoundaryMode.DIRICHLET, sign)
-    lap_n = laplacian(config.cube, BoundaryMode.NEUMANN, sign)
-    u0 = config.potential.on_cube(config.cube)
-    return lap_d, lap_n, u0
+
+    band: np.ndarray
+    top: np.ndarray
+    bot: np.ndarray
+    u0: np.ndarray
+
+
+def base_matrices(config: ExperimentConfig) -> CleanPart:
+    """The clean part of the block operator, built from only the Laplacian(s)
+    the boundary needs, in band storage (no n x n array is formed)."""
+    modes = _BOUNDARY_MODES[config.boundary]
+    laps = {mode: laplacian(config.cube, mode, config.laplacian_sign, band=True)
+            for mode in dict.fromkeys(modes)}
+    top, bot = laps[modes[0]], laps[modes[1]]
+    band = block_band(top, bot, np.zeros(config.cube.n_sites))
+    return CleanPart(band, top[0].copy(), bot[0].copy(), config.potential.on_cube(config.cube))
+
+
+def realization_band(clean: CleanPart, v: np.ndarray, b: np.ndarray) -> SymmetricBand:
+    """One realization's block operator: its diagonal and b are written into
+    the clean band in place, and the result shares that storage."""
+    h = clean.u0 + v
+    write_block_diagonals(clean.band, clean.top + h, clean.bot + h, b)
+    return SymmetricBand(clean.band)
 
 
 def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray,
-                deterministic=None) -> np.ndarray:
-    """Assemble the 2n x 2n block operator for one disorder realization."""
-    lap_d, lap_n, u0 = deterministic if deterministic is not None else base_matrices(config)
-    h_d = lap_d + np.diag(u0 + v)
-    h_n = lap_n + np.diag(u0 + v)
-    bmat = np.diag(b)
-    x = config.boundary
-    if x == "D":
-        return assemble(h_d, bmat)
-    if x == "N":
-        return assemble(h_n, bmat)
-    if x == "+":
-        return assemble_bracketing(h_d, h_n, bmat)
-    return assemble_bracketing(h_n, h_d, bmat)
+                clean: CleanPart | None = None) -> np.ndarray:
+    """The 2n x 2n block operator of one disorder realization, dense and in
+    natural order [[H_top, B], [B, -H_bot]]; derived from the band that the
+    ensemble solves (``clean`` is built when not given)."""
+    clean = clean if clean is not None else base_matrices(config)
+    dense = realization_band(clean, v, b).to_dense()
+    n2 = dense.shape[0]
+    natural = np.concatenate([np.arange(0, n2, 2), np.arange(1, n2, 2)])
+    return dense[np.ix_(natural, natural)]
 
 
 def realization_fields(config: ExperimentConfig, index: int):
@@ -111,25 +140,57 @@ def realization_fields(config: ExperimentConfig, index: int):
     return v, b
 
 
-def _solve_one(args):
-    config, index, deterministic = args
+def solver_plan(config: ExperimentConfig) -> tuple[str, int]:
+    """(LAPACK driver, half-bandwidth) of the ensemble's eigensolves."""
+    w = max(2 * config.cube.half_bandwidth, 1)
+    return solver_driver(2 * config.cube.n_sites, w), w
+
+
+def peak_bytes(config: ExperimentConfig) -> int:
+    """Estimated peak memory of `run_ensemble`: the clean band, one solve per
+    process, the spectra and their pooled copy, and the IDS counts with two
+    temporaries of their size.  A process pool adds, per worker, the clean
+    band of its current chunk and two pickled chunks queued for it."""
+    n2 = 2 * config.cube.n_sites
+    _, w = solver_plan(config)
+    workers = config.threads if config.threads > 1 else 0
+    band = 8 * (w + 1) * n2
+    solve = solve_bytes(n2, w)
+    aggregates = 8 * config.realizations * (2 * n2 + 3 * config.grid_points)
+    return band * (1 + 3 * workers) + solve * max(workers, 1) + aggregates
+
+
+def _solve_one(config: ExperimentConfig, clean: CleanPart, index: int):
     v, b = realization_fields(config, index)
-    m = build_block(config, v, b, deterministic)
     try:
-        spec = eigvalsh(m)
+        spec = eigvalsh(realization_band(clean, v, b))
     except EigenError:
         return index, None
     return index, spec.eigenvalues
 
 
-def default_grid(config: ExperimentConfig) -> np.ndarray:
+def _abs_row_sums(lower: np.ndarray) -> np.ndarray:
+    """Row sums of |A| for a symmetric A in lower band storage."""
+    n = lower.shape[1]
+    sums = np.abs(lower[0])
+    for k in range(1, lower.shape[0]):
+        a = np.abs(lower[k, :n - k])
+        sums[k:] += a
+        sums[:n - k] += a
+    return sums
+
+
+def default_grid(config: ExperimentConfig, clean: CleanPart | None = None) -> np.ndarray:
     """Symmetric energy grid covering the a priori spectral inclusion with
-    margin 0.5 (Gershgorin bound of the clean part plus disorder supports)."""
+    margin 0.5 (Gershgorin bound of the clean part plus disorder supports).
+
+    ``clean`` is the run's clean part; it is built when not given."""
     if config.grid_lo is not None:
         return np.linspace(config.grid_lo, config.grid_hi, config.grid_points)
-    lap_d, lap_n, u0 = base_matrices(config)
-    base = (lap_d if config.boundary in ("D", "+") else lap_n) + np.diag(u0)
-    gersh = float(np.abs(base).sum(axis=1).max())
+    clean = clean if clean is not None else base_matrices(config)
+    # H_top's band: its Laplacian diagonal plus U0, then the even rows on even columns
+    h_top = np.vstack([clean.top + clean.u0, clean.band[2::2, 0::2]])
+    gersh = float(_abs_row_sums(h_top).max())
     v_lo, v_hi = support_bounds(config.disorder.mu_v)
     b_lo, b_hi = support_bounds(config.disorder.mu_b)
     r = gersh + max(abs(v_lo), abs(v_hi)) + max(abs(b_lo), abs(b_hi)) + 0.5
@@ -146,15 +207,24 @@ def _freedman_diaconis(pooled: np.ndarray) -> float:
 
 
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
-    """Sample, build, diagonalize and aggregate R independent realizations."""
-    deterministic = base_matrices(config)
-    tasks = [(config, r, deterministic) for r in range(config.realizations)]
+    """Sample, build, diagonalize and aggregate R independent realizations.
+
+    Raises MemoryLimitError before allocating when `peak_bytes` exceeds
+    physical memory."""
+    driver, w = solver_plan(config)
+    check_memory(peak_bytes(config),
+                 f"the {driver} ensemble on a {config.cube.dim}-d cube of side "
+                 f"{config.cube.side} (half-bandwidth {w}, {config.realizations} "
+                 f"realizations, {max(config.threads, 1)} process(es))")
+    clean = base_matrices(config)
+    solve = partial(_solve_one, config, clean)
+    indices = range(config.realizations)
     if config.threads > 1:
-        # workers rebuild nothing: deterministic parts ship with the task
+        # workers rebuild nothing: the clean part ships with each chunk
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            raw = list(pool.map(_solve_one, tasks, chunksize=4))
+            raw = list(pool.map(solve, indices, chunksize=4))
     else:
-        raw = [_solve_one(t) for t in tasks]
+        raw = [solve(r) for r in indices]
     raw.sort(key=lambda item: item[0])
 
     failures = [idx for idx, ev in raw if ev is None]
@@ -165,8 +235,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     spectra = [ev for _, ev in kept]
 
     n2 = 2 * config.cube.n_sites
-    grid = default_grid(config)
-    counts = np.array([[np.searchsorted(ev, e, side="right") for e in grid] for ev in spectra])
+    grid = default_grid(config, clean)
+    counts = np.array([np.searchsorted(ev, grid, side="right") for ev in spectra])
     frac = counts / n2
     ids_mean = frac.mean(axis=0)
     ids_stderr = frac.std(axis=0, ddof=1) / np.sqrt(len(spectra)) if len(spectra) > 1 \

@@ -1,9 +1,11 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
+import randblock.lattice
 import randblock.operators
 from randblock.cli import main
 from randblock.config import (
@@ -116,8 +118,16 @@ class TestConfigErrors:
         ("dos", {"bin_width": -0.1}),
         ("dos", {"bin_width": 0}),
         ("dos", {"bin_width": "wide"}),
+        ("lifshits", {"lifshits": {"epsilons": [-0.1, 0.2], "lam": 1.0}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": 0}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 0, "source": {"type": "uniform", "lo": -2, "hi": 2}}}),
+        ("ids", {"grid": {"lo": "-1", "hi": "1"}}),
+        ("ids", {"grid": {"points": "many"}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
-            "bin-width-zero", "bin-width-not-a-number"])
+            "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
+            "lifshits-realizations-zero", "beta-zero",
+            "grid-bounds-not-numbers", "grid-points-not-a-number"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
@@ -125,6 +135,19 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    def test_memory_guard_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # 3-d side 40: half-bandwidth 3200 on a 128000-dimensional block, ~3.3 GB
+        # of band storage per copy; two workers hold several copies
+        monkeypatch.setattr(randblock.lattice, "physical_memory", lambda: 8 * 2**30)
+        path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}))
+        t0 = time.monotonic()
+        assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "2"]) == 2
+        assert time.monotonic() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
+        assert "dsbevd" in err and "GB" in err and "8.59 GB of physical memory" in err
 
     def test_lifshits_needs_section(self, tmp_path, capsys):
         path = write_config(tmp_path, base_doc())
@@ -142,6 +165,7 @@ class TestEnsembleCommands:
         m2 = json.loads((d2 / "ids_manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
         assert m1["backend"] == "lapack"
+        assert (m1["driver"], m1["half_bandwidth"]) == ("dsyevd", 2)   # 1-d, side 7
         assert set(m1["blas"]) == {"name", "version"}
         assert m1["thread_env"] == {k: v for k, v in os.environ.items()
                                     if k.endswith("_NUM_THREADS")}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import randblock
 from randblock.cli import main
@@ -14,6 +15,7 @@ from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import (
     EigenError,
     Spectrum,
+    SymmetricBand,
     backend_name,
     counting,
     eigvalsh,
@@ -23,7 +25,7 @@ from randblock.eigen import (
 from randblock.eigen import _pykernels
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import assemble
-from randblock.spectra import ExperimentConfig, run_ensemble
+from randblock.spectra import ExperimentConfig, run_ensemble, solver_plan
 
 
 class TestEigvalsh:
@@ -87,30 +89,41 @@ class TestEigvalsh:
 
 class TestLapackFailure:
     """A LAPACK LinAlgError surfaces as EigenError, is counted per realization
-    by run_ensemble, and is exit code 3 in the CLI."""
+    by run_ensemble, and is exit code 3 in the CLI.
 
-    @staticmethod
-    def fail_on(monkeypatch, failing_calls):
-        real = np.linalg.eigvalsh
+    Runs on the dense driver: side 5 gives a block of dimension 10 with
+    half-bandwidth 2, above dim/16.  `TestLapackFailureBanded` repeats every
+    test on the banded driver."""
+
+    side = 5
+    solver = (np.linalg, "eigvalsh")
+
+    def fail_on(self, monkeypatch, failing_calls):
+        module, name = self.solver
+        real = getattr(module, name)
         calls = itertools.count()
 
-        def flaky(m):
+        def flaky(*args, **kwargs):
             if next(calls) in failing_calls:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(m)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+        monkeypatch.setattr(module, name, flaky)
 
-    @staticmethod
-    def config(realizations):
+    def matrix(self):
+        return np.eye(3)
+
+    def config(self, realizations):
         disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
-        return ExperimentConfig(Cube(1, 5), "N", disorder, PeriodicPotential.zero(1),
-                                realizations, 0)
+        config = ExperimentConfig(Cube(1, self.side), "N", disorder, PeriodicPotential.zero(1),
+                                  realizations, 0)
+        assert solver_plan(config)[0] == ("dsyevd" if self.solver[0] is np.linalg else "dsbevd")
+        return config
 
     def test_eigvalsh_raises_eigen_error(self, monkeypatch):
         self.fail_on(monkeypatch, {0})
         with pytest.raises(EigenError, match="did not converge"):
-            eigvalsh(np.eye(3))
+            eigvalsh(self.matrix())
 
     def test_ensemble_records_failed_index(self, monkeypatch):
         self.fail_on(monkeypatch, {7})   # serial runs solve in index order
@@ -125,7 +138,7 @@ class TestLapackFailure:
             run_ensemble(self.config(100))
 
     def test_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
-        doc = {"schema_version": 1, "cube": {"dim": 1, "side": 5}, "boundary": "N",
+        doc = {"schema_version": 1, "cube": {"dim": 1, "side": self.side}, "boundary": "N",
                "disorder": {"V": {"type": "uniform", "lo": 1, "hi": 2},
                             "b": {"type": "uniform", "lo": -0.5, "hi": 0.5}},
                "realizations": 3, "seed": 0}
@@ -137,6 +150,17 @@ class TestLapackFailure:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("numerical failure:")
+
+
+class TestLapackFailureBanded(TestLapackFailure):
+    """The same on the banded driver: side 16 gives dimension 32 and
+    half-bandwidth 2 = 32/16."""
+
+    side = 16
+    solver = (scipy.linalg, "eigvals_banded")
+
+    def matrix(self):
+        return SymmetricBand(np.vstack([np.ones(32), np.zeros((2, 32))]))
 
 
 class TestSturm:
@@ -165,6 +189,53 @@ class TestSturm:
         d = rng.uniform(0, 2, n)
         m = np.diag(d) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1) + 2 * np.eye(n)
         assert min_eig_tridiag(m) == pytest.approx(eigvalsh(m).eigenvalues[0], abs=1e-9)
+
+
+def _scalar_min_eig(d, e, tol, visited):
+    """One-matrix Sturm bisection on the in-house count, as a reference."""
+    radius = np.zeros_like(d)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    lo = float(np.min(d - radius))
+    hi = np.nextafter(float(np.max(d + radius)), np.inf)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        visited.append(mid)
+        if _pykernels.sturm_count(d, e, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBatchedBisection:
+    def test_rows_equal_scalar_bisection(self):
+        rng = np.random.default_rng(8)
+        e = np.full(2, 0.5)
+        # row 0: the bisection visits x = 2.0, where the first pivot is exactly 0
+        d = np.vstack([[2.0, 2.0, 2.0], rng.uniform(-2, 2, (40, 3)), [[-1.0, 0.0, 2.0]]])
+        for tol in (1e-8, 1e-10, 0.5):
+            batched = min_eig_tridiag((d, e), tol)
+            visited = []
+            scalar = np.array([_scalar_min_eig(row, e, tol, visited if r == 0 else [])
+                               for r, row in enumerate(d)])
+            assert np.array_equal(batched, scalar)
+        assert 2.0 in visited
+
+    def test_dense_input_is_one_row(self):
+        rng = np.random.default_rng(9)
+        d, e = rng.uniform(0, 3, (5, 12)), -np.ones(11)
+        for row in d:
+            m = np.diag(row) + np.diag(e, 1) + np.diag(e, -1)
+            assert min_eig_tridiag(m) == min_eig_tridiag((row[None], e))[0]
+        assert np.array_equal(min_eig_tridiag((d, e)),
+                              [min_eig_tridiag((row[None], e))[0] for row in d])
+
+    def test_one_by_one_and_bad_shapes(self):
+        got = min_eig_tridiag((np.array([[3.0], [-1.0]]), np.zeros(0)), 1e-12)
+        assert got == pytest.approx([3.0, -1.0], abs=1e-12)
+        with pytest.raises(ValueError):
+            min_eig_tridiag((np.zeros((2, 3)), np.zeros(3)))
 
 
 class TestCounting:

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from randblock import lattice
 from randblock.lattice import (
     Cube,
+    MemoryLimitError,
     PeriodicPotential,
     boundary_deficiency,
+    check_memory,
+    coordinates,
+    deficiencies,
+    hops,
     neighbours,
+    parities,
     parity,
     sites,
 )
@@ -100,3 +107,49 @@ class TestPeriodicPotential:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             PeriodicPotential((2,), np.zeros(3))
+
+
+CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, centered=True),
+               Cube(2, 1, centered=True)]
+
+
+@pytest.mark.parametrize("cube", CENTRED_ODD, ids=lambda c: f"d{c.dim}L{c.side}")
+class TestArrayHelpersMatchPerSite:
+    """The array helpers against the per-site definitions."""
+
+    def test_coordinates(self, cube):
+        assert [tuple(c) for c in coordinates(cube).T.tolist()] == sites(cube)
+
+    def test_hops(self, cube):
+        pairs = {(int(i), int(i) + stride) for stride, lower in hops(cube) for i in lower}
+        expected = {(cube.index_of(j), cube.index_of(k))
+                    for j in sites(cube) for k in neighbours(cube, j)
+                    if cube.index_of(k) > cube.index_of(j)}
+        assert pairs == expected
+        assert max((stride for stride, _ in hops(cube)), default=0) <= cube.half_bandwidth
+
+    def test_deficiencies(self, cube):
+        assert deficiencies(cube).tolist() == [boundary_deficiency(cube, j) for j in sites(cube)]
+
+    def test_parities(self, cube):
+        assert parities(cube).tolist() == [parity(j) for j in sites(cube)]
+
+    def test_on_cube(self, cube):
+        rng = np.random.default_rng(cube.dim)
+        period = (2, 3, 2)[:cube.dim]
+        pot = PeriodicPotential(period, rng.uniform(-1, 1, period))
+        assert pot.on_cube(cube).tolist() == [pot.at(j) for j in sites(cube)]
+
+
+class TestMemoryGuard:
+    def test_message_names_both_numbers(self, monkeypatch):
+        monkeypatch.setattr(lattice, "physical_memory", lambda: 2 * 10**9)
+        with pytest.raises(MemoryLimitError, match=r"needs an estimated 3 GB, more than the 2 GB"):
+            check_memory(3 * 10**9, "this")
+        check_memory(2 * 10**9, "this")
+
+    def test_cube_vector_must_fit(self, monkeypatch):
+        monkeypatch.setattr(lattice, "physical_memory", lambda: 8 * 999)
+        Cube(1, 999)
+        with pytest.raises(MemoryLimitError):
+            Cube(1, 1000)

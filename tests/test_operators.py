@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from randblock.eigen import eigvalsh
-from randblock.lattice import Cube
+from randblock.eigen import SymmetricBand, eigvalsh
+from randblock.lattice import Cube, boundary_deficiency, neighbours, parity, sites
 from randblock.operators import (
     BoundaryMode,
     PreconditionError,
+    adjacency,
     assemble,
     assemble_bracketing,
+    block_band,
     diag_op,
     dwave_b,
     gamma,
@@ -46,6 +48,56 @@ class TestLaplacian:
         c = Cube(2, 3)
         assert np.array_equal(laplacian(c, BoundaryMode.NEUMANN, 1),
                               -laplacian(c, BoundaryMode.NEUMANN, -1))
+
+
+CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, centered=True),
+               Cube(3, 1, centered=True)]
+
+
+@pytest.mark.parametrize("cube", CENTRED_ODD, ids=lambda c: f"d{c.dim}L{c.side}")
+class TestVectorizedMatchesPerSite:
+    """The index-arithmetic constructions against the per-site definitions."""
+
+    def test_adjacency(self, cube):
+        expected = np.zeros((cube.n_sites, cube.n_sites))
+        for j in sites(cube):
+            for k in neighbours(cube, j):
+                expected[cube.index_of(j), cube.index_of(k)] = 1.0
+        assert np.array_equal(adjacency(cube), expected)
+
+    def test_gamma(self, cube):
+        assert np.array_equal(np.diagonal(gamma(cube)),
+                              [boundary_deficiency(cube, j) for j in sites(cube)])
+
+    def test_parity_values(self, cube):
+        assert parity_values(cube).tolist() == [float(parity(j)) for j in sites(cube)]
+
+    @pytest.mark.parametrize("mode", list(BoundaryMode))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_band_laplacian_is_dense_laplacian(self, cube, mode, sign):
+        band = laplacian(cube, mode, sign, band=True)
+        assert band.shape == (cube.half_bandwidth + 1, cube.n_sites)
+        assert np.array_equal(SymmetricBand(band).to_dense(), laplacian(cube, mode, sign))
+
+
+class TestBlockBand:
+    def test_interleaved_block(self):
+        # [[H_top, B], [B, -H_bot]] permuted to (psi1(0), psi2(0), psi1(1), ...)
+        cube = Cube(2, 3)
+        top = laplacian(cube, BoundaryMode.DIRICHLET, -1, band=True)
+        bot = laplacian(cube, BoundaryMode.NEUMANN, -1, band=True)
+        b = np.arange(1.0, 10.0)
+        ab = block_band(top, bot, b)
+        assert ab.shape == (2 * cube.half_bandwidth + 1, 18)
+        natural = assemble_bracketing(SymmetricBand(top).to_dense(),
+                                      SymmetricBand(bot).to_dense(), np.diag(b))
+        perm = np.empty(18, dtype=int)
+        perm[0::2], perm[1::2] = np.arange(9), np.arange(9, 18)
+        assert np.array_equal(SymmetricBand(ab).to_dense(), natural[np.ix_(perm, perm)])
+
+    def test_single_site(self):
+        ab = block_band(np.array([[3.0]]), np.array([[2.0]]), [1.0])
+        assert np.array_equal(SymmetricBand(ab).to_dense(), [[3.0, 1.0], [1.0, -2.0]])
 
 
 class TestGamma:
