@@ -33,7 +33,8 @@ from .config import ConfigError, config_echo, load_config, parse_density
 from .disorder import DensitySpec, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError
-from .spectra import gap_estimate, run_ensemble, solver_plan
+from .operators import block_half_bandwidth
+from .spectra import gap_estimate, run_ensemble
 from .verify import run_all
 
 EXIT_OK = 0
@@ -72,13 +73,12 @@ def _blas_identity() -> dict | None:
 
 def _write_manifest(out_dir: Path, command: str, echo: dict, seed: int,
                     elapsed: float, files: list[Path], failures: int = 0,
-                    solver: tuple[str, int] | None = None) -> None:
-    driver, half_bandwidth = solver or (None, None)
+                    half_bandwidth: int | None = None) -> None:
     manifest = {
         "tool_version": __version__,
         "backend": backend_name(),
-        # LAPACK driver and half-bandwidth of the ensemble solves, if any
-        "driver": driver,
+        # LAPACK driver and half-bandwidth of the ensemble's band solves, if any
+        "driver": None if half_bandwidth is None else "dsbevd",
         "half_bandwidth": half_bandwidth,
         # spectra depend in the last bits on the BLAS build and its threads
         "blas": _blas_identity(),
@@ -135,7 +135,7 @@ def cmd_ids(args) -> int:
                zip(result.grid, result.ids_mean, result.ids_stderr))
     _write_manifest(out_dir, "ids", config_echo(config), config.base_seed,
                     time.monotonic() - t0, [path], len(result.failures),
-                    solver_plan(config))
+                    block_half_bandwidth(config.cube))
     return EXIT_OK
 
 
@@ -149,7 +149,7 @@ def cmd_dos(args) -> int:
                    result.dos_counts))
     _write_manifest(out_dir, "dos", config_echo(config), config.base_seed,
                     time.monotonic() - t0, [path], len(result.failures),
-                    solver_plan(config))
+                    block_half_bandwidth(config.cube))
     return EXIT_OK
 
 
@@ -164,7 +164,7 @@ def cmd_gap(args) -> int:
                zip(result.realization_ids, per_real))
     _write_manifest(out_dir, "gap", config_echo(config), config.base_seed,
                     time.monotonic() - t0, [path], len(result.failures),
-                    solver_plan(config))
+                    block_half_bandwidth(config.cube))
     return EXIT_OK
 
 
@@ -208,7 +208,7 @@ def cmd_wegner(args) -> int:
     path.write_text(json.dumps(doc, indent=2) + "\n")
     _write_manifest(out_dir, "wegner", config_echo(config), config.base_seed,
                     time.monotonic() - t0, [path], len(result.failures),
-                    solver_plan(config))
+                    block_half_bandwidth(config.cube))
     if not args.quiet:
         print(f"wegner: {report.checked_bins} bins checked, "
               f"{len(report.violations)} violations")

@@ -1,7 +1,7 @@
 """Real symmetric eigensolver and eigenvalue-counting utilities.
 
 Full spectra come from LAPACK: ``dsyevd`` through NumPy for dense matrices,
-``dsbevd`` through SciPy for thin bands (`SymmetricBand`).  The in-house
+``dsbevd`` through SciPy for band matrices (`SymmetricBand`).  The in-house
 kernels in ``_pykernels`` (Householder reduction, implicitly shifted QL,
 Sturm counts) are the independent reference the tests compare LAPACK and the
 batched Sturm bisection against.
@@ -16,8 +16,6 @@ from .core import (
     counting,
     eigvalsh,
     min_eig_tridiag,
-    solve_bytes,
-    solver_driver,
     sturm_count_matrix,
 )
 
@@ -30,7 +28,5 @@ __all__ = [
     "counting",
     "eigvalsh",
     "min_eig_tridiag",
-    "solve_bytes",
-    "solver_driver",
     "sturm_count_matrix",
 ]

@@ -1,7 +1,7 @@
 """Driver layer over the eigensolver kernels.
 
 Provides full spectra (`eigvalsh`: LAPACK ``dsyevd`` through NumPy for dense
-matrices, ``dsbevd`` through SciPy for thin bands), the tridiagonal
+matrices, ``dsbevd`` through SciPy for band matrices), the tridiagonal
 Sturm-bisection ground-state probe (`min_eig_tridiag`, batched over stacked
 matrices) and the normalized eigenvalue counting function used by the
 ensemble statistics.
@@ -22,26 +22,6 @@ _EPS = np.finfo(np.float64).eps
 def backend_name() -> str:
     """Identity of the eigensolvers: LAPACK (``dsyevd``, ``dsbevd``)."""
     return "lapack"
-
-
-def solver_driver(dim: int, half_bandwidth: int) -> str:
-    """The LAPACK driver `eigvalsh` runs on a band matrix: ``"dsbevd"`` when
-    the half-bandwidth is at most dim/16, otherwise ``"dsyevd"`` on the
-    matrix expanded to dense.
-
-    The crossover was measured with one BLAS thread: dsbevd is faster on every
-    1-d cube from L=32 and on 2-d cubes from L=24, about equal on a 2-d cube
-    with L=14 (w/N = 1/14) and slower on a 3-d cube with L=6 (w/N = 1/6).
-    """
-    return "dsbevd" if 16 * half_bandwidth <= dim else "dsyevd"
-
-
-def solve_bytes(dim: int, half_bandwidth: int) -> int:
-    """Estimated bytes one `eigvalsh` call on a band matrix allocates: LAPACK's
-    copy of the band, or the dense expansion plus LAPACK's copy of it."""
-    if solver_driver(dim, half_bandwidth) == "dsbevd":
-        return 8 * (half_bandwidth + 1) * dim
-    return 16 * dim * dim
 
 
 class EigenError(RuntimeError):
@@ -107,15 +87,15 @@ def eigvalsh(m, want_vectors: bool = False, check_finite: bool = True) -> Spectr
     through ``numpy.linalg.eigvalsh``, or ``numpy.linalg.eigh`` when
     eigenvectors are wanted; it reads the lower triangle only.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver (``dsbevd``,
-    ``scipy.linalg.eigvals_banded``) when `solver_driver` picks it, and is
-    expanded to dense otherwise or when eigenvectors are wanted.  With
+    ``scipy.linalg.eigvals_banded``), and is expanded to dense only when
+    eigenvectors are wanted.  With
     vectors, the report carries the relative residual and the orthogonality
     defect.  Raises EigenError when LAPACK does not converge.
     """
     if isinstance(m, SymmetricBand):
         if check_finite and not np.all(np.isfinite(m.lower)):
             raise ValueError("matrix has non-finite entries")
-        if not want_vectors and solver_driver(m.dim, m.half_bandwidth) == "dsbevd":
+        if not want_vectors:
             try:
                 w = scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
             except np.linalg.LinAlgError as exc:

@@ -13,26 +13,65 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 
 class MemoryLimitError(ValueError):
-    """A computation would need more memory than the machine has."""
+    """A computation would need more memory than this process may use."""
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+_PROC_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _cgroup_limits():
+    """Memory limits of this process's cgroup and of its ancestors, cgroup v1
+    or v2, as far as the cgroup file system shows them."""
+    try:
+        lines = _PROC_CGROUP.read_text().splitlines()
+    except OSError:
+        return
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if controllers == "":                          # v2 unified hierarchy
+            root, name = _CGROUP_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = _CGROUP_ROOT / "memory", "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for k in range(len(parts), -1, -1):
+            try:
+                yield int((root.joinpath(*parts[:k]) / name).read_text())
+            except (OSError, ValueError):              # absent, or "max": no limit
+                pass
+
+
+def memory_limit() -> int | None:
+    """Bytes of memory this process may use: the smaller of physical memory
+    and its cgroup memory limit, of those that are known; None when neither
+    is (no ``os.sysconf``, as on Windows, and no cgroup)."""
+    limits = list(_cgroup_limits())
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    return min((b for b in limits if b > 0), default=None)
 
 
 def check_memory(needed: int, what: str) -> None:
     """Raise MemoryLimitError, naming both numbers, when ``needed`` bytes
-    exceed physical memory; called before anything is allocated."""
-    available = physical_memory()
-    if needed > available:
+    exceed `memory_limit`; called before anything is allocated.  Without a
+    known limit nothing is checked."""
+    available = memory_limit()
+    if available is not None and needed > available:
         raise MemoryLimitError(f"{what} needs an estimated {needed / 1e9:.3g} GB, more than "
-                               f"the {available / 1e9:.3g} GB of physical memory")
+                               f"the {available / 1e9:.3g} GB of memory available")
 
 
 @dataclass(frozen=True)

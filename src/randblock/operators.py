@@ -134,20 +134,32 @@ def assemble(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     return assemble_bracketing(h, h, b)
 
 
-def block_band(h_top: np.ndarray, h_bot: np.ndarray, b) -> np.ndarray:
-    """[[H_top, diag(b)], [diag(b), -H_bot]] in interleaved order
+def block_half_bandwidth(cube: Cube) -> int:
+    """Half-bandwidth w = max(2 L^(d-1), 1) of a block operator on the cube
+    in interleaved order: interleaving doubles every index distance of the
+    Laplacian, and the b entries sit at distance 1."""
+    return max(2 * cube.half_bandwidth, 1)
+
+
+def block_band_bytes(cube: Cube) -> int:
+    """Bytes of one `block_band` storage on the cube: (w + 1) x 2n floats."""
+    return 8 * (block_half_bandwidth(cube) + 1) * 2 * cube.n_sites
+
+
+def block_band(cube: Cube, h_top: np.ndarray, h_bot: np.ndarray, b) -> np.ndarray:
+    """[[H_top, diag(b)], [diag(b), -H_bot]] on the cube in interleaved order
     (psi1(0), psi2(0), psi1(1), ...), in LAPACK lower band storage.
 
     ``h_top`` and ``h_bot`` are lower band storages (s+1, n) of the diagonal
-    blocks.  Interleaving doubles every index distance, so the result has
-    half-bandwidth w = max(2s, 1) and shape (w+1, 2n); it is Fortran-ordered,
+    blocks, s = cube.half_bandwidth, as `laplacian` gives them.  The result
+    has shape (w+1, 2n), w = `block_half_bandwidth`; it is Fortran-ordered,
     as LAPACK reads it.
     """
     h_top = np.asarray(h_top, dtype=np.float64)
-    if h_top.ndim != 2 or np.shape(h_bot) != h_top.shape:
-        raise ValueError("H_top and H_bot must be band storages of equal shape")
-    rows, n = h_top.shape
-    ab = np.zeros((max(2 * (rows - 1), 1) + 1, 2 * n), order="F")
+    n = cube.n_sites
+    if h_top.shape != (cube.half_bandwidth + 1, n) or np.shape(h_bot) != h_top.shape:
+        raise ValueError("H_top and H_bot must be band storages of the cube's shape")
+    ab = np.zeros((block_half_bandwidth(cube) + 1, 2 * n), order="F")
     ab[2::2, 0::2] = h_top[1:]
     ab[2::2, 1::2] = -np.asarray(h_bot, dtype=np.float64)[1:]
     write_block_diagonals(ab, h_top[0], h_bot[0], b)

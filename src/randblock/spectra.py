@@ -3,9 +3,10 @@
 Realizations are independent and reproducible from (base_seed, index); the
 driver can run them across a process pool, and aggregation does not depend on
 completion order.  The block operator is held in interleaved order
-(psi1(0), psi2(0), psi1(1), ...), where it is a band matrix of half-bandwidth
-max(2 L^(d-1), 1): the clean part is built once per run, and each realization
-only rewrites the diagonal and the b entries of that band.
+(psi1(0), psi2(0), psi1(1), ...), where it is a band matrix
+(`operators.block_band`) that LAPACK's ``dsbevd`` solves: the clean part is
+built once per run, and each realization only rewrites the diagonal and the b
+entries of that band.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from functools import partial
 import numpy as np
 
 from .disorder import Density, DisorderModel, SeedPolicy, sample_iid, support_bounds
-from .eigen import EigenError, Spectrum, SymmetricBand, eigvalsh, solve_bytes, solver_driver
+from .eigen import EigenError, Spectrum, SymmetricBand, eigvalsh
 from .lattice import Cube, PeriodicPotential, check_memory
-from .operators import BoundaryMode, block_band, laplacian, write_block_diagonals
+from .operators import (BoundaryMode, block_band, block_band_bytes, block_half_bandwidth,
+                        laplacian, write_block_diagonals)
 
 BOUNDARY_CHOICES = ("D", "N", "+", "-")
 
@@ -107,7 +109,7 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
     laps = {mode: laplacian(config.cube, mode, config.laplacian_sign, band=True)
             for mode in dict.fromkeys(modes)}
     top, bot = laps[modes[0]], laps[modes[1]]
-    band = block_band(top, bot, np.zeros(config.cube.n_sites))
+    band = block_band(config.cube, top, bot, np.zeros(config.cube.n_sites))
     return CleanPart(band, top[0].copy(), bot[0].copy(), config.potential.on_cube(config.cube))
 
 
@@ -140,24 +142,16 @@ def realization_fields(config: ExperimentConfig, index: int):
     return v, b
 
 
-def solver_plan(config: ExperimentConfig) -> tuple[str, int]:
-    """(LAPACK driver, half-bandwidth) of the ensemble's eigensolves."""
-    w = max(2 * config.cube.half_bandwidth, 1)
-    return solver_driver(2 * config.cube.n_sites, w), w
-
-
 def peak_bytes(config: ExperimentConfig) -> int:
-    """Estimated peak memory of `run_ensemble`: the clean band, one solve per
-    process, the spectra and their pooled copy, and the IDS counts with two
-    temporaries of their size.  A process pool adds, per worker, the clean
-    band of its current chunk and two pickled chunks queued for it."""
-    n2 = 2 * config.cube.n_sites
-    _, w = solver_plan(config)
+    """Estimated peak memory of `run_ensemble`: the clean band and the copy
+    ``dsbevd`` solves in each process, the spectra and their pooled copy, and
+    the IDS counts with two temporaries of their size.  A process pool adds,
+    per worker, the clean band of its current chunk and two pickled chunks
+    queued for it."""
     workers = config.threads if config.threads > 1 else 0
-    band = 8 * (w + 1) * n2
-    solve = solve_bytes(n2, w)
-    aggregates = 8 * config.realizations * (2 * n2 + 3 * config.grid_points)
-    return band * (1 + 3 * workers) + solve * max(workers, 1) + aggregates
+    band = block_band_bytes(config.cube)
+    aggregates = 8 * config.realizations * (4 * config.cube.n_sites + 3 * config.grid_points)
+    return band * (1 + 3 * workers + max(workers, 1)) + aggregates
 
 
 def _solve_one(config: ExperimentConfig, clean: CleanPart, index: int):
@@ -210,11 +204,10 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Sample, build, diagonalize and aggregate R independent realizations.
 
     Raises MemoryLimitError before allocating when `peak_bytes` exceeds
-    physical memory."""
-    driver, w = solver_plan(config)
+    `lattice.memory_limit`."""
     check_memory(peak_bytes(config),
-                 f"the {driver} ensemble on a {config.cube.dim}-d cube of side "
-                 f"{config.cube.side} (half-bandwidth {w}, {config.realizations} "
+                 f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
+                 f"(half-bandwidth {block_half_bandwidth(config.cube)}, {config.realizations} "
                  f"realizations, {max(config.threads, 1)} process(es))")
     clean = base_matrices(config)
     solve = partial(_solve_one, config, clean)

@@ -139,7 +139,7 @@ class TestConfigErrors:
     def test_memory_guard_before_allocation(self, tmp_path, capsys, monkeypatch):
         # 3-d side 40: half-bandwidth 3200 on a 128000-dimensional block, ~3.3 GB
         # of band storage per copy; two workers hold several copies
-        monkeypatch.setattr(randblock.lattice, "physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: 8 * 2**30)
         path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}))
         t0 = time.monotonic()
         assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "2"]) == 2
@@ -147,7 +147,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
-        assert "dsbevd" in err and "GB" in err and "8.59 GB of physical memory" in err
+        assert "half-bandwidth 3200" in err and "8.59 GB of memory available" in err
 
     def test_lifshits_needs_section(self, tmp_path, capsys):
         path = write_config(tmp_path, base_doc())
@@ -165,7 +165,7 @@ class TestEnsembleCommands:
         m2 = json.loads((d2 / "ids_manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
         assert m1["backend"] == "lapack"
-        assert (m1["driver"], m1["half_bandwidth"]) == ("dsyevd", 2)   # 1-d, side 7
+        assert (m1["driver"], m1["half_bandwidth"]) == ("dsbevd", 2)   # 1-d, side 7
         assert set(m1["blas"]) == {"name", "version"}
         assert m1["thread_env"] == {k: v for k, v in os.environ.items()
                                     if k.endswith("_NUM_THREADS")}

@@ -25,7 +25,7 @@ from randblock.eigen import (
 from randblock.eigen import _pykernels
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import assemble
-from randblock.spectra import ExperimentConfig, run_ensemble, solver_plan
+from randblock.spectra import ExperimentConfig, run_ensemble
 
 
 class TestEigvalsh:
@@ -91,15 +91,11 @@ class TestLapackFailure:
     """A LAPACK LinAlgError surfaces as EigenError, is counted per realization
     by run_ensemble, and is exit code 3 in the CLI.
 
-    Runs on the dense driver: side 5 gives a block of dimension 10 with
-    half-bandwidth 2, above dim/16.  `TestLapackFailureBanded` repeats every
-    test on the banded driver."""
+    The ensemble solves its band with ``dsbevd`` (`scipy.linalg.eigvals_banded`),
+    which is what these tests make fail; `test_dense_raises_eigen_error`
+    covers ``dsyevd`` on dense input."""
 
-    side = 5
-    solver = (np.linalg, "eigvalsh")
-
-    def fail_on(self, monkeypatch, failing_calls):
-        module, name = self.solver
+    def fail_on(self, monkeypatch, failing_calls, module=scipy.linalg, name="eigvals_banded"):
         real = getattr(module, name)
         calls = itertools.count()
 
@@ -110,20 +106,20 @@ class TestLapackFailure:
 
         monkeypatch.setattr(module, name, flaky)
 
-    def matrix(self):
-        return np.eye(3)
-
     def config(self, realizations):
         disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
-        config = ExperimentConfig(Cube(1, self.side), "N", disorder, PeriodicPotential.zero(1),
-                                  realizations, 0)
-        assert solver_plan(config)[0] == ("dsyevd" if self.solver[0] is np.linalg else "dsbevd")
-        return config
+        return ExperimentConfig(Cube(1, 5), "N", disorder, PeriodicPotential.zero(1),
+                                realizations, 0)
 
     def test_eigvalsh_raises_eigen_error(self, monkeypatch):
         self.fail_on(monkeypatch, {0})
         with pytest.raises(EigenError, match="did not converge"):
-            eigvalsh(self.matrix())
+            eigvalsh(SymmetricBand(np.vstack([np.ones(3), np.zeros((2, 3))])))
+
+    def test_dense_raises_eigen_error(self, monkeypatch):
+        self.fail_on(monkeypatch, {0}, np.linalg, "eigvalsh")
+        with pytest.raises(EigenError, match="did not converge"):
+            eigvalsh(np.eye(3))
 
     def test_ensemble_records_failed_index(self, monkeypatch):
         self.fail_on(monkeypatch, {7})   # serial runs solve in index order
@@ -138,7 +134,7 @@ class TestLapackFailure:
             run_ensemble(self.config(100))
 
     def test_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
-        doc = {"schema_version": 1, "cube": {"dim": 1, "side": self.side}, "boundary": "N",
+        doc = {"schema_version": 1, "cube": {"dim": 1, "side": 5}, "boundary": "N",
                "disorder": {"V": {"type": "uniform", "lo": 1, "hi": 2},
                             "b": {"type": "uniform", "lo": -0.5, "hi": 0.5}},
                "realizations": 3, "seed": 0}
@@ -150,17 +146,6 @@ class TestLapackFailure:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("numerical failure:")
-
-
-class TestLapackFailureBanded(TestLapackFailure):
-    """The same on the banded driver: side 16 gives dimension 32 and
-    half-bandwidth 2 = 32/16."""
-
-    side = 16
-    solver = (scipy.linalg, "eigvals_banded")
-
-    def matrix(self):
-        return SymmetricBand(np.vstack([np.ones(32), np.zeros((2, 32))]))
 
 
 class TestSturm:

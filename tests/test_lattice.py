@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -143,13 +145,40 @@ class TestArrayHelpersMatchPerSite:
 
 class TestMemoryGuard:
     def test_message_names_both_numbers(self, monkeypatch):
-        monkeypatch.setattr(lattice, "physical_memory", lambda: 2 * 10**9)
-        with pytest.raises(MemoryLimitError, match=r"needs an estimated 3 GB, more than the 2 GB"):
+        monkeypatch.setattr(lattice, "memory_limit", lambda: 2 * 10**9)
+        with pytest.raises(MemoryLimitError,
+                           match=r"needs an estimated 3 GB, more than the 2 GB of memory available"):
             check_memory(3 * 10**9, "this")
         check_memory(2 * 10**9, "this")
 
     def test_cube_vector_must_fit(self, monkeypatch):
-        monkeypatch.setattr(lattice, "physical_memory", lambda: 8 * 999)
+        monkeypatch.setattr(lattice, "memory_limit", lambda: 8 * 999)
         Cube(1, 999)
         with pytest.raises(MemoryLimitError):
             Cube(1, 1000)
+
+    def test_unknown_limit_checks_nothing(self, monkeypatch, tmp_path):
+        # no os.sysconf (as on Windows) and no cgroup file
+        monkeypatch.delattr(os, "sysconf")
+        monkeypatch.setattr(lattice, "_PROC_CGROUP", tmp_path / "absent")
+        assert lattice.memory_limit() is None
+        check_memory(10**30, "this")
+        assert Cube(2, 5).n_sites == 25
+
+    def test_cgroup_limit_below_physical(self, monkeypatch, tmp_path):
+        # v1 memory controller at /a/b (its parent /a limits), v2 at /c ("max": none)
+        proc = tmp_path / "cgroup"
+        proc.write_text("4:memory:/a/b\n3:cpuset:/x\n0::/c\n")
+        root = tmp_path / "fs"
+        for rel, text in [("memory/a/memory.limit_in_bytes", "3000\n"),
+                          ("memory/a/b/memory.limit_in_bytes", "9223372036854771712\n"),
+                          ("c/memory.max", "max\n")]:
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        monkeypatch.setattr(lattice, "_PROC_CGROUP", proc)
+        monkeypatch.setattr(lattice, "_CGROUP_ROOT", root)
+        assert lattice.memory_limit() == 3000
+        (root / "c/memory.max").write_text("2000\n")
+        assert lattice.memory_limit() == 2000
+        monkeypatch.delattr(os, "sysconf")
+        assert lattice.memory_limit() == 2000

@@ -10,6 +10,8 @@ from randblock.operators import (
     assemble,
     assemble_bracketing,
     block_band,
+    block_band_bytes,
+    block_half_bandwidth,
     diag_op,
     dwave_b,
     gamma,
@@ -87,8 +89,9 @@ class TestBlockBand:
         top = laplacian(cube, BoundaryMode.DIRICHLET, -1, band=True)
         bot = laplacian(cube, BoundaryMode.NEUMANN, -1, band=True)
         b = np.arange(1.0, 10.0)
-        ab = block_band(top, bot, b)
+        ab = block_band(cube, top, bot, b)
         assert ab.shape == (2 * cube.half_bandwidth + 1, 18)
+        assert block_band_bytes(cube) == ab.nbytes
         natural = assemble_bracketing(SymmetricBand(top).to_dense(),
                                       SymmetricBand(bot).to_dense(), np.diag(b))
         perm = np.empty(18, dtype=int)
@@ -96,8 +99,15 @@ class TestBlockBand:
         assert np.array_equal(SymmetricBand(ab).to_dense(), natural[np.ix_(perm, perm)])
 
     def test_single_site(self):
-        ab = block_band(np.array([[3.0]]), np.array([[2.0]]), [1.0])
+        cube = Cube(1, 1)
+        ab = block_band(cube, np.array([[3.0]]), np.array([[2.0]]), [1.0])
         assert np.array_equal(SymmetricBand(ab).to_dense(), [[3.0, 1.0], [1.0, -2.0]])
+        assert block_half_bandwidth(cube) == 1
+
+    def test_shape_checked(self):
+        cube = Cube(1, 3)
+        with pytest.raises(ValueError, match="band storages"):
+            block_band(cube, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3))
 
 
 class TestGamma:
