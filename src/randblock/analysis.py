@@ -263,9 +263,9 @@ def lifshits_probe(run: LifshitsRun, tol: float = 1e-8) -> LifshitsTable:
         sides[k] = side
         # band storage of -lap_N: row 0 the diagonal, row 1 the off-diagonal
         lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
-        v = np.stack([sample_iid(run.mu_v, side,
-                                 policy.generator(k * run.realizations + r, "V"))
-                      for r in range(run.realizations)])
+        first = k * run.realizations
+        v = sample_iid(run.mu_v, side,
+                       policy.streams(range(first, first + run.realizations), "V"))
         ground = min_eig_tridiag((lap[0] + v, lap[1, :-1]), tol)
         p_hat[k] = np.count_nonzero(ground <= run.lam + eps) / run.realizations
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / run.realizations)

@@ -177,14 +177,15 @@ def cmd_wegner(args) -> int:
         bound = WegnerBound(str(rec["mode"]), float(rec["lower_constant"]),
                             _bv_for_mode(config, rec["mode"]))
         certify_wegner_hypothesis(config, bound)
-    except ValueError as exc:
+        min_count = int(rec.get("min_count", 100))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     result = run_ensemble(config)
     try:
-        report = wegner_check(result, bound, int(rec.get("min_count", 100)))
+        report = wegner_check(result, bound, min_count)
     except ValueError as exc:
         # uncertified hypothesis is a config problem, not a numerical one
         raise ConfigError(str(exc)) from exc
@@ -193,7 +194,7 @@ def cmd_wegner(args) -> int:
         "mode": bound.mode,
         "lower_constant": bound.lower_constant,
         "bv_norm": bound.bv,
-        "min_count": int(rec.get("min_count", 100)),
+        "min_count": min_count,
         "checked_bins": report.checked_bins,
         "bins": [
             {"center": float(c), "density": float(d), "stderr": float(s),

@@ -110,8 +110,11 @@ def parse_config(doc: dict, seed_override: int | None = None,
         try:
             potential = PeriodicPotential(tuple(pot_rec["period"]),
                                           np.asarray(pot_rec["values"], dtype=float))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"potential: {exc}") from exc
+        if len(potential.period) != cube.dim:
+            raise ConfigError(f"potential: period {list(potential.period)} needs one entry "
+                              f"per axis of the {cube.dim}-d cube")
     else:
         potential = PeriodicPotential.zero(cube.dim)
 
@@ -123,8 +126,8 @@ def parse_config(doc: dict, seed_override: int | None = None,
         grid_lo, grid_hi = (_optional_number(grid_rec.get(k), f"grid.{k}") for k in ("lo", "hi"))
         grid_points = grid_rec.get("points", 512)
 
-    seed = int(doc["seed"]) if seed_override is None else int(seed_override)
     try:
+        seed = int(doc["seed"]) if seed_override is None else int(seed_override)
         config = ExperimentConfig(
             cube=cube,
             boundary=str(doc["boundary"]),

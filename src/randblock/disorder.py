@@ -5,6 +5,12 @@ Philox 4x64 counter-based generator from NumPy with one stream per
 (realization, field).  Identical seeds give bit-identical streams within one
 build of the package; cross-platform bit equality of the float arithmetic is
 not promised.
+
+A Philox stream is fixed by its key alone (counter 0, empty buffer), so
+`SeedPolicy.streams` draws many realizations' streams by re-keying one bit
+generator instead of building a generator per realization; row r of its draw
+is bit for bit the draw of ``generator(indices[r], field)``, and `sample_iid`
+maps the whole batch through the inverse CDF at once.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ _NORM_TOL = 1e-12
 FIELD_V = 0
 FIELD_B = 1
 _FIELD_TAGS = {"V": FIELD_V, "b": FIELD_B}
+_WORD = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -119,21 +126,58 @@ class SeedPolicy:
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed must fit in 64 bits")
 
-    def generator(self, realization_index: int, field: str) -> np.random.Generator:
+    def key(self, realization_index: int, field: str) -> int:
+        """The 128-bit Philox key of one field of one realization."""
         if field not in _FIELD_TAGS:
             raise ValueError(f"field must be one of {sorted(_FIELD_TAGS)}")
         if realization_index < 0:
             raise ValueError("realization index must be non-negative")
-        key = (self.base_seed << 64) | (2 * realization_index + _FIELD_TAGS[field])
-        return np.random.Generator(np.random.Philox(key=key))
+        return (self.base_seed << 64) | (2 * realization_index + _FIELD_TAGS[field])
+
+    def generator(self, realization_index: int, field: str) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.key(realization_index, field)))
+
+    def streams(self, indices, field: str) -> Streams:
+        """The streams of ``field`` for several realizations, drawn together."""
+        return Streams(tuple(self.key(i, field) for i in indices))
 
 
-def sample_iid(density: Density, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws via inverse CDF of the piecewise-constant density."""
+@dataclass(frozen=True)
+class Streams:
+    """A batch of Philox streams given by their keys; ``random(n)`` returns a
+    ``(len(keys), n)`` array whose row r equals
+    ``Generator(Philox(key=keys[r])).random(n)``."""
+
+    keys: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def random(self, n: int) -> np.ndarray:
+        out = np.empty((len(self.keys), n))
+        bitgen = np.random.Philox(key=0)
+        draw = np.random.Generator(bitgen)
+        # counter 0 and an empty buffer (buffer_pos 4), as in a new Philox(key=k)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64),
+                           "key": np.zeros(2, dtype=np.uint64)},
+                 "buffer": np.zeros(4, dtype=np.uint64),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        key = state["state"]["key"]
+        for row, k in zip(out, self.keys):
+            key[0], key[1] = k & _WORD, k >> 64     # Philox's little-endian key words
+            bitgen.state = state
+            draw.random(out=row)
+        return out
+
+
+def sample_iid(density: Density, n: int, rng: np.random.Generator | Streams) -> np.ndarray:
+    """n i.i.d. draws via inverse CDF of the piecewise-constant density; from
+    a `Streams` batch, one row of n draws per stream."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if isinstance(density, ConstantValue):
-        return np.full(n, density.value)
+        return np.full((len(rng), n) if isinstance(rng, Streams) else n, density.value)
     u = rng.random(n)
     bp = np.asarray(density.breakpoints)
     hs = np.asarray(density.heights)

@@ -10,6 +10,7 @@ index arithmetic on `np.indices`.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from itertools import product
@@ -52,10 +53,12 @@ def _cgroup_limits():
                 pass
 
 
+@functools.cache
 def memory_limit() -> int | None:
     """Bytes of memory this process may use: the smaller of physical memory
     and its cgroup memory limit, of those that are known; None when neither
-    is (no ``os.sysconf``, as on Windows, and no cgroup)."""
+    is (no ``os.sysconf``, as on Windows, and no cgroup).  Read once per
+    process: every `Cube` checks against it."""
     limits = list(_cgroup_limits())
     try:
         limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import randblock.analysis
 from randblock.analysis import (
     DosTransform,
     ExponentFit,
@@ -21,10 +22,10 @@ from randblock.analysis import (
     wegner_bound,
     wegner_check,
 )
-from randblock.disorder import ConstantValue, DensitySpec, DisorderModel
-from randblock.eigen import eigvalsh
+from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
+from randblock.eigen import eigvalsh, min_eig_tridiag
 from randblock.lattice import Cube, PeriodicPotential
-from randblock.operators import assemble
+from randblock.operators import BoundaryMode, assemble, laplacian
 from randblock.spectra import ExperimentConfig, run_ensemble
 
 
@@ -234,6 +235,36 @@ class TestLifshits:
     def test_probe_deterministic(self):
         run = LifshitsRun((0.5,), DensitySpec.uniform(1, 2), 1.0, 5, realizations=30)
         assert lifshits_probe(run).p_hat[0] == lifshits_probe(run).p_hat[0]
+
+    @pytest.mark.parametrize("mu_v, lam", [
+        (DensitySpec.uniform(1, 2), 1.0),
+        (DensitySpec((0.5, 1.0, 1.5, 2.5), (1.0, 0.0, 0.5)), 0.5),
+    ], ids=["uniform", "piecewise-zero-cell"])
+    def test_probe_matches_per_realization_generators(self, monkeypatch, mu_v, lam):
+        run = LifshitsRun((0.8, 0.6, 0.4), mu_v, lam, 9, realizations=50)   # p_hat in (0, 1)
+        drawn = []
+
+        def recording(density, n, rng):
+            v = sample_iid(density, n, rng)
+            drawn.append(v)
+            return v
+        monkeypatch.setattr(randblock.analysis, "sample_iid", recording)
+        table = lifshits_probe(run)
+
+        # reference: one generator and one draw per realization, stacked
+        policy = SeedPolicy(run.base_seed)
+        p_ref = []
+        assert len(drawn) == len(run.epsilons)
+        for k, (eps, v) in enumerate(zip(run.epsilons, drawn)):
+            side = run.side_for(eps)
+            ref = np.stack([sample_iid(mu_v, side,
+                                       policy.generator(k * run.realizations + r, "V"))
+                            for r in range(run.realizations)])
+            assert np.array_equal(v, ref)
+            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
+            ground = min_eig_tridiag((lap[0] + ref, lap[1, :-1]), 1e-8)
+            p_ref.append(np.count_nonzero(ground <= lam + eps) / run.realizations)
+        assert np.array_equal(table.p_hat, p_ref)
 
     def test_synthetic_exponent_exact(self):
         eps = np.array([0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05])

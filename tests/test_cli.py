@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import randblock.cli
 import randblock.lattice
 import randblock.operators
 from randblock.cli import main
@@ -124,10 +125,16 @@ class TestConfigErrors:
             "beta": 0, "source": {"type": "uniform", "lo": -2, "hi": 2}}}),
         ("ids", {"grid": {"lo": "-1", "hi": "1"}}),
         ("ids", {"grid": {"points": "many"}}),
+        ("ids", {"seed": "x"}),
+        ("ids", {"potential": {"period": [2, 2], "values": [[0, 0], [0, 0.5]]}}),
+        ("ids", {"cube": {"dim": 2, "side": 4},
+                 "potential": {"period": [2], "values": [0, 0.5]}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
-            "grid-bounds-not-numbers", "grid-points-not-a-number"])
+            "grid-bounds-not-numbers", "grid-points-not-a-number",
+            "seed-not-an-integer", "period-more-axes-than-cube",
+            "period-fewer-axes-than-cube"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
@@ -135,6 +142,17 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    def test_wegner_min_count_refused_before_run(self, tmp_path, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("the ensemble ran before min_count was checked")
+        monkeypatch.setattr(randblock.cli, "run_ensemble", never)
+        doc = base_doc(wegner={"mode": "H", "lower_constant": 1.0, "min_count": "x"})
+        path = write_config(tmp_path, doc)
+        assert main(["wegner", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
 
     def test_memory_guard_before_allocation(self, tmp_path, capsys, monkeypatch):
         # 3-d side 40: half-bandwidth 3200 on a 128000-dimensional block, ~3.3 GB

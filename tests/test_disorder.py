@@ -88,6 +88,73 @@ class TestSeedPolicy:
             SeedPolicy(0).generator(0, "x")
 
 
+class TestStreams:
+    @pytest.mark.parametrize("base_seed", [0, 5, 2**64 - 1])
+    @pytest.mark.parametrize("field", ["V", "b"])
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_rows_equal_per_index_generators(self, base_seed, field, n):
+        policy = SeedPolicy(base_seed)
+        indices = [0, 1, 7, 2**62, 3]
+        batch = policy.streams(indices, field).random(n)
+        assert batch.shape == (len(indices), n)
+        for row, index in zip(batch, indices):
+            assert np.array_equal(row, policy.generator(index, field).random(n))
+
+    def test_range_of_indices(self):
+        policy = SeedPolicy(42)
+        batch = policy.streams(range(400, 600), "V").random(9)
+        ref = np.stack([policy.generator(i, "V").random(9) for i in range(400, 600)])
+        assert np.array_equal(batch, ref)
+
+    def test_empty_index_list(self):
+        streams = SeedPolicy(1).streams([], "V")
+        assert len(streams) == 0
+        assert streams.random(4).shape == (0, 4)
+
+    def test_redraw_is_identical(self):
+        streams = SeedPolicy(3).streams([2, 9], "b")
+        assert np.array_equal(streams.random(5), streams.random(5))
+
+    def test_bad_field(self):
+        with pytest.raises(ValueError):
+            SeedPolicy(0).streams([0, 1], "x")
+
+    def test_negative_index(self):
+        with pytest.raises(ValueError):
+            SeedPolicy(0).streams([0, -1], "V")
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("density", [
+        DensitySpec.uniform(1.0, 2.0),
+        DensitySpec((0.0, 1.0, 2.0, 3.0), (0.5, 0.0, 0.5)),
+    ], ids=["uniform", "piecewise-zero-cell"])
+    @pytest.mark.parametrize("n", [0, 1, 11])
+    def test_batch_equals_row_by_row(self, density, n):
+        policy = SeedPolicy(17)
+        indices = range(20, 45)
+        batch = sample_iid(density, n, policy.streams(indices, "V"))
+        ref = np.stack([sample_iid(density, n, policy.generator(i, "V")) for i in indices])
+        assert batch.shape == (len(indices), n)
+        assert np.array_equal(batch, ref)
+
+    def test_zero_height_cell_excluded(self):
+        d = DensitySpec((0.0, 1.0, 2.0, 3.0), (0.5, 0.0, 0.5))
+        x = sample_iid(d, 50, SeedPolicy(3).streams(range(400), "V"))
+        assert not np.any((x > 1.0) & (x < 2.0))
+
+    def test_constant_has_batch_shape(self):
+        streams = SeedPolicy(0).streams(range(4), "b")
+        x = sample_iid(ConstantValue(2.5), 6, streams)
+        assert x.shape == (4, 6)
+        assert np.array_equal(x, np.full((4, 6), 2.5))
+        assert sample_iid(ConstantValue(2.5), 0, streams).shape == (4, 0)
+
+    def test_negative_n(self):
+        with pytest.raises(ValueError):
+            sample_iid(DensitySpec.uniform(0, 1), -1, SeedPolicy(0).streams([0], "V"))
+
+
 class TestBvNorm:
     def test_uniform_examples(self):
         assert bv_norm(DensitySpec.uniform(0, 1)) == pytest.approx(2.0)

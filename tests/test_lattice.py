@@ -144,6 +144,14 @@ class TestArrayHelpersMatchPerSite:
 
 
 class TestMemoryGuard:
+    @pytest.fixture(autouse=True)
+    def fresh_limit(self):
+        # memory_limit is read once per process; these tests change what it reads
+        cached = lattice.memory_limit     # tests may monkeypatch the name itself
+        cached.cache_clear()
+        yield
+        cached.cache_clear()
+
     def test_message_names_both_numbers(self, monkeypatch):
         monkeypatch.setattr(lattice, "memory_limit", lambda: 2 * 10**9)
         with pytest.raises(MemoryLimitError,
@@ -179,6 +187,8 @@ class TestMemoryGuard:
         monkeypatch.setattr(lattice, "_CGROUP_ROOT", root)
         assert lattice.memory_limit() == 3000
         (root / "c/memory.max").write_text("2000\n")
+        lattice.memory_limit.cache_clear()
         assert lattice.memory_limit() == 2000
         monkeypatch.delattr(os, "sysconf")
+        lattice.memory_limit.cache_clear()
         assert lattice.memory_limit() == 2000
