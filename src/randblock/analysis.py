@@ -252,9 +252,10 @@ class LifshitsTable:
     stderr: np.ndarray
 
 
-def lifshits_probe(run: LifshitsRun, tol: float = 1e-8) -> LifshitsTable:
+def lifshits_probe(run: LifshitsRun) -> LifshitsTable:
     """Estimate P[min spec(H_N) <= lam + eps] per epsilon via Sturm
-    bisection on the tridiagonal realizations, batched over realizations."""
+    bisection (to absolute tolerance 1e-8) on the tridiagonal realizations,
+    batched over realizations."""
     policy = SeedPolicy(run.base_seed)
     p_hat = np.zeros(len(run.epsilons))
     sides = np.zeros(len(run.epsilons), dtype=int)
@@ -266,7 +267,7 @@ def lifshits_probe(run: LifshitsRun, tol: float = 1e-8) -> LifshitsTable:
         first = k * run.realizations
         v = sample_iid(run.mu_v, side,
                        policy.streams(range(first, first + run.realizations), "V"))
-        ground = min_eig_tridiag((lap[0] + v, lap[1, :-1]), tol)
+        ground = min_eig_tridiag(lap[0] + v, lap[1, :-1], 1e-8)
         p_hat[k] = np.count_nonzero(ground <= run.lam + eps) / run.realizations
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / run.realizations)
     return LifshitsTable(np.array(run.epsilons), sides, run.realizations, p_hat, stderr)

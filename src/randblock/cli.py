@@ -71,9 +71,12 @@ def _blas_identity() -> dict | None:
     return {k: blas[k] for k in ("name", "version") if k in blas}
 
 
-def _write_manifest(out_dir: Path, command: str, echo: dict, seed: int,
-                    elapsed: float, files: list[Path], failures: int = 0,
-                    half_bandwidth: int | None = None) -> None:
+def _write_manifest(out_dir: Path, command: str, config, t0: float,
+                    files: list[Path], result=None) -> None:
+    """Write ``<command>_manifest.json``: the config echo, the time since
+    ``t0`` and the outputs' digests, plus the failures and half-bandwidth of
+    the ensemble ``result`` for commands that run one."""
+    half_bandwidth = None if result is None else block_half_bandwidth(config.cube)
     manifest = {
         "tool_version": __version__,
         "backend": backend_name(),
@@ -85,18 +88,20 @@ def _write_manifest(out_dir: Path, command: str, echo: dict, seed: int,
         "thread_env": {k: v for k, v in sorted(os.environ.items())
                        if k.endswith("_NUM_THREADS")},
         "command": command,
-        "config": echo,
-        "base_seed": seed,
-        "wall_time_seconds": elapsed,
-        "failed_realizations": failures,
+        "config": config_echo(config),
+        "base_seed": config.base_seed,
+        "wall_time_seconds": time.monotonic() - t0,
+        "failed_realizations": 0 if result is None else len(result.failures),
         "outputs": {f.name: _sha256(f) for f in files},
     }
     (out_dir / f"{command}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _load(args):
-    config, extras, _ = load_config(args.config, args.seed, args.threads)
-    return config, extras
+def _section(extras: dict, name: str) -> dict:
+    """The per-command config section ``name``; a config error if absent."""
+    if name not in extras:
+        raise ConfigError(f"{name}: section missing from config")
+    return extras[name]
 
 
 def cmd_verify(args) -> int:
@@ -117,44 +122,40 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _run_ensemble_command(args, command: str):
-    config, extras = _load(args)
+def _run_ensemble_command(args):
+    config, _, _ = load_config(args.config, args.seed, args.threads)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     result = run_ensemble(config)
-    return config, extras, out_dir, t0, result
+    return config, out_dir, t0, result
 
 
 def cmd_ids(args) -> int:
-    config, _, out_dir, t0, result = _run_ensemble_command(args, "ids")
+    config, out_dir, t0, result = _run_ensemble_command(args)
     path = out_dir / "ids.csv"
     _write_csv(path,
                ["E: energy; N_mean: mean normalized counting function [0,1]; N_stderr: standard error over realizations"],
                ["E", "N_mean", "N_stderr"],
                zip(result.grid, result.ids_mean, result.ids_stderr))
-    _write_manifest(out_dir, "ids", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures),
-                    block_half_bandwidth(config.cube))
+    _write_manifest(out_dir, "ids", config, t0, [path], result)
     return EXIT_OK
 
 
 def cmd_dos(args) -> int:
-    config, _, out_dir, t0, result = _run_ensemble_command(args, "dos")
+    config, out_dir, t0, result = _run_ensemble_command(args)
     path = out_dir / "dos.csv"
     _write_csv(path,
                ["bin_center: energy; density: normalized DOS (integrates to 1); stderr: binomial standard error; count: raw eigenvalue count"],
                ["bin_center", "density", "stderr", "count"],
                zip(result.dos_centers, result.dos_density, result.dos_stderr,
                    result.dos_counts))
-    _write_manifest(out_dir, "dos", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures),
-                    block_half_bandwidth(config.cube))
+    _write_manifest(out_dir, "dos", config, t0, [path], result)
     return EXIT_OK
 
 
 def cmd_gap(args) -> int:
-    config, _, out_dir, t0, result = _run_ensemble_command(args, "gap")
+    config, out_dir, t0, result = _run_ensemble_command(args)
     gap_min, per_real = gap_estimate(result)
     path = out_dir / "gap.csv"
     _write_csv(path,
@@ -162,17 +163,13 @@ def cmd_gap(args) -> int:
                 "realization: index; min_abs_eig: smallest |eigenvalue| (energy)"],
                ["realization", "min_abs_eig"],
                zip(result.realization_ids, per_real))
-    _write_manifest(out_dir, "gap", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures),
-                    block_half_bandwidth(config.cube))
+    _write_manifest(out_dir, "gap", config, t0, [path], result)
     return EXIT_OK
 
 
 def cmd_wegner(args) -> int:
     config, extras, _ = load_config(args.config, args.seed, args.threads)
-    if "wegner" not in extras:
-        raise ConfigError("wegner: section missing from config")
-    rec = extras["wegner"]
+    rec = _section(extras, "wegner")
     try:
         bound = WegnerBound(str(rec["mode"]), float(rec["lower_constant"]),
                             _bv_for_mode(config, rec["mode"]))
@@ -207,9 +204,7 @@ def cmd_wegner(args) -> int:
         ],
     }
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    _write_manifest(out_dir, "wegner", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path], len(result.failures),
-                    block_half_bandwidth(config.cube))
+    _write_manifest(out_dir, "wegner", config, t0, [path], result)
     if not args.quiet:
         print(f"wegner: {report.checked_bins} bins checked, "
               f"{len(report.violations)} violations")
@@ -226,9 +221,7 @@ def _bv_for_mode(config, mode: str) -> float:
 
 def cmd_lifshits(args) -> int:
     config, extras, _ = load_config(args.config, args.seed, args.threads)
-    if "lifshits" not in extras:
-        raise ConfigError("lifshits: section missing from config")
-    rec = extras["lifshits"]
+    rec = _section(extras, "lifshits")
     if not isinstance(config.disorder.mu_v, DensitySpec):
         raise ConfigError("lifshits: V must have a density")
     try:
@@ -272,8 +265,7 @@ def cmd_lifshits(args) -> int:
     fit_path = out_dir / "lifshits_fit.json"
     fit_path.write_text(json.dumps(fit_doc, indent=2) + "\n")
     files.append(fit_path)
-    _write_manifest(out_dir, "lifshits", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, files)
+    _write_manifest(out_dir, "lifshits", config, t0, files)
     if not args.quiet and "alpha_hat" in fit_doc:
         print(f"lifshits: alpha_hat = {fit_doc['alpha_hat']:.4f} "
               f"+/- {fit_doc['jackknife_stderr']:.4f}")
@@ -283,9 +275,7 @@ def cmd_lifshits(args) -> int:
 def cmd_dostransform(args) -> int:
     t0 = time.monotonic()
     config, extras, _ = load_config(args.config, args.seed, args.threads)
-    if "dos_transform" not in extras:
-        raise ConfigError("dos_transform: section missing from config")
-    rec = extras["dos_transform"]
+    rec = _section(extras, "dos_transform")
     source = parse_density(rec["source"], "dos_transform.source")
     if not isinstance(source, DensitySpec):
         raise ConfigError("dos_transform: source must have a density")
@@ -319,8 +309,7 @@ def cmd_dostransform(args) -> int:
                 "(band-edge singularity clipped to last finite value)"],
                ["E", "D_H", "D_block"],
                zip(energies, d_h, d_block))
-    _write_manifest(out_dir, "dostransform", config_echo(config), config.base_seed,
-                    time.monotonic() - t0, [path])
+    _write_manifest(out_dir, "dostransform", config, t0, [path])
     return EXIT_OK
 
 

@@ -93,10 +93,12 @@ def parse_config(doc: dict, seed_override: int | None = None,
 
     cube_rec = doc["cube"]
     _check_keys(cube_rec, {"dim", "side", "centered"}, {"dim", "side"}, "cube")
+    centered = cube_rec.get("centered", False)
+    if not isinstance(centered, bool):
+        raise ConfigError(f"cube.centered: expected true or false, got {centered!r}")
     try:
-        cube = Cube(int(cube_rec["dim"]), int(cube_rec["side"]),
-                    bool(cube_rec.get("centered", False)))
-    except ValueError as exc:
+        cube = Cube(int(cube_rec["dim"]), int(cube_rec["side"]), centered)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"cube: {exc}") from exc
 
     dis_rec = doc["disorder"]

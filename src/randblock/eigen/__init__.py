@@ -1,10 +1,11 @@
-"""Real symmetric eigensolver and eigenvalue-counting utilities.
+"""Real symmetric eigensolvers.
 
 Full spectra come from LAPACK: ``dsyevd`` through NumPy for dense matrices,
-``dsbevd`` through SciPy for band matrices (`SymmetricBand`).  The in-house
-kernels in ``_pykernels`` (Householder reduction, implicitly shifted QL,
-Sturm counts) are the independent reference the tests compare LAPACK and the
-batched Sturm bisection against.
+``dsbevd`` through SciPy for band matrices (`SymmetricBand`).  The smallest
+eigenvalues of stacked tridiagonal matrices come from a batched Sturm
+bisection (`min_eig_tridiag`).  The in-house kernels in ``_pykernels``
+(Householder reduction, implicitly shifted QL, Sturm counts) are the
+independent reference the tests compare LAPACK and the bisection against.
 """
 
 from .core import (
@@ -13,10 +14,8 @@ from .core import (
     Spectrum,
     SymmetricBand,
     backend_name,
-    counting,
     eigvalsh,
     min_eig_tridiag,
-    sturm_count_matrix,
 )
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "Spectrum",
     "SymmetricBand",
     "backend_name",
-    "counting",
     "eigvalsh",
     "min_eig_tridiag",
-    "sturm_count_matrix",
 ]

@@ -2,9 +2,9 @@
 
 Householder reduction to tridiagonal form followed by implicitly shifted QL
 iteration, plus Sturm-sequence eigenvalue counting on tridiagonal matrices.
-The Sturm count serves `sturm_count_matrix` and is the one-matrix reference
-for the batched bisection in `min_eig_tridiag`; the dense kernels are the
-independent reference that the tests compare the LAPACK solves against.
+The Sturm count is the one-matrix reference for the batched bisection in
+`min_eig_tridiag`; the dense kernels are the independent reference that the
+tests compare the LAPACK solves against.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Driver layer over the eigensolver kernels.
 
 Provides full spectra (`eigvalsh`: LAPACK ``dsyevd`` through NumPy for dense
-matrices, ``dsbevd`` through SciPy for band matrices), the tridiagonal
+matrices, ``dsbevd`` through SciPy for band matrices) and the tridiagonal
 Sturm-bisection ground-state probe (`min_eig_tridiag`, batched over stacked
-matrices) and the normalized eigenvalue counting function used by the
-ensemble statistics.
+diagonals).
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-
-from . import _pykernels
 
 _EPS = np.finfo(np.float64).eps
 
@@ -32,7 +28,6 @@ class EigenError(RuntimeError):
 class SolveReport:
     max_residual: float
     orthogonality_defect: float
-    converged: bool
 
 
 @dataclass
@@ -42,7 +37,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     dim: int
     eigenvectors: np.ndarray | None = None
-    report: SolveReport = field(default_factory=lambda: SolveReport(0.0, 0.0, True))
+    report: SolveReport = field(default_factory=lambda: SolveReport(0.0, 0.0))
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -80,7 +75,7 @@ class SymmetricBand:
         return m
 
 
-def eigvalsh(m, want_vectors: bool = False, check_finite: bool = True) -> Spectrum:
+def eigvalsh(m, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of a real symmetric matrix, ascending.
 
     A dense matrix goes to LAPACK's divide-and-conquer solver (``dsyevd``)
@@ -88,14 +83,15 @@ def eigvalsh(m, want_vectors: bool = False, check_finite: bool = True) -> Spectr
     eigenvectors are wanted; it reads the lower triangle only.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver (``dsbevd``,
     ``scipy.linalg.eigvals_banded``), and is expanded to dense only when
-    eigenvectors are wanted.  With
-    vectors, the report carries the relative residual and the orthogonality
-    defect.  Raises EigenError when LAPACK does not converge.
+    eigenvectors are wanted.  With vectors, the report carries the relative
+    residual and the orthogonality defect.  Raises ValueError on non-finite
+    entries and EigenError when LAPACK does not converge.
     """
     if isinstance(m, SymmetricBand):
-        if check_finite and not np.all(np.isfinite(m.lower)):
+        if not np.all(np.isfinite(m.lower)):
             raise ValueError("matrix has non-finite entries")
         if not want_vectors:
+            import scipy.linalg   # only band solves need SciPy; it slows start-up
             try:
                 w = scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
@@ -105,7 +101,7 @@ def eigvalsh(m, want_vectors: bool = False, check_finite: bool = True) -> Spectr
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if check_finite and not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     n = m.shape[0]
     try:
@@ -121,48 +117,22 @@ def eigvalsh(m, want_vectors: bool = False, check_finite: bool = True) -> Spectr
         scale = max(abs(w[0]), abs(w[-1]), 1e-300)
         max_res = float(np.abs(m @ vectors - vectors * w).max() / scale)
         orth = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
-    return Spectrum(w, n, vectors, SolveReport(max_res, orth, True))
+    return Spectrum(w, n, vectors, SolveReport(max_res, orth))
 
 
-def _tridiag_parts(m):
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 2:
-        n = m.shape[0]
-        if n > 2:
-            upper = np.triu(m, 2)
-            lower = np.tril(m, -2)
-            if np.abs(upper).max() != 0.0 or np.abs(lower).max() != 0.0:
-                raise ValueError("matrix is not tridiagonal")
-        d = np.diagonal(m).copy()
-        e = np.diagonal(m, -1).copy()
-        return d, e
-    raise ValueError("expected a dense tridiagonal matrix")
+def min_eig_tridiag(d, e, tol: float) -> np.ndarray:
+    """Smallest eigenvalue of each tridiagonal symmetric matrix (d[r], e), by
+    bisection on the Sturm-sequence count to absolute tolerance ``tol``.
 
-
-def sturm_count_matrix(m, x: float) -> int:
-    """Eigenvalues of a tridiagonal symmetric matrix strictly below x."""
-    d, e = _tridiag_parts(m)
-    return int(_pykernels.sturm_count(d, e, float(x)))
-
-
-def min_eig_tridiag(m, tol: float = 1e-10):
-    """Smallest eigenvalue of a tridiagonal symmetric matrix, by bisection on
-    the Sturm-sequence count to absolute tolerance ``tol``.
-
-    ``m`` is either a dense tridiagonal matrix (the result is a float) or a
-    pair ``(d, e)`` of stacked diagonals ``d[R, n]`` sharing the off-diagonal
-    ``e[n-1]`` (the result holds R values).  All rows are bisected together:
+    ``d[R, n]`` holds the stacked diagonals, which share the off-diagonal
+    ``e[n-1]``; the result holds R values.  All rows are bisected together:
     each step runs the Sturm recurrence over the rows whose bracket is still
     wider than ``tol``, and a converged row stops updating.  A row's result
     is bit for bit the result for that row alone.
     """
-    if isinstance(m, tuple):
-        d, e = (np.asarray(x, dtype=np.float64) for x in m)
-        if d.ndim != 2 or e.shape != (max(d.shape[1] - 1, 0),):
-            raise ValueError("expected stacked diagonals d[R, n] and one off-diagonal e[n-1]")
-    else:
-        d, e = _tridiag_parts(m)
-        d = d[np.newaxis]
+    d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
+    if d.ndim != 2 or e.shape != (max(d.shape[1] - 1, 0),):
+        raise ValueError("expected stacked diagonals d[R, n] and one off-diagonal e[n-1]")
     radius = np.zeros(d.shape[1])
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
@@ -176,8 +146,7 @@ def min_eig_tridiag(m, tol: float = 1e-10):
         hi[active[below]] = mid[below]
         lo[active[~below]] = mid[~below]
         active = active[hi[active] - lo[active] > tol]
-    est = 0.5 * (lo + hi)
-    return est if isinstance(m, tuple) else float(est[0])
+    return 0.5 * (lo + hi)
 
 
 def _any_eigenvalue_below(d, e, x):
@@ -192,10 +161,3 @@ def _any_eigenvalue_below(d, e, x):
         below |= q < 0.0
     return below
 
-
-def counting(spec: Spectrum, energy: float, normalization: float) -> float:
-    """Normalized eigenvalue counting function: #{λ <= E} / normalization."""
-    if normalization <= 0:
-        raise ValueError("normalization must be positive")
-    k = int(np.searchsorted(spec.eigenvalues, energy, side="right"))
-    return k / normalization

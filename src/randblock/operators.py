@@ -1,12 +1,11 @@
 """Lattice Hamiltonians and 2n x 2n block operators.
 
-Builds the discrete Laplacian under three boundary modes, multiplication
-operators, the d-wave off-diagonal block, the block assemblies
-[[A, B], [B, -A]] (plain and with different diagonal blocks), the explicit
-unitary conjugations used as independent oracles, and a plain-text triplet
-export.  Matrices are dense and symmetric by construction, except that the
-Laplacian and the lattice block operator also come in LAPACK lower band
-storage, which the ensemble solve reads without an n x n intermediate.
+Builds the discrete Laplacian under three boundary modes, the block
+assemblies [[A, B], [B, -A]] (plain and with different diagonal blocks) and
+the explicit unitary conjugations used as independent oracles.  Matrices are
+dense and symmetric by construction, except that the Laplacian and the
+lattice block operator also come in LAPACK lower band storage, which the
+ensemble solve reads without an n x n intermediate.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import Cube, deficiencies, hops, neighbours, parities, sites
+from .lattice import Cube, deficiencies, hops, parities
 
 
 class BoundaryMode(Enum):
@@ -79,43 +78,9 @@ def laplacian(cube: Cube, mode: BoundaryMode, sign: int = 1, band: bool = False)
     return sign * lap
 
 
-def diag_op(values) -> np.ndarray:
-    """Multiplication operator for per-site values in linear-index order."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError("expected a flat array of site values")
-    return np.diag(values)
-
-
 def parity_values(cube: Cube) -> np.ndarray:
     """(-1)^(sum of coordinates) per site, in linear-index order."""
     return parities(cube).astype(np.float64)
-
-
-def dwave_b(cube: Cube, beta: float, mode: BoundaryMode = BoundaryMode.ADJACENCY) -> np.ndarray:
-    """d-wave pair potential: beta * (1-d Laplacian in x minus in y).
-
-    Only defined on two-dimensional cubes.  The x direction is axis 0 of the
-    site coordinates.
-    """
-    if cube.dim != 2:
-        raise ValueError("d-wave block requires a 2-dimensional cube")
-    n = cube.n_sites
-    b = np.zeros((n, n))
-    deg = np.zeros((n, 2))  # per-direction degree, for Neumann/Dirichlet
-    for j in sites(cube):
-        i = cube.index_of(j)
-        for k in neighbours(cube, j):
-            axis = 0 if k[0] != j[0] else 1
-            b[i, cube.index_of(k)] += 1.0 if axis == 0 else -1.0
-            deg[i, axis] += 1.0
-    if mode in (BoundaryMode.NEUMANN, BoundaryMode.DIRICHLET):
-        b -= np.diag(deg[:, 0] - deg[:, 1])
-    if mode is BoundaryMode.DIRICHLET:
-        miss = np.array([[2.0 - deg[cube.index_of(j), axis] for axis in (0, 1)]
-                         for j in sites(cube)])
-        b -= 2.0 * np.diag(miss[:, 0] - miss[:, 1])
-    return beta * b
 
 
 def assemble_bracketing(h_top: np.ndarray, h_bot: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,13 +219,3 @@ def square_identity_residual(h: np.ndarray, b: np.ndarray) -> float:
     expected = np.block([[diag, comm], [-comm, diag]])
     return float(np.linalg.norm(m2 - expected))
 
-
-def to_triplets(m: np.ndarray, tol: float = 0.0) -> str:
-    """Plain-text (row, col, value) export for cross-checking, one entry per
-    line, zeros below ``tol`` omitted."""
-    m = np.asarray(m)
-    lines = [f"# rows {m.shape[0]} cols {m.shape[1]}"]
-    rows, cols = np.nonzero(np.abs(m) > tol)
-    for r, c in zip(rows, cols):
-        lines.append(f"{r} {c} {float(m[r, c])!r}")
-    return "\n".join(lines) + "\n"

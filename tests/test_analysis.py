@@ -262,7 +262,7 @@ class TestLifshits:
                             for r in range(run.realizations)])
             assert np.array_equal(v, ref)
             lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
-            ground = min_eig_tridiag((lap[0] + ref, lap[1, :-1]), 1e-8)
+            ground = min_eig_tridiag(lap[0] + ref, lap[1, :-1], 1e-8)
             p_ref.append(np.count_nonzero(ground <= lam + eps) / run.realizations)
         assert np.array_equal(table.p_hat, p_ref)
 

@@ -129,12 +129,19 @@ class TestConfigErrors:
         ("ids", {"potential": {"period": [2, 2], "values": [[0, 0], [0, 0.5]]}}),
         ("ids", {"cube": {"dim": 2, "side": 4},
                  "potential": {"period": [2], "values": [0, 0.5]}}),
+        ("ids", {"cube": {"dim": [1], "side": 7}}),
+        ("ids", {"cube": {"dim": 1, "side": 7, "centered": "false"}}),
+        ("wegner", {}),
+        ("lifshits", {}),
+        ("dostransform", {}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
             "grid-bounds-not-numbers", "grid-points-not-a-number",
             "seed-not-an-integer", "period-more-axes-than-cube",
-            "period-fewer-axes-than-cube"])
+            "period-fewer-axes-than-cube", "cube-dim-not-an-integer",
+            "centered-not-a-boolean", "wegner-section-missing",
+            "lifshits-section-missing", "dos-transform-section-missing"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2

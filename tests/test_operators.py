@@ -12,13 +12,10 @@ from randblock.operators import (
     block_band,
     block_band_bytes,
     block_half_bandwidth,
-    diag_op,
-    dwave_b,
     gamma,
     laplacian,
     parity_values,
     square_identity_residual,
-    to_triplets,
     transform_parity,
     transform_u1,
     transform_u2,
@@ -120,43 +117,9 @@ class TestGamma:
                               [2, 1, 2, 1, 0, 1, 2, 1, 2])
 
 
-class TestDiagOp:
-    def test_basic(self):
-        assert np.array_equal(diag_op([1, 2, 3]), np.diag([1.0, 2.0, 3.0]))
-        assert np.array_equal(diag_op(np.zeros(4)), np.zeros((4, 4)))
-
-    def test_parity_values_centred(self):
-        vals = parity_values(Cube(1, 3, centered=True))
-        assert list(vals) == [-1.0, 1.0, -1.0]
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError):
-            diag_op(np.zeros((2, 2)))
-
-
-class TestDwave:
-    def test_zero_beta(self):
-        assert np.abs(dwave_b(Cube(2, 3), 0.0)).max() == 0
-
-    def test_single_site(self):
-        assert np.abs(dwave_b(Cube(2, 1), 1.0)).max() == 0
-
-    def test_row_sums_bounded(self):
-        b = dwave_b(Cube(2, 3), 1.0, BoundaryMode.ADJACENCY)
-        assert np.abs(b).sum(axis=1).max() <= 4
-        assert np.array_equal(b, b.T)
-
-    def test_wrong_dim(self):
-        with pytest.raises(ValueError):
-            dwave_b(Cube(1, 3), 1.0)
-
-    def test_x_minus_y_structure(self):
-        # x-hops carry +beta, y-hops -beta
-        cube = Cube(2, 2)
-        b = dwave_b(cube, 2.0)
-        i00, i01, i10 = cube.index_of((0, 0)), cube.index_of((0, 1)), cube.index_of((1, 0))
-        assert b[i00, i10] == 2.0
-        assert b[i00, i01] == -2.0
+def test_parity_values_centred():
+    vals = parity_values(Cube(1, 3, centered=True))
+    assert list(vals) == [-1.0, 1.0, -1.0]
 
 
 class TestAssemble:
@@ -286,14 +249,3 @@ class TestSquareIdentity:
         assert np.allclose(m @ m, np.block([[h @ h, np.zeros((4, 4))],
                                             [np.zeros((4, 4)), h @ h]]), atol=1e-12)
 
-
-def test_triplet_export_roundtrip():
-    m = np.array([[0.0, 1.5], [1.5, -2.0]])
-    text = to_triplets(m)
-    rebuilt = np.zeros((2, 2))
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.array_equal(rebuilt, m)
