@@ -252,12 +252,54 @@ class TestEnsembleCommands:
         assert "inf" not in text  # singularity clipped
         assert "D_block" in text
 
+    @pytest.mark.parametrize("command, sections, outputs, ensemble", [
+        ("ids", {}, ["ids.csv"], True),
+        ("dos", {}, ["dos.csv"], True),
+        ("gap", {}, ["gap.csv"], True),
+        ("wegner", {"cube": {"dim": 1, "side": 11}, "realizations": 30,
+                    "wegner": {"mode": "H", "lower_constant": 1.0, "min_count": 50}},
+         ["wegner_report.json"], True),
+        ("lifshits", {"lifshits": {"epsilons": [0.5, 0.4, 0.3, 0.2],
+                                   "lam": 1.0, "realizations": 40}},
+         ["lifshits.csv", "lifshits_fit.json"], False),
+        ("dostransform", {"dos_transform": {"beta": 1.0, "source": {
+            "type": "uniform", "lo": -2, "hi": 2}}}, ["dos_transform.csv"], False),
+    ])
+    def test_manifest_records_run(self, tmp_path, command, sections, outputs, ensemble):
+        # every command's manifest carries the config echo with the seed in
+        # force, the outputs' digests, and the band solve of its ensemble if any
+        path = write_config(tmp_path, base_doc(**sections))
+        out = tmp_path / "out"
+        assert main(["--quiet", command, "--config", path, "--out", str(out),
+                     "--seed", "5"]) == 0
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["base_seed"] == 5 and manifest["config"]["seed"] == 5
+        config, _ = parse_config(manifest["config"], threads=1)
+        assert config.base_seed == 5
+        assert sorted(manifest["outputs"]) == sorted(outputs)
+        assert all(len(digest) == 64 for digest in manifest["outputs"].values())
+        assert manifest["failed_realizations"] == 0
+        assert manifest["wall_time_seconds"] >= 0.0
+        expected = ("dsbevd", 2) if ensemble else (None, None)   # 1-d cubes
+        assert (manifest["driver"], manifest["half_bandwidth"]) == expected
+
 
 class TestConfigRoundTrip:
     def test_echo_reparses_equal(self, tmp_path):
         config, _, _ = load_config(write_config(tmp_path, base_doc()))
         echoed, _ = parse_config(config_echo(config), threads=config.threads)
         assert echoed == config
+
+    @pytest.mark.parametrize("centered", [True, False])
+    def test_centered_boolean_echoed(self, tmp_path, centered):
+        doc = base_doc(cube={"dim": 1, "side": 7, "centered": centered})
+        config, _, _ = load_config(write_config(tmp_path, doc))
+        assert config.cube.centered is centered
+        assert main(["ids", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "ids_manifest.json").read_text())
+        assert manifest["config"]["cube"]["centered"] is centered
 
     def test_density_parsing(self):
         d = parse_density({"type": "piecewise", "breakpoints": [0, 1],

@@ -206,6 +206,13 @@ class TestBatchedBisection:
             assert np.array_equal(batched, scalar)
         assert 2.0 in visited
 
+    def test_row_equals_row_alone(self):
+        # the batch is a pure speed-up: each row converges as it would alone
+        rng = np.random.default_rng(9)
+        d, e = rng.uniform(0, 3, (5, 12)), -np.ones(11)
+        batched = min_eig_tridiag(d, e, 1e-8)
+        assert np.array_equal(batched, [min_eig_tridiag(row[None], e, 1e-8)[0] for row in d])
+
     def test_one_by_one_and_bad_shapes(self):
         got = min_eig_tridiag(np.array([[3.0], [-1.0]]), np.zeros(0), 1e-12)
         assert got == pytest.approx([3.0, -1.0], abs=1e-12)
