@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DensitySpec, SeedPolicy, bv_norm, sample_iid, support_bounds
-from .eigen import Spectrum, eigvalsh, min_eig_tridiag
+from .eigen import eigvalsh, min_eig_tridiag
 from .lattice import Cube
 from .operators import BoundaryMode, laplacian
 from .spectra import EnsembleResult
@@ -23,10 +23,10 @@ from .spectra import EnsembleResult
 # ---------------------------------------------------------------------------
 # constant off-diagonal block: spectral map and DOS transform
 
-def const_b_map(spec_h, beta: float) -> np.ndarray:
-    """Sorted multiset {±sqrt(E^2 + beta^2) : E in spec(H)}."""
-    ev = spec_h.eigenvalues if isinstance(spec_h, Spectrum) else np.asarray(spec_h, dtype=float)
-    mapped = np.sqrt(ev**2 + beta**2)
+def const_b_map(ev_h, beta: float) -> np.ndarray:
+    """Sorted multiset {±sqrt(E^2 + beta^2) : E in spec(H)}, from the
+    eigenvalues ``ev_h`` of H."""
+    mapped = np.sqrt(np.asarray(ev_h, dtype=float)**2 + beta**2)
     return np.sort(np.concatenate([-mapped, mapped]))
 
 
@@ -59,11 +59,10 @@ def const_b_dos(transform: DosTransform, energy: float) -> float:
     return e / x * (transform.source.pdf(x) + transform.source.pdf(-x))
 
 
-def dos_transform_measure_check(transform: DosTransform, a: float,
-                                epsabs: float = 1e-10) -> tuple[float, float]:
+def dos_transform_measure_check(transform: DosTransform, a: float) -> tuple[float, float]:
     """Both sides of the change-of-variables identity
-    ∫_beta^sqrt(a²+beta²) block-DOS dE  =  ∫_{-a}^a D dE0, by quadrature
-    (both ±E0 land on the positive branch)."""
+    ∫_beta^sqrt(a²+beta²) block-DOS dE  =  ∫_{-a}^a D dE0, by quadrature to
+    absolute error 1e-10 (both ±E0 land on the positive branch)."""
     from scipy.integrate import quad     # only the quadrature checks need it
 
     if a <= 0:
@@ -71,8 +70,8 @@ def dos_transform_measure_check(transform: DosTransform, a: float,
     beta = abs(transform.beta)
     top = math.sqrt(a * a + beta * beta)
     lhs, _ = quad(lambda e: const_b_dos(transform, e), beta, top,
-                  epsabs=epsabs, limit=400, points=[beta])
-    rhs, _ = quad(transform.source.pdf, -a, a, epsabs=epsabs, limit=400,
+                  epsabs=1e-10, limit=400, points=[beta])
+    rhs, _ = quad(transform.source.pdf, -a, a, epsabs=1e-10, limit=400,
                   points=[p for p in transform.source.breakpoints if -a < p < a])
     return lhs, rhs
 
@@ -150,15 +149,15 @@ def wegner_check(result: EnsembleResult, bound: WegnerBound,
 # eigenvalue-derivative sum identity
 
 def feynman_hellmann_sum(block: np.ndarray, energy: float, psi: np.ndarray,
-                         h: np.ndarray, residual_tol: float = 1e-9,
-                         degeneracy_tol: float = 1e-10):
+                         h: np.ndarray):
     """For a normalized eigenpair (E, Psi) of [[H, b], [b, -H]] with diagonal
     b, evaluate both sides of
 
         E * sum_j (|psi1(j)|^2 - |psi2(j)|^2) = <psi1,H psi1> + <psi2,H psi2>
 
     (the left side is E times the summed eigenvalue derivatives in the
-    on-site potential).  Returns (lhs, rhs, min_eig_h).
+    on-site potential).  The pair must hold to a residual of 1e-8 times the
+    block's largest entry (at least 1e-8).  Returns (lhs, rhs, min_eig_h).
     """
     block = np.asarray(block, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -167,12 +166,12 @@ def feynman_hellmann_sum(block: np.ndarray, energy: float, psi: np.ndarray,
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("eigenvector must be normalized")
     scale = max(1.0, float(np.abs(block).max()))
-    if np.linalg.norm(block @ psi - energy * psi) > residual_tol * scale * 10:
+    if np.linalg.norm(block @ psi - energy * psi) > 1e-8 * scale:
         raise ValueError("(E, Psi) is not an eigenpair to the required residual")
     psi1, psi2 = psi[:n], psi[n:]
     lhs = energy * float(np.sum(psi1**2) - np.sum(psi2**2))
     rhs = float(psi1 @ (h @ psi1) + psi2 @ (h @ psi2))
-    min_eig_h = float(eigvalsh(h).eigenvalues[0])
+    min_eig_h = float(eigvalsh(h)[0])
     return lhs, rhs, min_eig_h
 
 
@@ -191,16 +190,15 @@ def is_simple_eigenvalue(eigenvalues: np.ndarray, index: int, scale: float,
 # ---------------------------------------------------------------------------
 # bounded-variation integral inequality
 
-def bv_inequality_probe(f_prime, oscillation: float, phi: DensitySpec,
-                        epsabs: float = 1e-10) -> tuple[float, float]:
-    """lhs = |∫ F'(x) phi(x) dx| by adaptive quadrature, rhs = a * ||phi||_BV
-    for a C^1 function F with sup-oscillation a."""
+def bv_inequality_probe(f_prime, oscillation: float, phi: DensitySpec) -> tuple[float, float]:
+    """lhs = |∫ F'(x) phi(x) dx| by adaptive quadrature (absolute error
+    1e-10), rhs = a * ||phi||_BV for a C^1 function F with sup-oscillation a."""
     from scipy.integrate import quad
 
     lo, hi = support_bounds(phi)
     interior = [p for p in phi.breakpoints if lo < p < hi]
     val, err = quad(lambda x: f_prime(x) * phi.pdf(x), lo, hi,
-                    epsabs=epsabs, limit=400, points=interior)
+                    epsabs=1e-10, limit=400, points=interior)
     if err > max(1e-6, 1e-6 * abs(val)):
         raise RuntimeError(f"quadrature did not converge (error estimate {err})")
     return abs(val), oscillation * bv_norm(phi)

@@ -29,12 +29,12 @@ from .analysis import (
     wegner_bound,
     wegner_check,
 )
-from .config import ConfigError, config_echo, load_config, parse_density
+from .config import ConfigError, config_echo, load_config, parse_density, read_int
 from .disorder import DensitySpec, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError
 from .operators import block_half_bandwidth
-from .spectra import gap_estimate, run_ensemble
+from .spectra import run_ensemble
 from .verify import run_all
 
 EXIT_OK = 0
@@ -156,10 +156,10 @@ def cmd_dos(args) -> int:
 
 def cmd_gap(args) -> int:
     config, out_dir, t0, result = _run_ensemble_command(args)
-    gap_min, per_real = gap_estimate(result)
+    per_real = result.gap_per_realization
     path = out_dir / "gap.csv"
     _write_csv(path,
-               [f"min over realizations of min|eigenvalue|: {gap_min!r}",
+               [f"min over realizations of min|eigenvalue|: {float(per_real.min())!r}",
                 "realization: index; min_abs_eig: smallest |eigenvalue| (energy)"],
                ["realization", "min_abs_eig"],
                zip(result.realization_ids, per_real))
@@ -174,7 +174,7 @@ def cmd_wegner(args) -> int:
         bound = WegnerBound(str(rec["mode"]), float(rec["lower_constant"]),
                             _bv_for_mode(config, rec["mode"]))
         certify_wegner_hypothesis(config, bound)
-        min_count = int(rec.get("min_count", 100))
+        min_count = read_int(rec.get("min_count", 100), "wegner.min_count")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)
@@ -230,7 +230,7 @@ def cmd_lifshits(args) -> int:
             mu_v=config.disorder.mu_v,
             lam=float(rec["lam"]),
             base_seed=config.base_seed,
-            realizations=int(rec.get("realizations", 2000)),
+            realizations=read_int(rec.get("realizations", 2000), "realizations"),
             c=float(rec.get("c", 4.0)),
             alpha=float(rec.get("alpha", config.cube.dim / 2.0)),
             dim=config.cube.dim,
@@ -287,7 +287,7 @@ def cmd_dostransform(args) -> int:
         if "energies" in rec:
             erec = rec["energies"]
             energies = np.linspace(float(erec["lo"]), float(erec["hi"]),
-                                   int(erec.get("points", 512)))
+                                   read_int(erec.get("points", 512), "energies.points"))
         else:
             top = math.sqrt(amax**2 + beta**2) + 0.5
             energies = np.linspace(-top, top, 512)

@@ -34,6 +34,14 @@ def _check_keys(record: dict, allowed: set[str], required: set[str], where: str)
         raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+def read_int(value, where: str) -> int:
+    """A JSON integer as int.  Booleans, fractional numbers and strings are
+    refused, never truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def _optional_number(value, where: str) -> float | None:
     """A JSON number as float; null stays None.  Strings are refused."""
     if value is None:
@@ -96,8 +104,9 @@ def parse_config(doc: dict, seed_override: int | None = None,
     centered = cube_rec.get("centered", False)
     if not isinstance(centered, bool):
         raise ConfigError(f"cube.centered: expected true or false, got {centered!r}")
+    dim, side = (read_int(cube_rec[k], f"cube.{k}") for k in ("dim", "side"))
     try:
-        cube = Cube(int(cube_rec["dim"]), int(cube_rec["side"]), centered)
+        cube = Cube(dim, side, centered)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cube: {exc}") from exc
 
@@ -126,21 +135,21 @@ def parse_config(doc: dict, seed_override: int | None = None,
         grid_rec = doc["grid"]
         _check_keys(grid_rec, {"lo", "hi", "points"}, set(), "grid")
         grid_lo, grid_hi = (_optional_number(grid_rec.get(k), f"grid.{k}") for k in ("lo", "hi"))
-        grid_points = grid_rec.get("points", 512)
+        grid_points = read_int(grid_rec.get("points", 512), "grid.points")
 
+    seed = read_int(doc["seed"] if seed_override is None else seed_override, "seed")
     try:
-        seed = int(doc["seed"]) if seed_override is None else int(seed_override)
         config = ExperimentConfig(
             cube=cube,
             boundary=str(doc["boundary"]),
             disorder=disorder,
             potential=potential,
-            realizations=int(doc["realizations"]),
+            realizations=read_int(doc["realizations"], "realizations"),
             base_seed=seed,
-            laplacian_sign=int(doc.get("laplacian_sign", -1)),
+            laplacian_sign=read_int(doc.get("laplacian_sign", -1), "laplacian_sign"),
             grid_lo=grid_lo,
             grid_hi=grid_hi,
-            grid_points=int(grid_points),
+            grid_points=grid_points,
             bin_width=None if doc.get("bin_width") is None else float(doc["bin_width"]),
             threads=threads,
         )

@@ -10,8 +10,6 @@ independent reference the tests compare LAPACK and the bisection against.
 
 from .core import (
     EigenError,
-    SolveReport,
-    Spectrum,
     SymmetricBand,
     backend_name,
     eigvalsh,
@@ -20,8 +18,6 @@ from .core import (
 
 __all__ = [
     "EigenError",
-    "SolveReport",
-    "Spectrum",
     "SymmetricBand",
     "backend_name",
     "eigvalsh",

@@ -8,7 +8,7 @@ diagonals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +21,8 @@ def backend_name() -> str:
 
 
 class EigenError(RuntimeError):
-    """Raised when the eigensolve fails to converge."""
-
-
-@dataclass
-class SolveReport:
-    max_residual: float
-    orthogonality_defect: float
-
-
-@dataclass
-class Spectrum:
-    """Sorted eigenvalues of one matrix realization."""
-
-    eigenvalues: np.ndarray
-    dim: int
-    eigenvectors: np.ndarray | None = None
-    report: SolveReport = field(default_factory=lambda: SolveReport(0.0, 0.0))
-
-    def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        if self.eigenvalues.shape != (self.dim,):
-            raise ValueError("eigenvalue count must equal matrix dimension")
-        if np.any(np.diff(self.eigenvalues) < 0):
-            raise ValueError("eigenvalues must be ascending")
+    """Raised when the eigensolve fails to converge or returns a malformed
+    result."""
 
 
 @dataclass(frozen=True)
@@ -75,49 +53,37 @@ class SymmetricBand:
         return m
 
 
-def eigvalsh(m, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a real symmetric matrix, ascending.
+def eigvalsh(m) -> np.ndarray:
+    """Eigenvalues of a real symmetric matrix, ascending.
 
     A dense matrix goes to LAPACK's divide-and-conquer solver (``dsyevd``)
-    through ``numpy.linalg.eigvalsh``, or ``numpy.linalg.eigh`` when
-    eigenvectors are wanted; it reads the lower triangle only.  A
+    through ``numpy.linalg.eigvalsh``, which reads the lower triangle only.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver (``dsbevd``,
-    ``scipy.linalg.eigvals_banded``), and is expanded to dense only when
-    eigenvectors are wanted.  With vectors, the report carries the relative
-    residual and the orthogonality defect.  Raises ValueError on non-finite
-    entries and EigenError when LAPACK does not converge.
+    ``scipy.linalg.eigvals_banded``).  Raises ValueError on non-finite
+    entries and EigenError when LAPACK does not converge or returns
+    eigenvalues out of order.
     """
     if isinstance(m, SymmetricBand):
         if not np.all(np.isfinite(m.lower)):
             raise ValueError("matrix has non-finite entries")
-        if not want_vectors:
-            import scipy.linalg   # only band solves need SciPy; it slows start-up
-            try:
-                w = scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise EigenError(f"LAPACK banded eigensolve failed (n={m.dim}): {exc}") from exc
-            return Spectrum(w, m.dim)
-        m = m.to_dense()
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    n = m.shape[0]
-    try:
-        if want_vectors:
-            w, vectors = np.linalg.eigh(m)
-        else:
-            w, vectors = np.linalg.eigvalsh(m), None
-    except np.linalg.LinAlgError as exc:
-        raise EigenError(f"LAPACK eigensolve failed (n={n}): {exc}") from exc
-    max_res = 0.0
-    orth = 0.0
-    if want_vectors:
-        scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-        max_res = float(np.abs(m @ vectors - vectors * w).max() / scale)
-        orth = float(np.abs(vectors.T @ vectors - np.eye(n)).max())
-    return Spectrum(w, n, vectors, SolveReport(max_res, orth))
+        import scipy.linalg   # only band solves need SciPy; it slows start-up
+        try:
+            w = scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise EigenError(f"LAPACK banded eigensolve failed (n={m.dim}): {exc}") from exc
+    else:
+        m = np.asarray(m, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix has non-finite entries")
+        try:
+            w = np.linalg.eigvalsh(m)
+        except np.linalg.LinAlgError as exc:
+            raise EigenError(f"LAPACK eigensolve failed (n={m.shape[0]}): {exc}") from exc
+    if np.any(np.diff(w) < 0):
+        raise EigenError("LAPACK returned eigenvalues out of ascending order")
+    return w
 
 
 def min_eig_tridiag(d, e, tol: float) -> np.ndarray:

@@ -11,14 +11,15 @@ entries of that band.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .disorder import Density, DisorderModel, SeedPolicy, sample_iid, support_bounds
-from .eigen import EigenError, Spectrum, SymmetricBand, eigvalsh
+from .eigen import EigenError, SymmetricBand, eigvalsh
 from .lattice import Cube, PeriodicPotential, check_memory
 from .operators import (BoundaryMode, block_band, block_band_bytes, block_half_bandwidth,
                         laplacian, write_block_diagonals)
@@ -50,6 +51,9 @@ class ExperimentConfig:
             raise ValueError(f"boundary must be one of {BOUNDARY_CHOICES}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        SeedPolicy(self.base_seed)    # refuses a seed outside [0, 2^64)
         if self.laplacian_sign not in (1, -1):
             raise ValueError("laplacian_sign must be +1 or -1")
         if self.grid_points < 2:
@@ -121,13 +125,11 @@ def realization_band(clean: CleanPart, v: np.ndarray, b: np.ndarray) -> Symmetri
     return SymmetricBand(clean.band)
 
 
-def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray,
-                clean: CleanPart | None = None) -> np.ndarray:
+def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2n x 2n block operator of one disorder realization, dense and in
     natural order [[H_top, B], [B, -H_bot]]; derived from the band that the
-    ensemble solves (``clean`` is built when not given)."""
-    clean = clean if clean is not None else base_matrices(config)
-    dense = realization_band(clean, v, b).to_dense()
+    ensemble solves."""
+    dense = realization_band(base_matrices(config), v, b).to_dense()
     n2 = dense.shape[0]
     natural = np.concatenate([np.arange(0, n2, 2), np.arange(1, n2, 2)])
     return dense[np.ix_(natural, natural)]
@@ -142,13 +144,20 @@ def realization_fields(config: ExperimentConfig, index: int):
     return v, b
 
 
+def pool_workers(config: ExperimentConfig) -> int:
+    """Worker processes `run_ensemble` starts: ``threads``, capped at the CPU
+    count, or 0 when that leaves one and the ensemble runs in this process."""
+    workers = min(config.threads, os.cpu_count() or 1)
+    return workers if workers > 1 else 0
+
+
 def peak_bytes(config: ExperimentConfig) -> int:
     """Estimated peak memory of `run_ensemble`: the clean band and the copy
     ``dsbevd`` solves in each process, the spectra and their pooled copy, and
     the IDS counts with two temporaries of their size.  A process pool adds,
     per worker, the clean band of its current chunk and two pickled chunks
     queued for it."""
-    workers = config.threads if config.threads > 1 else 0
+    workers = pool_workers(config)
     band = block_band_bytes(config.cube)
     aggregates = 8 * config.realizations * (4 * config.cube.n_sites + 3 * config.grid_points)
     return band * (1 + 3 * workers + max(workers, 1)) + aggregates
@@ -157,10 +166,9 @@ def peak_bytes(config: ExperimentConfig) -> int:
 def _solve_one(config: ExperimentConfig, clean: CleanPart, index: int):
     v, b = realization_fields(config, index)
     try:
-        spec = eigvalsh(realization_band(clean, v, b))
+        return index, eigvalsh(realization_band(clean, v, b))
     except EigenError:
         return index, None
-    return index, spec.eigenvalues
 
 
 def _abs_row_sums(lower: np.ndarray) -> np.ndarray:
@@ -174,14 +182,12 @@ def _abs_row_sums(lower: np.ndarray) -> np.ndarray:
     return sums
 
 
-def default_grid(config: ExperimentConfig, clean: CleanPart | None = None) -> np.ndarray:
+def default_grid(config: ExperimentConfig, clean: CleanPart) -> np.ndarray:
     """Symmetric energy grid covering the a priori spectral inclusion with
-    margin 0.5 (Gershgorin bound of the clean part plus disorder supports).
-
-    ``clean`` is the run's clean part; it is built when not given."""
+    margin 0.5 (Gershgorin bound of the run's clean part plus disorder
+    supports), unless the config gives the grid."""
     if config.grid_lo is not None:
         return np.linspace(config.grid_lo, config.grid_hi, config.grid_points)
-    clean = clean if clean is not None else base_matrices(config)
     # H_top's band: its Laplacian diagonal plus U0, then the even rows on even columns
     h_top = np.vstack([clean.top + clean.u0, clean.band[2::2, 0::2]])
     gersh = float(_abs_row_sums(h_top).max())
@@ -205,16 +211,17 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
 
     Raises MemoryLimitError before allocating when `peak_bytes` exceeds
     `lattice.memory_limit`."""
+    workers = pool_workers(config)
     check_memory(peak_bytes(config),
                  f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
                  f"(half-bandwidth {block_half_bandwidth(config.cube)}, {config.realizations} "
-                 f"realizations, {max(config.threads, 1)} process(es))")
+                 f"realizations, {max(workers, 1)} process(es))")
     clean = base_matrices(config)
     solve = partial(_solve_one, config, clean)
     indices = range(config.realizations)
-    if config.threads > 1:
+    if workers:
         # workers rebuild nothing: the clean part ships with each chunk
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(solve, indices, chunksize=4))
     else:
         raw = [solve(r) for r in indices]
@@ -252,38 +259,27 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
                           centers, hist, density, stderr, gaps, failures)
 
 
-def gap_estimate(result: EnsembleResult) -> tuple[float, np.ndarray]:
-    """Empirical inner band edge: the smallest |eigenvalue| seen, plus the
-    per-realization list."""
-    return float(result.gap_per_realization.min()), result.gap_per_realization
-
-
-def zero_split_check(spec: Spectrum | np.ndarray, zero_tol: float = 1e-9) -> bool:
+def zero_split_check(ev: np.ndarray) -> bool:
     """True iff exactly half of the eigenvalues are negative.
 
-    Meant for gapped configurations; an eigenvalue within ``zero_tol`` of
-    zero is a numerical anomaly there and raises ZeroSplitAnomaly.
+    Meant for gapped configurations; an eigenvalue within 1e-9 of zero is a
+    numerical anomaly there and raises ZeroSplitAnomaly.
     """
-    ev = spec.eigenvalues if isinstance(spec, Spectrum) else np.asarray(spec)
+    ev = np.asarray(ev)
     if ev.size % 2 != 0:
         raise ValueError("block spectra have even length")
-    if np.abs(ev).min() < zero_tol:
+    if np.abs(ev).min() < 1e-9:
         raise ZeroSplitAnomaly("eigenvalue at zero despite gap guarantee")
     neg = int((ev < 0).sum())
     return neg == ev.size // 2
 
 
-def symmetry_residual(spec: Spectrum | np.ndarray, boundary: str = "N") -> float:
+def symmetry_residual(ev: np.ndarray, boundary: str = "N") -> float:
     """max_k |λ_k + λ_{2n+1-k}| for a spectrum of [[H, B], [B, -H]].
 
     Refused for bracketing boundaries, where the symmetry is not guaranteed.
     """
     if boundary in ("+", "-"):
         raise ValueError("spectral symmetry is not guaranteed for bracketing operators")
-    ev = spec.eigenvalues if isinstance(spec, Spectrum) else np.asarray(spec)
+    ev = np.asarray(ev)
     return float(np.abs(ev + ev[::-1]).max())
-
-
-def with_boundary(config: ExperimentConfig, boundary: str) -> ExperimentConfig:
-    """Same experiment under a different finite-volume restriction."""
-    return replace(config, boundary=boundary)

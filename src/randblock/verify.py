@@ -36,33 +36,29 @@ def _random_symmetric(rng, n: int) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _spec(m) -> np.ndarray:
-    return eigvalsh(m).eigenvalues
-
-
-def suite_symmetry(seed: int, trials: int = 10) -> SuiteResult:
+def suite_symmetry(seed: int) -> SuiteResult:
     """Spectra of [[H, b], [b, -H]] are symmetric about zero."""
     rng = _rng(seed, 1)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         side = int(rng.integers(6, 20))
         cube = Cube(1, side)
         h = ops.laplacian(cube, BoundaryMode.NEUMANN, -1) + np.diag(rng.uniform(0, 2, side))
         m = ops.assemble(h, np.diag(rng.uniform(-1, 1, side)))
-        ev = _spec(m)
+        ev = eigvalsh(m)
         scale = max(1.0, np.abs(ev).max())
         worst = max(worst, symmetry_residual(ev) / scale)
     passed = worst <= 1e-9
     return SuiteResult("symmetry", passed, f"max relative residual {worst:.3e}", seed)
 
 
-def suite_square_identity(seed: int, trials: int = 10) -> SuiteResult:
+def suite_square_identity(seed: int) -> SuiteResult:
     """Closed-form block expression for the squared operator, plus the
     Dirichlet = Neumann + 2*Gamma boundary relation against an independent
     missing-neighbour count."""
     rng = _rng(seed, 2)
     worst = 0.0
-    for t in range(trials):
+    for t in range(10):
         n = int(rng.integers(2, 17))
         if t % 3 == 0:
             h = np.diag(rng.uniform(-1, 1, n))
@@ -70,7 +66,7 @@ def suite_square_identity(seed: int, trials: int = 10) -> SuiteResult:
         else:
             h = _random_symmetric(rng, n)
             b = _random_symmetric(rng, n)
-        scale = (np.abs(_spec(h)).max() + np.abs(_spec(b)).max()) ** 2
+        scale = (np.abs(eigvalsh(h)).max() + np.abs(eigvalsh(b)).max()) ** 2
         worst = max(worst, ops.square_identity_residual(h, b) / max(scale, 1e-30))
     boundary_ok = True
     for dim, side in ((1, 5), (2, 4)):
@@ -84,14 +80,14 @@ def suite_square_identity(seed: int, trials: int = 10) -> SuiteResult:
     return SuiteResult("square-identity", passed, detail, seed)
 
 
-def suite_parity_equivalence(seed: int, trials: int = 6) -> SuiteResult:
+def suite_parity_equivalence(seed: int) -> SuiteResult:
     """spec([[Δ, b], [b, -Δ]]) equals spec(Δ + Ub) ∪ spec(Δ - Ub) for the
     hopping-only Laplacian; the Neumann variant must fail (negative control,
     its diagonal breaks the anticommutation)."""
     rng = _rng(seed, 3)
     worst = 0.0
     control_gap = np.inf
-    for t in range(trials):
+    for t in range(6):
         dim = 1 if t % 2 == 0 else 2
         side = int(rng.integers(4, 10)) if dim == 1 else int(rng.integers(3, 5))
         cube = Cube(dim, side)
@@ -99,8 +95,8 @@ def suite_parity_equivalence(seed: int, trials: int = 6) -> SuiteResult:
         delta = ops.laplacian(cube, BoundaryMode.ADJACENCY, 1)
         m = ops.assemble(delta, np.diag(bdiag))
         _, h_plus, h_minus = ops.transform_parity(m, cube)
-        direct = _spec(m)
-        split = np.sort(np.concatenate([_spec(h_plus), _spec(h_minus)]))
+        direct = eigvalsh(m)
+        split = np.sort(np.concatenate([eigvalsh(h_plus), eigvalsh(h_minus)]))
         scale = max(1.0, np.abs(direct).max())
         worst = max(worst, np.abs(direct - split).max() / scale)
         # negative control: same construction with the graph Laplacian
@@ -108,48 +104,48 @@ def suite_parity_equivalence(seed: int, trials: int = 6) -> SuiteResult:
         u = np.diag(ops.parity_values(cube))
         m_neu = ops.assemble(neu, np.diag(bdiag))
         split_neu = np.sort(np.concatenate([
-            _spec(neu + u @ np.diag(bdiag)), _spec(neu - u @ np.diag(bdiag))]))
-        control_gap = min(control_gap, float(np.abs(_spec(m_neu) - split_neu).max()))
+            eigvalsh(neu + u @ np.diag(bdiag)), eigvalsh(neu - u @ np.diag(bdiag))]))
+        control_gap = min(control_gap, float(np.abs(eigvalsh(m_neu) - split_neu).max()))
     passed = worst <= 1e-8 and control_gap > 1e-3
     detail = f"max relative mismatch {worst:.3e}, Neumann control deviation {control_gap:.3e}"
     return SuiteResult("parity-equivalence", passed, detail, seed)
 
 
-def suite_gap_bound(seed: int, trials: int = 25) -> SuiteResult:
+def suite_gap_bound(seed: int) -> SuiteResult:
     """No eigenvalue inside (-sqrt(lam^2+beta^2), +sqrt(lam^2+beta^2)) when
     H >= lam and diagonal b >= beta; bracketing variants keep (-lam, lam)
     free when both diagonal blocks are >= lam."""
     rng = _rng(seed, 4)
     ok = True
     worst = np.inf
-    for _ in range(trials):
+    for _ in range(25):
         n = int(rng.integers(2, 33))
         lam = rng.uniform(0.1, 2.0)
         beta = rng.uniform(0.0, 2.0)
         h = _random_symmetric(rng, n)
-        h += (lam - _spec(h)[0]) * np.eye(n)
+        h += (lam - eigvalsh(h)[0]) * np.eye(n)
         b = np.diag(beta + rng.uniform(0, 1, n))
-        gap = np.abs(_spec(ops.assemble(h, b))).min()
+        gap = np.abs(eigvalsh(ops.assemble(h, b))).min()
         bound = np.sqrt(lam**2 + beta**2)
         worst = min(worst, gap - bound)
         if gap < bound - 1e-9:
             ok = False
         h2 = _random_symmetric(rng, n)
-        h2 += (lam - _spec(h2)[0]) * np.eye(n)
+        h2 += (lam - eigvalsh(h2)[0]) * np.eye(n)
         b_any = _random_symmetric(rng, n)
-        gap2 = np.abs(_spec(ops.assemble_bracketing(h, h2, b_any))).min()
+        gap2 = np.abs(eigvalsh(ops.assemble_bracketing(h, h2, b_any))).min()
         if gap2 < lam - 1e-9:
             ok = False
             worst = min(worst, gap2 - lam)
     return SuiteResult("gap-bound", ok, f"worst margin {worst:.3e}", seed)
 
 
-def suite_zero_split(seed: int, trials: int = 8) -> SuiteResult:
+def suite_zero_split(seed: int) -> SuiteResult:
     """Gapped realizations have exactly n negative and n positive
     eigenvalues under every boundary restriction."""
     rng = _rng(seed, 5)
     ok = True
-    for _ in range(trials):
+    for _ in range(8):
         side = int(rng.integers(5, 15))
         cube = Cube(1, side)
         v = rng.uniform(1, 2, side)
@@ -162,17 +158,17 @@ def suite_zero_split(seed: int, trials: int = 8) -> SuiteResult:
         for m in (ops.assemble(h_n, b), ops.assemble(h_d, b),
                   ops.assemble_bracketing(h_d, h_n, b),
                   ops.assemble_bracketing(h_n, h_d, b)):
-            if not zero_split_check(_spec(m)):
+            if not zero_split_check(eigvalsh(m)):
                 ok = False
     return SuiteResult("zero-split", ok, "half-and-half split" if ok else "split violated", seed)
 
 
-def suite_bracketing_sandwich(seed: int, trials: int = 6, n_grid: int = 32) -> SuiteResult:
+def suite_bracketing_sandwich(seed: int) -> SuiteResult:
     """Counting functions are ordered: plus-bracketing counts least, minus
     counts most, with D and N in between, at every probe energy."""
     rng = _rng(seed, 6)
     ok = True
-    for _ in range(trials):
+    for _ in range(6):
         side = int(rng.integers(5, 15))
         cube = Cube(1, side)
         v = rng.uniform(0, 2, side)
@@ -180,11 +176,11 @@ def suite_bracketing_sandwich(seed: int, trials: int = 6, n_grid: int = 32) -> S
         neu = ops.laplacian(cube, BoundaryMode.NEUMANN, -1)
         dir_ = ops.laplacian(cube, BoundaryMode.DIRICHLET, -1)
         b = np.diag(bdiag)
-        ev_plus = _spec(ops.assemble_bracketing(dir_ + np.diag(v), neu + np.diag(v), b))
-        ev_minus = _spec(ops.assemble_bracketing(neu + np.diag(v), dir_ + np.diag(v), b))
-        ev_d = _spec(ops.assemble(dir_ + np.diag(v), b))
-        ev_n = _spec(ops.assemble(neu + np.diag(v), b))
-        grid = np.linspace(ev_minus.min() - 0.5, ev_plus.max() + 0.5, n_grid)
+        ev_plus = eigvalsh(ops.assemble_bracketing(dir_ + np.diag(v), neu + np.diag(v), b))
+        ev_minus = eigvalsh(ops.assemble_bracketing(neu + np.diag(v), dir_ + np.diag(v), b))
+        ev_d = eigvalsh(ops.assemble(dir_ + np.diag(v), b))
+        ev_n = eigvalsh(ops.assemble(neu + np.diag(v), b))
+        grid = np.linspace(ev_minus.min() - 0.5, ev_plus.max() + 0.5, 32)
         for e in grid:
             c = {k: int(np.searchsorted(ev, e, side="right"))
                  for k, ev in (("+", ev_plus), ("-", ev_minus), ("D", ev_d), ("N", ev_n))}
@@ -194,17 +190,17 @@ def suite_bracketing_sandwich(seed: int, trials: int = 6, n_grid: int = 32) -> S
                        "counting chains hold" if ok else "counting chain violated", seed)
 
 
-def suite_const_b_map(seed: int, trials: int = 6) -> SuiteResult:
+def suite_const_b_map(seed: int) -> SuiteResult:
     """spec([[H, beta], [beta, -H]]) equals the mapped multiset
     {±sqrt(E^2+beta^2)}."""
     rng = _rng(seed, 7)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(6):
         n = int(rng.integers(2, 25))
         beta = rng.uniform(0.2, 2.0)
         h = _random_symmetric(rng, n)
-        direct = _spec(ops.assemble(h, beta * np.eye(n)))
-        mapped = const_b_map(_spec(h), beta)
+        direct = eigvalsh(ops.assemble(h, beta * np.eye(n)))
+        mapped = const_b_map(eigvalsh(h), beta)
         scale = max(1.0, np.abs(direct).max())
         worst = max(worst, np.abs(direct - mapped).max() / scale)
     passed = worst <= 1e-8

@@ -131,6 +131,20 @@ class TestConfigErrors:
                  "potential": {"period": [2], "values": [0, 0.5]}}),
         ("ids", {"cube": {"dim": [1], "side": 7}}),
         ("ids", {"cube": {"dim": 1, "side": 7, "centered": "false"}}),
+        ("ids", {"cube": {"dim": 1, "side": 11.9}, "realizations": 3.7}),
+        ("ids", {"cube": {"dim": True, "side": 7}}),
+        ("ids", {"realizations": True}),
+        ("ids", {"realizations": "3"}),
+        ("ids", {"seed": 11.0}),
+        ("ids", {"seed": -1}),
+        ("ids", {"seed": 2**64}),
+        ("ids", {"laplacian_sign": True}),
+        ("ids", {"grid": {"points": 64.5}}),
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": 50.5}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": True}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": -1, "hi": 1, "points": 10.5}}}),
         ("wegner", {}),
         ("lifshits", {}),
         ("dostransform", {}),
@@ -140,7 +154,12 @@ class TestConfigErrors:
             "grid-bounds-not-numbers", "grid-points-not-a-number",
             "seed-not-an-integer", "period-more-axes-than-cube",
             "period-fewer-axes-than-cube", "cube-dim-not-an-integer",
-            "centered-not-a-boolean", "wegner-section-missing",
+            "centered-not-a-boolean", "side-and-realizations-fractional",
+            "cube-dim-boolean", "realizations-boolean", "realizations-string",
+            "seed-fractional", "seed-negative", "seed-above-64-bits",
+            "laplacian-sign-boolean", "grid-points-fractional", "min-count-fractional",
+            "lifshits-realizations-boolean", "energies-points-fractional",
+            "wegner-section-missing",
             "lifshits-section-missing", "dos-transform-section-missing"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
@@ -149,6 +168,14 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path, base_doc())
+        assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:") and "threads" in err
 
     def test_wegner_min_count_refused_before_run(self, tmp_path, capsys, monkeypatch):
         def never(config):
@@ -165,6 +192,7 @@ class TestConfigErrors:
         # 3-d side 40: half-bandwidth 3200 on a 128000-dimensional block, ~3.3 GB
         # of band storage per copy; two workers hold several copies
         monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: 8 * 2**30)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}))
         t0 = time.monotonic()
         assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "2"]) == 2

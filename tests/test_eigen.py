@@ -15,7 +15,6 @@ from randblock.cli import main
 from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import (
     EigenError,
-    Spectrum,
     SymmetricBand,
     backend_name,
     eigvalsh,
@@ -28,48 +27,39 @@ from randblock.spectra import ExperimentConfig, run_ensemble
 
 
 class TestEigvalsh:
+    band = SymmetricBand(np.array([[3.0, -1.0, 2.0], [0.5, 0.5, 0.0]]))
+
     def test_swap_matrix(self):
-        s = eigvalsh([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(s.eigenvalues, [-1, 1], atol=1e-14)
+        assert np.allclose(eigvalsh([[0.0, 1.0], [1.0, 0.0]]), [-1, 1], atol=1e-14)
 
     def test_diag(self):
-        s = eigvalsh(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(s.eigenvalues, [-1, 2, 3], atol=1e-14)
+        assert np.allclose(eigvalsh(np.diag([3.0, -1.0, 2.0])), [-1, 2, 3], atol=1e-14)
 
     def test_path_graph_closed_form(self):
         # adjacency of the n-path has eigenvalues 2 cos(k pi / (n+1))
         n = 12
         a = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         expected = np.sort(2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-        assert np.allclose(eigvalsh(a).eigenvalues, expected, atol=1e-12)
+        assert np.allclose(eigvalsh(a), expected, atol=1e-12)
 
     def test_3_4_5_block(self):
         m = assemble(np.array([[3.0]]), np.array([[4.0]]))
-        assert np.allclose(eigvalsh(m).eigenvalues, [-5, 5], atol=1e-13)
-
-    def test_vectors_residual(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((40, 40))
-        m = m + m.T
-        s = eigvalsh(m, want_vectors=True)
-        assert s.report.max_residual < 1e-12
-        assert s.report.orthogonality_defect < 1e-12
+        assert np.allclose(eigvalsh(m), [-5, 5], atol=1e-13)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(1)
         for n in (3, 17, 60):
             m = rng.standard_normal((n, n))
             m = m + m.T
-            s = eigvalsh(m)
             scale = np.abs(m).max()
-            assert abs(s.eigenvalues.sum() - np.trace(m)) < 1e-9 * n * scale
+            assert abs(eigvalsh(m).sum() - np.trace(m)) < 1e-9 * n * scale
 
     def test_matches_reference_solver(self):
         rng = np.random.default_rng(2)
         for n in (1, 2, 5, 33, 101):
             m = rng.standard_normal((n, n))
             m = m + m.T
-            got = eigvalsh(m).eigenvalues
+            got = eigvalsh(m)
             d, e, _ = _pykernels.tridiagonalize(m, False)
             w, _, ok = _pykernels.tql(d, e, None)
             assert ok
@@ -85,6 +75,21 @@ class TestEigvalsh:
             eigvalsh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             eigvalsh(SymmetricBand(np.array([[1.0, np.inf], [0.0, 0.0]])))
+
+    def test_returns_ascending_array_on_both_paths(self):
+        for m in (self.band.to_dense(), self.band):
+            w = eigvalsh(m)
+            assert type(w) is np.ndarray and w.shape == (3,) and w.dtype == np.float64
+            assert np.all(np.diff(w) >= 0)
+        assert np.allclose(eigvalsh(self.band), eigvalsh(self.band.to_dense()), atol=1e-14)
+
+    @pytest.mark.parametrize("module, name, banded", [
+        (np.linalg, "eigvalsh", False), (scipy.linalg, "eigvals_banded", True)])
+    def test_unsorted_lapack_result_raises(self, monkeypatch, module, name, banded):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: real(*args, **kwargs)[::-1])
+        with pytest.raises(EigenError, match="ascending"):
+            eigvalsh(self.band if banded else self.band.to_dense())
 
 
 class TestLapackFailure:
@@ -156,7 +161,7 @@ class TestSturm:
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
         m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        ev = eigvalsh(m).eigenvalues
+        ev = eigvalsh(m)
         for x in rng.uniform(ev[0] - 0.5, ev[-1] + 0.5, 20):
             assert _pykernels.sturm_count(d, e, x) == int(np.sum(ev < x))
 
@@ -172,7 +177,7 @@ class TestSturm:
         e = -np.ones(n - 1)
         m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         assert min_eig_tridiag(d[None], e, 1e-10) == pytest.approx(
-            [eigvalsh(m).eigenvalues[0]], abs=1e-9)
+            [eigvalsh(m)[0]], abs=1e-9)
 
 
 def _scalar_min_eig(d, e, tol, visited):
@@ -232,14 +237,9 @@ class TestCounting:
         a = a + a.T
         bump = rng.standard_normal((n, 3))
         b = a + bump @ bump.T
-        ea, eb = eigvalsh(a).eigenvalues, eigvalsh(b).eigenvalues
+        ea, eb = eigvalsh(a), eigvalsh(b)
         x = np.linspace(-8, 8, 33)
         assert np.all(np.searchsorted(ea, x, side="right") >= np.searchsorted(eb, x, side="right"))
-
-
-def test_spectrum_rejects_unsorted():
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 0.0]), 2)
 
 
 def test_backend_name_valid():
@@ -253,7 +253,7 @@ def test_python_kernels_agree_with_active_backend():
     d, e, q = _pykernels.tridiagonalize(m.copy(), True)
     w, _, ok = _pykernels.tql(d, e, q)
     assert ok
-    assert np.allclose(np.sort(w), eigvalsh(m).eigenvalues, atol=1e-11)
+    assert np.allclose(np.sort(w), eigvalsh(m), atol=1e-11)
 
 
 def _run_child(code, **env_vars):
@@ -267,27 +267,20 @@ def _run_child(code, **env_vars):
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_forced_python_backend_subprocess():
-    # A stale RANDBLOCK_FORCE_PY in the environment must not change the solver.
-    _run_child(
-        "import randblock.eigen as e; import numpy as np;"
-        "m = np.array([[0.,1.],[1.,0.]]);"
-        "assert e.backend_name() == 'lapack';"
-        "assert np.allclose(e.eigvalsh(m).eigenvalues, [-1, 1])",
-        RANDBLOCK_FORCE_PY="1")
-
-
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg is most of the CLI's start-up and only band solves need it.
     # A patch of scipy.linalg.eigvals_banded, as TestLapackFailure makes, must
-    # still reach the band solve.
+    # still reach the band solve.  A stale RANDBLOCK_FORCE_PY in the
+    # environment must not change the solver.
     _run_child(textwrap.dedent("""
         import sys
         import numpy as np
         import randblock.cli
         assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by import randblock.cli"
+        from randblock.eigen import EigenError, SymmetricBand, backend_name, eigvalsh
+        assert backend_name() == "lapack"
+        assert np.allclose(eigvalsh(np.array([[0., 1.], [1., 0.]])), [-1, 1])
         import scipy.linalg
-        from randblock.eigen import EigenError, SymmetricBand, eigvalsh
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
         scipy.linalg.eigvals_banded = fail
@@ -297,4 +290,4 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
             pass
         else:
             raise AssertionError("the patched banded solver was not called")
-    """))
+    """), RANDBLOCK_FORCE_PY="1")

@@ -23,20 +23,16 @@ from randblock.operators import (
 )
 
 
-def spec(m):
-    return eigvalsh(m).eigenvalues
-
-
 class TestLaplacian:
     def test_adjacency_1d(self):
         lap = laplacian(Cube(1, 3), BoundaryMode.ADJACENCY, 1)
         assert np.array_equal(lap, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        assert np.allclose(spec(lap), [-np.sqrt(2), 0, np.sqrt(2)])
+        assert np.allclose(eigvalsh(lap), [-np.sqrt(2), 0, np.sqrt(2)])
 
     def test_neumann_1d(self):
         neg = laplacian(Cube(1, 3), BoundaryMode.NEUMANN, -1)
         assert np.array_equal(neg, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
-        assert abs(spec(neg)[0]) < 1e-12
+        assert abs(eigvalsh(neg)[0]) < 1e-12
 
     def test_dirichlet_minus_neumann_is_2gamma(self):
         c = Cube(1, 3)
@@ -125,19 +121,19 @@ def test_parity_values_centred():
 class TestAssemble:
     def test_3_4_5(self):
         m = assemble(np.array([[3.0]]), np.array([[4.0]]))
-        assert np.allclose(spec(m), [-5, 5])
+        assert np.allclose(eigvalsh(m), [-5, 5])
 
     def test_b_zero_decouples(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((5, 5))
         h = h + h.T
-        ev = spec(assemble(h, np.zeros((5, 5))))
-        hh = spec(h)
+        ev = eigvalsh(assemble(h, np.zeros((5, 5))))
+        hh = eigvalsh(h)
         assert np.allclose(ev, np.sort(np.concatenate([hh, -hh])), atol=1e-10)
 
     def test_h_zero_diag_b(self):
         b = np.diag([1.0, -2.0, 3.0])
-        ev = spec(assemble(np.zeros((3, 3)), b))
+        ev = eigvalsh(assemble(np.zeros((3, 3)), b))
         assert np.allclose(ev, [-3, -2, -1, 1, 2, 3], atol=1e-12)
 
     def test_dim_mismatch(self):
@@ -165,9 +161,9 @@ class TestAssembleBracketing:
         hd = laplacian(cube, BoundaryMode.DIRICHLET, -1) + np.diag(v)
         hn = laplacian(cube, BoundaryMode.NEUMANN, -1) + np.diag(v)
         b = np.diag(rng.uniform(-1, 1, 8))
-        ev_plus = spec(assemble_bracketing(hd, hn, b))
-        ev_minus = spec(assemble_bracketing(hn, hd, b))
-        for ev_mid in (spec(assemble(hd, b)), spec(assemble(hn, b))):
+        ev_plus = eigvalsh(assemble_bracketing(hd, hn, b))
+        ev_minus = eigvalsh(assemble_bracketing(hn, hd, b))
+        for ev_mid in (eigvalsh(assemble(hd, b)), eigvalsh(assemble(hn, b))):
             assert np.all(ev_minus <= ev_mid + 1e-10)
             assert np.all(ev_mid <= ev_plus + 1e-10)
 
@@ -184,12 +180,12 @@ class TestTransforms:
     def test_u1_swaps_blocks(self):
         swapped = transform_u1(self.m)
         assert np.allclose(swapped, assemble(self.b, self.h), atol=1e-12)
-        assert np.allclose(spec(swapped), spec(self.m), atol=1e-10)
+        assert np.allclose(eigvalsh(swapped), eigvalsh(self.m), atol=1e-10)
 
     def test_u2_negates(self):
         assert np.allclose(transform_u2(self.m), -self.m, atol=1e-12)
-        ev = spec(self.m)
-        assert np.allclose(spec(transform_u2(self.m)), -ev[::-1], atol=1e-10)
+        ev = eigvalsh(self.m)
+        assert np.allclose(eigvalsh(transform_u2(self.m)), -ev[::-1], atol=1e-10)
 
     def test_u3_block_diagonalizes_square(self):
         out = transform_u3_square(self.m)
@@ -208,8 +204,8 @@ class TestTransforms:
         m = assemble(delta, np.eye(3))
         conj, h_plus, h_minus = transform_parity(m, cube)
         expected = np.sort([-np.sqrt(3), -np.sqrt(3), -1, 1, np.sqrt(3), np.sqrt(3)])
-        assert np.allclose(spec(m), expected, atol=1e-10)
-        union = np.sort(np.concatenate([spec(h_plus), spec(h_minus)]))
+        assert np.allclose(eigvalsh(m), expected, atol=1e-10)
+        union = np.sort(np.concatenate([eigvalsh(h_plus), eigvalsh(h_minus)]))
         assert np.allclose(union, expected, atol=1e-10)
         # conjugated matrix is block diagonal with those blocks
         assert np.abs(conj[:3, 3:]).max() < 1e-12
@@ -238,7 +234,7 @@ class TestSquareIdentity:
         h = h + h.T
         b = rng.standard_normal((8, 8))
         b = b + b.T
-        scale = (np.abs(spec(h)).max() + np.abs(spec(b)).max()) ** 2
+        scale = (np.abs(eigvalsh(h)).max() + np.abs(eigvalsh(b)).max()) ** 2
         assert square_identity_residual(h, b) <= 1e-12 * scale
 
     def test_b_zero(self):
