@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from .analysis import (
     wegner_bound,
     wegner_check,
 )
-from .config import ConfigError, config_echo, load_config, parse_density, read_int
+from .config import ConfigError, config_echo, load_config, parse_density, read_float, read_int
 from .disorder import DensitySpec, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError
@@ -43,19 +44,21 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _write_csv(path: Path, header_comment: list[str], columns: list[str],
-               rows) -> None:
+def _write_csv(path: Path, header_comment: list[str], names: list[str],
+               *columns) -> None:
+    """One CSV row per index of the equal-length ``columns``: integer
+    columns as ``str(int)``, the rest as ``repr(float)``."""
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype.kind in "iu":
+            cells.append(map(str, column.tolist()))
+        else:
+            cells.append(map(repr, column.astype(np.float64).tolist()))
     lines = [f"# {c}" for c in header_comment]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 def _sha256(path: Path) -> str:
@@ -137,7 +140,7 @@ def cmd_ids(args) -> int:
     _write_csv(path,
                ["E: energy; N_mean: mean normalized counting function [0,1]; N_stderr: standard error over realizations"],
                ["E", "N_mean", "N_stderr"],
-               zip(result.grid, result.ids_mean, result.ids_stderr))
+               result.grid, result.ids_mean, result.ids_stderr)
     _write_manifest(out_dir, "ids", config, t0, [path], result)
     return EXIT_OK
 
@@ -148,8 +151,8 @@ def cmd_dos(args) -> int:
     _write_csv(path,
                ["bin_center: energy; density: normalized DOS (integrates to 1); stderr: binomial standard error; count: raw eigenvalue count"],
                ["bin_center", "density", "stderr", "count"],
-               zip(result.dos_centers, result.dos_density, result.dos_stderr,
-                   result.dos_counts))
+               result.dos_centers, result.dos_density, result.dos_stderr,
+               result.dos_counts)
     _write_manifest(out_dir, "dos", config, t0, [path], result)
     return EXIT_OK
 
@@ -162,7 +165,7 @@ def cmd_gap(args) -> int:
                [f"min over realizations of min|eigenvalue|: {float(per_real.min())!r}",
                 "realization: index; min_abs_eig: smallest |eigenvalue| (energy)"],
                ["realization", "min_abs_eig"],
-               zip(result.realization_ids, per_real))
+               result.realization_ids, per_real)
     _write_manifest(out_dir, "gap", config, t0, [path], result)
     return EXIT_OK
 
@@ -171,7 +174,8 @@ def cmd_wegner(args) -> int:
     config, extras, _ = load_config(args.config, args.seed, args.threads)
     rec = _section(extras, "wegner")
     try:
-        bound = WegnerBound(str(rec["mode"]), float(rec["lower_constant"]),
+        bound = WegnerBound(str(rec["mode"]),
+                            read_float(rec["lower_constant"], "wegner.lower_constant"),
                             _bv_for_mode(config, rec["mode"]))
         certify_wegner_hypothesis(config, bound)
         min_count = read_int(rec.get("min_count", 100), "wegner.min_count")
@@ -226,13 +230,13 @@ def cmd_lifshits(args) -> int:
         raise ConfigError("lifshits: V must have a density")
     try:
         run = LifshitsRun(
-            epsilons=tuple(rec["epsilons"]),
+            epsilons=tuple(read_float(eps, "epsilons") for eps in rec["epsilons"]),
             mu_v=config.disorder.mu_v,
-            lam=float(rec["lam"]),
+            lam=read_float(rec["lam"], "lam"),
             base_seed=config.base_seed,
             realizations=read_int(rec.get("realizations", 2000), "realizations"),
-            c=float(rec.get("c", 4.0)),
-            alpha=float(rec.get("alpha", config.cube.dim / 2.0)),
+            c=read_float(rec.get("c", 4.0), "c"),
+            alpha=read_float(rec.get("alpha", config.cube.dim / 2.0), "alpha"),
             dim=config.cube.dim,
         )
     except (TypeError, ValueError) as exc:
@@ -252,9 +256,8 @@ def cmd_lifshits(args) -> int:
                 "p_hat: estimated P[min spec <= lam+eps]; stderr: binomial; "
                 "ln_eps, lnln: double-log fit coordinates (nan where p_hat in {0,1})"],
                ["epsilon", "L_eps", "R", "p_hat", "stderr", "ln_eps", "lnln"],
-               zip(table.epsilons, table.sides,
-                   [table.realizations] * len(table.epsilons),
-                   table.p_hat, table.stderr, ln_eps, lnln))
+               table.epsilons, table.sides, [table.realizations] * len(table.epsilons),
+               table.p_hat, table.stderr, ln_eps, lnln)
     files = [path]
     try:
         fit = lifshits_exponent_fit(table.epsilons, table.p_hat)
@@ -282,11 +285,12 @@ def cmd_dostransform(args) -> int:
     lo, hi = support_bounds(source)
     amax = max(abs(lo), abs(hi))
     try:
-        beta = float(rec["beta"])
+        beta = read_float(rec["beta"], "beta")
         transform = DosTransform(source, beta)
         if "energies" in rec:
             erec = rec["energies"]
-            energies = np.linspace(float(erec["lo"]), float(erec["hi"]),
+            energies = np.linspace(read_float(erec["lo"], "energies.lo"),
+                                   read_float(erec["hi"], "energies.hi"),
                                    read_int(erec.get("points", 512), "energies.points"))
         else:
             top = math.sqrt(amax**2 + beta**2) + 0.5
@@ -308,12 +312,15 @@ def cmd_dostransform(args) -> int:
                 "E: energy; D_H: source density of H; D_block: transformed block DOS "
                 "(band-edge singularity clipped to last finite value)"],
                ["E", "D_H", "D_block"],
-               zip(energies, d_h, d_block))
+               energies, d_h, d_block)
     _write_manifest(out_dir, "dostransform", config, t0, [path])
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call can share it."""
     # SUPPRESS keeps subcommand-level flags from clobbering ones given
     # before the subcommand; real defaults are set on the main parser
     common = argparse.ArgumentParser(add_help=False)

@@ -8,6 +8,7 @@ the physics otherwise.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +43,17 @@ def read_int(value, where: str) -> int:
     return value
 
 
-def _optional_number(value, where: str) -> float | None:
-    """A JSON number as float; null stays None.  Strings are refused."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+def read_float(value, where: str) -> float:
+    """A finite JSON number as float.  Booleans, strings, NaN and infinities
+    are refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _optional_float(value, where: str) -> float | None:
+    """`read_float`, except that null stays None."""
+    return None if value is None else read_float(value, where)
 
 
 def parse_density(record: dict, where: str) -> Density:
@@ -58,14 +63,16 @@ def parse_density(record: dict, where: str) -> Density:
     try:
         if kind == "uniform":
             _check_keys(record, {"type", "lo", "hi"}, {"type", "lo", "hi"}, where)
-            return DensitySpec.uniform(float(record["lo"]), float(record["hi"]))
+            return DensitySpec.uniform(read_float(record["lo"], f"{where}.lo"),
+                                       read_float(record["hi"], f"{where}.hi"))
         if kind == "piecewise":
             _check_keys(record, {"type", "breakpoints", "heights"},
                         {"type", "breakpoints", "heights"}, where)
-            return DensitySpec(tuple(record["breakpoints"]), tuple(record["heights"]))
+            return DensitySpec(*(tuple(read_float(x, f"{where}.{key}") for x in record[key])
+                                 for key in ("breakpoints", "heights")))
         if kind == "constant":
             _check_keys(record, {"type", "value"}, {"type", "value"}, where)
-            return ConstantValue(float(record["value"]))
+            return ConstantValue(read_float(record["value"], f"{where}.value"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -134,7 +141,7 @@ def parse_config(doc: dict, seed_override: int | None = None,
     if "grid" in doc:
         grid_rec = doc["grid"]
         _check_keys(grid_rec, {"lo", "hi", "points"}, set(), "grid")
-        grid_lo, grid_hi = (_optional_number(grid_rec.get(k), f"grid.{k}") for k in ("lo", "hi"))
+        grid_lo, grid_hi = (_optional_float(grid_rec.get(k), f"grid.{k}") for k in ("lo", "hi"))
         grid_points = read_int(grid_rec.get("points", 512), "grid.points")
 
     seed = read_int(doc["seed"] if seed_override is None else seed_override, "seed")
@@ -150,7 +157,7 @@ def parse_config(doc: dict, seed_override: int | None = None,
             grid_lo=grid_lo,
             grid_hi=grid_hi,
             grid_points=grid_points,
-            bin_width=None if doc.get("bin_width") is None else float(doc["bin_width"]),
+            bin_width=_optional_float(doc.get("bin_width"), "bin_width"),
             threads=threads,
         )
     except (TypeError, ValueError) as exc:

@@ -1,9 +1,10 @@
 """Driver layer over the eigensolver kernels.
 
 Provides full spectra (`eigvalsh`: LAPACK ``dsyevd`` through NumPy for dense
-matrices, ``dsbevd`` through SciPy for band matrices) and the tridiagonal
-Sturm-bisection ground-state probe (`min_eig_tridiag`, batched over stacked
-diagonals).
+matrices, ``dsbevd`` through SciPy for band matrices), the tridiagonal
+definiteness test (`any_eigenvalue_below`, one Sturm pass batched over stacked
+diagonals) and the Sturm-bisection ground state built on it
+(`min_eig_tridiag`).
 """
 
 from __future__ import annotations
@@ -108,17 +109,30 @@ def min_eig_tridiag(d, e, tol: float) -> np.ndarray:
     active = np.flatnonzero(hi - lo > tol)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        below = _any_eigenvalue_below(d[active], e, mid)
+        below = any_eigenvalue_below(d[active], e, mid)
         hi[active[below]] = mid[below]
         lo[active[~below]] = mid[~below]
         active = active[hi[active] - lo[active] > tol]
     return 0.5 * (lo + hi)
 
 
-def _any_eigenvalue_below(d, e, x):
-    """Per row r: whether the tridiagonal (d[r], e) has an eigenvalue below
-    x[r], i.e. a negative pivot in the Sturm recurrence.  A zero pivot is
-    perturbed exactly as in `_pykernels.sturm_count`."""
+def any_eigenvalue_below(d, e, x) -> np.ndarray:
+    """Per row r: whether the tridiagonal symmetric matrix (d[r], e) has an
+    eigenvalue below ``x`` (a scalar, or one value per row).
+
+    By Sylvester's law of inertia this holds exactly when T_r - x·I has a
+    negative eigenvalue, i.e. when one of its LDLᵀ pivots (the Sturm
+    recurrence) is negative: one pass per row, vectorized over the rows.
+    ``d[R, n]`` holds the stacked diagonals, which share the off-diagonal
+    ``e[n-1]``.
+    """
+    d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
+    if d.ndim != 2 or d.shape[1] == 0 or e.shape != (d.shape[1] - 1,):
+        raise ValueError("expected stacked diagonals d[R, n] and one off-diagonal e[n-1]")
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape not in ((), (d.shape[0],)):
+        raise ValueError(f"x must be a scalar or hold one value per row, got shape {x.shape}")
+    # a zero pivot is perturbed exactly as in `_pykernels.sturm_count`
     q = d[:, 0] - x
     below = q < 0.0
     for i in range(1, d.shape[1]):

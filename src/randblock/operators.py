@@ -91,7 +91,12 @@ def assemble_bracketing(h_top: np.ndarray, h_bot: np.ndarray, b: np.ndarray) -> 
     if (not (h_top.shape == h_bot.shape == b.shape) or h_top.ndim != 2
             or h_top.shape[0] != h_top.shape[1]):
         raise ValueError("blocks must be square matrices of equal dimension")
-    return np.block([[h_top, b], [b, -h_bot]])
+    n = h_top.shape[0]
+    m = np.empty((2 * n, 2 * n))
+    m[:n, :n] = h_top
+    m[:n, n:] = m[n:, :n] = b
+    np.negative(h_bot, out=m[n:, n:])
+    return m
 
 
 def assemble(h: np.ndarray, b: np.ndarray) -> np.ndarray:

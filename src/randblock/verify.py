@@ -181,11 +181,10 @@ def suite_bracketing_sandwich(seed: int) -> SuiteResult:
         ev_d = eigvalsh(ops.assemble(dir_ + np.diag(v), b))
         ev_n = eigvalsh(ops.assemble(neu + np.diag(v), b))
         grid = np.linspace(ev_minus.min() - 0.5, ev_plus.max() + 0.5, 32)
-        for e in grid:
-            c = {k: int(np.searchsorted(ev, e, side="right"))
-                 for k, ev in (("+", ev_plus), ("-", ev_minus), ("D", ev_d), ("N", ev_n))}
-            if not (c["+"] <= c["D"] <= c["-"] and c["+"] <= c["N"] <= c["-"]):
-                ok = False
+        c_plus, c_minus, c_d, c_n = (np.searchsorted(ev, grid, side="right")
+                                     for ev in (ev_plus, ev_minus, ev_d, ev_n))
+        if not np.all((c_plus <= c_d) & (c_d <= c_minus) & (c_plus <= c_n) & (c_n <= c_minus)):
+            ok = False
     return SuiteResult("bracketing-sandwich", ok,
                        "counting chains hold" if ok else "counting chain violated", seed)
 

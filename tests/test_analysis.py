@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from randblock.analysis import (
     wegner_bound,
     wegner_check,
 )
+from randblock.config import load_config
 from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
 from randblock.eigen import eigvalsh, min_eig_tridiag
 from randblock.lattice import Cube, PeriodicPotential
@@ -210,6 +212,14 @@ class TestBvInequality:
         assert rhs3 == pytest.approx(3 * rhs1, rel=1e-12)
 
 
+def _example_run() -> LifshitsRun:
+    """The tail probe of ``configs/example.json``, as the CLI builds it."""
+    config, extras, _ = load_config(Path(__file__).parents[1] / "configs" / "example.json")
+    rec = extras["lifshits"]
+    return LifshitsRun(tuple(rec["epsilons"]), config.disorder.mu_v, rec["lam"],
+                       config.base_seed, realizations=rec["realizations"])
+
+
 class TestLifshits:
     def test_side_for(self):
         run = LifshitsRun((0.25,), DensitySpec.uniform(1, 2), 1.0, 0)
@@ -265,6 +275,28 @@ class TestLifshits:
             ground = min_eig_tridiag(lap[0] + ref, lap[1, :-1], 1e-8)
             p_ref.append(np.count_nonzero(ground <= lam + eps) / run.realizations)
         assert np.array_equal(table.p_hat, p_ref)
+
+    @pytest.mark.parametrize("make_run", [
+        _example_run,
+        lambda: LifshitsRun((0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05),
+                            DensitySpec.uniform(0.5, 1.5), 0.5, 20260823, realizations=2000),
+    ], ids=["example-config", "c11"])
+    def test_probe_equals_bisection_reference(self, make_run):
+        # one Sturm pass at lam + eps decides what bisecting the ground state
+        # to 1e-8 and comparing it with lam + eps decided
+        run = make_run()
+        policy = SeedPolicy(run.base_seed)
+        p_ref = []
+        for k, eps in enumerate(run.epsilons):
+            side = run.side_for(eps)
+            v = sample_iid(run.mu_v, side, policy.streams(
+                range(k * run.realizations, (k + 1) * run.realizations), "V"))
+            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
+            ground = min_eig_tridiag(lap[0] + v, lap[1, :-1], 1e-8)
+            p_ref.append(np.count_nonzero(ground <= run.lam + eps) / run.realizations)
+        p_hat = lifshits_probe(run).p_hat
+        assert np.array_equal(p_hat, p_ref)
+        assert np.any((p_hat > 0) & (p_hat < 1))
 
     def test_synthetic_exponent_exact(self):
         eps = np.array([0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05])

@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import time
 
 import numpy as np
 import pytest
 
+import randblock.analysis
 import randblock.cli
 import randblock.lattice
 import randblock.operators
-from randblock.cli import main
+from randblock.cli import build_parser, main
 from randblock.config import (
     ConfigError,
     config_echo,
@@ -19,13 +21,16 @@ from randblock.config import (
 from randblock.disorder import ConstantValue, DensitySpec
 
 
+_V = {"type": "uniform", "lo": 1, "hi": 2}
+_B = {"type": "uniform", "lo": -0.5, "hi": 0.5}
+
+
 def base_doc(**overrides):
     doc = {
         "schema_version": 1,
         "cube": {"dim": 1, "side": 7},
         "boundary": "N",
-        "disorder": {"V": {"type": "uniform", "lo": 1, "hi": 2},
-                     "b": {"type": "uniform", "lo": -0.5, "hi": 0.5}},
+        "disorder": {"V": _V, "b": _B},
         "realizations": 3,
         "seed": 11,
     }
@@ -148,6 +153,28 @@ class TestConfigErrors:
         ("wegner", {}),
         ("lifshits", {}),
         ("dostransform", {}),
+        ("ids", {"disorder": {"V": {"type": "uniform", "lo": "1", "hi": 2}, "b": _B}}),
+        ("ids", {"disorder": {"V": {"type": "uniform", "lo": 1, "hi": "2"}, "b": _B}}),
+        ("ids", {"disorder": {"V": _V, "b": {"type": "constant", "value": True}}}),
+        ("ids", {"disorder": {"V": {"type": "piecewise", "breakpoints": ["1", 1.5, 2],
+                                    "heights": [1, 1]}, "b": _B}}),
+        ("ids", {"grid": {"lo": -math.inf, "hi": 1}}),
+        ("dos", {"bin_width": True}),
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": "1"}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": True}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": math.nan}}),
+        ("lifshits", {"lifshits": {"epsilons": ["0.2"], "lam": 1.0}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": "4"}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": math.inf}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": True}}),
+        ("dostransform", {"dos_transform": {
+            "beta": "1", "source": {"type": "uniform", "lo": -2, "hi": 2}}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": "-1", "hi": 1}}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": -1, "hi": math.inf}}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -160,7 +187,12 @@ class TestConfigErrors:
             "laplacian-sign-boolean", "grid-points-fractional", "min-count-fractional",
             "lifshits-realizations-boolean", "energies-points-fractional",
             "wegner-section-missing",
-            "lifshits-section-missing", "dos-transform-section-missing"])
+            "lifshits-section-missing", "dos-transform-section-missing",
+            "density-lo-string", "density-hi-string", "density-value-boolean",
+            "breakpoint-string", "grid-lo-infinite", "bin-width-boolean",
+            "lower-constant-string", "lam-boolean", "lam-nan", "epsilons-string",
+            "c-string", "c-infinite", "alpha-boolean", "beta-string",
+            "energies-lo-string", "energies-hi-infinite"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
@@ -202,9 +234,56 @@ class TestConfigErrors:
         assert err.startswith("config error:")
         assert "half-bandwidth 3200" in err and "8.59 GB of memory available" in err
 
+    def test_lifshits_memory_guard_before_draw(self, tmp_path, capsys, monkeypatch):
+        # 100000 realizations of side 9 need tens of MB; the limit is 1 MiB
+        def never(*args):
+            raise AssertionError("the tail probe drew before its memory was checked")
+        monkeypatch.setattr(randblock.analysis, "sample_iid", never)
+        monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: 2**20)
+        doc = base_doc(lifshits={"epsilons": [0.4, 0.2], "lam": 1.0,
+                                 "realizations": 100_000})
+        path = write_config(tmp_path, doc)
+        assert main(["lifshits", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: the tail probe")
+        assert "0.0576 GB" in err and "0.00105 GB of memory available" in err
+
     def test_lifshits_needs_section(self, tmp_path, capsys):
         path = write_config(tmp_path, base_doc())
         assert main(["lifshits", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_independent(self, tmp_path, capsys):
+        # flags given to one call must not carry into the next through the
+        # shared parser
+        assert main(["verify", "--seed", "3", "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS]" in out and "(replay seed 0)" in out and "replay seed 3" not in out
+        path = write_config(tmp_path, base_doc())
+        for out_dir, extra, seed in (("a", ["--seed", "99"], 99), ("b", [], 11)):
+            assert main(["ids", "--config", path, "--out", str(tmp_path / out_dir)] + extra) == 0
+            manifest = json.loads((tmp_path / out_dir / "ids_manifest.json").read_text())
+            assert manifest["base_seed"] == seed
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    # reference: each value formatted on its own, int-like as str(int), the
+    # rest as repr(float)
+    def fmt(x):
+        return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+    columns = [np.array([0.1, -0.0, 1e-300, np.nan, -np.inf]),
+               np.arange(5) * 2**40, [7] * 5, np.array([1, 2, 3, 4, 5], dtype=np.int32),
+               np.array([1, 0, 2, 3, 4], dtype=float)]
+    randblock.cli._write_csv(tmp_path / "t.csv", ["note"], list("abcde"), *columns)
+    rows = [",".join(fmt(x) for x in row) for row in zip(*columns)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "a,b,c,d,e"] + rows) + "\n"
 
 
 class TestEnsembleCommands:

@@ -16,6 +16,7 @@ from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import (
     EigenError,
     SymmetricBand,
+    any_eigenvalue_below,
     backend_name,
     eigvalsh,
     min_eig_tridiag,
@@ -225,6 +226,38 @@ class TestBatchedBisection:
             min_eig_tridiag(np.zeros((2, 3)), np.zeros(3), 1e-10)
         with pytest.raises(ValueError):
             min_eig_tridiag(np.array([2.0, -3.0, 5.0]), np.zeros(2), 1e-10)
+
+
+class TestAnyEigenvalueBelow:
+    def test_matches_sturm_count_oracle(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 30):
+            d = rng.uniform(-2, 2, (40, n))
+            e = rng.standard_normal(n - 1)
+            for x in rng.uniform(-4, 4, 5):
+                expected = [_pykernels.sturm_count(row, e, x) > 0 for row in d]
+                assert np.array_equal(any_eigenvalue_below(d, e, x), expected)
+            xs = rng.uniform(-4, 4, len(d))
+            expected = [_pykernels.sturm_count(row, e, x) > 0 for row, x in zip(d, xs)]
+            assert np.array_equal(any_eigenvalue_below(d, e, xs), expected)
+
+    def test_zero_first_pivot(self):
+        # at x = 2.0 the first pivot of (2, 2, 2) is exactly 0 and is perturbed
+        # as the oracle perturbs it; the smallest eigenvalue is 2 - 0.5·√2
+        d, e = np.array([[2.0, 2.0, 2.0]]), np.full(2, 0.5)
+        assert _pykernels.sturm_count(d[0], e, 2.0) == 1
+        assert np.array_equal(any_eigenvalue_below(d, e, 2.0), [True])
+        assert np.array_equal(any_eigenvalue_below(d, e, 2.0 - 0.5 * np.sqrt(2) - 1e-9), [False])
+
+    def test_bad_shapes(self):
+        d, e = np.zeros((4, 3)), np.zeros(2)
+        for bad_d, bad_e, x in ((np.zeros(3), e, 0.0),          # unstacked diagonal
+                                (d, np.zeros(3), 0.0),          # e too long
+                                (np.zeros((4, 0)), np.zeros(0), 0.0),   # empty rows
+                                (d, e, np.zeros(5)),            # one x too many
+                                (d, e, np.zeros((4, 1)))):      # x not flat
+            with pytest.raises(ValueError):
+                any_eigenvalue_below(bad_d, bad_e, x)
 
 
 class TestCounting:

@@ -153,6 +153,16 @@ class TestAssembleBracketing:
         m = assemble_bracketing(np.array([[3.0]]), np.array([[2.0]]), np.array([[1.0]]))
         assert np.array_equal(m, [[3.0, 1.0], [1.0, -2.0]])
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_np_block(self, n):
+        # bit for bit the np.block assembly, signed zeros of -H_bot included
+        rng = np.random.default_rng(n)
+        h_top, h_bot, b = (rng.standard_normal((n, n)) for _ in range(3))
+        h_bot[0, 0] = 0.0
+        b[-1, 0] = -0.0
+        reference = np.block([[h_top, b], [b, -h_bot]])
+        assert assemble_bracketing(h_top, h_bot, b).tobytes() == reference.tobytes()
+
     def test_interlacing_with_plain(self):
         # plus-variant eigenvalues dominate the others pointwise
         rng = np.random.default_rng(2)
