@@ -18,7 +18,7 @@ from .eigen import any_eigenvalue_below, eigvalsh
 from .eigen import min_eig_tridiag  # noqa: F401 -- a trace hook target; see ROADMAP "For the next change to the benchmark"
 from .lattice import Cube, check_memory
 from .operators import BoundaryMode, laplacian
-from .spectra import EnsembleResult
+from .spectra import EnsembleResult, certified_floor
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,19 @@ def const_b_dos(transform: DosTransform, energy: float) -> float:
         return math.inf if weight > 0 else 0.0
     x = math.sqrt(e * e - beta * beta)
     return e / x * (transform.source.pdf(x) + transform.source.pdf(-x))
+
+
+def const_b_dos_array(transform: DosTransform, energies) -> np.ndarray:
+    """`const_b_dos` at every energy of the array ``energies``, in one pass;
+    bit for bit the scalar's values, +inf at |E| == |beta| included."""
+    beta = abs(transform.beta)
+    e = np.abs(np.asarray(energies, dtype=np.float64))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = np.sqrt(e * e - beta * beta)          # nan inside the gap
+        dos = e / x * (transform.source.pdf_array(x) + transform.source.pdf_array(-x))
+    dos[e < beta] = 0.0
+    dos[e == beta] = math.inf if transform.source.pdf(0.0) > 0 else 0.0
+    return dos
 
 
 def dos_transform_measure_check(transform: DosTransform, a: float) -> tuple[float, float]:
@@ -116,11 +129,10 @@ def certify_wegner_hypothesis(config, bound: WegnerBound) -> None:
     if bound.mode == "H":
         if config.laplacian_sign != -1:
             raise ValueError("mode 'H' needs the positive semidefinite Laplacian convention")
-        u0_min = float(config.potential.on_cube(config.cube).min())
-        v_lo, _ = support_bounds(config.disorder.mu_v)
-        if u0_min + v_lo < bound.lower_constant:
+        floor = certified_floor(config)
+        if floor < bound.lower_constant:
             raise ValueError(
-                f"potential support floor {u0_min + v_lo} does not certify H >= {bound.lower_constant}")
+                f"potential support floor {floor} does not certify H >= {bound.lower_constant}")
     else:
         b_lo, _ = support_bounds(config.disorder.mu_b)
         if b_lo < bound.lower_constant:
@@ -232,6 +244,10 @@ class LifshitsRun:
             raise ValueError("epsilons must be positive")
         if self.realizations < 1:
             raise ValueError("need at least one realization per epsilon")
+        if not self.c > 0:
+            raise ValueError(f"c must be positive, got {self.c}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.dim != 1:
             raise ValueError("only the one-dimensional tridiagonal probe is implemented")
         v_lo, _ = support_bounds(self.mu_v)

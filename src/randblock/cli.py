@@ -24,7 +24,7 @@ from .analysis import (
     LifshitsRun,
     WegnerBound,
     certify_wegner_hypothesis,
-    const_b_dos,
+    const_b_dos_array,
     lifshits_exponent_fit,
     lifshits_probe,
     wegner_bound,
@@ -34,7 +34,6 @@ from .config import ConfigError, config_echo, load_config, parse_density, read_f
 from .disorder import DensitySpec, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError
-from .operators import block_half_bandwidth
 from .spectra import run_ensemble
 from .verify import run_all
 
@@ -77,15 +76,14 @@ def _blas_identity() -> dict | None:
 def _write_manifest(out_dir: Path, command: str, config, t0: float,
                     files: list[Path], result=None) -> None:
     """Write ``<command>_manifest.json``: the config echo, the time since
-    ``t0`` and the outputs' digests, plus the failures and half-bandwidth of
-    the ensemble ``result`` for commands that run one."""
-    half_bandwidth = None if result is None else block_half_bandwidth(config.cube)
+    ``t0`` and the outputs' digests, plus the failures, LAPACK driver and
+    half-bandwidth of the ensemble ``result`` for commands that run one."""
     manifest = {
         "tool_version": __version__,
         "backend": backend_name(),
         # LAPACK driver and half-bandwidth of the ensemble's band solves, if any
-        "driver": None if half_bandwidth is None else "dsbevd",
-        "half_bandwidth": half_bandwidth,
+        "driver": None if result is None else result.driver,
+        "half_bandwidth": None if result is None else result.half_bandwidth,
         # spectra depend in the last bits on the BLAS build and its threads
         "blas": _blas_identity(),
         "thread_env": {k: v for k, v in sorted(os.environ.items())
@@ -297,8 +295,8 @@ def cmd_dostransform(args) -> int:
             energies = np.linspace(-top, top, 512)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"dos_transform: {exc}") from exc
-    d_h = np.array([source.pdf(e) for e in energies])
-    d_block = np.array([const_b_dos(transform, e) for e in energies])
+    d_h = source.pdf_array(energies)
+    d_block = const_b_dos_array(transform, energies)
     # the band-edge singularity is clipped to the largest finite value for CSV
     finite = np.isfinite(d_block)
     if not finite.all():

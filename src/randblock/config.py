@@ -11,8 +11,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .disorder import ConstantValue, Density, DensitySpec, DisorderModel
 from .lattice import Cube, PeriodicPotential
 from .spectra import ExperimentConfig
@@ -49,6 +47,14 @@ def read_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _read_floats(value, where: str):
+    """`read_float` applied to every entry of a JSON array, nested to any
+    depth; a bare number is read as one entry."""
+    if isinstance(value, list):
+        return [_read_floats(x, where) for x in value]
+    return read_float(value, where)
 
 
 def _optional_float(value, where: str) -> float | None:
@@ -126,8 +132,11 @@ def parse_config(doc: dict, seed_override: int | None = None,
         pot_rec = doc["potential"]
         _check_keys(pot_rec, {"period", "values"}, {"period", "values"}, "potential")
         try:
-            potential = PeriodicPotential(tuple(pot_rec["period"]),
-                                          np.asarray(pot_rec["values"], dtype=float))
+            potential = PeriodicPotential(
+                tuple(read_int(p, "potential.period") for p in pot_rec["period"]),
+                _read_floats(pot_rec["values"], "potential.values"))
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"potential: {exc}") from exc
         if len(potential.period) != cube.dim:

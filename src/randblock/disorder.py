@@ -69,6 +69,15 @@ class DensitySpec:
                 return h
         return 0.0
 
+    def pdf_array(self, x) -> np.ndarray:
+        """`pdf` at every point of the array ``x``, in one pass: the
+        support is closed, and a breakpoint takes the height of the cell on
+        its left."""
+        x = np.asarray(x, dtype=np.float64)
+        bp = np.asarray(self.breakpoints)
+        cell = np.clip(np.searchsorted(bp, x, side="left") - 1, 0, len(self.heights) - 1)
+        return np.where((x >= bp[0]) & (x <= bp[-1]), np.asarray(self.heights)[cell], 0.0)
+
     def cdf(self, x: float) -> float:
         acc = 0.0
         for h, b1, b2 in zip(self.heights, self.breakpoints, self.breakpoints[1:]):

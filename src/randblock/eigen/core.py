@@ -1,7 +1,8 @@
 """Driver layer over the eigensolver kernels.
 
 Provides full spectra (`eigvalsh`: LAPACK ``dsyevd`` through NumPy for dense
-matrices, ``dsbevd`` through SciPy for band matrices), the tridiagonal
+matrices, ``dsbevd`` through SciPy for band matrices, ``zhbevd`` for the
+square of a block operator with spectrum symmetric about zero), the tridiagonal
 definiteness test (`any_eigenvalue_below`, one Sturm pass batched over stacked
 diagonals) and the Sturm-bisection ground state built on it
 (`min_eig_tridiag`).
@@ -17,13 +18,25 @@ _EPS = np.finfo(np.float64).eps
 
 
 def backend_name() -> str:
-    """Identity of the eigensolvers: LAPACK (``dsyevd``, ``dsbevd``)."""
+    """Identity of the eigensolvers: LAPACK (``dsyevd``, ``dsbevd``, ``zhbevd``)."""
     return "lapack"
 
 
 class EigenError(RuntimeError):
     """Raised when the eigensolve fails to converge or returns a malformed
     result."""
+
+
+def _band_to_dense(lower: np.ndarray) -> np.ndarray:
+    """The Hermitian (for real input: symmetric) matrix whose lower band
+    storage is ``lower``."""
+    n = lower.shape[1]
+    m = np.zeros((n, n), dtype=lower.dtype)
+    for k, row in enumerate(lower[:n]):
+        j = np.arange(n - k)
+        m[j, j + k] = row[:n - k].conj()
+        m[j + k, j] = row[:n - k]
+    return m
 
 
 @dataclass(frozen=True)
@@ -37,21 +50,30 @@ class SymmetricBand:
         if self.lower.ndim != 2 or self.lower.dtype != np.float64:
             raise ValueError("band storage must be a 2-d float64 array")
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[1]
+    def to_dense(self) -> np.ndarray:
+        return _band_to_dense(self.lower)
 
-    @property
-    def half_bandwidth(self) -> int:
-        return self.lower.shape[0] - 1
+
+@dataclass(frozen=True)
+class SquaredBand:
+    """A 2n x 2n operator with spectrum symmetric about zero and no
+    eigenvalue at zero, given through the complex Hermitian n x n matrix M
+    whose eigenvalues are the squares of its n positive eigenvalues.
+
+    ``lower`` is M's LAPACK lower band storage, as in `SymmetricBand`.  For the
+    block operator [[H, B], [B, -H]] with diagonal B,
+    M = (H - iB)(H + iB) = H² + B² + i[H, B] (`operators.write_square_diagonals`).
+    """
+
+    lower: np.ndarray
+
+    def __post_init__(self):
+        if self.lower.ndim != 2 or self.lower.dtype != np.complex128:
+            raise ValueError("band storage must be a 2-d complex128 array")
 
     def to_dense(self) -> np.ndarray:
-        n = self.dim
-        m = np.zeros((n, n))
-        for k, row in enumerate(self.lower[:n]):
-            j = np.arange(n - k)
-            m[j + k, j] = m[j, j + k] = row[:n - k]
-        return m
+        """M itself, dense and Hermitian."""
+        return _band_to_dense(self.lower)
 
 
 def eigvalsh(m) -> np.ndarray:
@@ -60,18 +82,19 @@ def eigvalsh(m) -> np.ndarray:
     A dense matrix goes to LAPACK's divide-and-conquer solver (``dsyevd``)
     through ``numpy.linalg.eigvalsh``, which reads the lower triangle only.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver (``dsbevd``,
-    ``scipy.linalg.eigvals_banded``).  Raises ValueError on non-finite
-    entries and EigenError when LAPACK does not converge or returns
-    eigenvalues out of order.
+    ``scipy.linalg.eigvals_banded``).  A `SquaredBand` goes to its complex
+    Hermitian twin (``zhbevd``, ``scipy.linalg.lapack``), and its eigenvalues
+    μ come back as the 2n values [-√μ[::-1], √μ].  With every |E| >= λ and
+    the spectrum inside [-ρ, ρ], squaring moves an eigenvalue by
+    |δE| ≲ eps·ρ²/λ instead of the direct solve's eps·ρ.  Raises
+    ValueError on non-finite entries and EigenError when LAPACK does not
+    converge, returns eigenvalues out of order, or returns a μ of a
+    `SquaredBand` that is not finite and positive (nothing is clamped).
     """
-    if isinstance(m, SymmetricBand):
-        if not np.all(np.isfinite(m.lower)):
-            raise ValueError("matrix has non-finite entries")
-        import scipy.linalg   # only band solves need SciPy; it slows start-up
-        try:
-            w = scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise EigenError(f"LAPACK banded eigensolve failed (n={m.dim}): {exc}") from exc
+    if isinstance(m, SquaredBand):
+        w = _signed_roots(_band_solve(m))
+    elif isinstance(m, SymmetricBand):
+        w = _band_solve(m)
     else:
         m = np.asarray(m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -85,6 +108,33 @@ def eigvalsh(m) -> np.ndarray:
     if np.any(np.diff(w) < 0):
         raise EigenError("LAPACK returned eigenvalues out of ascending order")
     return w
+
+
+def _band_solve(m) -> np.ndarray:
+    """Eigenvalues of the band storage ``m.lower``: ``dsbevd`` for a
+    `SymmetricBand`, ``zhbevd`` for a `SquaredBand` (which are then M's)."""
+    if not np.all(np.isfinite(m.lower)):
+        raise ValueError("matrix has non-finite entries")
+    import scipy.linalg   # only band solves need SciPy; it slows start-up
+    try:
+        if isinstance(m, SymmetricBand):
+            return scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
+        # the clean part of a realization's storage is reused: LAPACK gets a copy
+        mu, _, info = scipy.linalg.lapack.zhbevd(m.lower, compute_v=0, lower=1, overwrite_ab=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zhbevd returned info = {info}")
+        return mu
+    except np.linalg.LinAlgError as exc:
+        raise EigenError(f"LAPACK banded eigensolve failed (n={m.lower.shape[1]}): {exc}") from exc
+
+
+def _signed_roots(mu: np.ndarray) -> np.ndarray:
+    """[-√μ[::-1], √μ]; EigenError unless every μ is finite and positive."""
+    if not (np.all(np.isfinite(mu)) and np.all(mu > 0)):
+        raise EigenError(f"squared band has an eigenvalue that is not finite and positive: "
+                         f"smallest {float(np.min(mu))!r}")
+    root = np.sqrt(mu)
+    return np.concatenate([-root[::-1], root])
 
 
 def min_eig_tridiag(d, e, tol: float) -> np.ndarray:

@@ -103,10 +103,17 @@ class Cube:
         return self.side**self.dim
 
     @property
+    def strides(self) -> tuple[int, ...]:
+        """Index distance of one step along each axis, L^(d-1-axis); empty on
+        a single-site cube, which has no neighbouring sites."""
+        return tuple(self.side ** (self.dim - 1 - axis) for axis in range(self.dim)) \
+            if self.side > 1 else ()
+
+    @property
     def half_bandwidth(self) -> int:
         """Largest index distance between neighbouring sites: the stride of
         axis 0, L^(d-1), or 0 on a single-site cube."""
-        return self.side ** (self.dim - 1) if self.side > 1 else 0
+        return self.strides[0] if self.side > 1 else 0
 
     @property
     def origin(self) -> int:
@@ -187,8 +194,8 @@ def hops(cube: Cube) -> list[tuple[int, np.ndarray]]:
     if cube.side == 1:
         return []
     rel = coordinates(cube) - cube.origin
-    return [(cube.side ** (cube.dim - 1 - axis), np.flatnonzero(rel[axis] < cube.side - 1))
-            for axis in range(cube.dim)]
+    return [(stride, np.flatnonzero(rel[axis] < cube.side - 1))
+            for axis, stride in enumerate(cube.strides)]
 
 
 def deficiencies(cube: Cube) -> np.ndarray:

@@ -3,9 +3,10 @@
 Builds the discrete Laplacian under three boundary modes, the block
 assemblies [[A, B], [B, -A]] (plain and with different diagonal blocks) and
 the explicit unitary conjugations used as independent oracles.  Matrices are
-dense and symmetric by construction, except that the Laplacian and the
-lattice block operator also come in LAPACK lower band storage, which the
-ensemble solve reads without an n x n intermediate.
+dense and symmetric by construction, except that the Laplacian, the lattice
+block operator and the square M = (H - iB)(H + iB) of its D/N form also come
+in LAPACK lower band storage, which the ensemble solve reads without an
+n x n intermediate.
 """
 
 from __future__ import annotations
@@ -142,6 +143,51 @@ def write_block_diagonals(ab: np.ndarray, top, bot, b) -> None:
     ab[0, 0::2] = top
     ab[0, 1::2] = -np.asarray(bot, dtype=np.float64)
     ab[1, 0::2] = b
+
+
+def band_square(lower: np.ndarray) -> np.ndarray:
+    """A² in lower band storage (2s+1, n) for a symmetric A in lower band
+    storage (s+1, n), from the products of A's nonzero diagonals: no n x n
+    array is formed."""
+    s, n = lower.shape[0] - 1, lower.shape[1]
+    # diagonals[s + o, j] holds A[j + o, j] for -s <= o <= s, zero outside A
+    diagonals = np.zeros((2 * s + 1, n))
+    for o in range(s + 1):
+        diagonals[s + o, :n - o] = lower[o, :n - o]
+        diagonals[s - o, o:] = lower[o, :n - o]
+    offsets = [o for o in range(-s, s + 1) if diagonals[s + o].any()]
+    square = np.zeros((2 * s + 1, n))
+    for p in offsets:
+        for q in offsets:
+            if p + q < 0:
+                continue
+            # (A²)[j + p + q, j] gains A[j + p + q, j + p] · A[j + p, j]
+            lo, hi = max(0, -p), min(n - p - q, n - p)
+            square[p + q, lo:hi] += diagonals[s + q, lo + p:hi + p] * diagonals[s + p, lo:hi]
+    return square
+
+
+def write_square_diagonals(ab: np.ndarray, cube: Cube, lap: np.ndarray,
+                           clean: np.ndarray, h, b) -> None:
+    """Write the entries of M = (H - iB)(H + iB) = H² + B² + i[H, B] that
+    depend on the realization into its complex lower band storage ``ab``, in
+    place, for H = lap + diag(h) and B = diag(b) on the cube.
+
+    ``lap`` is the Laplacian term's band storage (`laplacian`); its square
+    (`band_square`) fills the rest of ``ab``.  ``clean`` holds that square's
+    diagonal in row 0 and its row ``cube.strides[r]`` in row r + 1.  Only
+    these rows change: the diagonal becomes
+    (lap²)_ii + 2·lap_ii·h_i + h_i² + b_i², and on the row of stride k
+    (i = j + k) M_ij = (lap²)_ij + lap_ij·(h_i + h_j) + i·lap_ij·(b_j - b_i).
+    """
+    h = np.asarray(h, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ab.real[0] = clean[0] + h * (h + 2.0 * lap[0]) + b * b
+    n = cube.n_sites
+    for r, k in enumerate(cube.strides, 1):
+        hop = lap[k, :n - k]
+        ab.real[k, :n - k] = clean[r, :n - k] + hop * (h[:n - k] + h[k:])
+        ab.imag[k, :n - k] = hop * (b[:n - k] - b[k:])
 
 
 def _split_blocks(m: np.ndarray):

@@ -2,11 +2,24 @@
 
 Realizations are independent and reproducible from (base_seed, index); the
 driver can run them across a process pool, and aggregation does not depend on
-completion order.  The block operator is held in interleaved order
-(psi1(0), psi2(0), psi1(1), ...), where it is a band matrix
-(`operators.block_band`) that LAPACK's ``dsbevd`` solves: the clean part is
-built once per run, and each realization only rewrites the diagonal and the b
-entries of that band.
+completion order.  The clean part of the operator is built once per run, and
+each realization only rewrites the rows of its band storage that depend on V
+and b.  Which band is solved is chosen per run (`band_driver`):
+
+- D/N boundaries with ``laplacian_sign`` -1 and a certified floor
+  λ = min U0 + inf supp V with λ > 0 and λ >= ρ/64 (ρ the Gershgorin bound
+  of H's clean part plus the largest |V| and |b|, the bound the default
+  energy grid is built on): the block [[H, B], [B, -H]] anticommutes with
+  iσ_y, so its spectrum is ±√spec(M) with M = (H - iB)(H + iB), and
+  M >= λ².  LAPACK's ``zhbevd`` solves the n x n complex Hermitian band of M
+  (half-bandwidth 2·L^(d-1)), and each eigenvalue moves by
+  |δE| ≲ eps·ρ²/λ.
+- every other run (bracketing + and -, no certified gap, ``laplacian_sign``
+  +1): the block in interleaved order (psi1(0), psi2(0), psi1(1), ...) is a
+  2n x 2n real band matrix (`operators.block_band`) that ``dsbevd`` solves.
+
+`realization_band` and `build_block` return the block itself on either path;
+they are the tests' oracle for the squared solve.
 """
 
 from __future__ import annotations
@@ -19,10 +32,11 @@ from functools import partial
 import numpy as np
 
 from .disorder import Density, DisorderModel, SeedPolicy, sample_iid, support_bounds
-from .eigen import EigenError, SymmetricBand, eigvalsh
+from .eigen import EigenError, SquaredBand, SymmetricBand, eigvalsh
 from .lattice import Cube, PeriodicPotential, check_memory
-from .operators import (BoundaryMode, block_band, block_band_bytes, block_half_bandwidth,
-                        laplacian, write_block_diagonals)
+from .operators import (BoundaryMode, band_square, block_band, block_band_bytes,
+                        block_half_bandwidth, laplacian, write_block_diagonals,
+                        write_square_diagonals)
 
 BOUNDARY_CHOICES = ("D", "N", "+", "-")
 
@@ -79,6 +93,8 @@ class EnsembleResult:
     dos_density: np.ndarray
     dos_stderr: np.ndarray
     gap_per_realization: np.ndarray   # min |eigenvalue| per realization
+    driver: str                       # LAPACK driver of the band solves (`band_driver`)
+    half_bandwidth: int               # of the band storage that driver solved
     failures: list[int] = field(default_factory=list)
 
 
@@ -92,43 +108,117 @@ _BOUNDARY_MODES = {   # (top block, bottom block) of [[H_top, B], [B, -H_bot]]
 
 @dataclass
 class CleanPart:
-    """The realization-independent part of one experiment's block operator.
+    """The realization-independent part of one experiment's operator.
 
-    ``band`` is the interleaved lower band storage of the block operator
-    (`operators.block_band`); its rows 0 and 1 (the diagonal and b) are
-    rewritten by every realization.  ``top`` and ``bot`` are the diagonals of
-    the Laplacian terms of H_top and H_bot, ``u0`` the background potential.
+    ``driver`` is the LAPACK driver every realization is solved with
+    (`band_driver`), and ``band`` the storage it solves, whose
+    realization-dependent rows each realization rewrites in place: for
+    ``dsbevd`` the interleaved band of the block operator
+    (`operators.block_band`), for ``zhbevd`` the complex band of its square
+    M = (H - iB)(H + iB), with ``square`` holding the clean part of M's
+    rewritten rows (`operators.write_square_diagonals`).  ``top`` and ``bot``
+    are the band storages of the Laplacian terms of H_top and H_bot, ``u0``
+    the background potential and ``radius`` the bound ρ that `band_driver`
+    and `default_grid` read.
     """
 
+    cube: Cube
+    driver: str
     band: np.ndarray
     top: np.ndarray
     bot: np.ndarray
     u0: np.ndarray
+    radius: float
+    square: np.ndarray | None = None
+
+
+def certified_floor(config: ExperimentConfig) -> float:
+    """λ = min U0 + inf supp V.  With the positive semidefinite Laplacian
+    term (``laplacian_sign`` -1), H >= λ in every realization."""
+    v_lo, _ = support_bounds(config.disorder.mu_v)
+    return float(config.potential.on_cube(config.cube).min()) + v_lo
+
+
+def _spectral_radius(config: ExperimentConfig, lap_top: np.ndarray, u0: np.ndarray) -> float:
+    """ρ: the Gershgorin bound of H_top's clean part (band storage
+    ``lap_top`` of its Laplacian term, plus ``u0``) plus the largest |V| and
+    |b| the supports allow."""
+    h_top = lap_top.copy()
+    h_top[0] += u0
+    gersh = float(_abs_row_sums(h_top).max())
+    v_lo, v_hi = support_bounds(config.disorder.mu_v)
+    b_lo, b_hi = support_bounds(config.disorder.mu_b)
+    return gersh + max(abs(v_lo), abs(v_hi)) + max(abs(b_lo), abs(b_hi))
+
+
+# the squared solve moves an eigenvalue by about eps·ρ²/λ (`eigen.eigvalsh`);
+# λ >= ρ/64 keeps that within a few dozen times the direct solve's eps·ρ
+_SQUARE_FLOOR_RATIO = 64
+
+
+def band_driver(config: ExperimentConfig, radius: float) -> str:
+    """The LAPACK driver of the run's band solves: ``"zhbevd"`` on the n x n
+    square M = (H - iB)(H + iB), ``"dsbevd"`` on the 2n x 2n block.
+
+    The square is taken when H_top = H_bot (boundary D or N), so that the
+    block's spectrum is symmetric about zero, the Laplacian term is positive
+    semidefinite (``laplacian_sign`` -1), and the certified floor
+    λ = `certified_floor` satisfies λ > 0 and λ >= ρ/64, ρ = ``radius``.
+    Then every |E| >= λ (the robust gap), M >= λ², and the squared solve
+    loses at most |δE| ≲ eps·ρ²/λ.  Bracketing (+/-), gapless and
+    ``laplacian_sign`` +1 runs stay on ``dsbevd``.
+    """
+    floor = certified_floor(config)
+    squared = (config.boundary in ("D", "N") and config.laplacian_sign == -1
+               and floor > 0 and floor >= radius / _SQUARE_FLOOR_RATIO)
+    return "zhbevd" if squared else "dsbevd"
 
 
 def base_matrices(config: ExperimentConfig) -> CleanPart:
-    """The clean part of the block operator, built from only the Laplacian(s)
-    the boundary needs, in band storage (no n x n array is formed)."""
+    """The clean part of the run's operator, built from only the
+    Laplacian(s) the boundary needs, in band storage (no n x n array is
+    formed)."""
+    cube = config.cube
     modes = _BOUNDARY_MODES[config.boundary]
-    laps = {mode: laplacian(config.cube, mode, config.laplacian_sign, band=True)
+    laps = {mode: laplacian(cube, mode, config.laplacian_sign, band=True)
             for mode in dict.fromkeys(modes)}
     top, bot = laps[modes[0]], laps[modes[1]]
-    band = block_band(config.cube, top, bot, np.zeros(config.cube.n_sites))
-    return CleanPart(band, top[0].copy(), bot[0].copy(), config.potential.on_cube(config.cube))
+    u0 = config.potential.on_cube(cube)
+    radius = _spectral_radius(config, top, u0)
+    driver = band_driver(config, radius)
+    if driver == "zhbevd":
+        lap2 = band_square(top)
+        band = np.asarray(lap2, dtype=np.complex128, order="F")
+        square = lap2[[0, *cube.strides]]
+        return CleanPart(cube, driver, band, top, bot, u0, radius, square)
+    band = block_band(cube, top, bot, np.zeros(cube.n_sites))
+    return CleanPart(cube, driver, band, top, bot, u0, radius)
 
 
 def realization_band(clean: CleanPart, v: np.ndarray, b: np.ndarray) -> SymmetricBand:
-    """One realization's block operator: its diagonal and b are written into
-    the clean band in place, and the result shares that storage."""
+    """One realization's block operator in interleaved band storage.  On the
+    ``dsbevd`` path its diagonal and b are written into the clean band in
+    place, and the result shares that storage; a ``zhbevd`` clean part holds
+    the square instead, so a new band is built."""
     h = clean.u0 + v
-    write_block_diagonals(clean.band, clean.top + h, clean.bot + h, b)
-    return SymmetricBand(clean.band)
+    ab = clean.band if clean.driver == "dsbevd" else block_band(clean.cube, clean.top,
+                                                                 clean.bot, b)
+    write_block_diagonals(ab, clean.top[0] + h, clean.bot[0] + h, b)
+    return SymmetricBand(ab)
+
+
+def realization_square(clean: CleanPart, v: np.ndarray, b: np.ndarray) -> SquaredBand:
+    """One realization's block operator through its square M, written into
+    the clean band of a ``zhbevd`` clean part in place; the result shares
+    that storage."""
+    write_square_diagonals(clean.band, clean.cube, clean.top, clean.square, clean.u0 + v, b)
+    return SquaredBand(clean.band)
 
 
 def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2n x 2n block operator of one disorder realization, dense and in
-    natural order [[H_top, B], [B, -H_bot]]; derived from the band that the
-    ensemble solves."""
+    natural order [[H_top, B], [B, -H_bot]]; derived from the interleaved
+    band of `realization_band`."""
     dense = realization_band(base_matrices(config), v, b).to_dense()
     n2 = dense.shape[0]
     natural = np.concatenate([np.arange(0, n2, 2), np.arange(1, n2, 2)])
@@ -153,8 +243,9 @@ def pool_workers(config: ExperimentConfig) -> int:
 
 def peak_bytes(config: ExperimentConfig) -> int:
     """Estimated peak memory of `run_ensemble`: the clean band and the copy
-    ``dsbevd`` solves in each process, the spectra and their pooled copy, and
-    the IDS counts with two temporaries of their size.  A process pool adds,
+    LAPACK solves in each process (the square's complex band of n columns
+    takes at most the block band's bytes), the spectra and their pooled
+    copy, and the IDS counts with two temporaries of their size.  A process pool adds,
     per worker, the clean band of its current chunk and two pickled chunks
     queued for it."""
     workers = pool_workers(config)
@@ -165,8 +256,9 @@ def peak_bytes(config: ExperimentConfig) -> int:
 
 def _solve_one(config: ExperimentConfig, clean: CleanPart, index: int):
     v, b = realization_fields(config, index)
+    realize = realization_square if clean.driver == "zhbevd" else realization_band
     try:
-        return index, eigvalsh(realization_band(clean, v, b))
+        return index, eigvalsh(realize(clean, v, b))
     except EigenError:
         return index, None
 
@@ -184,16 +276,11 @@ def _abs_row_sums(lower: np.ndarray) -> np.ndarray:
 
 def default_grid(config: ExperimentConfig, clean: CleanPart) -> np.ndarray:
     """Symmetric energy grid covering the a priori spectral inclusion with
-    margin 0.5 (Gershgorin bound of the run's clean part plus disorder
-    supports), unless the config gives the grid."""
+    margin 0.5 (the Gershgorin bound ρ of H_top's clean part plus the
+    disorder supports, ``clean.radius``), unless the config gives the grid."""
     if config.grid_lo is not None:
         return np.linspace(config.grid_lo, config.grid_hi, config.grid_points)
-    # H_top's band: its Laplacian diagonal plus U0, then the even rows on even columns
-    h_top = np.vstack([clean.top + clean.u0, clean.band[2::2, 0::2]])
-    gersh = float(_abs_row_sums(h_top).max())
-    v_lo, v_hi = support_bounds(config.disorder.mu_v)
-    b_lo, b_hi = support_bounds(config.disorder.mu_b)
-    r = gersh + max(abs(v_lo), abs(v_hi)) + max(abs(b_lo), abs(b_hi)) + 0.5
+    r = clean.radius + 0.5
     return np.linspace(-r, r, config.grid_points)
 
 
@@ -256,7 +343,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
 
     gaps = np.array([np.abs(ev).min() for ev in spectra])
     return EnsembleResult(config, spectra, ids, grid, ids_mean, ids_stderr,
-                          centers, hist, density, stderr, gaps, failures)
+                          centers, hist, density, stderr, gaps, clean.driver,
+                          clean.band.shape[0] - 1, failures)
 
 
 def zero_split_check(ev: np.ndarray) -> bool:

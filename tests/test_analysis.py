@@ -13,6 +13,7 @@ from randblock.analysis import (
     bv_inequality_probe,
     certify_wegner_hypothesis,
     const_b_dos,
+    const_b_dos_array,
     const_b_map,
     dos_transform_measure_check,
     feynman_hellmann_sum,
@@ -74,6 +75,45 @@ class TestConstBDos:
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
             DosTransform(DensitySpec.uniform(-1, 1), 0.0)
+
+
+class TestConstBDosArray:
+    """The whole-grid evaluation against the scalar, bit for bit."""
+
+    # cells of heights 0.1, 0.3, 0.2, 0.4 on [-2, -1, 0, 1, 2]: a breakpoint at 0
+    source = DensitySpec((-2.0, -1.0, 0.0, 1.0, 2.0), (0.1, 0.3, 0.2, 0.4))
+
+    def energies(self, beta):
+        edges = [math.sqrt(p * p + beta * beta) for p in self.source.breakpoints]
+        points = [beta, 0.0, 0.5 * beta, np.nextafter(beta, 0.0), np.nextafter(beta, 3.0),
+                  *edges, *(np.nextafter(e, np.inf) for e in edges), 2.5, 7.0, 50.0]
+        return np.array(points + [-p for p in points])
+
+    @pytest.mark.parametrize("beta", [1.0, -0.75, 1e-3])
+    def test_matches_scalar(self, beta):
+        t = DosTransform(self.source, beta)
+        energies = self.energies(abs(beta))
+        expected = np.array([const_b_dos(t, e) for e in energies])
+        # the singularity marker sits exactly at |E| == |beta|, zeros in the gap
+        # and outside the support
+        assert np.array_equal(np.isinf(expected), np.abs(energies) == abs(beta))
+        assert (expected == 0.0).sum() >= 8
+        assert np.array_equal(const_b_dos_array(t, energies), expected)
+
+    def test_edge_is_zero_where_source_vanishes_at_zero(self):
+        t = DosTransform(DensitySpec.uniform(1, 2), 1.0)
+        energies = np.array([-1.0, 1.0, math.sqrt(2.0), math.sqrt(5.0), 3.0])
+        expected = np.array([const_b_dos(t, e) for e in energies])
+        assert np.array_equal(const_b_dos_array(t, energies), expected)
+        assert expected[0] == expected[1] == 0.0
+
+    def test_pdf_array_matches_pdf(self):
+        x = np.array([-3.0, -2.0, -1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0,
+                      np.nextafter(2.0, 3.0), np.nextafter(-2.0, -3.0), np.nan, np.inf])
+        expected = np.array([self.source.pdf(v) for v in x])
+        # closed support, and each breakpoint takes its left cell's height
+        assert list(expected[:9]) == [0.0, 0.1, 0.1, 0.1, 0.3, 0.3, 0.2, 0.2, 0.4]
+        assert np.array_equal(self.source.pdf_array(x), expected)
 
 
 class TestMeasurePreservation:

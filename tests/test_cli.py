@@ -175,6 +175,13 @@ class TestConfigErrors:
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1, "hi": math.inf}}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": 0}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": -4.0}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": -0.5}}),
+        ("ids", {"potential": {"period": [2], "values": ["0", "0.5"]}}),
+        ("ids", {"potential": {"period": [2], "values": [0, True]}}),
+        ("ids", {"potential": {"period": [2], "values": [0, math.nan]}}),
+        ("ids", {"potential": {"period": ["2"], "values": [0, 0.5]}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -192,7 +199,9 @@ class TestConfigErrors:
             "breakpoint-string", "grid-lo-infinite", "bin-width-boolean",
             "lower-constant-string", "lam-boolean", "lam-nan", "epsilons-string",
             "c-string", "c-infinite", "alpha-boolean", "beta-string",
-            "energies-lo-string", "energies-hi-infinite"])
+            "energies-lo-string", "energies-hi-infinite", "c-zero", "c-negative",
+            "alpha-negative", "potential-value-string", "potential-value-boolean",
+            "potential-value-nan", "potential-period-string"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
@@ -297,7 +306,7 @@ class TestEnsembleCommands:
         m2 = json.loads((d2 / "ids_manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
         assert m1["backend"] == "lapack"
-        assert (m1["driver"], m1["half_bandwidth"]) == ("dsbevd", 2)   # 1-d, side 7
+        assert (m1["driver"], m1["half_bandwidth"]) == ("zhbevd", 2)   # 1-d, side 7
         assert set(m1["blas"]) == {"name", "version"}
         assert m1["thread_env"] == {k: v for k, v in os.environ.items()
                                     if k.endswith("_NUM_THREADS")}
@@ -371,10 +380,13 @@ class TestEnsembleCommands:
          ["lifshits.csv", "lifshits_fit.json"], False),
         ("dostransform", {"dos_transform": {"beta": 1.0, "source": {
             "type": "uniform", "lo": -2, "hi": 2}}}, ["dos_transform.csv"], False),
+        ("ids", {"boundary": "+"}, ["ids.csv"], True),
     ])
     def test_manifest_records_run(self, tmp_path, command, sections, outputs, ensemble):
         # every command's manifest carries the config echo with the seed in
-        # force, the outputs' digests, and the band solve of its ensemble if any
+        # force, the outputs' digests, and the band solve of its ensemble if
+        # any: the square on the certified D/N runs (V on [1, 2]), the block
+        # for bracketing
         path = write_config(tmp_path, base_doc(**sections))
         out = tmp_path / "out"
         assert main(["--quiet", command, "--config", path, "--out", str(out),
@@ -388,7 +400,8 @@ class TestEnsembleCommands:
         assert all(len(digest) == 64 for digest in manifest["outputs"].values())
         assert manifest["failed_realizations"] == 0
         assert manifest["wall_time_seconds"] >= 0.0
-        expected = ("dsbevd", 2) if ensemble else (None, None)   # 1-d cubes
+        driver = "dsbevd" if sections.get("boundary") in ("+", "-") else "zhbevd"
+        expected = (driver, 2) if ensemble else (None, None)   # 1-d cubes
         assert (manifest["driver"], manifest["half_bandwidth"]) == expected
 
 

@@ -15,6 +15,7 @@ from randblock.cli import main
 from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import (
     EigenError,
+    SquaredBand,
     SymmetricBand,
     any_eigenvalue_below,
     backend_name,
@@ -24,7 +25,7 @@ from randblock.eigen import (
 from randblock.eigen import _pykernels
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import assemble
-from randblock.spectra import ExperimentConfig, run_ensemble
+from randblock.spectra import ExperimentConfig, base_matrices, run_ensemble
 
 
 class TestEigvalsh:
@@ -97,9 +98,13 @@ class TestLapackFailure:
     """A LAPACK LinAlgError surfaces as EigenError, is counted per realization
     by run_ensemble, and is exit code 3 in the CLI.
 
-    The ensemble solves its band with ``dsbevd`` (`scipy.linalg.eigvals_banded`),
-    which is what these tests make fail; `test_dense_raises_eigen_error`
-    covers ``dsyevd`` on dense input."""
+    With V on [0, 1] no gap is certified, so the ensemble solves the block
+    band with ``dsbevd`` (`scipy.linalg.eigvals_banded`), which is what these
+    tests make fail; `test_dense_raises_eigen_error` covers ``dsyevd`` on
+    dense input and the ``test_squared_*`` twins the ``zhbevd`` solve of a
+    certified run (V on [1, 2])."""
+
+    ZHBEVD = (scipy.linalg.lapack, "zhbevd")
 
     def fail_on(self, monkeypatch, failing_calls, module=scipy.linalg, name="eigvals_banded"):
         real = getattr(module, name)
@@ -112,10 +117,28 @@ class TestLapackFailure:
 
         monkeypatch.setattr(module, name, flaky)
 
-    def config(self, realizations):
-        disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
-        return ExperimentConfig(Cube(1, 5), "N", disorder, PeriodicPotential.zero(1),
-                                realizations, 0)
+    def config(self, realizations, v_lo=0.0):
+        disorder = DisorderModel(DensitySpec.uniform(v_lo, v_lo + 1),
+                                 DensitySpec.uniform(-0.5, 0.5))
+        config = ExperimentConfig(Cube(1, 5), "N", disorder, PeriodicPotential.zero(1),
+                                  realizations, 0)
+        assert base_matrices(config).driver == ("zhbevd" if v_lo > 0 else "dsbevd")
+        return config
+
+    def write_config(self, tmp_path, v_lo=0.0):
+        doc = {"schema_version": 1, "cube": {"dim": 1, "side": 5}, "boundary": "N",
+               "disorder": {"V": {"type": "uniform", "lo": v_lo, "hi": v_lo + 1},
+                            "b": {"type": "uniform", "lo": -0.5, "hi": 0.5}},
+               "realizations": 3, "seed": 0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def assert_cli_exits_3(self, path, tmp_path, capsys):
+        assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "1"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure:")
 
     def test_eigvalsh_raises_eigen_error(self, monkeypatch):
         self.fail_on(monkeypatch, {0})
@@ -140,18 +163,80 @@ class TestLapackFailure:
             run_ensemble(self.config(100))
 
     def test_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
-        doc = {"schema_version": 1, "cube": {"dim": 1, "side": 5}, "boundary": "N",
-               "disorder": {"V": {"type": "uniform", "lo": 1, "hi": 2},
-                            "b": {"type": "uniform", "lo": -0.5, "hi": 0.5}},
-               "realizations": 3, "seed": 0}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
+        path = self.write_config(tmp_path)
         self.fail_on(monkeypatch, set(range(3)))
-        assert main(["ids", "--config", str(path), "--out", str(tmp_path),
-                     "--threads", "1"]) == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("numerical failure:")
+        self.assert_cli_exits_3(path, tmp_path, capsys)
+
+    def test_squared_raises_eigen_error(self, monkeypatch):
+        self.fail_on(monkeypatch, {0}, *self.ZHBEVD)
+        with pytest.raises(EigenError, match="did not converge"):
+            eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
+
+    def test_squared_nonzero_info_raises_eigen_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "zhbevd",
+                            lambda ab, **kwargs: (np.ones(ab.shape[1]), None, 2))
+        with pytest.raises(EigenError, match="info = 2"):
+            eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
+
+    def test_squared_ensemble_records_failed_index(self, monkeypatch):
+        self.fail_on(monkeypatch, {7}, *self.ZHBEVD)
+        result = run_ensemble(self.config(100, v_lo=1.0))
+        assert result.failures == [7]
+        assert 7 not in result.realization_ids
+        assert len(result.spectra) == 99
+
+    def test_squared_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        path = self.write_config(tmp_path, v_lo=1.0)
+        self.fail_on(monkeypatch, set(range(3)), *self.ZHBEVD)
+        self.assert_cli_exits_3(path, tmp_path, capsys)
+
+
+class TestSquaredBand:
+    """The ``zhbevd`` solve of a block operator's square M."""
+
+    def test_spectrum_is_signed_roots(self):
+        # M = diag(4, 1, 9) stands for a block operator with spectrum {±1, ±2, ±3}
+        band = SquaredBand(np.array([[4.0, 1.0, 9.0]], dtype=complex))
+        w = eigvalsh(band)
+        assert type(w) is np.ndarray and w.dtype == np.float64
+        assert np.array_equal(w, [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+
+    def test_hermitian_band_matches_dense(self):
+        rng = np.random.default_rng(8)
+        n = 9
+        lower = np.zeros((3, n), dtype=complex)
+        lower[0] = rng.uniform(6, 8, n)
+        lower[1:] = rng.uniform(-1, 1, (2, n)) + 1j * rng.uniform(-1, 1, (2, n))
+        band = SquaredBand(lower)
+        mu = np.linalg.eigvalsh(band.to_dense())
+        assert mu[0] > 0
+        root = np.sqrt(mu)
+        assert np.allclose(eigvalsh(band), np.concatenate([-root[::-1], root]),
+                           rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("diagonal", [[4.0, -1.0, 9.0], [4.0, 0.0, 9.0]],
+                             ids=["negative", "zero"])
+    def test_non_positive_eigenvalue_raises(self, diagonal):
+        with pytest.raises(EigenError, match="not finite and positive"):
+            eigvalsh(SquaredBand(np.array([diagonal], dtype=complex)))
+
+    def test_non_finite_lapack_result_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "zhbevd",
+                            lambda ab, **kwargs: (np.array([1.0, np.nan, 4.0]), None, 0))
+        with pytest.raises(EigenError, match="not finite and positive"):
+            eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
+
+    def test_storage_checked(self):
+        with pytest.raises(ValueError, match="complex128"):
+            SquaredBand(np.ones((1, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            eigvalsh(SquaredBand(np.array([[1.0, np.inf]], dtype=complex)))
+
+    def test_storage_left_unchanged(self):
+        lower = np.array([[5.0, 6.0, 7.0], [1.0 + 1.0j, 0.5j, 0.0]])
+        kept = lower.copy()
+        eigvalsh(SquaredBand(lower))
+        assert np.array_equal(lower, kept)
 
 
 class TestSturm:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randblock.eigen import SymmetricBand, eigvalsh
+from randblock.eigen import SquaredBand, SymmetricBand, eigvalsh
 from randblock.lattice import Cube, boundary_deficiency, neighbours, parity, sites
 from randblock.operators import (
     BoundaryMode,
@@ -9,6 +9,7 @@ from randblock.operators import (
     adjacency,
     assemble,
     assemble_bracketing,
+    band_square,
     block_band,
     block_band_bytes,
     block_half_bandwidth,
@@ -20,6 +21,7 @@ from randblock.operators import (
     transform_u1,
     transform_u2,
     transform_u3_square,
+    write_square_diagonals,
 )
 
 
@@ -101,6 +103,43 @@ class TestBlockBand:
         cube = Cube(1, 3)
         with pytest.raises(ValueError, match="band storages"):
             block_band(cube, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3))
+
+
+class TestSquareBand:
+    """M = (H - iB)(H + iB) in band storage against its dense product."""
+
+    @pytest.mark.parametrize("cube", [Cube(1, 1), Cube(1, 2), Cube(1, 7), Cube(2, 4),
+                                      Cube(3, 3, centered=True)], ids=repr)
+    @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
+    def test_matches_dense_product(self, cube, mode):
+        lap = laplacian(cube, mode, -1, band=True)
+        dense_lap = laplacian(cube, mode, -1)
+        lap2 = band_square(lap)
+        assert lap2.shape == (2 * cube.half_bandwidth + 1, cube.n_sites)
+        assert np.array_equal(SymmetricBand(lap2).to_dense(), dense_lap @ dense_lap)
+
+        rng = np.random.default_rng(cube.n_sites)
+        h, b = rng.uniform(1, 2, cube.n_sites), rng.uniform(-0.5, 0.5, cube.n_sites)
+        ab = lap2.astype(np.complex128)
+        write_square_diagonals(ab, cube, lap, lap2[[0, *cube.strides]], h, b)
+        hd, bd = dense_lap + np.diag(h), np.diag(b)
+        m = (hd - 1j * bd) @ (hd + 1j * bd)
+        assert np.abs(SquaredBand(ab).to_dense() - m).max() <= 1e-13 * np.abs(m).max()
+        # its eigenvalues are the squares of the block operator's positive ones
+        block = eigvalsh(assemble(hd, bd))
+        assert np.allclose(eigvalsh(SquaredBand(ab)), block, rtol=0, atol=1e-12)
+
+    def test_rows_other_than_the_hops_stay_clean(self):
+        # in 2-d, lap² has rows 1 +/- L and 2, 2L that no realization touches
+        cube = Cube(2, 4)
+        lap = laplacian(cube, BoundaryMode.NEUMANN, -1, band=True)
+        lap2 = band_square(lap)
+        ab = lap2.astype(np.complex128)
+        write_square_diagonals(ab, cube, lap, lap2[[0, *cube.strides]],
+                               np.ones(cube.n_sites), np.ones(cube.n_sites))
+        untouched = [k for k in range(lap2.shape[0]) if k not in (0, *cube.strides)]
+        assert np.array_equal(ab[untouched], lap2[untouched])
+        assert np.count_nonzero(lap2[untouched]) > 0
 
 
 class TestGamma:

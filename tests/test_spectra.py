@@ -16,6 +16,7 @@ from randblock.operators import block_half_bandwidth
 from randblock.spectra import (
     ExperimentConfig,
     ZeroSplitAnomaly,
+    band_driver,
     base_matrices,
     build_block,
     default_grid,
@@ -142,6 +143,81 @@ class TestBandedSolve:
                                            env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")}
         assert digests["1"] == digests["2"] != ""
+
+    def test_thread_count_invariant_on_the_block(self):
+        # the c08 size above takes the square (zhbevd); bracketing keeps the
+        # dsbevd block solve, which must give the same bits too
+        code = (
+            "import hashlib, numpy as np;"
+            "from randblock.disorder import DensitySpec, DisorderModel;"
+            "from randblock.lattice import Cube, PeriodicPotential;"
+            "from randblock.spectra import ExperimentConfig, run_ensemble;"
+            "cfg = ExperimentConfig(Cube(1, 201), '+', DisorderModel(DensitySpec.uniform(1, 2),"
+            " DensitySpec.uniform(-0.5, 0.5)), PeriodicPotential.zero(1), 3, 5);"
+            "result = run_ensemble(cfg); assert result.driver == 'dsbevd';"
+            "print(hashlib.sha256(np.array(result.spectra).tobytes()).hexdigest())"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(randblock.__file__).resolve().parent.parent)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        digests = {threads: subprocess.run([sys.executable, "-c", code], check=True,
+                                           capture_output=True, text=True,
+                                           env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
+                   for threads in ("1", "2")}
+        assert digests["1"] == digests["2"] != ""
+
+
+class TestBandDriver:
+    """Which band each run solves: the square M on certified D/N runs, the
+    block everywhere else."""
+
+    @pytest.mark.parametrize("boundary", ["D", "N"])
+    def test_certified_gap_takes_square(self, boundary):
+        cfg = make_config(side=9, boundary=boundary)
+        clean = base_matrices(cfg)
+        assert clean.driver == "zhbevd" and clean.radius == 6.5
+        result = run_ensemble(cfg)
+        assert (result.driver, result.half_bandwidth) == ("zhbevd", 2)
+
+    @pytest.mark.parametrize("kw", [
+        {"boundary": "+"},
+        {"boundary": "-"},
+        {"mu_v": DensitySpec.uniform(0, 1)},                # floor 0
+        {"mu_v": DensitySpec.uniform(-1, 1)},               # floor -1
+        {"mu_v": DensitySpec.uniform(0.05, 0.1)},           # floor 0.05 < rho/64 = 0.072
+        {"laplacian_sign": 1},
+    ], ids=["plus", "minus", "floor-zero", "floor-negative", "floor-below-rho-64", "sign-plus"])
+    def test_others_stay_on_block(self, kw):
+        cfg = make_config(side=9, **kw)
+        assert base_matrices(cfg).driver == "dsbevd"
+        result = run_ensemble(cfg)
+        assert (result.driver, result.half_bandwidth) == ("dsbevd", 2)
+
+    def test_threshold_is_rho_over_64(self):
+        cfg = make_config(mu_v=DensitySpec.uniform(0.5, 1))
+        assert band_driver(cfg, 32.0) == "zhbevd"
+        assert band_driver(cfg, np.nextafter(32.0, np.inf)) == "dsbevd"
+
+    @pytest.mark.parametrize("dim, side", [(1, 33), (2, 8)])
+    @pytest.mark.parametrize("boundary", ["D", "N"])
+    def test_square_accurate_at_the_lowest_floor(self, dim, side, boundary):
+        # the least certified floor the square is taken at, lambda = rho/64: its
+        # error stays within eps·rho²/lambda of the dense block solve
+        mu_b = DensitySpec.uniform(-0.5, 0.5)
+        probe = ExperimentConfig(Cube(dim, side), boundary, DisorderModel(
+            DensitySpec.uniform(0.0, 0.05), mu_b), PeriodicPotential.zero(dim), 3, 23)
+        # shifting V's support to [lam, lam + 0.05] raises rho by lam, so this
+        # lam sits just above rho/64
+        lam = (base_matrices(probe).radius + 0.05) / 63
+        cfg = replace(probe, disorder=DisorderModel(DensitySpec.uniform(lam, lam + 0.05), mu_b))
+        clean = base_matrices(cfg)
+        assert clean.driver == "zhbevd" and lam < clean.radius / 63
+        result = run_ensemble(cfg)
+        bound = np.finfo(float).eps * clean.radius**2 / lam
+        for r, ev in zip(result.realization_ids, result.spectra):
+            dense = eigvalsh(build_block(cfg, *realization_fields(cfg, r)))
+            assert np.abs(ev - dense).max() <= bound
 
 
 class TestEnsembleStatistics:
