@@ -117,6 +117,7 @@ def wegner_bound(bound: WegnerBound, energy: float) -> float:
 class WegnerReport:
     checked_bins: int
     violations: list[tuple[float, float, float]]  # (bin center, density, allowed)
+    min_count: int                                # least count of a checked bin
 
     @property
     def ok(self) -> bool:
@@ -155,7 +156,7 @@ def wegner_check(result: EnsembleResult, bound: WegnerBound,
         allowed = wegner_bound(bound, center) + 3.0 * stderr
         if density > allowed:
             violations.append((float(center), float(density), float(allowed)))
-    return WegnerReport(checked, violations)
+    return WegnerReport(checked, violations, min_count)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .analysis import (
     wegner_check,
 )
 from .config import ConfigError, config_echo, load_config, parse_density, read_float, read_int
-from .disorder import DensitySpec, support_bounds
+from .disorder import DensitySpec, SeedPolicy, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError
 from .spectra import run_ensemble
@@ -107,6 +107,10 @@ def _section(extras: dict, name: str) -> dict:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    try:
+        SeedPolicy(seed)              # refuses a seed outside [0, 2^64)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     results = run_all(seed)
     ok = True
     for r in results:
@@ -176,7 +180,9 @@ def cmd_wegner(args) -> int:
                             read_float(rec["lower_constant"], "wegner.lower_constant"),
                             _bv_for_mode(config, rec["mode"]))
         certify_wegner_hypothesis(config, bound)
-        min_count = read_int(rec.get("min_count", 100), "wegner.min_count")
+        given = {}                    # wegner_check holds min_count's default
+        if "min_count" in rec:
+            given["min_count"] = read_int(rec["min_count"], "wegner.min_count")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)
@@ -184,7 +190,7 @@ def cmd_wegner(args) -> int:
     t0 = time.monotonic()
     result = run_ensemble(config)
     try:
-        report = wegner_check(result, bound, min_count)
+        report = wegner_check(result, bound, **given)
     except ValueError as exc:
         # uncertified hypothesis is a config problem, not a numerical one
         raise ConfigError(str(exc)) from exc
@@ -193,7 +199,7 @@ def cmd_wegner(args) -> int:
         "mode": bound.mode,
         "lower_constant": bound.lower_constant,
         "bv_norm": bound.bv,
-        "min_count": min_count,
+        "min_count": report.min_count,
         "checked_bins": report.checked_bins,
         "bins": [
             {"center": float(c), "density": float(d), "stderr": float(s),
@@ -227,15 +233,17 @@ def cmd_lifshits(args) -> int:
     if not isinstance(config.disorder.mu_v, DensitySpec):
         raise ConfigError("lifshits: V must have a density")
     try:
+        # LifshitsRun holds the defaults of the keys the config leaves out
+        given = {key: read(rec[key], key) for key, read in
+                 (("realizations", read_int), ("c", read_float)) if key in rec}
         run = LifshitsRun(
             epsilons=tuple(read_float(eps, "epsilons") for eps in rec["epsilons"]),
             mu_v=config.disorder.mu_v,
             lam=read_float(rec["lam"], "lam"),
             base_seed=config.base_seed,
-            realizations=read_int(rec.get("realizations", 2000), "realizations"),
-            c=read_float(rec.get("c", 4.0), "c"),
             alpha=read_float(rec.get("alpha", config.cube.dim / 2.0), "alpha"),
             dim=config.cube.dim,
+            **given,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"lifshits: {exc}") from exc

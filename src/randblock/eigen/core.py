@@ -62,7 +62,7 @@ class SquaredBand:
 
     ``lower`` is M's LAPACK lower band storage, as in `SymmetricBand`.  For the
     block operator [[H, B], [B, -H]] with diagonal B,
-    M = (H - iB)(H + iB) = H² + B² + i[H, B] (`operators.write_square_diagonals`).
+    M = (H - iB)(H + iB) = H² + B² + i[H, B] (`operators.band_square`).
     """
 
     lower: np.ndarray
@@ -119,7 +119,7 @@ def _band_solve(m) -> np.ndarray:
     try:
         if isinstance(m, SymmetricBand):
             return scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
-        # the clean part of a realization's storage is reused: LAPACK gets a copy
+        # LAPACK gets a copy: the caller's band stays as it was
         mu, _, info = scipy.linalg.lapack.zhbevd(m.lower, compute_v=0, lower=1, overwrite_ab=0)
         if info != 0:
             raise np.linalg.LinAlgError(f"zhbevd returned info = {info}")

@@ -6,7 +6,8 @@ the explicit unitary conjugations used as independent oracles.  Matrices are
 dense and symmetric by construction, except that the Laplacian, the lattice
 block operator and the square M = (H - iB)(H + iB) of its D/N form also come
 in LAPACK lower band storage, which the ensemble solve reads without an
-n x n intermediate.
+n x n intermediate.  Each band is built whole from its inputs and shares no
+storage with them.
 """
 
 from __future__ import annotations
@@ -117,77 +118,55 @@ def block_band_bytes(cube: Cube) -> int:
     return 8 * (block_half_bandwidth(cube) + 1) * 2 * cube.n_sites
 
 
-def block_band(cube: Cube, h_top: np.ndarray, h_bot: np.ndarray, b) -> np.ndarray:
-    """[[H_top, diag(b)], [diag(b), -H_bot]] on the cube in interleaved order
-    (psi1(0), psi2(0), psi1(1), ...), in LAPACK lower band storage.
+def block_band(cube: Cube, h_top: np.ndarray, h_bot: np.ndarray, b, h=0.0) -> np.ndarray:
+    """[[H_top + diag(h), diag(b)], [diag(b), -H_bot - diag(h)]] on the cube in
+    interleaved order (psi1(0), psi2(0), psi1(1), ...), in LAPACK lower band
+    storage.
 
     ``h_top`` and ``h_bot`` are lower band storages (s+1, n) of the diagonal
     blocks, s = cube.half_bandwidth, as `laplacian` gives them.  The result
     has shape (w+1, 2n), w = `block_half_bandwidth`; it is Fortran-ordered,
-    as LAPACK reads it.
+    as LAPACK reads it, and shares no storage with the inputs.
     """
     h_top = np.asarray(h_top, dtype=np.float64)
+    h_bot = np.asarray(h_bot, dtype=np.float64)
     n = cube.n_sites
-    if h_top.shape != (cube.half_bandwidth + 1, n) or np.shape(h_bot) != h_top.shape:
+    if h_top.shape != (cube.half_bandwidth + 1, n) or h_bot.shape != h_top.shape:
         raise ValueError("H_top and H_bot must be band storages of the cube's shape")
     ab = np.zeros((block_half_bandwidth(cube) + 1, 2 * n), order="F")
+    ab[0, 0::2] = h_top[0] + h
+    ab[0, 1::2] = -(h_bot[0] + h)
+    ab[1, 0::2] = b
     ab[2::2, 0::2] = h_top[1:]
-    ab[2::2, 1::2] = -np.asarray(h_bot, dtype=np.float64)[1:]
-    write_block_diagonals(ab, h_top[0], h_bot[0], b)
+    ab[2::2, 1::2] = -h_bot[1:]
     return ab
 
 
-def write_block_diagonals(ab: np.ndarray, top, bot, b) -> None:
-    """Write the diagonals of H_top and H_bot (``top``, ``bot``) and of B into
-    the interleaved band storage ``ab`` made by `block_band`, in place."""
-    ab[0, 0::2] = top
-    ab[0, 1::2] = -np.asarray(bot, dtype=np.float64)
-    ab[1, 0::2] = b
-
-
 def band_square(lower: np.ndarray) -> np.ndarray:
-    """A² in lower band storage (2s+1, n) for a symmetric A in lower band
-    storage (s+1, n), from the products of A's nonzero diagonals: no n x n
-    array is formed."""
+    """conj(A)·A in lower band storage (2s+1, n) for a complex symmetric
+    (A^T = A; for real input: symmetric) A in lower band storage (s+1, n),
+    from the products of A's nonzero diagonals: no n x n array is formed.
+
+    For A = H + iB with H, B real symmetric this is M = (H - iB)(H + iB),
+    Hermitian, so its lower band storage describes it.  The result is
+    Fortran-ordered, as LAPACK reads it.
+    """
     s, n = lower.shape[0] - 1, lower.shape[1]
-    # diagonals[s + o, j] holds A[j + o, j] for -s <= o <= s, zero outside A
-    diagonals = np.zeros((2 * s + 1, n))
-    for o in range(s + 1):
-        diagonals[s + o, :n - o] = lower[o, :n - o]
-        diagonals[s - o, o:] = lower[o, :n - o]
-    offsets = [o for o in range(-s, s + 1) if diagonals[s + o].any()]
-    square = np.zeros((2 * s + 1, n))
+    offsets = [o for o in range(-s, s + 1) if lower[abs(o), :n - abs(o)].any()]
+
+    def diagonal(o, lo, hi):
+        # A[j + o, j] for lo <= j < hi; the upper diagonals mirror the lower ones
+        return lower[o, lo:hi] if o >= 0 else lower[-o, lo + o:hi + o]
+
+    square = np.zeros((2 * s + 1, n), dtype=np.result_type(lower, np.float64), order="F")
     for p in offsets:
         for q in offsets:
             if p + q < 0:
                 continue
-            # (A²)[j + p + q, j] gains A[j + p + q, j + p] · A[j + p, j]
+            # M[j + p + q, j] gains conj(A[j + p + q, j + p]) · A[j + p, j]
             lo, hi = max(0, -p), min(n - p - q, n - p)
-            square[p + q, lo:hi] += diagonals[s + q, lo + p:hi + p] * diagonals[s + p, lo:hi]
+            square[p + q, lo:hi] += diagonal(q, lo + p, hi + p).conj() * diagonal(p, lo, hi)
     return square
-
-
-def write_square_diagonals(ab: np.ndarray, cube: Cube, lap: np.ndarray,
-                           clean: np.ndarray, h, b) -> None:
-    """Write the entries of M = (H - iB)(H + iB) = H² + B² + i[H, B] that
-    depend on the realization into its complex lower band storage ``ab``, in
-    place, for H = lap + diag(h) and B = diag(b) on the cube.
-
-    ``lap`` is the Laplacian term's band storage (`laplacian`); its square
-    (`band_square`) fills the rest of ``ab``.  ``clean`` holds that square's
-    diagonal in row 0 and its row ``cube.strides[r]`` in row r + 1.  Only
-    these rows change: the diagonal becomes
-    (lap²)_ii + 2·lap_ii·h_i + h_i² + b_i², and on the row of stride k
-    (i = j + k) M_ij = (lap²)_ij + lap_ij·(h_i + h_j) + i·lap_ij·(b_j - b_i).
-    """
-    h = np.asarray(h, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ab.real[0] = clean[0] + h * (h + 2.0 * lap[0]) + b * b
-    n = cube.n_sites
-    for r, k in enumerate(cube.strides, 1):
-        hop = lap[k, :n - k]
-        ab.real[k, :n - k] = clean[r, :n - k] + hop * (h[:n - k] + h[k:])
-        ab.imag[k, :n - k] = hop * (b[:n - k] - b[k:])
 
 
 def _split_blocks(m: np.ndarray):

@@ -2,9 +2,9 @@
 
 Realizations are independent and reproducible from (base_seed, index); the
 driver can run them across a process pool, and aggregation does not depend on
-completion order.  The clean part of the operator is built once per run, and
-each realization only rewrites the rows of its band storage that depend on V
-and b.  Which band is solved is chosen per run (`band_driver`):
+completion order.  The clean part of the operator (`CleanPart`) is built once
+per run and never changed; each realization builds its own band from it
+(`realization_band`).  Which band is solved is chosen per run (`band_driver`):
 
 - D/N boundaries with ``laplacian_sign`` -1 and a certified floor
   λ = min U0 + inf supp V with λ > 0 and λ >= ρ/64 (ρ the Gershgorin bound
@@ -18,8 +18,8 @@ and b.  Which band is solved is chosen per run (`band_driver`):
   +1): the block in interleaved order (psi1(0), psi2(0), psi1(1), ...) is a
   2n x 2n real band matrix (`operators.block_band`) that ``dsbevd`` solves.
 
-`realization_band` and `build_block` return the block itself on either path;
-they are the tests' oracle for the squared solve.
+`build_block` assembles the dense block from the dense Laplacians, with none
+of the band code: it is the tests' oracle for both paths.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import numpy as np
 from .disorder import Density, DisorderModel, SeedPolicy, sample_iid, support_bounds
 from .eigen import EigenError, SquaredBand, SymmetricBand, eigvalsh
 from .lattice import Cube, PeriodicPotential, check_memory
-from .operators import (BoundaryMode, band_square, block_band, block_band_bytes,
-                        block_half_bandwidth, laplacian, write_block_diagonals,
-                        write_square_diagonals)
+from .operators import (BoundaryMode, assemble_bracketing, band_square, block_band,
+                        block_band_bytes, block_half_bandwidth, laplacian)
 
 BOUNDARY_CHOICES = ("D", "N", "+", "-")
 
@@ -106,30 +105,23 @@ _BOUNDARY_MODES = {   # (top block, bottom block) of [[H_top, B], [B, -H_bot]]
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CleanPart:
-    """The realization-independent part of one experiment's operator.
+    """The part of one experiment's operator that is the same in every
+    realization; its arrays are read-only.
 
     ``driver`` is the LAPACK driver every realization is solved with
-    (`band_driver`), and ``band`` the storage it solves, whose
-    realization-dependent rows each realization rewrites in place: for
-    ``dsbevd`` the interleaved band of the block operator
-    (`operators.block_band`), for ``zhbevd`` the complex band of its square
-    M = (H - iB)(H + iB), with ``square`` holding the clean part of M's
-    rewritten rows (`operators.write_square_diagonals`).  ``top`` and ``bot``
-    are the band storages of the Laplacian terms of H_top and H_bot, ``u0``
-    the background potential and ``radius`` the bound ρ that `band_driver`
-    and `default_grid` read.
+    (`band_driver`).  ``top`` and ``bot`` are the band storages of the
+    Laplacian terms of H_top and H_bot, ``u0`` the background potential and
+    ``radius`` the bound ρ that `band_driver` and `default_grid` read.
     """
 
     cube: Cube
     driver: str
-    band: np.ndarray
     top: np.ndarray
     bot: np.ndarray
     u0: np.ndarray
     radius: float
-    square: np.ndarray | None = None
 
 
 def certified_floor(config: ExperimentConfig) -> float:
@@ -185,44 +177,35 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
     top, bot = laps[modes[0]], laps[modes[1]]
     u0 = config.potential.on_cube(cube)
     radius = _spectral_radius(config, top, u0)
-    driver = band_driver(config, radius)
-    if driver == "zhbevd":
-        lap2 = band_square(top)
-        band = np.asarray(lap2, dtype=np.complex128, order="F")
-        square = lap2[[0, *cube.strides]]
-        return CleanPart(cube, driver, band, top, bot, u0, radius, square)
-    band = block_band(cube, top, bot, np.zeros(cube.n_sites))
-    return CleanPart(cube, driver, band, top, bot, u0, radius)
+    for a in (top, bot, u0):
+        a.flags.writeable = False
+    return CleanPart(cube, band_driver(config, radius), top, bot, u0, radius)
 
 
-def realization_band(clean: CleanPart, v: np.ndarray, b: np.ndarray) -> SymmetricBand:
-    """One realization's block operator in interleaved band storage.  On the
-    ``dsbevd`` path its diagonal and b are written into the clean band in
-    place, and the result shares that storage; a ``zhbevd`` clean part holds
-    the square instead, so a new band is built."""
+def realization_band(clean: CleanPart, v: np.ndarray,
+                     b: np.ndarray) -> SymmetricBand | SquaredBand:
+    """One realization's operator in a band storage of its own, built whole
+    from ``clean`` with H = Laplacian term + diag(u0 + v) and B = diag(b):
+    on the ``zhbevd`` path the square M = conj(A)·A of A = H + iB
+    (`operators.band_square`), on the ``dsbevd`` path the block in
+    interleaved order (`operators.block_band`)."""
     h = clean.u0 + v
-    ab = clean.band if clean.driver == "dsbevd" else block_band(clean.cube, clean.top,
-                                                                 clean.bot, b)
-    write_block_diagonals(ab, clean.top[0] + h, clean.bot[0] + h, b)
-    return SymmetricBand(ab)
-
-
-def realization_square(clean: CleanPart, v: np.ndarray, b: np.ndarray) -> SquaredBand:
-    """One realization's block operator through its square M, written into
-    the clean band of a ``zhbevd`` clean part in place; the result shares
-    that storage."""
-    write_square_diagonals(clean.band, clean.cube, clean.top, clean.square, clean.u0 + v, b)
-    return SquaredBand(clean.band)
+    if clean.driver == "zhbevd":
+        a = clean.top.astype(np.complex128)
+        a[0] += h + 1j * b
+        return SquaredBand(band_square(a))
+    return SymmetricBand(block_band(clean.cube, clean.top, clean.bot, b, h))
 
 
 def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2n x 2n block operator of one disorder realization, dense and in
-    natural order [[H_top, B], [B, -H_bot]]; derived from the interleaved
-    band of `realization_band`."""
-    dense = realization_band(base_matrices(config), v, b).to_dense()
-    n2 = dense.shape[0]
-    natural = np.concatenate([np.arange(0, n2, 2), np.arange(1, n2, 2)])
-    return dense[np.ix_(natural, natural)]
+    natural order [[H_top, B], [B, -H_bot]], H = Laplacian term + diag(U0 + V):
+    assembled from the dense Laplacians, independently of the band code."""
+    cube = config.cube
+    h = np.diag(config.potential.on_cube(cube) + v)
+    top, bot = (laplacian(cube, mode, config.laplacian_sign) + h
+                for mode in _BOUNDARY_MODES[config.boundary])
+    return assemble_bracketing(top, bot, np.diag(b))
 
 
 def realization_fields(config: ExperimentConfig, index: int):
@@ -242,25 +225,27 @@ def pool_workers(config: ExperimentConfig) -> int:
 
 
 def peak_bytes(config: ExperimentConfig) -> int:
-    """Estimated peak memory of `run_ensemble`: the clean band and the copy
-    LAPACK solves in each process (the square's complex band of n columns
-    takes at most the block band's bytes), the spectra and their pooled
-    copy, and the IDS counts with two temporaries of their size.  A process pool adds,
-    per worker, the clean band of its current chunk and two pickled chunks
-    queued for it."""
+    """Estimated peak memory of `run_ensemble`.  This process holds the clean
+    part (two Laplacian bands and u0), the spectra and their pooled copy, and
+    the IDS counts with two temporaries of their size.  Each process that
+    solves holds one realization's band and the copy LAPACK solves (the
+    square's complex band of n columns takes at most the block band's bytes,
+    and A = H + iB, freed before the solve, half that).  A process pool adds,
+    per worker, the clean part of its current chunk and of two pickled
+    chunks queued for it."""
     workers = pool_workers(config)
+    n = config.cube.n_sites
     band = block_band_bytes(config.cube)
-    aggregates = 8 * config.realizations * (4 * config.cube.n_sites + 3 * config.grid_points)
-    return band * (1 + 3 * workers + max(workers, 1)) + aggregates
+    clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
+    aggregates = 8 * config.realizations * (4 * n + 3 * config.grid_points)
+    return clean * (1 + 3 * workers) + 2 * band * max(workers, 1) + aggregates
 
 
 def _solve_one(config: ExperimentConfig, clean: CleanPart, index: int):
-    v, b = realization_fields(config, index)
-    realize = realization_square if clean.driver == "zhbevd" else realization_band
     try:
-        return index, eigvalsh(realize(clean, v, b))
+        return eigvalsh(realization_band(clean, *realization_fields(config, index)))
     except EigenError:
-        return index, None
+        return None
 
 
 def _abs_row_sums(lower: np.ndarray) -> np.ndarray:
@@ -312,14 +297,12 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
             raw = list(pool.map(solve, indices, chunksize=4))
     else:
         raw = [solve(r) for r in indices]
-    raw.sort(key=lambda item: item[0])
 
-    failures = [idx for idx, ev in raw if ev is None]
+    failures = [r for r, ev in enumerate(raw) if ev is None]
     if len(failures) > 0.01 * config.realizations:
         raise EigenError(f"{len(failures)} of {config.realizations} eigensolves failed")
-    kept = [(idx, ev) for idx, ev in raw if ev is not None]
-    ids = [idx for idx, _ in kept]
-    spectra = [ev for _, ev in kept]
+    ids = [r for r, ev in enumerate(raw) if ev is not None]
+    spectra = [ev for ev in raw if ev is not None]
 
     n2 = 2 * config.cube.n_sites
     grid = default_grid(config, clean)
@@ -342,9 +325,12 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     gaps = np.array([np.abs(ev).min() for ev in spectra])
+    cube = config.cube
+    half_bandwidth = (2 * cube.half_bandwidth if clean.driver == "zhbevd"
+                      else block_half_bandwidth(cube))
     return EnsembleResult(config, spectra, ids, grid, ids_mean, ids_stderr,
                           centers, hist, density, stderr, gaps, clean.driver,
-                          clean.band.shape[0] - 1, failures)
+                          half_bandwidth, failures)
 
 
 def zero_split_check(ev: np.ndarray) -> bool:

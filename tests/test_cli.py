@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import randblock.analysis
 import randblock.cli
 import randblock.lattice
 import randblock.operators
+from randblock.analysis import LifshitsRun, wegner_check
 from randblock.cli import build_parser, main
 from randblock.config import (
     ConfigError,
@@ -64,6 +66,13 @@ class TestVerifyCommand:
     def test_quiet_flag_after_subcommand(self, capsys):
         assert main(["verify", "--quiet", "--seed", "1"]) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, capsys, seed):
+        assert main(["verify", "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:") and "64 bits" in err
 
     def test_mutated_boundary_term_is_caught(self, capsys, monkeypatch):
         good = randblock.operators.gamma
@@ -358,6 +367,22 @@ class TestEnsembleCommands:
         assert (tmp_path / "lifshits.csv").exists()
         fit = json.loads((tmp_path / "lifshits_fit.json").read_text())
         assert ("alpha_hat" in fit) or ("error" in fit)
+
+    def test_section_defaults_come_from_the_library(self, tmp_path, monkeypatch):
+        # keys a section leaves out take LifshitsRun's and wegner_check's defaults
+        runs = []
+        probe = randblock.cli.lifshits_probe
+        monkeypatch.setattr(randblock.cli, "lifshits_probe",
+                            lambda run: runs.append(run) or probe(run))
+        doc = base_doc(cube={"dim": 1, "side": 11}, realizations=30,
+                       wegner={"mode": "H", "lower_constant": 1.0},
+                       lifshits={"epsilons": [0.5], "lam": 1.0})
+        path = write_config(tmp_path, doc)
+        for command in ("wegner", "lifshits"):
+            assert main(["--quiet", command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert (runs[0].realizations, runs[0].c) == (LifshitsRun.realizations, LifshitsRun.c)
+        report = json.loads((tmp_path / "wegner_report.json").read_text())
+        assert report["min_count"] == signature(wegner_check).parameters["min_count"].default
 
     def test_dostransform_command(self, tmp_path):
         doc = base_doc(dos_transform={"beta": 1.0,

@@ -21,7 +21,6 @@ from randblock.operators import (
     transform_u1,
     transform_u2,
     transform_u3_square,
-    write_square_diagonals,
 )
 
 
@@ -120,26 +119,16 @@ class TestSquareBand:
 
         rng = np.random.default_rng(cube.n_sites)
         h, b = rng.uniform(1, 2, cube.n_sites), rng.uniform(-0.5, 0.5, cube.n_sites)
-        ab = lap2.astype(np.complex128)
-        write_square_diagonals(ab, cube, lap, lap2[[0, *cube.strides]], h, b)
+        a = lap.astype(np.complex128)
+        a[0] += h + 1j * b
+        ab = band_square(a)
+        assert ab.shape == lap2.shape and ab.flags.f_contiguous
         hd, bd = dense_lap + np.diag(h), np.diag(b)
         m = (hd - 1j * bd) @ (hd + 1j * bd)
         assert np.abs(SquaredBand(ab).to_dense() - m).max() <= 1e-13 * np.abs(m).max()
         # its eigenvalues are the squares of the block operator's positive ones
         block = eigvalsh(assemble(hd, bd))
         assert np.allclose(eigvalsh(SquaredBand(ab)), block, rtol=0, atol=1e-12)
-
-    def test_rows_other_than_the_hops_stay_clean(self):
-        # in 2-d, lap² has rows 1 +/- L and 2, 2L that no realization touches
-        cube = Cube(2, 4)
-        lap = laplacian(cube, BoundaryMode.NEUMANN, -1, band=True)
-        lap2 = band_square(lap)
-        ab = lap2.astype(np.complex128)
-        write_square_diagonals(ab, cube, lap, lap2[[0, *cube.strides]],
-                               np.ones(cube.n_sites), np.ones(cube.n_sites))
-        untouched = [k for k in range(lap2.shape[0]) if k not in (0, *cube.strides)]
-        assert np.array_equal(ab[untouched], lap2[untouched])
-        assert np.count_nonzero(lap2[untouched]) > 0
 
 
 class TestGamma:

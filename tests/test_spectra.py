@@ -22,6 +22,7 @@ from randblock.spectra import (
     default_grid,
     peak_bytes,
     pool_workers,
+    realization_band,
     realization_fields,
     run_ensemble,
     symmetry_residual,
@@ -166,6 +167,34 @@ class TestBandedSolve:
                                            env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")}
         assert digests["1"] == digests["2"] != ""
+
+
+class TestCleanPart:
+    """The clean part is built once per run and never written to."""
+
+    @pytest.mark.parametrize("boundary", ["N", "+"], ids=["square", "block"])
+    def test_realizations_share_no_storage(self, boundary):
+        cfg = make_config(side=9, boundary=boundary)
+        clean = base_matrices(cfg)
+        first, second = (realization_band(clean, *realization_fields(cfg, r)) for r in (0, 1))
+        assert not np.shares_memory(first.lower, second.lower)
+        for a in (clean.top, clean.bot, clean.u0):
+            assert not np.shares_memory(first.lower, a) and not a.flags.writeable
+
+    @pytest.mark.parametrize("boundary", ["N", "+"], ids=["square", "block"])
+    def test_run_leaves_clean_part_unchanged(self, boundary, monkeypatch):
+        cfg = make_config(side=9, boundary=boundary)
+        used = []
+
+        def recording(config):
+            used.append(base_matrices(config))
+            return used[-1]
+
+        monkeypatch.setattr(randblock.spectra, "base_matrices", recording)
+        run_ensemble(cfg)
+        fresh = base_matrices(cfg)
+        for name in ("top", "bot", "u0"):
+            assert np.array_equal(getattr(used[0], name), getattr(fresh, name))
 
 
 class TestBandDriver:
