@@ -241,6 +241,8 @@ class LifshitsRun:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
+        if not eps:
+            raise ValueError("need at least one epsilon")
         if any(e <= 0 for e in eps):
             raise ValueError("epsilons must be positive")
         if self.realizations < 1:
@@ -281,7 +283,7 @@ def lifshits_probe(run: LifshitsRun) -> LifshitsTable:
     Raises MemoryLimitError before the first draw when the largest batch
     would not fit in memory."""
     sides = [run.side_for(eps) for eps in run.epsilons]
-    largest = max(sides, default=0)
+    largest = max(sides)
     check_memory(_PROBE_TEMPORARIES * 8 * run.realizations * largest,
                  f"the tail probe ({run.realizations} realizations per epsilon, "
                  f"largest side {largest})")
@@ -307,19 +309,27 @@ class ExponentFit:
     used_points: int
 
 
+def double_log_coordinates(epsilons, p_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The fit coordinates (ln eps, ln|ln P|) of each point; ln|ln P| is NaN
+    where P is 0 or 1, which carry no double-log information."""
+    p = np.asarray(p_hat, dtype=float)
+    usable = (p > 0.0) & (p < 1.0)
+    lnln = np.full(p.shape, np.nan)
+    lnln[usable] = np.log(np.abs(np.log(p[usable])))
+    return np.log(np.asarray(epsilons, dtype=float)), lnln
+
+
 def lifshits_exponent_fit(epsilons, p_hat) -> ExponentFit:
     """Least-squares slope of ln|ln P| against ln eps; alpha = -slope.
 
-    Points with P in {0, 1} carry no double-log information and are dropped;
-    at least four usable points are required.
+    Points with P in {0, 1} are dropped (`double_log_coordinates`); at
+    least four usable points are required.
     """
-    eps = np.asarray(epsilons, dtype=float)
-    p = np.asarray(p_hat, dtype=float)
-    usable = (p > 0.0) & (p < 1.0)
+    x, y = double_log_coordinates(epsilons, p_hat)
+    usable = ~np.isnan(y)
     if usable.sum() < 4:
         raise ValueError(f"only {int(usable.sum())} usable points, need >= 4")
-    x = np.log(eps[usable])
-    y = np.log(np.abs(np.log(p[usable])))
+    x, y = x[usable], y[usable]
 
     def slope(xs, ys):
         return np.polyfit(xs, ys, 1)[0]

@@ -1,5 +1,11 @@
 """Command-line front end: configs in, CSV/JSON artifacts out.
 
+`main` runs every command but ``verify``: it loads the config, starts the
+clock, calls ``fn(args, config, extras, out_dir)`` and writes the manifest
+from the files, `EnsembleResult` (or None) and exit code the command
+returns.  The first write makes the output directory, so a command refused
+with exit 2 leaves nothing behind.
+
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
 """
@@ -25,15 +31,16 @@ from .analysis import (
     WegnerBound,
     certify_wegner_hypothesis,
     const_b_dos_array,
+    double_log_coordinates,
     lifshits_exponent_fit,
     lifshits_probe,
     wegner_bound,
     wegner_check,
 )
 from .config import ConfigError, config_echo, load_config, parse_density, read_float, read_int
-from .disorder import DensitySpec, SeedPolicy, support_bounds
+from .disorder import DensitySpec, SeedPolicy, bv_norm, support_bounds
 from .eigen import EigenError, backend_name
-from .lattice import MemoryLimitError
+from .lattice import MemoryLimitError, check_memory
 from .spectra import run_ensemble
 from .verify import run_all
 
@@ -41,6 +48,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_csv(path: Path, header_comment: list[str], names: list[str],
@@ -57,7 +70,7 @@ def _write_csv(path: Path, header_comment: list[str], names: list[str],
     lines = [f"# {c}" for c in header_comment]
     lines.append(",".join(names))
     lines.extend(map(",".join, zip(*cells)))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -74,7 +87,7 @@ def _blas_identity() -> dict | None:
 
 
 def _write_manifest(out_dir: Path, command: str, config, t0: float,
-                    files: list[Path], result=None) -> None:
+                    files: list[Path], result) -> None:
     """Write ``<command>_manifest.json``: the config echo, the time since
     ``t0`` and the outputs' digests, plus the failures, LAPACK driver and
     half-bandwidth of the ensemble ``result`` for commands that run one."""
@@ -95,7 +108,7 @@ def _write_manifest(out_dir: Path, command: str, config, t0: float,
         "failed_realizations": 0 if result is None else len(result.failures),
         "outputs": {f.name: _sha256(f) for f in files},
     }
-    (out_dir / f"{command}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_text(out_dir / f"{command}_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _section(extras: dict, name: str) -> dict:
@@ -112,14 +125,10 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     results = run_all(seed)
-    ok = True
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            ok = False
         if not args.quiet or not r.passed:
-            print(f"[{status}] {r.name}: {r.detail} (replay seed {r.seed})")
-    if not ok:
+            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail} (replay seed {r.seed})")
+    if not all(r.passed for r in results):
         print("verification FAILED", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     if not args.quiet:
@@ -127,73 +136,55 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _run_ensemble_command(args):
-    config, _, _ = load_config(args.config, args.seed, args.threads)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
+# The CSV each ensemble command writes: file name, header comment, column
+# names and the `EnsembleResult` fields that fill the columns.  ``{gap_min}``
+# in a header stands for the least min|eigenvalue| over the realizations.
+_ENSEMBLE_TABLES = {
+    "ids": ("ids.csv",
+            ["E: energy; N_mean: mean normalized counting function [0,1]; N_stderr: standard error over realizations"],
+            ["E", "N_mean", "N_stderr"],
+            ("grid", "ids_mean", "ids_stderr")),
+    "dos": ("dos.csv",
+            ["bin_center: energy; density: normalized DOS (integrates to 1); stderr: binomial standard error; count: raw eigenvalue count"],
+            ["bin_center", "density", "stderr", "count"],
+            ("dos_centers", "dos_density", "dos_stderr", "dos_counts")),
+    "gap": ("gap.csv",
+            ["min over realizations of min|eigenvalue|: {gap_min!r}",
+             "realization: index; min_abs_eig: smallest |eigenvalue| (energy)"],
+            ["realization", "min_abs_eig"],
+            ("realization_ids", "gap_per_realization")),
+}
+
+
+def cmd_ensemble(args, config, extras, out_dir):
+    """``ids``, ``dos`` and ``gap``: run the ensemble and write the
+    command's table of its columns (`_ENSEMBLE_TABLES`)."""
     result = run_ensemble(config)
-    return config, out_dir, t0, result
+    name, header, names, fields = _ENSEMBLE_TABLES[args.command]
+    gap_min = float(result.gap_per_realization.min())
+    path = out_dir / name
+    _write_csv(path, [line.format(gap_min=gap_min) for line in header], names,
+               *(getattr(result, f) for f in fields))
+    return [path], result, EXIT_OK
 
 
-def cmd_ids(args) -> int:
-    config, out_dir, t0, result = _run_ensemble_command(args)
-    path = out_dir / "ids.csv"
-    _write_csv(path,
-               ["E: energy; N_mean: mean normalized counting function [0,1]; N_stderr: standard error over realizations"],
-               ["E", "N_mean", "N_stderr"],
-               result.grid, result.ids_mean, result.ids_stderr)
-    _write_manifest(out_dir, "ids", config, t0, [path], result)
-    return EXIT_OK
-
-
-def cmd_dos(args) -> int:
-    config, out_dir, t0, result = _run_ensemble_command(args)
-    path = out_dir / "dos.csv"
-    _write_csv(path,
-               ["bin_center: energy; density: normalized DOS (integrates to 1); stderr: binomial standard error; count: raw eigenvalue count"],
-               ["bin_center", "density", "stderr", "count"],
-               result.dos_centers, result.dos_density, result.dos_stderr,
-               result.dos_counts)
-    _write_manifest(out_dir, "dos", config, t0, [path], result)
-    return EXIT_OK
-
-
-def cmd_gap(args) -> int:
-    config, out_dir, t0, result = _run_ensemble_command(args)
-    per_real = result.gap_per_realization
-    path = out_dir / "gap.csv"
-    _write_csv(path,
-               [f"min over realizations of min|eigenvalue|: {float(per_real.min())!r}",
-                "realization: index; min_abs_eig: smallest |eigenvalue| (energy)"],
-               ["realization", "min_abs_eig"],
-               result.realization_ids, per_real)
-    _write_manifest(out_dir, "gap", config, t0, [path], result)
-    return EXIT_OK
-
-
-def cmd_wegner(args) -> int:
-    config, extras, _ = load_config(args.config, args.seed, args.threads)
+def cmd_wegner(args, config, extras, out_dir):
     rec = _section(extras, "wegner")
+    density = config.disorder.mu_v if rec["mode"] == "H" else config.disorder.mu_b
+    if not isinstance(density, DensitySpec):
+        raise ConfigError("wegner: the relevant disorder law must have a density")
     try:
         bound = WegnerBound(str(rec["mode"]),
                             read_float(rec["lower_constant"], "wegner.lower_constant"),
-                            _bv_for_mode(config, rec["mode"]))
+                            bv_norm(density))
         certify_wegner_hypothesis(config, bound)
         given = {}                    # wegner_check holds min_count's default
         if "min_count" in rec:
             given["min_count"] = read_int(rec["min_count"], "wegner.min_count")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
     result = run_ensemble(config)
-    try:
-        report = wegner_check(result, bound, **given)
-    except ValueError as exc:
-        # uncertified hypothesis is a config problem, not a numerical one
-        raise ConfigError(str(exc)) from exc
+    report = wegner_check(result, bound, **given)
     path = out_dir / "wegner_report.json"
     doc = {
         "mode": bound.mode,
@@ -211,24 +202,14 @@ def cmd_wegner(args) -> int:
             {"center": c, "density": d, "allowed": a} for c, d, a in report.violations
         ],
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    _write_manifest(out_dir, "wegner", config, t0, [path], result)
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
     if not args.quiet:
         print(f"wegner: {report.checked_bins} bins checked, "
               f"{len(report.violations)} violations")
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
+    return [path], result, EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
-def _bv_for_mode(config, mode: str) -> float:
-    from .disorder import bv_norm
-    density = config.disorder.mu_v if mode == "H" else config.disorder.mu_b
-    if not isinstance(density, DensitySpec):
-        raise ConfigError("wegner: the relevant disorder law must have a density")
-    return bv_norm(density)
-
-
-def cmd_lifshits(args) -> int:
-    config, extras, _ = load_config(args.config, args.seed, args.threads)
+def cmd_lifshits(args, config, extras, out_dir):
     rec = _section(extras, "lifshits")
     if not isinstance(config.disorder.mu_v, DensitySpec):
         raise ConfigError("lifshits: V must have a density")
@@ -247,15 +228,8 @@ def cmd_lifshits(args) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"lifshits: {exc}") from exc
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
     table = lifshits_probe(run)
-    with np.errstate(divide="ignore"):
-        ln_eps = np.log(table.epsilons)
-        lnln = np.where((table.p_hat > 0) & (table.p_hat < 1),
-                        np.log(np.abs(np.log(np.where(table.p_hat > 0, table.p_hat, 1.0)))),
-                        np.nan)
+    ln_eps, lnln = double_log_coordinates(table.epsilons, table.p_hat)
     path = out_dir / "lifshits.csv"
     _write_csv(path,
                ["epsilon: distance to band edge; L_eps: box side; R: realizations; "
@@ -264,7 +238,6 @@ def cmd_lifshits(args) -> int:
                ["epsilon", "L_eps", "R", "p_hat", "stderr", "ln_eps", "lnln"],
                table.epsilons, table.sides, [table.realizations] * len(table.epsilons),
                table.p_hat, table.stderr, ln_eps, lnln)
-    files = [path]
     try:
         fit = lifshits_exponent_fit(table.epsilons, table.p_hat)
         fit_doc = {"alpha_hat": fit.alpha_hat, "jackknife_stderr": fit.stderr,
@@ -272,37 +245,39 @@ def cmd_lifshits(args) -> int:
     except ValueError as exc:
         fit_doc = {"error": str(exc)}
     fit_path = out_dir / "lifshits_fit.json"
-    fit_path.write_text(json.dumps(fit_doc, indent=2) + "\n")
-    files.append(fit_path)
-    _write_manifest(out_dir, "lifshits", config, t0, files)
+    _write_text(fit_path, json.dumps(fit_doc, indent=2) + "\n")
     if not args.quiet and "alpha_hat" in fit_doc:
         print(f"lifshits: alpha_hat = {fit_doc['alpha_hat']:.4f} "
               f"+/- {fit_doc['jackknife_stderr']:.4f}")
-    return EXIT_OK
+    return [path, fit_path], None, EXIT_OK
 
 
-def cmd_dostransform(args) -> int:
-    t0 = time.monotonic()
-    config, extras, _ = load_config(args.config, args.seed, args.threads)
+# float arrays of the energies' length alive at once: the energies, D_H,
+# D_block and the temporaries of `const_b_dos_array` and `pdf_array`
+_TRANSFORM_ARRAYS = 8
+
+
+def cmd_dostransform(args, config, extras, out_dir):
     rec = _section(extras, "dos_transform")
     source = parse_density(rec["source"], "dos_transform.source")
     if not isinstance(source, DensitySpec):
         raise ConfigError("dos_transform: source must have a density")
-    lo, hi = support_bounds(source)
-    amax = max(abs(lo), abs(hi))
     try:
         beta = read_float(rec["beta"], "beta")
         transform = DosTransform(source, beta)
         if "energies" in rec:
             erec = rec["energies"]
-            energies = np.linspace(read_float(erec["lo"], "energies.lo"),
-                                   read_float(erec["hi"], "energies.hi"),
-                                   read_int(erec.get("points", 512), "energies.points"))
+            lo, hi = (read_float(erec[k], f"energies.{k}") for k in ("lo", "hi"))
+            points = read_int(erec.get("points", 512), "energies.points")
+            if points < 1:
+                raise ValueError(f"energies.points must be at least 1, got {points}")
         else:
-            top = math.sqrt(amax**2 + beta**2) + 0.5
-            energies = np.linspace(-top, top, 512)
+            top = math.sqrt(max(map(abs, support_bounds(source)))**2 + beta**2) + 0.5
+            lo, hi, points = -top, top, 512
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"dos_transform: {exc}") from exc
+    check_memory(8 * _TRANSFORM_ARRAYS * points, f"the DOS transform at {points} energies")
+    energies = np.linspace(lo, hi, points)
     d_h = source.pdf_array(energies)
     d_block = const_b_dos_array(transform, energies)
     # the band-edge singularity is clipped to the largest finite value for CSV
@@ -310,8 +285,6 @@ def cmd_dostransform(args) -> int:
     if not finite.all():
         cap = d_block[finite].max() if finite.any() else 0.0
         d_block = np.where(finite, d_block, cap)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "dos_transform.csv"
     _write_csv(path,
                [f"constant off-diagonal block beta = {beta!r}",
@@ -319,8 +292,7 @@ def cmd_dostransform(args) -> int:
                 "(band-edge singularity clipped to last finite value)"],
                ["E", "D_H", "D_block"],
                energies, d_h, d_block)
-    _write_manifest(out_dir, "dostransform", config, t0, [path])
-    return EXIT_OK
+    return [path], None, EXIT_OK
 
 
 @functools.cache
@@ -344,17 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral simulation and identity checks for random block operators",
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("verify", cmd_verify, False),
-        ("ids", cmd_ids, True),
-        ("dos", cmd_dos, True),
-        ("gap", cmd_gap, True),
-        ("wegner", cmd_wegner, True),
-        ("lifshits", cmd_lifshits, True),
-        ("dostransform", cmd_dostransform, True),
-    ):
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(fn=fn, needs_config=needs_config)
+    for name, fn in (("verify", cmd_verify), *((n, cmd_ensemble) for n in _ENSEMBLE_TABLES),
+                     ("wegner", cmd_wegner), ("lifshits", cmd_lifshits),
+                     ("dostransform", cmd_dostransform)):
+        sub.add_parser(name, parents=[common]).set_defaults(fn=fn)
     return parser
 
 
@@ -370,9 +335,16 @@ def main(argv=None) -> int:
     if not hasattr(args, "threads"):
         args.threads = os.cpu_count() or 1
     try:
-        if args.needs_config and not args.config:
+        if args.fn is cmd_verify:     # no config, no manifest
+            return cmd_verify(args)
+        if not args.config:
             raise ConfigError(f"{args.command}: --config is required")
-        return args.fn(args)
+        config, extras, _ = load_config(args.config, args.seed, args.threads)
+        t0 = time.monotonic()
+        out_dir = Path(args.out)
+        files, result, code = args.fn(args, config, extras, out_dir)
+        _write_manifest(out_dir, args.command, config, t0, files, result)
+        return code
     except (ConfigError, MemoryLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

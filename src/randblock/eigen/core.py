@@ -1,8 +1,9 @@
 """Driver layer over the eigensolver kernels.
 
 Provides full spectra (`eigvalsh`: LAPACK ``dsyevd`` through NumPy for dense
-matrices, ``dsbevd`` through SciPy for band matrices, ``zhbevd`` for the
-square of a block operator with spectrum symmetric about zero), the tridiagonal
+matrices, ``dsbevd`` for band matrices and ``zhbevd`` for the square of a
+block operator with spectrum symmetric about zero, both through
+``scipy.linalg.lapack``), the tridiagonal
 definiteness test (`any_eigenvalue_below`, one Sturm pass batched over stacked
 diagonals) and the Sturm-bisection ground state built on it
 (`min_eig_tridiag`).
@@ -81,15 +82,16 @@ def eigvalsh(m) -> np.ndarray:
 
     A dense matrix goes to LAPACK's divide-and-conquer solver (``dsyevd``)
     through ``numpy.linalg.eigvalsh``, which reads the lower triangle only.  A
-    `SymmetricBand` goes to the banded divide-and-conquer solver (``dsbevd``,
-    ``scipy.linalg.eigvals_banded``).  A `SquaredBand` goes to its complex
-    Hermitian twin (``zhbevd``, ``scipy.linalg.lapack``), and its eigenvalues
-    μ come back as the 2n values [-√μ[::-1], √μ].  With every |E| >= λ and
+    `SymmetricBand` goes to the banded divide-and-conquer solver ``dsbevd``
+    and a `SquaredBand` to its complex Hermitian twin ``zhbevd``, both called
+    directly from ``scipy.linalg.lapack``; a `SquaredBand`'s eigenvalues μ
+    come back as the 2n values [-√μ[::-1], √μ].  With every |E| >= λ and
     the spectrum inside [-ρ, ρ], squaring moves an eigenvalue by
     |δE| ≲ eps·ρ²/λ instead of the direct solve's eps·ρ.  Raises
-    ValueError on non-finite entries and EigenError when LAPACK does not
-    converge, returns eigenvalues out of order, or returns a μ of a
-    `SquaredBand` that is not finite and positive (nothing is clamped).
+    ValueError on non-finite entries and EigenError when LAPACK fails
+    (a nonzero ``info``, or no convergence in ``dsyevd``), returns
+    eigenvalues out of order, or returns a μ of a `SquaredBand` that is not
+    finite and positive (nothing is clamped).
     """
     if isinstance(m, SquaredBand):
         w = _signed_roots(_band_solve(m))
@@ -115,17 +117,14 @@ def _band_solve(m) -> np.ndarray:
     `SymmetricBand`, ``zhbevd`` for a `SquaredBand` (which are then M's)."""
     if not np.all(np.isfinite(m.lower)):
         raise ValueError("matrix has non-finite entries")
-    import scipy.linalg   # only band solves need SciPy; it slows start-up
-    try:
-        if isinstance(m, SymmetricBand):
-            return scipy.linalg.eigvals_banded(m.lower, lower=True, check_finite=False)
-        # LAPACK gets a copy: the caller's band stays as it was
-        mu, _, info = scipy.linalg.lapack.zhbevd(m.lower, compute_v=0, lower=1, overwrite_ab=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zhbevd returned info = {info}")
-        return mu
-    except np.linalg.LinAlgError as exc:
-        raise EigenError(f"LAPACK banded eigensolve failed (n={m.lower.shape[1]}): {exc}") from exc
+    from scipy.linalg import lapack   # only band solves need SciPy; it slows start-up
+    driver = "dsbevd" if isinstance(m, SymmetricBand) else "zhbevd"
+    # LAPACK gets a copy: the caller's band stays as it was
+    w, _, info = getattr(lapack, driver)(m.lower, compute_v=0, lower=1, overwrite_ab=0)
+    if info != 0:
+        reason = "did not converge" if info > 0 else "rejected an argument"
+        raise EigenError(f"LAPACK {driver} {reason} (n={m.lower.shape[1]}, info = {info})")
+    return w
 
 
 def _signed_roots(mu: np.ndarray) -> np.ndarray:

@@ -131,13 +131,13 @@ def certified_floor(config: ExperimentConfig) -> float:
     return float(config.potential.on_cube(config.cube).min()) + v_lo
 
 
-def _spectral_radius(config: ExperimentConfig, lap_top: np.ndarray, u0: np.ndarray) -> float:
-    """ρ: the Gershgorin bound of H_top's clean part (band storage
-    ``lap_top`` of its Laplacian term, plus ``u0``) plus the largest |V| and
-    |b| the supports allow."""
-    h_top = lap_top.copy()
-    h_top[0] += u0
-    gersh = float(_abs_row_sums(h_top).max())
+def _spectral_radius(config: ExperimentConfig, top: np.ndarray, bot: np.ndarray,
+                     u0: np.ndarray) -> float:
+    """ρ: the larger Gershgorin bound of the clean parts of H_top and H_bot
+    (band storages ``top`` and ``bot`` of their Laplacian terms, plus
+    ``u0``) plus the largest |V| and |b| the supports allow."""
+    gersh = max(float(_abs_row_sums(lap, u0).max())
+                for lap in ((top,) if top is bot else (top, bot)))
     v_lo, v_hi = support_bounds(config.disorder.mu_v)
     b_lo, b_hi = support_bounds(config.disorder.mu_b)
     return gersh + max(abs(v_lo), abs(v_hi)) + max(abs(b_lo), abs(b_hi))
@@ -176,7 +176,7 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
             for mode in dict.fromkeys(modes)}
     top, bot = laps[modes[0]], laps[modes[1]]
     u0 = config.potential.on_cube(cube)
-    radius = _spectral_radius(config, top, u0)
+    radius = _spectral_radius(config, top, bot, u0)
     for a in (top, bot, u0):
         a.flags.writeable = False
     return CleanPart(cube, band_driver(config, radius), top, bot, u0, radius)
@@ -248,10 +248,11 @@ def _solve_one(config: ExperimentConfig, clean: CleanPart, index: int):
         return None
 
 
-def _abs_row_sums(lower: np.ndarray) -> np.ndarray:
-    """Row sums of |A| for a symmetric A in lower band storage."""
+def _abs_row_sums(lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Row sums of |A| for the symmetric A whose lower band storage is
+    ``lower`` with ``diagonal`` added to its diagonal."""
     n = lower.shape[1]
-    sums = np.abs(lower[0])
+    sums = np.abs(lower[0] + diagonal)
     for k in range(1, lower.shape[0]):
         a = np.abs(lower[k, :n - k])
         sums[k:] += a
@@ -261,8 +262,9 @@ def _abs_row_sums(lower: np.ndarray) -> np.ndarray:
 
 def default_grid(config: ExperimentConfig, clean: CleanPart) -> np.ndarray:
     """Symmetric energy grid covering the a priori spectral inclusion with
-    margin 0.5 (the Gershgorin bound ρ of H_top's clean part plus the
-    disorder supports, ``clean.radius``), unless the config gives the grid."""
+    margin 0.5 (the larger Gershgorin bound ρ of the clean parts of H_top and
+    H_bot plus the disorder supports, ``clean.radius``), unless the config
+    gives the grid."""
     if config.grid_lo is not None:
         return np.linspace(config.grid_lo, config.grid_hi, config.grid_points)
     r = clean.radius + 0.5
@@ -278,11 +280,18 @@ def _freedman_diaconis(pooled: np.ndarray) -> float:
     return float(width)
 
 
+# float arrays of the bin count's length alive at once: the edges, the counts,
+# the density, the proportions, the standard errors and the centers, and
+# `np.histogram`'s temporaries
+_HISTOGRAM_ARRAYS = 8
+
+
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Sample, build, diagonalize and aggregate R independent realizations.
 
     Raises MemoryLimitError before allocating when `peak_bytes` exceeds
-    `lattice.memory_limit`."""
+    `lattice.memory_limit`, and before binning when the DOS histogram's
+    arrays do."""
     workers = pool_workers(config)
     check_memory(peak_bytes(config),
                  f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
@@ -315,8 +324,11 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     pooled = np.concatenate(spectra)
     width = config.bin_width or _freedman_diaconis(pooled)
     lo, hi = pooled.min(), pooled.max()
-    nbins = max(1, int(np.ceil((hi - lo) / width)))
-    edges = lo + width * np.arange(nbins + 1)
+    with np.errstate(over="ignore"):      # a float: inf for a subnormal width
+        nbins = max(1.0, np.ceil((hi - lo) / width))
+    check_memory(8 * _HISTOGRAM_ARRAYS * (nbins + 1),
+                 f"the DOS histogram ({nbins:.3g} bins of width {width!r})")
+    edges = lo + width * np.arange(int(nbins) + 1)
     hist, _ = np.histogram(pooled, bins=edges)
     total = pooled.size
     density = hist / (total * width)

@@ -16,6 +16,7 @@ from randblock.analysis import (
     const_b_dos_array,
     const_b_map,
     dos_transform_measure_check,
+    double_log_coordinates,
     feynman_hellmann_sum,
     is_simple_eigenvalue,
     lifshits_exponent_fit,
@@ -366,6 +367,11 @@ class TestLifshits:
         fit = lifshits_exponent_fit(eps, p)
         assert fit.used_points == 4
         assert fit.alpha_hat == pytest.approx(0.5, abs=1e-6)
+        # the coordinates the CSV writes: ln|ln P| is NaN at P in {0, 1}
+        ln_eps, lnln = double_log_coordinates(eps, p)
+        assert np.array_equal(ln_eps, np.log(eps))
+        assert np.isnan(lnln[[0, -1]]).all()
+        assert np.array_equal(lnln[1:-1], np.log(-np.log(p[1:-1])))
 
     def test_fit_needs_four_points(self):
         with pytest.raises(ValueError):

@@ -191,6 +191,16 @@ class TestConfigErrors:
         ("ids", {"potential": {"period": [2], "values": [0, True]}}),
         ("ids", {"potential": {"period": [2], "values": [0, math.nan]}}),
         ("ids", {"potential": {"period": ["2"], "values": [0, 0.5]}}),
+        ("dos", {"bin_width": 1e-12}),
+        ("dos", {"bin_width": 1e-300}),
+        ("dos", {"bin_width": 5e-324}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": -1, "hi": 1, "points": 10**12}}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": -1, "hi": 1, "points": 0}}}),
+        ("lifshits", {"lifshits": {"epsilons": [], "lam": 1.0}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -210,14 +220,19 @@ class TestConfigErrors:
             "c-string", "c-infinite", "alpha-boolean", "beta-string",
             "energies-lo-string", "energies-hi-infinite", "c-zero", "c-negative",
             "alpha-negative", "potential-value-string", "potential-value-boolean",
-            "potential-value-nan", "potential-period-string"])
+            "potential-value-nan", "potential-period-string",
+            "bin-width-too-small-for-memory", "bin-width-bin-count-too-large",
+            "bin-width-subnormal", "energies-points-too-many-for-memory",
+            "energies-points-zero", "epsilons-empty"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
-        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert not out.exists()       # a refused command writes nothing
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):

@@ -86,34 +86,43 @@ class TestEigvalsh:
         assert np.allclose(eigvalsh(self.band), eigvalsh(self.band.to_dense()), atol=1e-14)
 
     @pytest.mark.parametrize("module, name, banded", [
-        (np.linalg, "eigvalsh", False), (scipy.linalg, "eigvals_banded", True)])
+        (np.linalg, "eigvalsh", False), (scipy.linalg.lapack, "dsbevd", True)])
     def test_unsorted_lapack_result_raises(self, monkeypatch, module, name, banded):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, **kwargs: real(*args, **kwargs)[::-1])
+
+        def reversed_eigenvalues(*args, **kwargs):
+            out = real(*args, **kwargs)       # dsbevd returns (w, z, info)
+            return (out[0][::-1], *out[1:]) if banded else out[::-1]
+
+        monkeypatch.setattr(module, name, reversed_eigenvalues)
         with pytest.raises(EigenError, match="ascending"):
             eigvalsh(self.band if banded else self.band.to_dense())
 
 
 class TestLapackFailure:
-    """A LAPACK LinAlgError surfaces as EigenError, is counted per realization
+    """A LAPACK failure surfaces as EigenError, is counted per realization
     by run_ensemble, and is exit code 3 in the CLI.
 
     With V on [0, 1] no gap is certified, so the ensemble solves the block
-    band with ``dsbevd`` (`scipy.linalg.eigvals_banded`), which is what these
+    band with ``dsbevd`` (`scipy.linalg.lapack.dsbevd`), which is what these
     tests make fail; `test_dense_raises_eigen_error` covers ``dsyevd`` on
     dense input and the ``test_squared_*`` twins the ``zhbevd`` solve of a
-    certified run (V on [1, 2])."""
+    certified run (V on [1, 2]).  A failing banded driver returns
+    ``info`` > 0 (no convergence), as LAPACK does; NumPy's dense solve
+    raises LinAlgError."""
 
     ZHBEVD = (scipy.linalg.lapack, "zhbevd")
 
-    def fail_on(self, monkeypatch, failing_calls, module=scipy.linalg, name="eigvals_banded"):
+    def fail_on(self, monkeypatch, failing_calls, module=scipy.linalg.lapack, name="dsbevd"):
         real = getattr(module, name)
         calls = itertools.count()
 
-        def flaky(*args, **kwargs):
-            if next(calls) in failing_calls:
+        def flaky(a, **kwargs):
+            if next(calls) not in failing_calls:
+                return real(a, **kwargs)
+            if module is np.linalg:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(*args, **kwargs)
+            return np.zeros(a.shape[1]), np.zeros((0, 0)), 1
 
         monkeypatch.setattr(module, name, flaky)
 
@@ -387,7 +396,7 @@ def _run_child(code, **env_vars):
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg is most of the CLI's start-up and only band solves need it.
-    # A patch of scipy.linalg.eigvals_banded, as TestLapackFailure makes, must
+    # A patch of scipy.linalg.lapack.dsbevd, as TestLapackFailure makes, must
     # still reach the band solve.  A stale RANDBLOCK_FORCE_PY in the
     # environment must not change the solver.
     _run_child(textwrap.dedent("""
@@ -399,9 +408,9 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         assert backend_name() == "lapack"
         assert np.allclose(eigvalsh(np.array([[0., 1.], [1., 0.]])), [-1, 1])
         import scipy.linalg
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
-        scipy.linalg.eigvals_banded = fail
+        def fail(ab, **kwargs):
+            return np.zeros(ab.shape[1]), np.zeros((0, 0)), 1   # did not converge
+        scipy.linalg.lapack.dsbevd = fail
         try:
             eigvalsh(SymmetricBand(np.ones((1, 3))))
         except EigenError:

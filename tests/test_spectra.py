@@ -284,6 +284,21 @@ class TestEnsembleStatistics:
             assert symmetry_residual(ev) < 1e-9 * np.abs(ev).max()
 
 
+@pytest.mark.parametrize("boundary", ["+", "-"])
+@pytest.mark.parametrize("dim, side", [(1, 1), (1, 2), (2, 2)])
+def test_default_grid_covers_both_blocks(dim, side, boundary):
+    # with V = b = 0 the block's spectrum is spec(H_top) and -spec(H_bot); for
+    # boundary - H_bot is the Dirichlet block, whose Gershgorin bound exceeds
+    # the Neumann H_top's
+    zero = ConstantValue(0.0)
+    config = ExperimentConfig(Cube(dim, side), boundary, DisorderModel(zero, zero),
+                              PeriodicPotential.zero(dim), 1, 0)
+    result = run_ensemble(config)
+    ev = result.spectra[0]
+    assert result.grid[0] < ev.min() and ev.max() < result.grid[-1]
+    assert result.ids_mean[0] == 0.0 and result.ids_mean[-1] == 1.0
+
+
 class TestGapEstimate:
     def test_uniform_v_and_b(self):
         # V in [1,2], b in [0.5,1]: gap at least sqrt(1 + 0.25)
