@@ -1,9 +1,10 @@
 """Closed-form transforms and bound verifiers.
 
-Constant-off-diagonal spectral map and DOS transform, the Wegner-type
-density bound and its Monte Carlo check, the eigenvalue-derivative sum
-identity, the bounded-variation integral inequality probe, and the
-band-edge tail probe with double-log exponent fit.
+The constant off-diagonal spectral map (`const_b_map`) and DOS transform
+(`DosTransform`, `const_b_dos_array`), the Wegner-type density bound and
+its check against an ensemble's DOS (`WegnerBound`, `wegner_check`), and
+the band-edge tail probe (`LifshitsRun`, `lifshits_probe`) with its
+double-log exponent fit (`lifshits_exponent_fit`).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DensitySpec, SeedPolicy, bv_norm, sample_iid, support_bounds
-from .eigen import any_eigenvalue_below, eigvalsh
+from .disorder import DensitySpec, SeedPolicy, sample_iid, support_bounds
+from .eigen import any_eigenvalue_below
 from .eigen import min_eig_tridiag  # noqa: F401 -- a trace hook target; see ROADMAP "For the next change to the benchmark"
 from .lattice import Cube, check_memory
 from .operators import BoundaryMode, laplacian
@@ -44,25 +45,11 @@ class DosTransform:
             raise ValueError("beta must be nonzero")
 
 
-def const_b_dos(transform: DosTransform, energy: float) -> float:
-    """Block DOS at one energy: |E|/sqrt(E^2-b^2) * [D(x) + D(-x)] with
-    x = sqrt(E^2-b^2); zero inside the gap.  At the band edge |E| == |beta|
-    exactly, returns +inf as an explicit singularity marker (provided the
-    source density does not vanish at 0)."""
-    beta = abs(transform.beta)
-    e = abs(energy)
-    if e < beta:
-        return 0.0
-    if e == beta:
-        weight = transform.source.pdf(0.0)
-        return math.inf if weight > 0 else 0.0
-    x = math.sqrt(e * e - beta * beta)
-    return e / x * (transform.source.pdf(x) + transform.source.pdf(-x))
-
-
 def const_b_dos_array(transform: DosTransform, energies) -> np.ndarray:
-    """`const_b_dos` at every energy of the array ``energies``, in one pass;
-    bit for bit the scalar's values, +inf at |E| == |beta| included."""
+    """Block DOS at every energy of the array ``energies``, in one pass:
+    |E|/sqrt(E^2-b^2) * [D(x) + D(-x)] with x = sqrt(E^2-b^2), zero inside
+    the gap.  At the band edge |E| == |beta| exactly it is +inf, an explicit
+    singularity marker (0 where the source density vanishes at 0)."""
     beta = abs(transform.beta)
     e = np.abs(np.asarray(energies, dtype=np.float64))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -71,23 +58,6 @@ def const_b_dos_array(transform: DosTransform, energies) -> np.ndarray:
     dos[e < beta] = 0.0
     dos[e == beta] = math.inf if transform.source.pdf(0.0) > 0 else 0.0
     return dos
-
-
-def dos_transform_measure_check(transform: DosTransform, a: float) -> tuple[float, float]:
-    """Both sides of the change-of-variables identity
-    ∫_beta^sqrt(a²+beta²) block-DOS dE  =  ∫_{-a}^a D dE0, by quadrature to
-    absolute error 1e-10 (both ±E0 land on the positive branch)."""
-    from scipy.integrate import quad     # only the quadrature checks need it
-
-    if a <= 0:
-        raise ValueError("need a > 0")
-    beta = abs(transform.beta)
-    top = math.sqrt(a * a + beta * beta)
-    lhs, _ = quad(lambda e: const_b_dos(transform, e), beta, top,
-                  epsabs=1e-10, limit=400, points=[beta])
-    rhs, _ = quad(transform.source.pdf, -a, a, epsabs=1e-10, limit=400,
-                  points=[p for p in transform.source.breakpoints if -a < p < a])
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -157,65 +127,6 @@ def wegner_check(result: EnsembleResult, bound: WegnerBound,
         if density > allowed:
             violations.append((float(center), float(density), float(allowed)))
     return WegnerReport(checked, violations, min_count)
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue-derivative sum identity
-
-def feynman_hellmann_sum(block: np.ndarray, energy: float, psi: np.ndarray,
-                         h: np.ndarray):
-    """For a normalized eigenpair (E, Psi) of [[H, b], [b, -H]] with diagonal
-    b, evaluate both sides of
-
-        E * sum_j (|psi1(j)|^2 - |psi2(j)|^2) = <psi1,H psi1> + <psi2,H psi2>
-
-    (the left side is E times the summed eigenvalue derivatives in the
-    on-site potential).  The pair must hold to a residual of 1e-8 times the
-    block's largest entry (at least 1e-8).  Returns (lhs, rhs, min_eig_h).
-    """
-    block = np.asarray(block, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    n = block.shape[0] // 2
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError("eigenvector must be normalized")
-    scale = max(1.0, float(np.abs(block).max()))
-    if np.linalg.norm(block @ psi - energy * psi) > 1e-8 * scale:
-        raise ValueError("(E, Psi) is not an eigenpair to the required residual")
-    psi1, psi2 = psi[:n], psi[n:]
-    lhs = energy * float(np.sum(psi1**2) - np.sum(psi2**2))
-    rhs = float(psi1 @ (h @ psi1) + psi2 @ (h @ psi2))
-    min_eig_h = float(eigvalsh(h)[0])
-    return lhs, rhs, min_eig_h
-
-
-def is_simple_eigenvalue(eigenvalues: np.ndarray, index: int, scale: float,
-                         gap_tol: float = 1e-10) -> bool:
-    """Degenerate eigenvalues break the derivative formula; skip them."""
-    ev = np.asarray(eigenvalues)
-    gap = np.inf
-    if index > 0:
-        gap = min(gap, ev[index] - ev[index - 1])
-    if index < ev.size - 1:
-        gap = min(gap, ev[index + 1] - ev[index])
-    return gap >= gap_tol * scale
-
-
-# ---------------------------------------------------------------------------
-# bounded-variation integral inequality
-
-def bv_inequality_probe(f_prime, oscillation: float, phi: DensitySpec) -> tuple[float, float]:
-    """lhs = |∫ F'(x) phi(x) dx| by adaptive quadrature (absolute error
-    1e-10), rhs = a * ||phi||_BV for a C^1 function F with sup-oscillation a."""
-    from scipy.integrate import quad
-
-    lo, hi = support_bounds(phi)
-    interior = [p for p in phi.breakpoints if lo < p < hi]
-    val, err = quad(lambda x: f_prime(x) * phi.pdf(x), lo, hi,
-                    epsabs=1e-10, limit=400, points=interior)
-    if err > max(1e-6, 1e-6 * abs(val)):
-        raise RuntimeError(f"quadrature did not converge (error estimate {err})")
-    return abs(val), oscillation * bv_norm(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +250,3 @@ def lifshits_exponent_fit(epsilons, p_hat) -> ExponentFit:
     deleted = np.array([slope(np.delete(x, i), np.delete(y, i)) for i in range(n)])
     jack = np.sqrt((n - 1) / n * np.sum((deleted - deleted.mean()) ** 2))
     return ExponentFit(-full, float(jack), int(n))
-
-
-# ---------------------------------------------------------------------------
-# soft spectrum-inclusion check
-
-def spectrum_inclusion_distances(h_eigenvalues, block_eigenvalues,
-                                 pairs) -> np.ndarray:
-    """Distances from ±sqrt(E^2 + beta^2) to the nearest block eigenvalue,
-    for sampled (E, beta) pairs; a soft check that shrinks with box size."""
-    block = np.sort(np.asarray(block_eigenvalues, dtype=float))
-    out = []
-    for e, beta in pairs:
-        for target in (math.sqrt(e * e + beta * beta), -math.sqrt(e * e + beta * beta)):
-            i = np.searchsorted(block, target)
-            cands = block[max(0, i - 1): i + 1]
-            out.append(float(np.abs(cands - target).min()))
-    return np.array(out)

@@ -37,7 +37,8 @@ from .analysis import (
     wegner_bound,
     wegner_check,
 )
-from .config import ConfigError, config_echo, load_config, parse_density, read_float, read_int
+from .config import (ConfigError, config_echo, load_config, parse_density, read_float,
+                     read_float_array, read_int)
 from .disorder import DensitySpec, SeedPolicy, bv_norm, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError, check_memory
@@ -218,7 +219,7 @@ def cmd_lifshits(args, config, extras, out_dir):
         given = {key: read(rec[key], key) for key, read in
                  (("realizations", read_int), ("c", read_float)) if key in rec}
         run = LifshitsRun(
-            epsilons=tuple(read_float(eps, "epsilons") for eps in rec["epsilons"]),
+            epsilons=read_float_array(rec["epsilons"], "epsilons"),
             mu_v=config.disorder.mu_v,
             lam=read_float(rec["lam"], "lam"),
             base_seed=config.base_seed,
@@ -268,6 +269,8 @@ def cmd_dostransform(args, config, extras, out_dir):
         if "energies" in rec:
             erec = rec["energies"]
             lo, hi = (read_float(erec[k], f"energies.{k}") for k in ("lo", "hi"))
+            if not hi > lo:
+                raise ValueError(f"energies.hi must exceed energies.lo, got {lo!r} to {hi!r}")
             points = read_int(erec.get("points", 512), "energies.points")
             if points < 1:
                 raise ValueError(f"energies.points must be at least 1, got {points}")

@@ -49,6 +49,14 @@ def read_float(value, where: str) -> float:
     return float(value)
 
 
+def read_float_array(value, where: str) -> tuple[float, ...]:
+    """A JSON array of finite numbers as a tuple of floats; anything else,
+    a bare number or a string included, is refused."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected an array, got {value!r}")
+    return tuple(read_float(x, where) for x in value)
+
+
 def _read_floats(value, where: str):
     """`read_float` applied to every entry of a JSON array, nested to any
     depth; a bare number is read as one entry."""
@@ -74,7 +82,7 @@ def parse_density(record: dict, where: str) -> Density:
         if kind == "piecewise":
             _check_keys(record, {"type", "breakpoints", "heights"},
                         {"type", "breakpoints", "heights"}, where)
-            return DensitySpec(*(tuple(read_float(x, f"{where}.{key}") for x in record[key])
+            return DensitySpec(*(read_float_array(record[key], f"{where}.{key}")
                                  for key in ("breakpoints", "heights")))
         if kind == "constant":
             _check_keys(record, {"type", "value"}, {"type", "value"}, where)

@@ -1,12 +1,16 @@
-"""Driver layer over the eigensolver kernels.
+"""Real symmetric eigensolvers.
 
-Provides full spectra (`eigvalsh`: LAPACK ``dsyevd`` through NumPy for dense
-matrices, ``dsbevd`` for band matrices and ``zhbevd`` for the square of a
-block operator with spectrum symmetric about zero, both through
-``scipy.linalg.lapack``), the tridiagonal
-definiteness test (`any_eigenvalue_below`, one Sturm pass batched over stacked
-diagonals) and the Sturm-bisection ground state built on it
-(`min_eig_tridiag`).
+Full spectra come from LAPACK (`eigvalsh`): ``dsyevd`` through NumPy for
+dense matrices, ``dsbevd`` through ``scipy.linalg.lapack`` for band matrices
+(`SymmetricBand`).  A block operator with spectrum symmetric about zero and a
+certified gap can instead be given through its n x n square (`SquaredBand`,
+complex Hermitian band storage), which ``zhbevd`` solves at half the
+dimension; its eigenvalues μ come back as ±√μ, moved by |δE| ≲ eps·ρ²/λ when
+the spectrum lies in [-ρ, ρ] and outside (-λ, λ).  Whether stacked
+tridiagonal matrices have an eigenvalue below a threshold comes from one
+batched Sturm pass (`any_eigenvalue_below`), their smallest eigenvalues from
+a bisection on that test (`min_eig_tridiag`).  A failed solve raises
+`EigenError`; `backend_name` names the solvers.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ def any_eigenvalue_below(d, e, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape not in ((), (d.shape[0],)):
         raise ValueError(f"x must be a scalar or hold one value per row, got shape {x.shape}")
-    # a zero pivot is perturbed exactly as in `_pykernels.sturm_count`
+    # a zero pivot is perturbed to eps·(|e| + eps), as in a one-matrix Sturm count
     q = d[:, 0] - x
     below = q < 0.0
     for i in range(1, d.shape[1]):

@@ -2,10 +2,12 @@
 
 Sites are ordered row-major over coordinates (last coordinate fastest); the
 linear index of a site is fixed once here and used for every matrix layout in
-the package.  The per-site helpers (`neighbours`, `boundary_deficiency`,
-`parity`) take one site; the array helpers (`coordinates`, `hops`,
-`deficiencies`, `parities`) give the same data for every site at once, from
-index arithmetic on `np.indices`.
+the package.  `sites` lists them; the per-site helpers (`neighbours`,
+`boundary_deficiency`) take one site; the array helpers (`coordinates`,
+`hops`, `deficiencies`, `parities`) give data for every site at once, from
+index arithmetic on `np.indices`.  `PeriodicPotential` is the background
+potential, and `check_memory` refuses a computation that would not fit in
+`memory_limit`.
 """
 
 from __future__ import annotations
@@ -176,11 +178,6 @@ def boundary_deficiency(cube: Cube, j) -> int:
     return 2 * cube.dim - len(neighbours(cube, j))
 
 
-def parity(j) -> int:
-    """(-1)^(j_1 + ... + j_d)."""
-    return 1 if sum(j) % 2 == 0 else -1
-
-
 def coordinates(cube: Cube) -> np.ndarray:
     """Site coordinates as a (dim, n_sites) integer array, in linear-index
     order."""
@@ -205,7 +202,7 @@ def deficiencies(cube: Cube) -> np.ndarray:
 
 
 def parities(cube: Cube) -> np.ndarray:
-    """(-1)^(j_1 + ... + j_d) of every site (`parity`)."""
+    """(-1)^(j_1 + ... + j_d) of every site."""
     return 1 - 2 * (coordinates(cube).sum(axis=0) % 2)
 
 

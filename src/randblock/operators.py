@@ -1,13 +1,15 @@
 """Lattice Hamiltonians and 2n x 2n block operators.
 
-Builds the discrete Laplacian under three boundary modes, the block
-assemblies [[A, B], [B, -A]] (plain and with different diagonal blocks) and
-the explicit unitary conjugations used as independent oracles.  Matrices are
-dense and symmetric by construction, except that the Laplacian, the lattice
-block operator and the square M = (H - iB)(H + iB) of its D/N form also come
-in LAPACK lower band storage, which the ensemble solve reads without an
-n x n intermediate.  Each band is built whole from its inputs and shares no
-storage with them.
+Builds the discrete Laplacian under three boundary modes (`laplacian`), the
+block assemblies [[A, B], [B, -A]] (`assemble`, and `assemble_bracketing`
+with different diagonal blocks), the parity block-split of the hopping
+operator (`transform_parity`) and the closed form of the squared block
+operator (`square_identity_residual`).  Matrices are dense and symmetric by
+construction, except that the Laplacian, the lattice block operator
+(`block_band`) and the square M = (H - iB)(H + iB) of its D/N form
+(`band_square`) also come in LAPACK lower band storage, which the ensemble
+solve reads without an n x n intermediate.  Each band is built whole from
+its inputs and shares no storage with them.
 """
 
 from __future__ import annotations
@@ -175,37 +177,6 @@ def _split_blocks(m: np.ndarray):
         raise ValueError("expected a 2n x 2n block matrix")
     n = m.shape[0] // 2
     return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:], n
-
-
-def transform_u1(m: np.ndarray) -> np.ndarray:
-    """Conjugation by (1/sqrt2) [[1, 1], [1, -1]]: swaps diagonal and
-    off-diagonal blocks of [[H, B], [B, -H]]."""
-    _, _, _, _, n = _split_blocks(m)
-    eye = np.eye(n)
-    u = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
-    return u @ m @ u.T
-
-
-def transform_u2(m: np.ndarray) -> np.ndarray:
-    """Particle-hole conjugation by [[0, 1], [-1, 0]]; negates the block
-    operator when it has the [[H, B], [B, -H]] shape."""
-    _, _, _, _, n = _split_blocks(m)
-    eye = np.eye(n)
-    u = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
-    return u @ m @ u.T
-
-
-def transform_u3_square(m: np.ndarray) -> np.ndarray:
-    """Conjugation of M^2 by (1/sqrt2) [[1, i], [i, 1]].
-
-    For M = [[H, B], [B, -H]] the result is block-diagonal with blocks
-    H^2 + B^2 -/+ i[H, B].  Returns a complex matrix.
-    """
-    _, _, _, _, n = _split_blocks(m)
-    eye = np.eye(n)
-    u = np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2.0)
-    m2 = np.asarray(m, dtype=np.float64) @ np.asarray(m, dtype=np.float64)
-    return u @ m2 @ u.conj().T
 
 
 def transform_parity(m: np.ndarray, cube: Cube, tol: float = 1e-12):

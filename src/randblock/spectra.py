@@ -224,8 +224,9 @@ def pool_workers(config: ExperimentConfig) -> int:
     return workers if workers > 1 else 0
 
 
-def peak_bytes(config: ExperimentConfig) -> int:
-    """Estimated peak memory of `run_ensemble`.  This process holds the clean
+def peak_bytes(config: ExperimentConfig, workers: int) -> int:
+    """Estimated peak memory of `run_ensemble` with ``workers`` worker
+    processes (`pool_workers`).  This process holds the clean
     part (two Laplacian bands and u0), the spectra and their pooled copy, and
     the IDS counts with two temporaries of their size.  Each process that
     solves holds one realization's band and the copy LAPACK solves (the
@@ -233,7 +234,6 @@ def peak_bytes(config: ExperimentConfig) -> int:
     and A = H + iB, freed before the solve, half that).  A process pool adds,
     per worker, the clean part of its current chunk and of two pickled
     chunks queued for it."""
-    workers = pool_workers(config)
     n = config.cube.n_sites
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
@@ -286,18 +286,31 @@ def _freedman_diaconis(pooled: np.ndarray) -> float:
 _HISTOGRAM_ARRAYS = 8
 
 
+def _histogram_bins(span: float, width: float) -> float:
+    """The bin count max(1, ⌈span/width⌉) of a DOS histogram, as a float (inf
+    for a subnormal width); MemoryLimitError when its arrays would not fit."""
+    with np.errstate(over="ignore"):
+        nbins = max(1.0, np.ceil(span / width))
+    check_memory(8 * _HISTOGRAM_ARRAYS * (nbins + 1),
+                 f"the DOS histogram ({nbins:.3g} bins of width {width!r})")
+    return nbins
+
+
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Sample, build, diagonalize and aggregate R independent realizations.
 
     Raises MemoryLimitError before allocating when `peak_bytes` exceeds
-    `lattice.memory_limit`, and before binning when the DOS histogram's
-    arrays do."""
+    `lattice.memory_limit`, and when the DOS histogram's arrays do: before
+    binning, and for a given ``bin_width`` already before the first solve
+    (every |E| <= ρ, so there are at most ⌈2ρ/width⌉ bins)."""
     workers = pool_workers(config)
-    check_memory(peak_bytes(config),
+    check_memory(peak_bytes(config, workers),
                  f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
                  f"(half-bandwidth {block_half_bandwidth(config.cube)}, {config.realizations} "
                  f"realizations, {max(workers, 1)} process(es))")
     clean = base_matrices(config)
+    if config.bin_width is not None:
+        _histogram_bins(2 * clean.radius, config.bin_width)
     solve = partial(_solve_one, config, clean)
     indices = range(config.realizations)
     if workers:
@@ -324,10 +337,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     pooled = np.concatenate(spectra)
     width = config.bin_width or _freedman_diaconis(pooled)
     lo, hi = pooled.min(), pooled.max()
-    with np.errstate(over="ignore"):      # a float: inf for a subnormal width
-        nbins = max(1.0, np.ceil((hi - lo) / width))
-    check_memory(8 * _HISTOGRAM_ARRAYS * (nbins + 1),
-                 f"the DOS histogram ({nbins:.3g} bins of width {width!r})")
+    nbins = _histogram_bins(hi - lo, width)
     edges = lo + width * np.arange(int(nbins) + 1)
     hist, _ = np.histogram(pooled, bins=edges)
     total = pooled.size

@@ -2,7 +2,9 @@
 
 Twelve checks, each printing one [PASS]/[FAIL] line (run pytest with -s to
 see them all).  Exact finite-dimensional identities are checked at tight
-tolerances; statistical properties at desk-scale ensemble sizes.
+tolerances; statistical properties at desk-scale ensemble sizes.  Checks
+c02-c04, c06 and c07 test `randblock.verify`'s per-instance identity
+functions on instances of their own, larger than the suites'.
 """
 
 import json
@@ -17,11 +19,6 @@ from randblock.analysis import (
     DosTransform,
     LifshitsRun,
     WegnerBound,
-    const_b_dos,
-    const_b_map,
-    dos_transform_measure_check,
-    feynman_hellmann_sum,
-    is_simple_eigenvalue,
     lifshits_exponent_fit,
     lifshits_probe,
     wegner_check,
@@ -30,21 +27,26 @@ from randblock.cli import main as cli_main
 from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import eigvalsh
 from randblock.lattice import Cube, PeriodicPotential
-from randblock.operators import (
-    BoundaryMode,
-    parity_values,
-    assemble,
-    assemble_bracketing,
-    laplacian,
-    square_identity_residual,
-    transform_parity,
-)
+from randblock.operators import BoundaryMode, assemble, laplacian
 from randblock.spectra import (
     ExperimentConfig,
     build_block,
     realization_fields,
     run_ensemble,
     symmetry_residual,
+)
+from randblock.verify import (
+    const_b_mismatch,
+    counting_chains_hold,
+    gap_margins,
+    parity_split_residuals,
+    square_residual,
+)
+from reference import (
+    const_b_dos,
+    dos_transform_measure_check,
+    feynman_hellmann_sum,
+    is_simple_eigenvalue,
 )
 
 SEED = 20260823
@@ -98,14 +100,8 @@ def test_c02_constant_offdiagonal_map():
     lap = laplacian(cube, BoundaryMode.NEUMANN, -1)
     worst = 0.0
     for r in range(5):
-        rng = _rng(100 + r)
-        h = lap + np.diag(rng.uniform(1, 2, cube.n_sites))
-        ev_h = eigvalsh(h)
-        for beta in (0.5, 1.0, 2.0):
-            direct = eigvalsh(assemble(h, beta * np.eye(cube.n_sites)))
-            mapped = const_b_map(ev_h, beta)
-            scale = max(1.0, np.abs(direct).max())
-            worst = max(worst, np.abs(direct - mapped).max() / scale)
+        h = lap + np.diag(_rng(100 + r).uniform(1, 2, cube.n_sites))
+        worst = max([worst] + [const_b_mismatch(h, beta) for beta in (0.5, 1.0, 2.0)])
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     report(2, "constant off-diagonal spectral map",
@@ -117,24 +113,11 @@ def test_c03_parity_equivalence():
     control_worst = 0.0
     for dim, side in ((1, 31), (2, 9)):
         cube = Cube(dim, side)
-        delta = laplacian(cube, BoundaryMode.ADJACENCY, 1)
-        neu = laplacian(cube, BoundaryMode.NEUMANN, -1)
         for r in range(10):
-            rng = _rng(1000 * dim + r)
-            bdiag = np.diag(rng.uniform(-1, 1, cube.n_sites))
-            m = assemble(delta, bdiag)
-            _, h_plus, h_minus = transform_parity(m, cube)
-            direct = eigvalsh(m)
-            split = np.sort(np.concatenate([eigvalsh(h_plus), eigvalsh(h_minus)]))
-            scale = max(1.0, np.abs(direct).max())
-            worst = max(worst, np.abs(direct - split).max() / scale)
-            # negative control: graph Laplacian breaks the anticommutation
-            u = np.diag(parity_values(cube))
-            m_neu = assemble(neu, bdiag)
-            split_neu = np.sort(np.concatenate(
-                [eigvalsh(neu + u @ bdiag), eigvalsh(neu - u @ bdiag)]))
-            control_worst = max(control_worst,
-                                float(np.abs(eigvalsh(m_neu) - split_neu).max()))
+            bdiag = _rng(1000 * dim + r).uniform(-1, 1, cube.n_sites)
+            mismatch, control = parity_split_residuals(cube, bdiag)
+            worst = max(worst, mismatch)
+            control_worst = max(control_worst, control)
     ok = worst <= 1e-8 and control_worst > 1e-3
     report(3, "parity block-split of the hopping operator",
            ok, f"mismatch {worst:.3e}, negative-control deviation {control_worst:.3e}")
@@ -143,27 +126,13 @@ def test_c03_parity_equivalence():
 def test_c04_gap_bound():
     rng = _rng(4)
     worst_margin = np.inf
-    ok = True
     for _ in range(200):
-        n = int(rng.integers(2, 65))
-        lam = rng.uniform(0.1, 2.0)
-        beta = rng.uniform(0.0, 2.0)
-        h = _random_symmetric(rng, n)
-        h += (lam - eigvalsh(h)[0]) * np.eye(n)
-        b = np.diag(beta + rng.uniform(0, 1, n))
-        gap = np.abs(eigvalsh(assemble(h, b))).min()
-        bound = math.sqrt(lam * lam + beta * beta)
-        worst_margin = min(worst_margin, gap - bound)
-        if gap < bound - 1e-9:
-            ok = False
-        h2 = _random_symmetric(rng, n)
-        h2 += (lam - eigvalsh(h2)[0]) * np.eye(n)
-        gap2 = np.abs(eigvalsh(assemble_bracketing(h, h2, _random_symmetric(rng, n)))).min()
-        if gap2 < lam - 1e-9:
-            ok = False
-            worst_margin = min(worst_margin, gap2 - lam)
+        margin, bracketing = gap_margins(rng, int(rng.integers(2, 65)))
+        worst_margin = min(worst_margin, margin)
+        if bracketing < -1e-9:
+            worst_margin = min(worst_margin, bracketing)
     report(4, "spectral gap lower bound",
-           ok, f"200 instances, worst margin {worst_margin:.3e}")
+           worst_margin >= -1e-9, f"200 instances, worst margin {worst_margin:.3e}")
 
 
 def test_c05_zero_split(gapped_ensemble):
@@ -189,15 +158,7 @@ def test_c06_bracketing_sandwich():
         hv_n = neu + np.diag(rng.uniform(1, 2, 31))
         hv_d = dir_ + np.diag(hv_n.diagonal() - neu.diagonal())
         b = np.diag(rng.uniform(-0.5, 0.5, 31))
-        ev = {"+": eigvalsh(assemble_bracketing(hv_d, hv_n, b)),
-              "-": eigvalsh(assemble_bracketing(hv_n, hv_d, b)),
-              "D": eigvalsh(assemble(hv_d, b)),
-              "N": eigvalsh(assemble(hv_n, b))}
-        grid = np.linspace(ev["-"].min() - 0.5, ev["+"].max() + 0.5, 64)
-        for e in grid:
-            c = {k: int(np.searchsorted(v, e, side="right")) for k, v in ev.items()}
-            if not (c["+"] <= c["D"] <= c["-"] and c["+"] <= c["N"] <= c["-"]):
-                ok = False
+        ok = counting_chains_hold(hv_d, hv_n, b, 64) and ok
     report(6, "counting-function bracketing chains",
            ok, "20 realizations x 64 energies, integer chains hold"
            if ok else "chain violated")
@@ -214,8 +175,7 @@ def test_c07_square_identity():
         else:
             h = _random_symmetric(rng, n)
             b = _random_symmetric(rng, n)
-        scale = (np.abs(eigvalsh(h)).max() + np.abs(eigvalsh(b)).max()) ** 2
-        worst = max(worst, square_identity_residual(h, b) / scale)
+        worst = max(worst, square_residual(h, b))
     ok = worst <= 1e-12
     report(7, "closed form of the squared block operator",
            ok, f"50 pairs, max relative residual {worst:.3e}")

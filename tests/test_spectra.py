@@ -98,10 +98,17 @@ class TestPoolWorkers:
         monkeypatch.setattr(randblock.spectra, "ProcessPoolExecutor", FakePool)
         cfg = make_config(realizations=3, threads=threads)
         assert pool_workers(cfg) == workers
-        assert peak_bytes(cfg) == peak_bytes(replace(cfg, threads=max(workers, 1)))
+        single = replace(cfg, threads=max(workers, 1))
+        assert peak_bytes(cfg, pool_workers(cfg)) == peak_bytes(single, pool_workers(single))
         result = run_ensemble(cfg)
         assert started == ([workers] if workers else [])
         assert np.array_equal(result.ids_mean, run_ensemble(replace(cfg, threads=1)).ids_mean)
+
+    def test_cpu_count_read_once_per_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "cpu_count", lambda: calls.append(1) or 1)
+        run_ensemble(make_config(realizations=2, threads=4))
+        assert len(calls) == 1
 
 
 class TestBandedSolve:
