@@ -37,8 +37,8 @@ from .analysis import (
     wegner_bound,
     wegner_check,
 )
-from .config import (ConfigError, config_echo, load_config, parse_density, read_float,
-                     read_float_array, read_int)
+from .config import (ConfigError, config_echo, load_config, parse_density, read_array,
+                     read_float, read_int)
 from .disorder import DensitySpec, SeedPolicy, bv_norm, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError, check_memory
@@ -90,8 +90,9 @@ def _blas_identity() -> dict | None:
 def _write_manifest(out_dir: Path, command: str, config, t0: float,
                     files: list[Path], result) -> None:
     """Write ``<command>_manifest.json``: the config echo, the time since
-    ``t0`` and the outputs' digests, plus the failures, LAPACK driver and
-    half-bandwidth of the ensemble ``result`` for commands that run one."""
+    ``t0`` and the outputs' digests, plus the failures (their count and
+    sorted indices), LAPACK driver and half-bandwidth of the ensemble
+    ``result`` for commands that run one."""
     manifest = {
         "tool_version": __version__,
         "backend": backend_name(),
@@ -107,6 +108,7 @@ def _write_manifest(out_dir: Path, command: str, config, t0: float,
         "base_seed": config.base_seed,
         "wall_time_seconds": time.monotonic() - t0,
         "failed_realizations": 0 if result is None else len(result.failures),
+        "failed_indices": None if result is None else result.failures,
         "outputs": {f.name: _sha256(f) for f in files},
     }
     _write_text(out_dir / f"{command}_manifest.json", json.dumps(manifest, indent=2) + "\n")
@@ -219,7 +221,7 @@ def cmd_lifshits(args, config, extras, out_dir):
         given = {key: read(rec[key], key) for key, read in
                  (("realizations", read_int), ("c", read_float)) if key in rec}
         run = LifshitsRun(
-            epsilons=read_float_array(rec["epsilons"], "epsilons"),
+            epsilons=read_array(rec["epsilons"], "epsilons", read_float),
             mu_v=config.disorder.mu_v,
             lam=read_float(rec["lam"], "lam"),
             base_seed=config.base_seed,
@@ -312,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the config base seed")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker pool size for ensemble runs")
+                        help="worker processes for ensembles (default: CPU count), "
+                             "at most one per chunk of 64 realizations")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="randblock",

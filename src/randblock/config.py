@@ -49,12 +49,13 @@ def read_float(value, where: str) -> float:
     return float(value)
 
 
-def read_float_array(value, where: str) -> tuple[float, ...]:
-    """A JSON array of finite numbers as a tuple of floats; anything else,
-    a bare number or a string included, is refused."""
+def read_array(value, where: str, read) -> tuple:
+    """A JSON array as the tuple of ``read(entry, where)`` over its entries
+    (``read`` is `read_int` or `read_float`); anything else, a bare number or
+    a string included, is refused."""
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected an array, got {value!r}")
-    return tuple(read_float(x, where) for x in value)
+    return tuple(read(x, where) for x in value)
 
 
 def _read_floats(value, where: str):
@@ -82,7 +83,7 @@ def parse_density(record: dict, where: str) -> Density:
         if kind == "piecewise":
             _check_keys(record, {"type", "breakpoints", "heights"},
                         {"type", "breakpoints", "heights"}, where)
-            return DensitySpec(*(read_float_array(record[key], f"{where}.{key}")
+            return DensitySpec(*(read_array(record[key], f"{where}.{key}", read_float)
                                  for key in ("breakpoints", "heights")))
         if kind == "constant":
             _check_keys(record, {"type", "value"}, {"type", "value"}, where)
@@ -141,7 +142,7 @@ def parse_config(doc: dict, seed_override: int | None = None,
         _check_keys(pot_rec, {"period", "values"}, {"period", "values"}, "potential")
         try:
             potential = PeriodicPotential(
-                tuple(read_int(p, "potential.period") for p in pot_rec["period"]),
+                read_array(pot_rec["period"], "potential.period", read_int),
                 _read_floats(pot_rec["values"], "potential.values"))
         except ConfigError:
             raise

@@ -1,8 +1,11 @@
 """Disorder-ensemble driver: IDS curves, DOS histograms, gap statistics.
 
-Realizations are independent and reproducible from (base_seed, index); the
-driver can run them across a process pool, and aggregation does not depend on
-completion order.  The clean part of the operator (`CleanPart`) is built once
+Realizations are independent and reproducible from (base_seed, index).  A
+run is cut into chunks of 64 consecutive indices, each drawn in one batch
+(`ensemble_fields`) and solved in index order (`_solve_chunk`); the chunks
+run in this process, or over a process pool when there are several
+(`pool_workers`), and are aggregated in index order, so no output depends on
+the worker count.  The clean part of the operator (`CleanPart`) is built once
 per run and never changed; each realization builds its own band from it
 (`realization_band`).  Which band is solved is chosen per run (`band_driver`):
 
@@ -208,19 +211,41 @@ def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.nd
     return assemble_bracketing(top, bot, np.diag(b))
 
 
-def realization_fields(config: ExperimentConfig, index: int):
-    """The (V, b) sample of one realization, from the seeding contract."""
+# realizations per unit of work (drawn, built and solved together, in this
+# process or as one pool task); a constant, so how a run is cut never
+# depends on the worker count
+_CHUNK = 64
+
+
+def ensemble_fields(config: ExperimentConfig, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The (V, b) samples of the realizations ``indices``, one row each, from
+    the seeding contract: one batch of streams (`SeedPolicy.streams`) and one
+    `sample_iid` per field."""
     policy = SeedPolicy(config.base_seed)
     n = config.cube.n_sites
-    v = sample_iid(config.disorder.mu_v, n, policy.generator(index, "V"))
-    b = sample_iid(config.disorder.mu_b, n, policy.generator(index, "b"))
+    v = sample_iid(config.disorder.mu_v, n, policy.streams(indices, "V"))
+    b = sample_iid(config.disorder.mu_b, n, policy.streams(indices, "b"))
     return v, b
+
+
+def realization_fields(config: ExperimentConfig, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (V, b) sample of one realization: `ensemble_fields`' one-row case."""
+    v, b = ensemble_fields(config, (index,))
+    return v[0], b[0]
+
+
+def _chunks(config: ExperimentConfig) -> list[range]:
+    """0..R-1 cut into consecutive ranges of `_CHUNK` indices."""
+    r = config.realizations
+    return [range(start, min(start + _CHUNK, r)) for start in range(0, r, _CHUNK)]
 
 
 def pool_workers(config: ExperimentConfig) -> int:
     """Worker processes `run_ensemble` starts: ``threads``, capped at the CPU
-    count, or 0 when that leaves one and the ensemble runs in this process."""
-    workers = min(config.threads, os.cpu_count() or 1)
+    count and at the number of chunks, or 0 when that leaves one and the
+    ensemble runs in this process (a run of at most `_CHUNK` realizations
+    always does)."""
+    workers = min(config.threads, os.cpu_count() or 1, len(_chunks(config)))
     return workers if workers > 1 else 0
 
 
@@ -229,7 +254,8 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     processes (`pool_workers`).  This process holds the clean
     part (two Laplacian bands and u0), the spectra and their pooled copy, and
     the IDS counts with two temporaries of their size.  Each process that
-    solves holds one realization's band and the copy LAPACK solves (the
+    solves holds one chunk's fields and spectra (2·C·n floats each, C the
+    chunk's length), one realization's band and the copy LAPACK solves (the
     square's complex band of n columns takes at most the block band's bytes,
     and A = H + iB, freed before the solve, half that).  A process pool adds,
     per worker, the clean part of its current chunk and of two pickled
@@ -237,15 +263,22 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     n = config.cube.n_sites
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
+    chunk = 2 * 8 * 2 * min(_CHUNK, config.realizations) * n
     aggregates = 8 * config.realizations * (4 * n + 3 * config.grid_points)
-    return clean * (1 + 3 * workers) + 2 * band * max(workers, 1) + aggregates
+    return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
 
 
-def _solve_one(config: ExperimentConfig, clean: CleanPart, index: int):
-    try:
-        return eigvalsh(realization_band(clean, *realization_fields(config, index)))
-    except EigenError:
-        return None
+def _solve_chunk(config: ExperimentConfig, clean: CleanPart,
+                 indices: range) -> tuple[list[np.ndarray], list[int]]:
+    """Draw, build and solve the realizations ``indices``: the spectra that
+    solved, in index order, and the indices whose solve failed."""
+    spectra, failed = [], []
+    for index, v, b in zip(indices, *ensemble_fields(config, indices)):
+        try:
+            spectra.append(eigvalsh(realization_band(clean, v, b)))
+        except EigenError:
+            failed.append(index)
+    return spectra, failed
 
 
 def _abs_row_sums(lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
@@ -311,20 +344,19 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     clean = base_matrices(config)
     if config.bin_width is not None:
         _histogram_bins(2 * clean.radius, config.bin_width)
-    solve = partial(_solve_one, config, clean)
-    indices = range(config.realizations)
+    solve, chunks = partial(_solve_chunk, config, clean), _chunks(config)
     if workers:
         # workers rebuild nothing: the clean part ships with each chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(solve, indices, chunksize=4))
+            done = list(pool.map(solve, chunks))
     else:
-        raw = [solve(r) for r in indices]
+        done = list(map(solve, chunks))
 
-    failures = [r for r, ev in enumerate(raw) if ev is None]
+    spectra = [ev for chunk, _ in done for ev in chunk]
+    failures = [r for _, failed in done for r in failed]
     if len(failures) > 0.01 * config.realizations:
         raise EigenError(f"{len(failures)} of {config.realizations} eigensolves failed")
-    ids = [r for r, ev in enumerate(raw) if ev is not None]
-    spectra = [ev for ev in raw if ev is not None]
+    ids = sorted(set(range(config.realizations)).difference(failures))
 
     n2 = 2 * config.cube.n_sites
     grid = default_grid(config, clean)

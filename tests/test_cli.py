@@ -213,6 +213,8 @@ class TestConfigErrors:
         ("lifshits", {"lifshits": {"epsilons": "0.1", "lam": 1.0}}),
         ("ids", {"disorder": {"V": {"type": "piecewise", "breakpoints": 1,
                                     "heights": [1]}, "b": _B}}),
+        ("ids", {"potential": {"period": 2, "values": [0, 0.5]}}),
+        ("ids", {"potential": {"period": "2", "values": [0, 0.5]}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -237,7 +239,7 @@ class TestConfigErrors:
             "bin-width-subnormal", "energies-points-too-many-for-memory",
             "energies-points-zero", "epsilons-empty", "energies-hi-below-lo",
             "energies-hi-equal-lo", "epsilons-number", "epsilons-string-not-array",
-            "breakpoints-number"])
+            "breakpoints-number", "period-number", "period-string"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         out = tmp_path / "out"
@@ -269,10 +271,11 @@ class TestConfigErrors:
 
     def test_memory_guard_before_allocation(self, tmp_path, capsys, monkeypatch):
         # 3-d side 40: half-bandwidth 3200 on a 128000-dimensional block, ~3.3 GB
-        # of band storage per copy; two workers hold several copies
+        # of band storage per copy; two workers hold several copies.  More
+        # than 64 realizations make two chunks, so the run would start them.
         monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: 8 * 2**30)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}))
+        path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}, realizations=65))
         t0 = time.monotonic()
         assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "2"]) == 2
         assert time.monotonic() - t0 < 1.0
@@ -301,6 +304,12 @@ class TestConfigErrors:
         path = write_config(tmp_path, base_doc(lifshits={"epsilons": epsilons, "lam": 1.0}))
         assert main(["lifshits", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "epsilons: expected an array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("period", [2, "2"], ids=["number", "string"])
+    def test_period_not_an_array(self, tmp_path, capsys, period):
+        path = write_config(tmp_path, base_doc(potential={"period": period, "values": [0, 0.5]}))
+        assert main(["ids", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "potential.period: expected an array" in capsys.readouterr().err
 
     def test_dos_bin_width_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # every |E| <= ρ bounds the bin count before the first realization
@@ -480,6 +489,7 @@ class TestEnsembleCommands:
         assert sorted(manifest["outputs"]) == sorted(outputs)
         assert all(len(digest) == 64 for digest in manifest["outputs"].values())
         assert manifest["failed_realizations"] == 0
+        assert manifest["failed_indices"] == ([] if ensemble else None)
         assert manifest["wall_time_seconds"] >= 0.0
         driver = "dsbevd" if sections.get("boundary") in ("+", "-") else "zhbevd"
         expected = (driver, 2) if ensemble else (None, None)   # 1-d cubes

@@ -134,11 +134,11 @@ class TestLapackFailure:
         assert base_matrices(config).driver == ("zhbevd" if v_lo > 0 else "dsbevd")
         return config
 
-    def write_config(self, tmp_path, v_lo=0.0):
+    def write_config(self, tmp_path, v_lo=0.0, realizations=3):
         doc = {"schema_version": 1, "cube": {"dim": 1, "side": 5}, "boundary": "N",
                "disorder": {"V": {"type": "uniform", "lo": v_lo, "hi": v_lo + 1},
                             "b": {"type": "uniform", "lo": -0.5, "hi": 0.5}},
-               "realizations": 3, "seed": 0}
+               "realizations": realizations, "seed": 0}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         return str(path)
@@ -170,6 +170,22 @@ class TestLapackFailure:
         self.fail_on(monkeypatch, {3, 50})
         with pytest.raises(EigenError, match="2 of 100"):
             run_ensemble(self.config(100))
+
+    @pytest.mark.parametrize("v_lo, name", [(0.0, "dsbevd"), (1.0, "zhbevd")])
+    def test_failure_in_second_chunk_recorded(self, monkeypatch, v_lo, name):
+        # 131 realizations make chunks of 64, 64 and 3; index 70 is in the second
+        self.fail_on(monkeypatch, {70}, scipy.linalg.lapack, name)
+        result = run_ensemble(self.config(2 * 64 + 3, v_lo))
+        assert result.failures == [70]
+        assert result.realization_ids == [r for r in range(2 * 64 + 3) if r != 70]
+
+    def test_manifest_records_failed_indices(self, tmp_path, monkeypatch):
+        path = self.write_config(tmp_path, realizations=2 * 64 + 3)
+        self.fail_on(monkeypatch, {70})
+        assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "1"]) == 0
+        manifest = json.loads((tmp_path / "ids_manifest.json").read_text())
+        assert manifest["failed_realizations"] == 1
+        assert manifest["failed_indices"] == [70]
 
     def test_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
         path = self.write_config(tmp_path)

@@ -9,7 +9,7 @@ import pytest
 
 import randblock
 import randblock.spectra
-from randblock.disorder import ConstantValue, DensitySpec, DisorderModel
+from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
 from randblock.eigen import eigvalsh
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import block_half_bandwidth
@@ -20,6 +20,7 @@ from randblock.spectra import (
     base_matrices,
     build_block,
     default_grid,
+    ensemble_fields,
     peak_bytes,
     pool_workers,
     realization_band,
@@ -58,13 +59,17 @@ class TestDeterminism:
             assert np.array_equal(a, b)
         assert np.array_equal(r1.ids_mean, r2.ids_mean)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         # side 201 is the c08 size: the 402 x 402 solve is large enough for
-        # OpenBLAS to thread, which side 5 never is
+        # OpenBLAS to thread, which side 5 never is.  70 realizations make two
+        # chunks, so two workers start whatever the machine's CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for side in (5, 201):
-            serial = run_ensemble(make_config(side=side, realizations=4))
-            parallel = run_ensemble(make_config(side=side, realizations=4, threads=2))
-            assert len(serial.spectra) == len(parallel.spectra) == 4
+            pooled = make_config(side=side, realizations=70, threads=2)
+            assert pool_workers(pooled) == 2
+            serial = run_ensemble(replace(pooled, threads=1))
+            parallel = run_ensemble(pooled)
+            assert len(serial.spectra) == len(parallel.spectra) == 70
             for a, b in zip(serial.spectra, parallel.spectra):
                 assert np.array_equal(a, b)
 
@@ -74,41 +79,87 @@ class TestDeterminism:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The sizes of the process pools `run_ensemble` starts; each pool maps
+    in this process, so no worker starts."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(randblock.spectra, "ProcessPoolExecutor", FakePool)
+    return started
+
+
 class TestPoolWorkers:
     @pytest.mark.parametrize("cpus, threads, workers", [
         (4, 64, 4), (8, 3, 3), (1, 8, 0), (None, 64, 0), (2, 1, 0)])
-    def test_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
-        started = []
-
-        class FakePool:
-            # records the pool size and maps in this process: no worker starts
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
+    def test_capped_at_cpu_count(self, monkeypatch, started_pools, cpus, threads, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(randblock.spectra, "ProcessPoolExecutor", FakePool)
-        cfg = make_config(realizations=3, threads=threads)
+        # five chunks of 64: more than any row's workers
+        cfg = make_config(realizations=4 * 64 + 1, threads=threads)
         assert pool_workers(cfg) == workers
         single = replace(cfg, threads=max(workers, 1))
         assert peak_bytes(cfg, pool_workers(cfg)) == peak_bytes(single, pool_workers(single))
         result = run_ensemble(cfg)
-        assert started == ([workers] if workers else [])
+        assert started_pools == ([workers] if workers else [])
         assert np.array_equal(result.ids_mean, run_ensemble(replace(cfg, threads=1)).ids_mean)
+
+    @pytest.mark.parametrize("realizations, workers", [(64, 0), (65, 2), (129, 3)])
+    def test_capped_at_chunk_count(self, monkeypatch, started_pools, realizations, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        cfg = make_config(realizations=realizations, threads=8)
+        assert pool_workers(cfg) == workers
+        run_ensemble(cfg)
+        assert started_pools == ([workers] if workers else [])
 
     def test_cpu_count_read_once_per_run(self, monkeypatch):
         calls = []
         monkeypatch.setattr(os, "cpu_count", lambda: calls.append(1) or 1)
         run_ensemble(make_config(realizations=2, threads=4))
         assert len(calls) == 1
+
+
+class TestChunks:
+    """Realizations run in chunks of 64; the chunk edges leave no trace."""
+
+    R = 2 * 64 + 3
+
+    @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
+    def test_spectra_equal_single_realization_solves(self, boundary, driver):
+        cfg = make_config(side=9, boundary=boundary, realizations=self.R)
+        clean = base_matrices(cfg)
+        assert clean.driver == driver
+        result = run_ensemble(cfg)
+        assert result.realization_ids == list(range(self.R))
+        for r, ev in zip(result.realization_ids, result.spectra):
+            single = eigvalsh(realization_band(clean, *realization_fields(cfg, r)))
+            assert ev.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(0, 64), (60, 70), (64, 128), (128, 131)])
+    def test_field_rows_equal_single_realizations(self, start, stop):
+        cfg = make_config(side=9, realizations=self.R, seed=5)
+        policy = SeedPolicy(cfg.base_seed)
+        fields = ensemble_fields(cfg, range(start, stop))
+        assert [f.shape for f in fields] == [(stop - start, 9)] * 2
+        for k in range(stop - start):
+            single = realization_fields(cfg, start + k)
+            for row, one, mu, name in zip(fields, single, (cfg.disorder.mu_v, cfg.disorder.mu_b),
+                                          ("V", "b")):
+                assert row[k].tobytes() == one.tobytes()
+                # the seeding contract: the realization's own Philox generator
+                assert one.tobytes() == sample_iid(mu, 9, policy.generator(start + k, name)).tobytes()
 
 
 class TestBandedSolve:
