@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config base seed")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="worker processes for ensembles (default: CPU count), "
-                             "at most one per chunk of 64 realizations")
+                             "at most one per CPU and per realization")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="randblock",

@@ -1,13 +1,15 @@
 """Disorder-ensemble driver: IDS curves, DOS histograms, gap statistics.
 
 Realizations are independent and reproducible from (base_seed, index).  A
-run is cut into chunks of 64 consecutive indices, each drawn in one batch
-(`ensemble_fields`) and solved in index order (`_solve_chunk`); the chunks
-run in this process, or over a process pool when there are several
+run is cut into chunks of at most 64 consecutive indices, shared evenly
+among the processes that solve (`_chunks`); each chunk is drawn in one batch
+(`ensemble_fields`) and solved in index order (`_solve_chunk`).  The chunks
+run in this process, or over a process pool when ``threads`` asks for one
 (`pool_workers`), and are aggregated in index order, so no output depends on
-the worker count.  The clean part of the operator (`CleanPart`) is built once
-per run and never changed; each realization builds its own band from it
-(`realization_band`).  Which band is solved is chosen per run (`band_driver`):
+the worker count or on where the chunks are cut.  The clean part of the
+operator (`CleanPart`) is built once per run and never changed; each
+realization builds its own band from it (`realization_band`).  Which band is
+solved is chosen per run (`band_driver`):
 
 - D/N boundaries with ``laplacian_sign`` -1 and a certified floor
   λ = min U0 + inf supp V with λ > 0 and λ >= ρ/64 (ρ the Gershgorin bound
@@ -211,9 +213,8 @@ def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.nd
     return assemble_bracketing(top, bot, np.diag(b))
 
 
-# realizations per unit of work (drawn, built and solved together, in this
-# process or as one pool task); a constant, so how a run is cut never
-# depends on the worker count
+# the most realizations drawn in one batch (`ensemble_fields`) and solved as
+# one unit of work; the per-row cost of a batch levels off from ~16 rows
 _CHUNK = 64
 
 
@@ -234,19 +235,23 @@ def realization_fields(config: ExperimentConfig, index: int) -> tuple[np.ndarray
     return v[0], b[0]
 
 
-def _chunks(config: ExperimentConfig) -> list[range]:
-    """0..R-1 cut into consecutive ranges of `_CHUNK` indices."""
-    r = config.realizations
-    return [range(start, min(start + _CHUNK, r)) for start in range(0, r, _CHUNK)]
-
-
 def pool_workers(config: ExperimentConfig) -> int:
     """Worker processes `run_ensemble` starts: ``threads``, capped at the CPU
-    count and at the number of chunks, or 0 when that leaves one and the
-    ensemble runs in this process (a run of at most `_CHUNK` realizations
-    always does)."""
-    workers = min(config.threads, os.cpu_count() or 1, len(_chunks(config)))
+    count and at the number of realizations, or 0 when that leaves one and
+    the ensemble runs in this process."""
+    workers = min(config.threads, os.cpu_count() or 1, config.realizations)
     return workers if workers > 1 else 0
+
+
+def _chunks(realizations: int, workers: int) -> list[range]:
+    """0..R-1 cut into consecutive ranges of at most `_CHUNK` indices, as few
+    as ``workers`` processes (this one when 0) can share evenly: their count
+    is a multiple of the process count and their lengths differ by at most
+    one."""
+    procs = max(workers, 1)
+    count = procs * -(-realizations // (procs * _CHUNK))
+    edges = [realizations * k // count for k in range(count + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def peak_bytes(config: ExperimentConfig, workers: int) -> int:
@@ -254,16 +259,19 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     processes (`pool_workers`).  This process holds the clean
     part (two Laplacian bands and u0), the spectra and their pooled copy, and
     the IDS counts with two temporaries of their size.  Each process that
-    solves holds one chunk's fields and spectra (2·C·n floats each, C the
-    chunk's length), one realization's band and the copy LAPACK solves (the
-    square's complex band of n columns takes at most the block band's bytes,
-    and A = H + iB, freed before the solve, half that).  A process pool adds,
-    per worker, the clean part of its current chunk and of two pickled
-    chunks queued for it."""
+    solves holds one chunk of C realizations (C the longest chunk's length):
+    while it is drawn, V and `sample_iid`'s temporaries for b, at most
+    6·C·n floats (one field's draw peaked at 4.3·C·n on a piecewise
+    density), and while it is solved, its fields and spectra (4·C·n floats),
+    one realization's band and the copy LAPACK solves (the square's complex
+    band of n columns takes at most the block band's bytes, and A = H + iB,
+    freed before the solve, half that); the estimate adds the 6·C·n floats
+    to the two bands.  A process pool adds, per worker, the clean part of
+    its current chunk and of two pickled chunks queued for it."""
     n = config.cube.n_sites
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
-    chunk = 2 * 8 * 2 * min(_CHUNK, config.realizations) * n
+    chunk = 8 * 6 * max(map(len, _chunks(config.realizations, workers))) * n
     aggregates = 8 * config.realizations * (4 * n + 3 * config.grid_points)
     return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
 
@@ -344,9 +352,13 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     clean = base_matrices(config)
     if config.bin_width is not None:
         _histogram_bins(2 * clean.radius, config.bin_width)
-    solve, chunks = partial(_solve_chunk, config, clean), _chunks(config)
+    solve = partial(_solve_chunk, config, clean)
+    chunks = _chunks(config.realizations, workers)
     if workers:
-        # workers rebuild nothing: the clean part ships with each chunk
+        # workers rebuild nothing: the clean part ships with each chunk, and
+        # forked workers inherit the band solver's SciPy instead of each
+        # importing it (~0.2 s)
+        import scipy.linalg.lapack  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(solve, chunks))
     else:

@@ -271,11 +271,10 @@ class TestConfigErrors:
 
     def test_memory_guard_before_allocation(self, tmp_path, capsys, monkeypatch):
         # 3-d side 40: half-bandwidth 3200 on a 128000-dimensional block, ~3.3 GB
-        # of band storage per copy; two workers hold several copies.  More
-        # than 64 realizations make two chunks, so the run would start them.
+        # of band storage per copy; two workers hold several copies
         monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: 8 * 2**30)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}, realizations=65))
+        path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}))
         t0 = time.monotonic()
         assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "2"]) == 2
         assert time.monotonic() - t0 < 1.0

@@ -173,7 +173,7 @@ class TestLapackFailure:
 
     @pytest.mark.parametrize("v_lo, name", [(0.0, "dsbevd"), (1.0, "zhbevd")])
     def test_failure_in_second_chunk_recorded(self, monkeypatch, v_lo, name):
-        # 131 realizations make chunks of 64, 64 and 3; index 70 is in the second
+        # 131 realizations make chunks of 44, 44 and 43; index 70 is in the second
         self.fail_on(monkeypatch, {70}, scipy.linalg.lapack, name)
         result = run_ensemble(self.config(2 * 64 + 3, v_lo))
         assert result.failures == [70]

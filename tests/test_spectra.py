@@ -19,6 +19,7 @@ from randblock.spectra import (
     band_driver,
     base_matrices,
     build_block,
+    _chunks,
     default_grid,
     ensemble_fields,
     peak_bytes,
@@ -61,15 +62,16 @@ class TestDeterminism:
 
     def test_parallel_matches_serial(self, monkeypatch):
         # side 201 is the c08 size: the 402 x 402 solve is large enough for
-        # OpenBLAS to thread, which side 5 never is.  70 realizations make two
-        # chunks, so two workers start whatever the machine's CPU count.
+        # OpenBLAS to thread, which side 5 never is.  Two workers start
+        # whatever the machine's CPU count, and 131 realizations make four
+        # chunks, two for each.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for side in (5, 201):
-            pooled = make_config(side=side, realizations=70, threads=2)
+            pooled = make_config(side=side, realizations=2 * 64 + 3, threads=2)
             assert pool_workers(pooled) == 2
             serial = run_ensemble(replace(pooled, threads=1))
             parallel = run_ensemble(pooled)
-            assert len(serial.spectra) == len(parallel.spectra) == 70
+            assert len(serial.spectra) == len(parallel.spectra) == 2 * 64 + 3
             for a, b in zip(serial.spectra, parallel.spectra):
                 assert np.array_equal(a, b)
 
@@ -107,8 +109,8 @@ class TestPoolWorkers:
         (4, 64, 4), (8, 3, 3), (1, 8, 0), (None, 64, 0), (2, 1, 0)])
     def test_capped_at_cpu_count(self, monkeypatch, started_pools, cpus, threads, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        # five chunks of 64: more than any row's workers
-        cfg = make_config(realizations=4 * 64 + 1, threads=threads)
+        # more realizations than any row's workers
+        cfg = make_config(realizations=5, threads=threads)
         assert pool_workers(cfg) == workers
         single = replace(cfg, threads=max(workers, 1))
         assert peak_bytes(cfg, pool_workers(cfg)) == peak_bytes(single, pool_workers(single))
@@ -116,8 +118,9 @@ class TestPoolWorkers:
         assert started_pools == ([workers] if workers else [])
         assert np.array_equal(result.ids_mean, run_ensemble(replace(cfg, threads=1)).ids_mean)
 
-    @pytest.mark.parametrize("realizations, workers", [(64, 0), (65, 2), (129, 3)])
-    def test_capped_at_chunk_count(self, monkeypatch, started_pools, realizations, workers):
+    @pytest.mark.parametrize("realizations, workers", [(1, 0), (2, 2), (3, 3)])
+    def test_capped_at_realization_count(self, monkeypatch, started_pools, realizations,
+                                         workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = make_config(realizations=realizations, threads=8)
         assert pool_workers(cfg) == workers
@@ -132,13 +135,28 @@ class TestPoolWorkers:
 
 
 class TestChunks:
-    """Realizations run in chunks of 64; the chunk edges leave no trace."""
+    """Realizations run in chunks of at most 64, shared evenly among the
+    processes that solve; the chunk edges leave no trace."""
 
     R = 2 * 64 + 3
 
+    @pytest.mark.parametrize("realizations, workers, count", [
+        (1, 0, 1), (64, 0, 1), (65, 0, 2), (131, 0, 3), (3, 3, 3), (65, 2, 2),
+        (128, 8, 8), (200, 2, 4), (500, 2, 8), (1000, 3, 18)])
+    def test_cut_evenly(self, realizations, workers, count):
+        chunks = _chunks(realizations, workers)
+        assert len(chunks) == count and count % max(workers, 1) == 0
+        assert [r for chunk in chunks for r in chunk] == list(range(realizations))
+        lengths = [len(chunk) for chunk in chunks]
+        assert max(lengths) <= 64 and max(lengths) - min(lengths) <= 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
-    def test_spectra_equal_single_realization_solves(self, boundary, driver):
-        cfg = make_config(side=9, boundary=boundary, realizations=self.R)
+    def test_spectra_equal_single_realization_solves(self, monkeypatch, boundary, driver,
+                                                     threads):
+        # serially chunks of 44, 44 and 43; in a pool of two, four of 33 or 32
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = make_config(side=9, boundary=boundary, realizations=self.R, threads=threads)
         clean = base_matrices(cfg)
         assert clean.driver == driver
         result = run_ensemble(cfg)
