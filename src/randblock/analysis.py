@@ -56,7 +56,7 @@ def const_b_dos_array(transform: DosTransform, energies) -> np.ndarray:
         x = np.sqrt(e * e - beta * beta)          # nan inside the gap
         dos = e / x * (transform.source.pdf_array(x) + transform.source.pdf_array(-x))
     dos[e < beta] = 0.0
-    dos[e == beta] = math.inf if transform.source.pdf(0.0) > 0 else 0.0
+    dos[e == beta] = math.inf if transform.source.pdf_array(0.0) > 0 else 0.0
     return dos
 
 
@@ -202,7 +202,7 @@ def lifshits_probe(run: LifshitsRun) -> LifshitsTable:
     p_hat = np.zeros(len(run.epsilons))
     for k, (eps, side) in enumerate(zip(run.epsilons, sides)):
         # band storage of -lap_N: row 0 the diagonal, row 1 the off-diagonal
-        lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
+        lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1)
         first = k * run.realizations
         v = sample_iid(run.mu_v, side,
                        policy.streams(range(first, first + run.realizations), "V"))

@@ -183,7 +183,10 @@ def cmd_wegner(args, config, extras, out_dir):
         certify_wegner_hypothesis(config, bound)
         given = {}                    # wegner_check holds min_count's default
         if "min_count" in rec:
-            given["min_count"] = read_int(rec["min_count"], "wegner.min_count")
+            min_count = read_int(rec["min_count"], "wegner.min_count")
+            if min_count < 0:
+                raise ConfigError(f"wegner.min_count: expected at least 0, got {min_count}")
+            given["min_count"] = min_count
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     result = run_ensemble(config)

@@ -118,8 +118,9 @@ def parse_config(doc: dict, seed_override: int | None = None,
     (lifshits / wegner / dos_transform), already key-checked.
     """
     _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "config")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"config: unsupported schema_version {doc['schema_version']}")
+    version = read_int(doc["schema_version"], "schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"config: unsupported schema_version {version!r}")
 
     cube_rec = doc["cube"]
     _check_keys(cube_rec, {"dim", "side", "centered"}, {"dim", "side"}, "cube")

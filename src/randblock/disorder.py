@@ -2,15 +2,16 @@
 
 Sampling is inverse-CDF over a piecewise-constant density, driven by the
 Philox 4x64 counter-based generator from NumPy with one stream per
-(realization, field).  Identical seeds give bit-identical streams within one
-build of the package; cross-platform bit equality of the float arithmetic is
-not promised.
+(realization, field), keyed by `SeedPolicy.key`.  Identical seeds give
+bit-identical streams within one build of the package; cross-platform bit
+equality of the float arithmetic is not promised.
 
 A Philox stream is fixed by its key alone (counter 0, empty buffer), so
 `SeedPolicy.streams` draws many realizations' streams by re-keying one bit
 generator instead of building a generator per realization; row r of its draw
-is bit for bit the draw of ``generator(indices[r], field)``, and `sample_iid`
-maps the whole batch through the inverse CDF at once.
+is bit for bit the draw of ``Generator(Philox(key=key(indices[r], field)))``,
+and `sample_iid` maps the whole batch through the inverse CDF at once.  A
+density is evaluated on arrays only (`DensitySpec.pdf_array`).
 """
 
 from __future__ import annotations
@@ -60,31 +61,14 @@ class DensitySpec:
             raise ValueError("need hi > lo")
         return cls((lo, hi), (1.0 / (hi - lo),))
 
-    def pdf(self, x: float) -> float:
-        bp = self.breakpoints
-        if x < bp[0] or x > bp[-1]:
-            return 0.0
-        for h, b1, b2 in zip(self.heights, bp, bp[1:]):
-            if b1 <= x <= b2:
-                return h
-        return 0.0
-
     def pdf_array(self, x) -> np.ndarray:
-        """`pdf` at every point of the array ``x``, in one pass: the
+        """The density at every point of the array ``x``, in one pass: the
         support is closed, and a breakpoint takes the height of the cell on
-        its left."""
+        its left; a scalar ``x`` gives a 0-d array."""
         x = np.asarray(x, dtype=np.float64)
         bp = np.asarray(self.breakpoints)
         cell = np.clip(np.searchsorted(bp, x, side="left") - 1, 0, len(self.heights) - 1)
         return np.where((x >= bp[0]) & (x <= bp[-1]), np.asarray(self.heights)[cell], 0.0)
-
-    def cdf(self, x: float) -> float:
-        acc = 0.0
-        for h, b1, b2 in zip(self.heights, self.breakpoints, self.breakpoints[1:]):
-            if x <= b1:
-                break
-            acc += h * (min(x, b2) - b1)
-        return min(acc, 1.0)
 
 
 @dataclass(frozen=True)
@@ -142,9 +126,6 @@ class SeedPolicy:
         if realization_index < 0:
             raise ValueError("realization index must be non-negative")
         return (self.base_seed << 64) | (2 * realization_index + _FIELD_TAGS[field])
-
-    def generator(self, realization_index: int, field: str) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.key(realization_index, field)))
 
     def streams(self, indices, field: str) -> Streams:
         """The streams of ``field`` for several realizations, drawn together."""

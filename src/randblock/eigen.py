@@ -10,7 +10,9 @@ the spectrum lies in [-ρ, ρ] and outside (-λ, λ).  Whether stacked
 tridiagonal matrices have an eigenvalue below a threshold comes from one
 batched Sturm pass (`any_eigenvalue_below`), their smallest eigenvalues from
 a bisection on that test (`min_eig_tridiag`).  A failed solve raises
-`EigenError`; `backend_name` names the solvers.
+`EigenError`; `backend_name` names the solvers.  The band types only carry
+their storage to the solver: `operators.dense` gives the matrix a band
+storage stands for.
 """
 
 from __future__ import annotations
@@ -32,18 +34,6 @@ class EigenError(RuntimeError):
     result."""
 
 
-def _band_to_dense(lower: np.ndarray) -> np.ndarray:
-    """The Hermitian (for real input: symmetric) matrix whose lower band
-    storage is ``lower``."""
-    n = lower.shape[1]
-    m = np.zeros((n, n), dtype=lower.dtype)
-    for k, row in enumerate(lower[:n]):
-        j = np.arange(n - k)
-        m[j, j + k] = row[:n - k].conj()
-        m[j + k, j] = row[:n - k]
-    return m
-
-
 @dataclass(frozen=True)
 class SymmetricBand:
     """A real symmetric matrix in LAPACK lower band storage: ``lower[k, j]``
@@ -54,9 +44,6 @@ class SymmetricBand:
     def __post_init__(self):
         if self.lower.ndim != 2 or self.lower.dtype != np.float64:
             raise ValueError("band storage must be a 2-d float64 array")
-
-    def to_dense(self) -> np.ndarray:
-        return _band_to_dense(self.lower)
 
 
 @dataclass(frozen=True)
@@ -75,10 +62,6 @@ class SquaredBand:
     def __post_init__(self):
         if self.lower.ndim != 2 or self.lower.dtype != np.complex128:
             raise ValueError("band storage must be a 2-d complex128 array")
-
-    def to_dense(self) -> np.ndarray:
-        """M itself, dense and Hermitian."""
-        return _band_to_dense(self.lower)
 
 
 def eigvalsh(m) -> np.ndarray:

@@ -1,13 +1,14 @@
-"""Finite cubes of Z^d: site enumeration, neighbours, parity, boundary data.
+"""Finite cubes of Z^d: coordinates, neighbours, parity, boundary data.
 
 Sites are ordered row-major over coordinates (last coordinate fastest); the
 linear index of a site is fixed once here and used for every matrix layout in
-the package.  `sites` lists them; the per-site helpers (`neighbours`,
-`boundary_deficiency`) take one site; the array helpers (`coordinates`,
-`hops`, `deficiencies`, `parities`) give data for every site at once, from
-index arithmetic on `np.indices`.  `PeriodicPotential` is the background
-potential, and `check_memory` refuses a computation that would not fit in
-`memory_limit`.
+the package.  Lattice data comes in one form only, as arrays over every site
+at once, from index arithmetic on `np.indices`: `coordinates`, the
+nearest-neighbour pairs (`hops`), the missing-neighbour counts
+(`deficiencies`) and the parities (`parities`).  The per-site definitions
+they are tested against live in the tests, not here.  `PeriodicPotential` is
+the background potential, and `check_memory` refuses a computation that
+would not fit in `memory_limit`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -124,59 +124,6 @@ class Cube:
             return -(self.side - 1) // 2
         return 0
 
-    def contains(self, j) -> bool:
-        lo = self.origin
-        return all(lo <= c < lo + self.side for c in j)
-
-    def index_of(self, j) -> int:
-        """Row-major linear index of site j."""
-        if not self.contains(j):
-            raise ValueError(f"site {tuple(j)} outside cube")
-        lo = self.origin
-        idx = 0
-        for c in j:
-            idx = idx * self.side + (c - lo)
-        return idx
-
-    def site_of(self, idx: int):
-        """Inverse of index_of."""
-        if not 0 <= idx < self.n_sites:
-            raise ValueError(f"index {idx} out of range")
-        lo = self.origin
-        coords = []
-        for _ in range(self.dim):
-            coords.append(lo + idx % self.side)
-            idx //= self.side
-        return tuple(reversed(coords))
-
-
-def sites(cube: Cube) -> list[tuple[int, ...]]:
-    """All sites of the cube in row-major order."""
-    lo = cube.origin
-    rng = range(lo, lo + cube.side)
-    return [tuple(j) for j in product(rng, repeat=cube.dim)]
-
-
-def neighbours(cube: Cube, j) -> list[tuple[int, ...]]:
-    """Nearest neighbours of j that lie inside the cube."""
-    if not cube.contains(j):
-        raise ValueError(f"site {tuple(j)} outside cube")
-    out = []
-    for axis in range(cube.dim):
-        for step in (-1, 1):
-            k = list(j)
-            k[axis] += step
-            if cube.contains(k):
-                out.append(tuple(k))
-    return out
-
-
-def boundary_deficiency(cube: Cube, j) -> int:
-    """Number of nearest neighbours of j missing from the cube (0..2d)."""
-    if not cube.contains(j):
-        raise ValueError(f"site {tuple(j)} outside cube")
-    return 2 * cube.dim - len(neighbours(cube, j))
-
 
 def coordinates(cube: Cube) -> np.ndarray:
     """Site coordinates as a (dim, n_sites) integer array, in linear-index
@@ -196,7 +143,8 @@ def hops(cube: Cube) -> list[tuple[int, np.ndarray]]:
 
 
 def deficiencies(cube: Cube) -> np.ndarray:
-    """Missing-neighbour count of every site (`boundary_deficiency`)."""
+    """Missing-neighbour count of every site: the number of its 2d nearest
+    neighbours that lie outside the cube."""
     rel = coordinates(cube) - cube.origin
     return (rel == 0).sum(axis=0) + (rel == cube.side - 1).sum(axis=0)
 
@@ -226,14 +174,10 @@ class PeriodicPotential:
     def zero(cls, dim: int) -> "PeriodicPotential":
         return cls(period=(1,) * dim, values=np.zeros((1,) * dim))
 
-    def at(self, j) -> float:
-        idx = tuple(c % p for c, p in zip(j, self.period))
-        return float(self.values[idx])
-
     def on_cube(self, cube: Cube) -> np.ndarray:
         """Potential evaluated at every site, in linear-index order."""
         idx = tuple(c % p for c, p in zip(coordinates(cube), self.period))
         vals = self.values[idx].reshape(cube.n_sites, -1)
-        if vals.shape[1] != 1:      # as in `at`, surplus period axes must be trivial
+        if vals.shape[1] != 1:      # surplus period axes must be trivial
             raise ValueError(f"period {self.period} has more axes than the {cube.dim}-d cube")
         return vals[:, 0].copy()

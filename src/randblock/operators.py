@@ -1,15 +1,17 @@
 """Lattice Hamiltonians and 2n x 2n block operators.
 
-Builds the discrete Laplacian under three boundary modes (`laplacian`), the
-block assemblies [[A, B], [B, -A]] (`assemble`, and `assemble_bracketing`
-with different diagonal blocks), the parity block-split of the hopping
-operator (`transform_parity`) and the closed form of the squared block
-operator (`square_identity_residual`).  Matrices are dense and symmetric by
-construction, except that the Laplacian, the lattice block operator
-(`block_band`) and the square M = (H - iB)(H + iB) of its D/N form
-(`band_square`) also come in LAPACK lower band storage, which the ensemble
-solve reads without an n x n intermediate.  Each band is built whole from
-its inputs and shares no storage with them.
+The discrete Laplacian under three boundary modes (`laplacian`) is built in
+one way only: in LAPACK lower band storage, from the array helpers of
+`lattice`; `dense` gives the matrix of any lower band storage.  The block
+operator on the cube comes in band storage too, in interleaved order
+(`block_band`) and as the square M = (H - iB)(H + iB) of its D/N form
+(`band_square`), which the ensemble solve reads without an n x n
+intermediate; each band is built whole from its inputs and shares no
+storage with them.  The dense block assemblies [[A, B], [B, -A]]
+(`assemble`, and `assemble_bracketing` with different diagonal blocks), the
+parity block-split of the hopping operator (`transform_parity`) and the
+closed form of the squared block operator (`square_identity_residual`) work
+on dense symmetric matrices.
 """
 
 from __future__ import annotations
@@ -31,55 +33,44 @@ class PreconditionError(ValueError):
     """A transform was applied to a matrix violating its hypothesis."""
 
 
-def adjacency(cube: Cube, band: bool = False) -> np.ndarray:
-    """Nearest-neighbour adjacency matrix of the cube (0/1 entries).
-
-    With ``band`` set, the matrix comes in LAPACK lower band storage instead:
-    shape (cube.half_bandwidth + 1, n), row k holding the entries (i + k, i),
-    so no n x n array is formed.
-    """
-    n = cube.n_sites
-    a = np.zeros((cube.half_bandwidth + 1, n) if band else (n, n))
-    for stride, i in hops(cube):
-        if band:
-            a[stride, i] = 1.0
-        else:
-            a[i + stride, i] = a[i, i + stride] = 1.0
-    return a
-
-
-def gamma(cube: Cube) -> np.ndarray:
-    """Diagonal boundary-deficiency operator (missing-neighbour counts)."""
-    return np.diag(deficiencies(cube).astype(np.float64))
-
-
-def laplacian(cube: Cube, mode: BoundaryMode, sign: int = 1, band: bool = False) -> np.ndarray:
-    """sign times the truncated Laplacian in the given boundary mode.
+def laplacian(cube: Cube, mode: BoundaryMode, sign: int = 1) -> np.ndarray:
+    """sign times the truncated Laplacian in the given boundary mode, in
+    LAPACK lower band storage: shape (cube.half_bandwidth + 1, n), row k
+    holding the entries (i + k, i), so row 0 is the diagonal and no n x n
+    array is formed (`dense` gives the matrix itself).
 
     ADJACENCY: hopping only, zero diagonal (sign=+1 gives the centred
     discrete Laplacian restricted to the cube).  NEUMANN: adjacency minus
     degree, so sign=-1 yields the positive semidefinite graph Laplacian.
-    DIRICHLET: Neumann shifted by -2*Gamma, i.e. -lap_D = -lap_N + 2*Gamma.
-    With ``band`` set, the result is in the lower band storage of
-    `adjacency`; its row 0 is the diagonal.
+    DIRICHLET: Neumann shifted by -2*Gamma, i.e. -lap_D = -lap_N + 2*Gamma,
+    Gamma the diagonal of missing-neighbour counts.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not isinstance(mode, BoundaryMode):
         raise ValueError(f"unknown boundary mode {mode}")
-    lap = adjacency(cube, band)
+    lap = np.zeros((cube.half_bandwidth + 1, cube.n_sites))
+    for stride, i in hops(cube):
+        lap[stride, i] = 1.0
     if mode is not BoundaryMode.ADJACENCY:
-        if band:
-            # the degree (row sum of the adjacency) is 2d minus the missing neighbours
-            missing = deficiencies(cube)
-            lap[0] -= 2 * cube.dim - missing
-            if mode is BoundaryMode.DIRICHLET:
-                lap[0] -= 2.0 * missing
-        else:
-            lap = lap - np.diag(lap.sum(axis=1))
-            if mode is BoundaryMode.DIRICHLET:
-                lap = lap - 2.0 * gamma(cube)
+        # the degree (row sum of the adjacency) is 2d minus the missing neighbours
+        missing = deficiencies(cube)
+        lap[0] -= 2 * cube.dim - missing
+        if mode is BoundaryMode.DIRICHLET:
+            lap[0] -= 2.0 * missing
     return sign * lap
+
+
+def dense(lower: np.ndarray) -> np.ndarray:
+    """The Hermitian (for real input: symmetric) matrix whose LAPACK lower
+    band storage is ``lower``."""
+    n = lower.shape[1]
+    m = np.zeros((n, n), dtype=lower.dtype)
+    for k, row in enumerate(lower[:n]):
+        j = np.arange(n - k)
+        m[j, j + k] = row[:n - k].conj()
+        m[j + k, j] = row[:n - k]
+    return m
 
 
 def parity_values(cube: Cube) -> np.ndarray:
@@ -179,7 +170,11 @@ def _split_blocks(m: np.ndarray):
     return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:], n
 
 
-def transform_parity(m: np.ndarray, cube: Cube, tol: float = 1e-12):
+# relative tolerance of `transform_parity`'s hypothesis checks
+_PARITY_TOL = 1e-12
+
+
+def transform_parity(m: np.ndarray, cube: Cube):
     """Block-diagonalization via the on-site parity involution.
 
     Requires that the top-left block anticommutes with U = diag((-1)^j) and
@@ -188,16 +183,16 @@ def transform_parity(m: np.ndarray, cube: Cube, tol: float = 1e-12):
     H_plus, H_minus) where H_pm = A +/- U B.
     """
     a, b, _, d, n = _split_blocks(m)
-    if np.abs(d + a).max() > tol * max(1.0, np.abs(a).max()):
+    if np.abs(d + a).max() > _PARITY_TOL * max(1.0, np.abs(a).max()):
         raise PreconditionError("bottom-right block is not -top-left")
     if cube.n_sites != n:
         raise PreconditionError("cube size does not match block dimension")
     uvals = parity_values(cube)
     u = np.diag(uvals)
     scale = max(1.0, np.abs(a).max(), np.abs(b).max())
-    if np.abs(u @ a + a @ u).max() > tol * scale:
+    if np.abs(u @ a + a @ u).max() > _PARITY_TOL * scale:
         raise PreconditionError("top-left block does not anticommute with parity")
-    if np.abs(b @ u - u @ b).max() > tol * scale:
+    if np.abs(b @ u - u @ b).max() > _PARITY_TOL * scale:
         raise PreconditionError("off-diagonal block does not commute with parity")
     uu = np.block([[np.eye(n), u], [np.eye(n), -u]]) / np.sqrt(2.0)
     conj = uu @ np.asarray(m, dtype=np.float64) @ uu.T

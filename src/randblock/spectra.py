@@ -23,8 +23,9 @@ solved is chosen per run (`band_driver`):
   +1): the block in interleaved order (psi1(0), psi2(0), psi1(1), ...) is a
   2n x 2n real band matrix (`operators.block_band`) that ``dsbevd`` solves.
 
-`build_block` assembles the dense block from the dense Laplacians, with none
-of the band code: it is the tests' oracle for both paths.
+`build_block` assembles the dense block in natural order from the Laplacian
+bands made dense (`operators.dense`); it shares no code with `block_band` or
+`band_square`, and is the tests' oracle for both paths.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .disorder import Density, DisorderModel, SeedPolicy, sample_iid, support_bo
 from .eigen import EigenError, SquaredBand, SymmetricBand, eigvalsh
 from .lattice import Cube, PeriodicPotential, check_memory
 from .operators import (BoundaryMode, assemble_bracketing, band_square, block_band,
-                        block_band_bytes, block_half_bandwidth, laplacian)
+                        block_band_bytes, block_half_bandwidth, dense, laplacian)
 
 BOUNDARY_CHOICES = ("D", "N", "+", "-")
 
@@ -177,7 +178,7 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
     formed)."""
     cube = config.cube
     modes = _BOUNDARY_MODES[config.boundary]
-    laps = {mode: laplacian(cube, mode, config.laplacian_sign, band=True)
+    laps = {mode: laplacian(cube, mode, config.laplacian_sign)
             for mode in dict.fromkeys(modes)}
     top, bot = laps[modes[0]], laps[modes[1]]
     u0 = config.potential.on_cube(cube)
@@ -205,10 +206,11 @@ def realization_band(clean: CleanPart, v: np.ndarray,
 def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2n x 2n block operator of one disorder realization, dense and in
     natural order [[H_top, B], [B, -H_bot]], H = Laplacian term + diag(U0 + V):
-    assembled from the dense Laplacians, independently of the band code."""
+    assembled from the Laplacian bands made dense, independently of the
+    block and square band code."""
     cube = config.cube
     h = np.diag(config.potential.on_cube(cube) + v)
-    top, bot = (laplacian(cube, mode, config.laplacian_sign) + h
+    top, bot = (dense(laplacian(cube, mode, config.laplacian_sign)) + h
                 for mode in _BOUNDARY_MODES[config.boundary])
     return assemble_bracketing(top, bot, np.diag(b))
 
@@ -414,12 +416,8 @@ def zero_split_check(ev: np.ndarray) -> bool:
     return neg == ev.size // 2
 
 
-def symmetry_residual(ev: np.ndarray, boundary: str = "N") -> float:
-    """max_k |λ_k + λ_{2n+1-k}| for a spectrum of [[H, B], [B, -H]].
-
-    Refused for bracketing boundaries, where the symmetry is not guaranteed.
-    """
-    if boundary in ("+", "-"):
-        raise ValueError("spectral symmetry is not guaranteed for bracketing operators")
+def symmetry_residual(ev: np.ndarray) -> float:
+    """max_k |λ_k + λ_{2n+1-k}| for a spectrum of [[H, B], [B, -H]]; the
+    bracketing operators [[H_top, B], [B, -H_bot]] have no such symmetry."""
     ev = np.asarray(ev)
     return float(np.abs(ev + ev[::-1]).max())

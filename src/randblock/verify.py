@@ -20,7 +20,7 @@ import numpy as np
 from . import operators as ops
 from .analysis import const_b_map
 from .eigen import eigvalsh
-from .lattice import Cube, boundary_deficiency, sites
+from .lattice import Cube
 from .operators import BoundaryMode
 from .spectra import symmetry_residual, zero_split_check
 
@@ -49,7 +49,8 @@ def suite_symmetry(seed: int) -> SuiteResult:
     for _ in range(10):
         side = int(rng.integers(6, 20))
         cube = Cube(1, side)
-        h = ops.laplacian(cube, BoundaryMode.NEUMANN, -1) + np.diag(rng.uniform(0, 2, side))
+        h = (ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
+             + np.diag(rng.uniform(0, 2, side)))
         m = ops.assemble(h, np.diag(rng.uniform(-1, 1, side)))
         ev = eigvalsh(m)
         scale = max(1.0, np.abs(ev).max())
@@ -68,7 +69,7 @@ def square_residual(h: np.ndarray, b: np.ndarray) -> float:
 def suite_square_identity(seed: int) -> SuiteResult:
     """Closed-form block expression for the squared operator, plus the
     Dirichlet = Neumann + 2*Gamma boundary relation against an independent
-    missing-neighbour count."""
+    missing-neighbour count: 2d minus the row sums of the adjacency."""
     rng = _rng(seed, 2)
     worst = 0.0
     for t in range(10):
@@ -83,8 +84,11 @@ def suite_square_identity(seed: int) -> SuiteResult:
     boundary_ok = True
     for dim, side in ((1, 5), (2, 4)):
         cube = Cube(dim, side)
-        diff = ops.laplacian(cube, BoundaryMode.DIRICHLET, -1) - ops.laplacian(cube, BoundaryMode.NEUMANN, -1)
-        expected = 2.0 * np.diag([float(boundary_deficiency(cube, j)) for j in sites(cube)])
+        diff = (ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET, -1))
+                - ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1)))
+        # the missing neighbours from the hops, not from the deficiencies the band uses
+        degree = ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1)).sum(axis=1)
+        expected = 2.0 * np.diag(2 * dim - degree)
         if np.abs(diff - expected).max() > 0:
             boundary_ok = False
     passed = worst <= 1e-12 and boundary_ok
@@ -99,12 +103,12 @@ def parity_split_residuals(cube: Cube, bdiag: np.ndarray) -> tuple[float, float]
     same mismatch, absolute, for the graph Laplacian, whose diagonal breaks
     the anticommutation (a negative control, far from zero)."""
     b = np.diag(bdiag)
-    m = ops.assemble(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1), b)
+    m = ops.assemble(ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1)), b)
     _, h_plus, h_minus = ops.transform_parity(m, cube)
     direct = eigvalsh(m)
     split = np.sort(np.concatenate([eigvalsh(h_plus), eigvalsh(h_minus)]))
     mismatch = np.abs(direct - split).max() / max(1.0, np.abs(direct).max())
-    neu = ops.laplacian(cube, BoundaryMode.NEUMANN, -1)
+    neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
     ub = np.diag(ops.parity_values(cube)) @ b
     split_neu = np.sort(np.concatenate([eigvalsh(neu + ub), eigvalsh(neu - ub)]))
     control = float(np.abs(eigvalsh(ops.assemble(neu, b)) - split_neu).max())
@@ -174,8 +178,8 @@ def suite_zero_split(seed: int) -> SuiteResult:
         cube = Cube(1, side)
         v = rng.uniform(1, 2, side)
         bdiag = rng.uniform(-0.5, 0.5, side)
-        neu = ops.laplacian(cube, BoundaryMode.NEUMANN, -1)
-        dir_ = ops.laplacian(cube, BoundaryMode.DIRICHLET, -1)
+        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
+        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET, -1))
         h_n = neu + np.diag(v)
         h_d = dir_ + np.diag(v)
         b = np.diag(bdiag)
@@ -213,8 +217,8 @@ def suite_bracketing_sandwich(seed: int) -> SuiteResult:
         cube = Cube(1, side)
         v = np.diag(rng.uniform(0, 2, side))
         b = np.diag(rng.uniform(-1, 1, side))
-        neu = ops.laplacian(cube, BoundaryMode.NEUMANN, -1)
-        dir_ = ops.laplacian(cube, BoundaryMode.DIRICHLET, -1)
+        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
+        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET, -1))
         ok = counting_chains_hold(dir_ + v, neu + v, b, 32) and ok
     return SuiteResult("bracketing-sandwich", ok,
                        "counting chains hold" if ok else "counting chain violated", seed)

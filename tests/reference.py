@@ -12,8 +12,14 @@ another way, and nothing in ``src`` calls it:
   soft spectrum-inclusion distances (`spectrum_inclusion_distances`);
 - the unitary conjugations U1, U2 and U3 of the block operator
   (`transform_u1`, `transform_u2`, `transform_u3_square`);
-- the parity of one site (`parity`, the one-site twin of
-  `lattice.parities`);
+- the lattice one site at a time, the definitions the array helpers of
+  `lattice` and `operators.laplacian` are tested against: `sites`,
+  `contains`, `index_of`, `site_of`, `neighbours`, `boundary_deficiency`
+  (twin of `lattice.deficiencies`), `parity` (twin of `lattice.parities`)
+  and `potential_at` (twin of `PeriodicPotential.on_cube`);
+- a density at one point (`pdf`, twin of `DensitySpec.pdf_array`) and its
+  distribution function (`cdf`), and the generator of one realization's
+  stream (`generator`, the one-row case of `SeedPolicy.streams`);
 - the in-house symmetric eigensolver kernels in pure NumPy: Householder
   reduction to tridiagonal form (`tridiagonalize`), implicitly shifted QL
   iteration (`tql`) and the Sturm-sequence count (`sturm_count`), the
@@ -24,12 +30,14 @@ another way, and nothing in ``src`` calls it:
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
 from randblock.analysis import DosTransform
-from randblock.disorder import DensitySpec, bv_norm, support_bounds
+from randblock.disorder import DensitySpec, SeedPolicy, bv_norm, support_bounds
 from randblock.eigen import eigvalsh
+from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import _split_blocks
 
 _EPS = np.finfo(np.float64).eps
@@ -48,10 +56,10 @@ def const_b_dos(transform: DosTransform, energy: float) -> float:
     if e < beta:
         return 0.0
     if e == beta:
-        weight = transform.source.pdf(0.0)
+        weight = pdf(transform.source, 0.0)
         return math.inf if weight > 0 else 0.0
     x = math.sqrt(e * e - beta * beta)
-    return e / x * (transform.source.pdf(x) + transform.source.pdf(-x))
+    return e / x * (pdf(transform.source, x) + pdf(transform.source, -x))
 
 
 def dos_transform_measure_check(transform: DosTransform, a: float) -> tuple[float, float]:
@@ -66,7 +74,7 @@ def dos_transform_measure_check(transform: DosTransform, a: float) -> tuple[floa
     top = math.sqrt(a * a + beta * beta)
     lhs, _ = quad(lambda e: const_b_dos(transform, e), beta, top,
                   epsabs=1e-10, limit=400, points=[beta])
-    rhs, _ = quad(transform.source.pdf, -a, a, epsabs=1e-10, limit=400,
+    rhs, _ = quad(lambda x: pdf(transform.source, x), -a, a, epsabs=1e-10, limit=400,
                   points=[p for p in transform.source.breakpoints if -a < p < a])
     return lhs, rhs
 
@@ -123,7 +131,7 @@ def bv_inequality_probe(f_prime, oscillation: float, phi: DensitySpec) -> tuple[
 
     lo, hi = support_bounds(phi)
     interior = [p for p in phi.breakpoints if lo < p < hi]
-    val, err = quad(lambda x: f_prime(x) * phi.pdf(x), lo, hi,
+    val, err = quad(lambda x: f_prime(x) * pdf(phi, x), lo, hi,
                     epsabs=1e-10, limit=400, points=interior)
     if err > max(1e-6, 1e-6 * abs(val)):
         raise RuntimeError(f"quadrature did not converge (error estimate {err})")
@@ -179,11 +187,98 @@ def transform_u3_square(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parity of one site
+# one site at a time: the definitions behind the lattice array helpers
+
+def contains(cube: Cube, j) -> bool:
+    lo = cube.origin
+    return all(lo <= c < lo + cube.side for c in j)
+
+
+def index_of(cube: Cube, j) -> int:
+    """Row-major linear index of site j."""
+    if not contains(cube, j):
+        raise ValueError(f"site {tuple(j)} outside cube")
+    lo = cube.origin
+    idx = 0
+    for c in j:
+        idx = idx * cube.side + (c - lo)
+    return idx
+
+
+def site_of(cube: Cube, idx: int):
+    """Inverse of index_of."""
+    if not 0 <= idx < cube.n_sites:
+        raise ValueError(f"index {idx} out of range")
+    lo = cube.origin
+    coords = []
+    for _ in range(cube.dim):
+        coords.append(lo + idx % cube.side)
+        idx //= cube.side
+    return tuple(reversed(coords))
+
+
+def sites(cube: Cube) -> list[tuple[int, ...]]:
+    """All sites of the cube in row-major order."""
+    lo = cube.origin
+    rng = range(lo, lo + cube.side)
+    return [tuple(j) for j in product(rng, repeat=cube.dim)]
+
+
+def neighbours(cube: Cube, j) -> list[tuple[int, ...]]:
+    """Nearest neighbours of j that lie inside the cube."""
+    if not contains(cube, j):
+        raise ValueError(f"site {tuple(j)} outside cube")
+    out = []
+    for axis in range(cube.dim):
+        for step in (-1, 1):
+            k = list(j)
+            k[axis] += step
+            if contains(cube, k):
+                out.append(tuple(k))
+    return out
+
+
+def boundary_deficiency(cube: Cube, j) -> int:
+    """Number of nearest neighbours of j missing from the cube (0..2d)."""
+    if not contains(cube, j):
+        raise ValueError(f"site {tuple(j)} outside cube")
+    return 2 * cube.dim - len(neighbours(cube, j))
+
 
 def parity(j) -> int:
     """(-1)^(j_1 + ... + j_d)."""
     return 1 if sum(j) % 2 == 0 else -1
+
+
+def potential_at(potential: PeriodicPotential, j) -> float:
+    idx = tuple(c % p for c, p in zip(j, potential.period))
+    return float(potential.values[idx])
+
+
+# ---------------------------------------------------------------------------
+# one value at a time: the density, its distribution function, one stream
+
+def pdf(density: DensitySpec, x: float) -> float:
+    bp = density.breakpoints
+    if x < bp[0] or x > bp[-1]:
+        return 0.0
+    for h, b1, b2 in zip(density.heights, bp, bp[1:]):
+        if b1 <= x <= b2:
+            return h
+    return 0.0
+
+
+def cdf(density: DensitySpec, x: float) -> float:
+    acc = 0.0
+    for h, b1, b2 in zip(density.heights, density.breakpoints, density.breakpoints[1:]):
+        if x <= b1:
+            break
+        acc += h * (min(x, b2) - b1)
+    return min(acc, 1.0)
+
+
+def generator(policy: SeedPolicy, realization_index: int, field: str) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=policy.key(realization_index, field)))
 
 
 # ---------------------------------------------------------------------------

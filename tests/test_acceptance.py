@@ -27,7 +27,7 @@ from randblock.cli import main as cli_main
 from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import eigvalsh
 from randblock.lattice import Cube, PeriodicPotential
-from randblock.operators import BoundaryMode, assemble, laplacian
+from randblock.operators import BoundaryMode, assemble, dense, laplacian
 from randblock.spectra import (
     ExperimentConfig,
     build_block,
@@ -97,7 +97,7 @@ def test_c01_spectral_symmetry(gapped_ensemble):
 def test_c02_constant_offdiagonal_map():
     t0 = time.monotonic()
     cube = Cube(1, 101)
-    lap = laplacian(cube, BoundaryMode.NEUMANN, -1)
+    lap = dense(laplacian(cube, BoundaryMode.NEUMANN, -1))
     worst = 0.0
     for r in range(5):
         h = lap + np.diag(_rng(100 + r).uniform(1, 2, cube.n_sites))
@@ -150,8 +150,8 @@ def test_c05_zero_split(gapped_ensemble):
 
 def test_c06_bracketing_sandwich():
     cube = Cube(1, 31)
-    neu = laplacian(cube, BoundaryMode.NEUMANN, -1)
-    dir_ = laplacian(cube, BoundaryMode.DIRICHLET, -1)
+    neu = dense(laplacian(cube, BoundaryMode.NEUMANN, -1))
+    dir_ = dense(laplacian(cube, BoundaryMode.DIRICHLET, -1))
     ok = True
     for r in range(20):
         rng = _rng(6000 + r)

@@ -30,7 +30,9 @@ from reference import (
     const_b_dos,
     dos_transform_measure_check,
     feynman_hellmann_sum,
+    generator,
     is_simple_eigenvalue,
+    pdf,
     spectrum_inclusion_distances,
 )
 
@@ -113,7 +115,7 @@ class TestConstBDosArray:
     def test_pdf_array_matches_pdf(self):
         x = np.array([-3.0, -2.0, -1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0,
                       np.nextafter(2.0, 3.0), np.nextafter(-2.0, -3.0), np.nan, np.inf])
-        expected = np.array([self.source.pdf(v) for v in x])
+        expected = np.array([pdf(self.source, v) for v in x])
         # closed support, and each breakpoint takes its left cell's height
         assert list(expected[:9]) == [0.0, 0.1, 0.1, 0.1, 0.3, 0.3, 0.2, 0.2, 0.4]
         assert np.array_equal(self.source.pdf_array(x), expected)
@@ -311,10 +313,10 @@ class TestLifshits:
         for k, (eps, v) in enumerate(zip(run.epsilons, drawn)):
             side = run.side_for(eps)
             ref = np.stack([sample_iid(mu_v, side,
-                                       policy.generator(k * run.realizations + r, "V"))
+                                       generator(policy, k * run.realizations + r, "V"))
                             for r in range(run.realizations)])
             assert np.array_equal(v, ref)
-            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
+            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1)
             ground = min_eig_tridiag(lap[0] + ref, lap[1, :-1], 1e-8)
             p_ref.append(np.count_nonzero(ground <= lam + eps) / run.realizations)
         assert np.array_equal(table.p_hat, p_ref)
@@ -334,7 +336,7 @@ class TestLifshits:
             side = run.side_for(eps)
             v = sample_iid(run.mu_v, side, policy.streams(
                 range(k * run.realizations, (k + 1) * run.realizations), "V"))
-            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1, band=True)
+            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1)
             ground = min_eig_tridiag(lap[0] + v, lap[1, :-1], 1e-8)
             p_ref.append(np.count_nonzero(ground <= run.lam + eps) / run.realizations)
         p_hat = lifshits_probe(run).p_hat

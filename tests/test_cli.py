@@ -77,8 +77,8 @@ class TestVerifyCommand:
         assert err.startswith("config error:") and "64 bits" in err
 
     def test_mutated_boundary_term_is_caught(self, capsys, monkeypatch):
-        good = randblock.operators.gamma
-        monkeypatch.setattr(randblock.operators, "gamma", lambda cube: -good(cube))
+        good = randblock.operators.deficiencies
+        monkeypatch.setattr(randblock.operators, "deficiencies", lambda cube: -good(cube))
         assert main(["verify", "--seed", "1"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL]" in out
@@ -215,6 +215,9 @@ class TestConfigErrors:
                                     "heights": [1]}, "b": _B}}),
         ("ids", {"potential": {"period": 2, "values": [0, 0.5]}}),
         ("ids", {"potential": {"period": "2", "values": [0, 0.5]}}),
+        ("ids", {"schema_version": True}),
+        ("ids", {"schema_version": 1.0}),
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": -5}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -239,7 +242,8 @@ class TestConfigErrors:
             "bin-width-subnormal", "energies-points-too-many-for-memory",
             "energies-points-zero", "epsilons-empty", "energies-hi-below-lo",
             "energies-hi-equal-lo", "epsilons-number", "epsilons-string-not-array",
-            "breakpoints-number", "period-number", "period-string"])
+            "breakpoints-number", "period-number", "period-string",
+            "schema-version-boolean", "schema-version-fractional", "min-count-negative"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         out = tmp_path / "out"

@@ -8,16 +8,14 @@ from randblock.lattice import (
     Cube,
     MemoryLimitError,
     PeriodicPotential,
-    boundary_deficiency,
     check_memory,
     coordinates,
     deficiencies,
     hops,
-    neighbours,
     parities,
-    sites,
 )
-from reference import parity
+from reference import (boundary_deficiency, index_of, neighbours, parity, potential_at,
+                       site_of, sites)
 
 
 def test_sites_centered_1d():
@@ -38,8 +36,8 @@ def test_sites_count_row_major():
 def test_index_roundtrip():
     for cube in (Cube(1, 5), Cube(2, 4), Cube(3, 3, centered=True), Cube(3, 3)):
         for i, j in enumerate(sites(cube)):
-            assert cube.index_of(j) == i
-            assert cube.site_of(i) == j
+            assert index_of(cube, j) == i
+            assert site_of(cube, i) == j
 
 
 def test_even_side_never_centered():
@@ -51,6 +49,12 @@ def test_boundary_deficiency_examples():
     assert boundary_deficiency(c, (-1,)) == 1
     assert boundary_deficiency(c, (0,)) == 0
     assert boundary_deficiency(Cube(2, 3), (0, 0)) == 2
+
+
+def test_deficiencies_examples():
+    assert deficiencies(Cube(1, 3)).tolist() == [1, 0, 1]
+    assert deficiencies(Cube(1, 1)).tolist() == [2]
+    assert deficiencies(Cube(2, 3)).tolist() == [2, 1, 2, 1, 0, 1, 2, 1, 2]
 
 
 def test_boundary_deficiency_outside_raises():
@@ -97,9 +101,9 @@ def test_overflow_guard():
 class TestPeriodicPotential:
     def test_periodicity(self):
         pot = PeriodicPotential((2,), np.array([0.0, 5.0]))
-        assert pot.at((0,)) == 0.0
-        assert pot.at((3,)) == 5.0
-        assert pot.at((-1,)) == 5.0
+        assert potential_at(pot, (0,)) == 0.0
+        assert potential_at(pot, (3,)) == 5.0
+        assert potential_at(pot, (-1,)) == 5.0
 
     def test_on_cube(self):
         pot = PeriodicPotential((2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -124,9 +128,9 @@ class TestArrayHelpersMatchPerSite:
 
     def test_hops(self, cube):
         pairs = {(int(i), int(i) + stride) for stride, lower in hops(cube) for i in lower}
-        expected = {(cube.index_of(j), cube.index_of(k))
+        expected = {(index_of(cube, j), index_of(cube, k))
                     for j in sites(cube) for k in neighbours(cube, j)
-                    if cube.index_of(k) > cube.index_of(j)}
+                    if index_of(cube, k) > index_of(cube, j)}
         assert pairs == expected
         assert max((stride for stride, _ in hops(cube)), default=0) <= cube.half_bandwidth
 
@@ -140,7 +144,7 @@ class TestArrayHelpersMatchPerSite:
         rng = np.random.default_rng(cube.dim)
         period = (2, 3, 2)[:cube.dim]
         pot = PeriodicPotential(period, rng.uniform(-1, 1, period))
-        assert pot.on_cube(cube).tolist() == [pot.at(j) for j in sites(cube)]
+        assert pot.on_cube(cube).tolist() == [potential_at(pot, j) for j in sites(cube)]
 
 
 class TestMemoryGuard:

@@ -1,47 +1,48 @@
 import numpy as np
 import pytest
 
-from randblock.eigen import SquaredBand, SymmetricBand, eigvalsh
-from randblock.lattice import Cube, boundary_deficiency, neighbours, sites
+from randblock.eigen import SquaredBand, eigvalsh
+from randblock.lattice import Cube
 from randblock.operators import (
     BoundaryMode,
     PreconditionError,
-    adjacency,
     assemble,
     assemble_bracketing,
     band_square,
     block_band,
     block_band_bytes,
     block_half_bandwidth,
-    gamma,
+    dense,
     laplacian,
     parity_values,
     square_identity_residual,
     transform_parity,
 )
-from reference import parity, transform_u1, transform_u2, transform_u3_square
+from reference import (boundary_deficiency, index_of, neighbours, parity, sites, transform_u1,
+                       transform_u2, transform_u3_square)
 
 
 class TestLaplacian:
     def test_adjacency_1d(self):
-        lap = laplacian(Cube(1, 3), BoundaryMode.ADJACENCY, 1)
+        lap = dense(laplacian(Cube(1, 3), BoundaryMode.ADJACENCY, 1))
         assert np.array_equal(lap, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         assert np.allclose(eigvalsh(lap), [-np.sqrt(2), 0, np.sqrt(2)])
 
     def test_neumann_1d(self):
-        neg = laplacian(Cube(1, 3), BoundaryMode.NEUMANN, -1)
+        neg = dense(laplacian(Cube(1, 3), BoundaryMode.NEUMANN, -1))
         assert np.array_equal(neg, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
         assert abs(eigvalsh(neg)[0]) < 1e-12
 
     def test_dirichlet_minus_neumann_is_2gamma(self):
         c = Cube(1, 3)
-        diff = laplacian(c, BoundaryMode.DIRICHLET, -1) - laplacian(c, BoundaryMode.NEUMANN, -1)
+        diff = (dense(laplacian(c, BoundaryMode.DIRICHLET, -1))
+                - dense(laplacian(c, BoundaryMode.NEUMANN, -1)))
         assert np.array_equal(diff, 2.0 * np.diag([1.0, 0.0, 1.0]))
 
     def test_sign_flag(self):
         c = Cube(2, 3)
-        assert np.array_equal(laplacian(c, BoundaryMode.NEUMANN, 1),
-                              -laplacian(c, BoundaryMode.NEUMANN, -1))
+        assert np.array_equal(dense(laplacian(c, BoundaryMode.NEUMANN, 1)),
+                              -dense(laplacian(c, BoundaryMode.NEUMANN, -1)))
 
 
 CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, centered=True),
@@ -52,48 +53,46 @@ CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, 
 class TestVectorizedMatchesPerSite:
     """The index-arithmetic constructions against the per-site definitions."""
 
-    def test_adjacency(self, cube):
-        expected = np.zeros((cube.n_sites, cube.n_sites))
-        for j in sites(cube):
-            for k in neighbours(cube, j):
-                expected[cube.index_of(j), cube.index_of(k)] = 1.0
-        assert np.array_equal(adjacency(cube), expected)
-
-    def test_gamma(self, cube):
-        assert np.array_equal(np.diagonal(gamma(cube)),
-                              [boundary_deficiency(cube, j) for j in sites(cube)])
-
     def test_parity_values(self, cube):
         assert parity_values(cube).tolist() == [float(parity(j)) for j in sites(cube)]
 
     @pytest.mark.parametrize("mode", list(BoundaryMode))
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_band_laplacian_is_dense_laplacian(self, cube, mode, sign):
-        band = laplacian(cube, mode, sign, band=True)
+    def test_laplacian(self, cube, mode, sign):
+        # sign times: adjacency, minus the degree (N), minus twice the missing neighbours (D)
+        expected = np.zeros((cube.n_sites, cube.n_sites))
+        for j in sites(cube):
+            i = index_of(cube, j)
+            for k in neighbours(cube, j):
+                expected[i, index_of(cube, k)] = 1.0
+            if mode is not BoundaryMode.ADJACENCY:
+                expected[i, i] -= len(neighbours(cube, j))
+            if mode is BoundaryMode.DIRICHLET:
+                expected[i, i] -= 2 * boundary_deficiency(cube, j)
+        band = laplacian(cube, mode, sign)
         assert band.shape == (cube.half_bandwidth + 1, cube.n_sites)
-        assert np.array_equal(SymmetricBand(band).to_dense(), laplacian(cube, mode, sign))
+        assert np.array_equal(dense(band), sign * expected)
 
 
 class TestBlockBand:
     def test_interleaved_block(self):
         # [[H_top, B], [B, -H_bot]] permuted to (psi1(0), psi2(0), psi1(1), ...)
         cube = Cube(2, 3)
-        top = laplacian(cube, BoundaryMode.DIRICHLET, -1, band=True)
-        bot = laplacian(cube, BoundaryMode.NEUMANN, -1, band=True)
+        top = laplacian(cube, BoundaryMode.DIRICHLET, -1)
+        bot = laplacian(cube, BoundaryMode.NEUMANN, -1)
         b = np.arange(1.0, 10.0)
         ab = block_band(cube, top, bot, b)
         assert ab.shape == (2 * cube.half_bandwidth + 1, 18)
         assert block_band_bytes(cube) == ab.nbytes
-        natural = assemble_bracketing(SymmetricBand(top).to_dense(),
-                                      SymmetricBand(bot).to_dense(), np.diag(b))
+        natural = assemble_bracketing(dense(top), dense(bot), np.diag(b))
         perm = np.empty(18, dtype=int)
         perm[0::2], perm[1::2] = np.arange(9), np.arange(9, 18)
-        assert np.array_equal(SymmetricBand(ab).to_dense(), natural[np.ix_(perm, perm)])
+        assert np.array_equal(dense(ab), natural[np.ix_(perm, perm)])
 
     def test_single_site(self):
         cube = Cube(1, 1)
         ab = block_band(cube, np.array([[3.0]]), np.array([[2.0]]), [1.0])
-        assert np.array_equal(SymmetricBand(ab).to_dense(), [[3.0, 1.0], [1.0, -2.0]])
+        assert np.array_equal(dense(ab), [[3.0, 1.0], [1.0, -2.0]])
         assert block_half_bandwidth(cube) == 1
 
     def test_shape_checked(self):
@@ -109,11 +108,11 @@ class TestSquareBand:
                                       Cube(3, 3, centered=True)], ids=repr)
     @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
     def test_matches_dense_product(self, cube, mode):
-        lap = laplacian(cube, mode, -1, band=True)
-        dense_lap = laplacian(cube, mode, -1)
+        lap = laplacian(cube, mode, -1)
+        dense_lap = dense(lap)
         lap2 = band_square(lap)
         assert lap2.shape == (2 * cube.half_bandwidth + 1, cube.n_sites)
-        assert np.array_equal(SymmetricBand(lap2).to_dense(), dense_lap @ dense_lap)
+        assert np.array_equal(dense(lap2), dense_lap @ dense_lap)
 
         rng = np.random.default_rng(cube.n_sites)
         h, b = rng.uniform(1, 2, cube.n_sites), rng.uniform(-0.5, 0.5, cube.n_sites)
@@ -123,20 +122,10 @@ class TestSquareBand:
         assert ab.shape == lap2.shape and ab.flags.f_contiguous
         hd, bd = dense_lap + np.diag(h), np.diag(b)
         m = (hd - 1j * bd) @ (hd + 1j * bd)
-        assert np.abs(SquaredBand(ab).to_dense() - m).max() <= 1e-13 * np.abs(m).max()
+        assert np.abs(dense(ab) - m).max() <= 1e-13 * np.abs(m).max()
         # its eigenvalues are the squares of the block operator's positive ones
         block = eigvalsh(assemble(hd, bd))
         assert np.allclose(eigvalsh(SquaredBand(ab)), block, rtol=0, atol=1e-12)
-
-
-class TestGamma:
-    def test_1d(self):
-        assert np.array_equal(gamma(Cube(1, 3)), np.diag([1.0, 0.0, 1.0]))
-        assert np.array_equal(gamma(Cube(1, 1)), np.diag([2.0]))
-
-    def test_2d_row_major(self):
-        assert np.array_equal(np.diagonal(gamma(Cube(2, 3))),
-                              [2, 1, 2, 1, 0, 1, 2, 1, 2])
 
 
 def test_parity_values_centred():
@@ -194,8 +183,8 @@ class TestAssembleBracketing:
         rng = np.random.default_rng(2)
         cube = Cube(1, 8)
         v = rng.uniform(0, 2, 8)
-        hd = laplacian(cube, BoundaryMode.DIRICHLET, -1) + np.diag(v)
-        hn = laplacian(cube, BoundaryMode.NEUMANN, -1) + np.diag(v)
+        hd = dense(laplacian(cube, BoundaryMode.DIRICHLET, -1)) + np.diag(v)
+        hn = dense(laplacian(cube, BoundaryMode.NEUMANN, -1)) + np.diag(v)
         b = np.diag(rng.uniform(-1, 1, 8))
         ev_plus = eigvalsh(assemble_bracketing(hd, hn, b))
         ev_minus = eigvalsh(assemble_bracketing(hn, hd, b))
@@ -236,7 +225,7 @@ class TestTransforms:
         # 1-d centred cube, hopping Laplacian, b = 1: blocks are
         # adjacency ± parity; eigenvalues {-√3, -√3, -1, 1, √3, √3}
         cube = Cube(1, 3, centered=True)
-        delta = laplacian(cube, BoundaryMode.ADJACENCY, 1)
+        delta = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1))
         m = assemble(delta, np.eye(3))
         conj, h_plus, h_minus = transform_parity(m, cube)
         expected = np.sort([-np.sqrt(3), -np.sqrt(3), -1, 1, np.sqrt(3), np.sqrt(3)])
@@ -249,7 +238,7 @@ class TestTransforms:
 
     def test_parity_precondition_neumann_fails(self):
         cube = Cube(1, 4)
-        neu = laplacian(cube, BoundaryMode.NEUMANN, -1)
+        neu = dense(laplacian(cube, BoundaryMode.NEUMANN, -1))
         m = assemble(neu, np.eye(4))
         with pytest.raises(PreconditionError):
             transform_parity(m, cube)

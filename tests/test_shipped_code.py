@@ -1,10 +1,11 @@
 """The package ships only what it runs.
 
-Every public module-level function and class in ``src/randblock`` must be
-used somewhere in the package outside its own definition, or by the
-benchmark in ``perfbench/`` (which calls `spectra.build_block` and traces
-names such as `eigen.min_eig_tridiag` from outside).  Code that only the
-tests reach belongs in ``tests/reference.py``.
+Every public module-level function and class in ``src/randblock``, and every
+public method of a public class, must be used somewhere in the package
+outside its own definition, or by the benchmark in ``perfbench/`` (which
+calls `spectra.build_block` and traces names such as
+`eigen.min_eig_tridiag` from outside).  Code that only the tests reach
+belongs in ``tests/reference.py``.
 """
 
 import ast
@@ -14,12 +15,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "randblock"
 
 
-def _names(node, strings: bool = False) -> set[str]:
-    """Every name the subtree of ``node`` uses: plain names, attributes and
+def _names(nodes, strings: bool = False) -> set[str]:
+    """Every name the subtrees of ``nodes`` use: plain names, attributes and
     imported names, and with ``strings`` the dotted parts of string
     constants (the benchmark names its trace targets in strings)."""
     out = set()
-    for sub in ast.walk(node):
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -31,23 +32,44 @@ def _names(node, strings: bool = False) -> set[str]:
     return out
 
 
-def _public_definitions(tree) -> list[ast.AST]:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _units(tree):
+    """(top-level node, part, names the part uses) over a module: each
+    top-level statement is one part, except that a class is split into its
+    header (bases and decorators) and each statement of its body."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield stmt, stmt, _names(stmt.bases + stmt.keywords + stmt.decorator_list)
+            for member in stmt.body:
+                yield stmt, member, _names([member])
+        else:
+            yield stmt, stmt, _names([stmt])
+
+
+def _public_definitions(tree):
+    """(name, node, whether node is a method) for every public function and
+    class at module level and every public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member, True
 
 
 def test_every_public_definition_is_used_outside_tests():
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
-    benchmark = set().union(*(_names(ast.parse(path.read_text()), strings=True)
+    benchmark = set().union(*(_names([ast.parse(path.read_text())], strings=True)
                               for path in sorted((ROOT / "perfbench").glob("*.py"))))
-    uses = [(stmt, _names(stmt)) for tree in trees.values() for stmt in tree.body]
+    units = [unit for tree in trees.values() for unit in _units(tree)]
     unused = []
     for path, tree in trees.items():
-        for node in _public_definitions(tree):
+        for qualname, node, method in _public_definitions(tree):
+            # a function or class may not count its own body, a method its own
             used = node.name in benchmark or any(
-                node.name in names for stmt, names in uses if stmt is not node)
+                node.name in names for top, part, names in units
+                if (part if method else top) is not node)
             if not used:
                 module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-                unused.append(f"{module}.{node.name}")
+                unused.append(f"{module}.{qualname}")
     assert unused == [], f"public code that only tests reach: {unused}"
