@@ -45,6 +45,12 @@ class TestLaplacian:
                               -dense(laplacian(c, BoundaryMode.NEUMANN, -1)))
 
 
+def boundary_term(cube):
+    """Γ = (D - N) / 2 read off the dense Dirichlet and Neumann Laplacians."""
+    return (dense(laplacian(cube, BoundaryMode.DIRICHLET, -1))
+            - dense(laplacian(cube, BoundaryMode.NEUMANN, -1))) / 2
+
+
 CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, centered=True),
                Cube(3, 1, centered=True)]
 
@@ -53,12 +59,26 @@ CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, 
 class TestVectorizedMatchesPerSite:
     """The index-arithmetic constructions against the per-site definitions."""
 
+    def test_adjacency(self, cube):
+        expected = np.zeros((cube.n_sites, cube.n_sites))
+        for j in sites(cube):
+            for k in neighbours(cube, j):
+                expected[index_of(cube, j), index_of(cube, k)] = 1.0
+        assert np.array_equal(dense(laplacian(cube, BoundaryMode.ADJACENCY, 1)), expected)
+
+    def test_gamma(self, cube):
+        missing = [boundary_deficiency(cube, j) for j in sites(cube)]
+        assert np.array_equal(boundary_term(cube), np.diag(missing))
+        # the relation verify checks: the degree (row sum of the adjacency) is 2d minus Γ
+        degree = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1)).sum(axis=1)
+        assert np.array_equal(2 * cube.dim - degree, missing)
+
     def test_parity_values(self, cube):
         assert parity_values(cube).tolist() == [float(parity(j)) for j in sites(cube)]
 
     @pytest.mark.parametrize("mode", list(BoundaryMode))
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_laplacian(self, cube, mode, sign):
+    def test_band_laplacian_is_dense_laplacian(self, cube, mode, sign):
         # sign times: adjacency, minus the degree (N), minus twice the missing neighbours (D)
         expected = np.zeros((cube.n_sites, cube.n_sites))
         for j in sites(cube):
@@ -126,6 +146,16 @@ class TestSquareBand:
         # its eigenvalues are the squares of the block operator's positive ones
         block = eigvalsh(assemble(hd, bd))
         assert np.allclose(eigvalsh(SquaredBand(ab)), block, rtol=0, atol=1e-12)
+
+
+class TestGamma:
+    def test_1d(self):
+        assert np.array_equal(boundary_term(Cube(1, 3)), np.diag([1.0, 0.0, 1.0]))
+        assert np.array_equal(boundary_term(Cube(1, 1)), np.diag([2.0]))
+
+    def test_2d_row_major(self):
+        assert np.array_equal(np.diagonal(boundary_term(Cube(2, 3))),
+                              [2, 1, 2, 1, 0, 1, 2, 1, 2])
 
 
 def test_parity_values_centred():
