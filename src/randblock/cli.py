@@ -3,8 +3,11 @@
 `main` runs every command but ``verify``: it loads the config, starts the
 clock, calls ``fn(args, config, extras, out_dir)`` and writes the manifest
 from the files, `EnsembleResult` (or None) and exit code the command
-returns.  The first write makes the output directory, so a command refused
-with exit 2 leaves nothing behind.
+returns.  `config.load_config` has read the whole document, the command
+sections ``extras`` included, so a command only maps its section onto the
+constructors of `analysis` (`construct` turns their refusals into config
+errors) and runs.  The first write makes the output directory, so a command
+refused with exit 2 leaves nothing behind.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
@@ -37,8 +40,7 @@ from .analysis import (
     wegner_bound,
     wegner_check,
 )
-from .config import (ConfigError, config_echo, load_config, parse_density, read_array,
-                     read_float, read_int)
+from .config import ConfigError, config_echo, construct, load_config
 from .disorder import DensitySpec, SeedPolicy, bv_norm, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError, check_memory
@@ -87,12 +89,13 @@ def _blas_identity() -> dict | None:
     return {k: blas[k] for k in ("name", "version") if k in blas}
 
 
-def _write_manifest(out_dir: Path, command: str, config, t0: float,
+def _write_manifest(out_dir: Path, command: str, config, extras: dict, t0: float,
                     files: list[Path], result) -> None:
-    """Write ``<command>_manifest.json``: the config echo, the time since
-    ``t0`` and the outputs' digests, plus the failures (their count and
-    sorted indices), LAPACK driver and half-bandwidth of the ensemble
-    ``result`` for commands that run one."""
+    """Write ``<command>_manifest.json``: the echo of the config and of its
+    command sections ``extras``, the time since ``t0`` and the outputs'
+    digests, plus the failures (their count and sorted indices), LAPACK
+    driver and half-bandwidth of the ensemble ``result`` for commands that
+    run one."""
     manifest = {
         "tool_version": __version__,
         "backend": backend_name(),
@@ -104,7 +107,7 @@ def _write_manifest(out_dir: Path, command: str, config, t0: float,
         "thread_env": {k: v for k, v in sorted(os.environ.items())
                        if k.endswith("_NUM_THREADS")},
         "command": command,
-        "config": config_echo(config),
+        "config": config_echo(config, extras),
         "base_seed": config.base_seed,
         "wall_time_seconds": time.monotonic() - t0,
         "failed_realizations": 0 if result is None else len(result.failures),
@@ -123,10 +126,7 @@ def _section(extras: dict, name: str) -> dict:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    try:
-        SeedPolicy(seed)              # refuses a seed outside [0, 2^64)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    construct("seed", SeedPolicy, seed)      # refuses a seed outside [0, 2^64)
     results = run_all(seed)
     for r in results:
         if not args.quiet or not r.passed:
@@ -176,21 +176,11 @@ def cmd_wegner(args, config, extras, out_dir):
     density = config.disorder.mu_v if rec["mode"] == "H" else config.disorder.mu_b
     if not isinstance(density, DensitySpec):
         raise ConfigError("wegner: the relevant disorder law must have a density")
-    try:
-        bound = WegnerBound(str(rec["mode"]),
-                            read_float(rec["lower_constant"], "wegner.lower_constant"),
-                            bv_norm(density))
-        certify_wegner_hypothesis(config, bound)
-        given = {}                    # wegner_check holds min_count's default
-        if "min_count" in rec:
-            min_count = read_int(rec["min_count"], "wegner.min_count")
-            if min_count < 0:
-                raise ConfigError(f"wegner.min_count: expected at least 0, got {min_count}")
-            given["min_count"] = min_count
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    bound = construct("wegner", WegnerBound, rec["mode"], rec["lower_constant"], bv_norm(density))
+    construct("wegner", certify_wegner_hypothesis, config, bound)
     result = run_ensemble(config)
-    report = wegner_check(result, bound, **given)
+    # wegner_check holds the default of min_count when the section leaves it out
+    report = wegner_check(result, bound, **{k: v for k, v in rec.items() if k == "min_count"})
     path = out_dir / "wegner_report.json"
     doc = {
         "mode": bound.mode,
@@ -219,21 +209,9 @@ def cmd_lifshits(args, config, extras, out_dir):
     rec = _section(extras, "lifshits")
     if not isinstance(config.disorder.mu_v, DensitySpec):
         raise ConfigError("lifshits: V must have a density")
-    try:
-        # LifshitsRun holds the defaults of the keys the config leaves out
-        given = {key: read(rec[key], key) for key, read in
-                 (("realizations", read_int), ("c", read_float)) if key in rec}
-        run = LifshitsRun(
-            epsilons=read_array(rec["epsilons"], "epsilons", read_float),
-            mu_v=config.disorder.mu_v,
-            lam=read_float(rec["lam"], "lam"),
-            base_seed=config.base_seed,
-            alpha=read_float(rec.get("alpha", config.cube.dim / 2.0), "alpha"),
-            dim=config.cube.dim,
-            **given,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"lifshits: {exc}") from exc
+    # LifshitsRun holds the defaults of the keys the section leaves out
+    run = construct("lifshits", LifshitsRun, mu_v=config.disorder.mu_v,
+                    base_seed=config.base_seed, dim=config.cube.dim, **rec)
     table = lifshits_probe(run)
     ln_eps, lnln = double_log_coordinates(table.epsilons, table.p_hat)
     path = out_dir / "lifshits.csv"
@@ -261,31 +239,21 @@ def cmd_lifshits(args, config, extras, out_dir):
 # float arrays of the energies' length alive at once: the energies, D_H,
 # D_block and the temporaries of `const_b_dos_array` and `pdf_array`
 _TRANSFORM_ARRAYS = 8
+# energies of the transform's table when ``dos_transform.energies`` gives none
+_TRANSFORM_POINTS = 512
 
 
 def cmd_dostransform(args, config, extras, out_dir):
     rec = _section(extras, "dos_transform")
-    source = parse_density(rec["source"], "dos_transform.source")
+    source, beta = rec["source"], rec["beta"]
     if not isinstance(source, DensitySpec):
         raise ConfigError("dos_transform: source must have a density")
-    try:
-        beta = read_float(rec["beta"], "beta")
-        transform = DosTransform(source, beta)
-        if "energies" in rec:
-            erec = rec["energies"]
-            lo, hi = (read_float(erec[k], f"energies.{k}") for k in ("lo", "hi"))
-            if not hi > lo:
-                raise ValueError(f"energies.hi must exceed energies.lo, got {lo!r} to {hi!r}")
-            points = read_int(erec.get("points", 512), "energies.points")
-            if points < 1:
-                raise ValueError(f"energies.points must be at least 1, got {points}")
-        else:
-            top = math.sqrt(max(map(abs, support_bounds(source)))**2 + beta**2) + 0.5
-            lo, hi, points = -top, top, 512
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dos_transform: {exc}") from exc
+    transform = construct("dos_transform", DosTransform, source, beta)
+    top = math.sqrt(max(map(abs, support_bounds(source)))**2 + beta**2) + 0.5
+    given = {"lo": -top, "hi": top, "points": _TRANSFORM_POINTS, **rec.get("energies", {})}
+    points = given["points"]
     check_memory(8 * _TRANSFORM_ARRAYS * points, f"the DOS transform at {points} energies")
-    energies = np.linspace(lo, hi, points)
+    energies = np.linspace(given["lo"], given["hi"], points)
     d_h = source.pdf_array(energies)
     d_block = const_b_dos_array(transform, energies)
     # the band-edge singularity is clipped to the largest finite value for CSV
@@ -352,7 +320,7 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         out_dir = Path(args.out)
         files, result, code = args.fn(args, config, extras, out_dir)
-        _write_manifest(out_dir, args.command, config, t0, files, result)
+        _write_manifest(out_dir, args.command, config, extras, t0, files, result)
         return code
     except (ConfigError, MemoryLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

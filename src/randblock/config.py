@@ -1,36 +1,33 @@
 """Experiment configuration files: strict JSON parsing and echo.
 
-A config is one JSON document with a ``schema_version`` field.  Unknown keys
-are errors, not warnings: a typo in a disorder parameter silently changes
-the physics otherwise.
+A config is one JSON document with a ``schema_version`` field.  Every JSON
+object in it, the top level, its nested records, each density and the
+command sections (``lifshits``, ``wegner``, ``dos_transform``), is read by
+`read_record` through its table of key readers below, whatever the command
+runs.  Those tables are the one place the document format is written down.
+Unknown keys are errors, not warnings: a typo in a disorder parameter
+silently changes the physics otherwise.  Every error names the key path,
+such as ``lifshits.lam`` or ``potential.values[1]``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .disorder import ConstantValue, Density, DensitySpec, DisorderModel
 from .lattice import Cube, PeriodicPotential
-from .spectra import ExperimentConfig
+from .spectra import BOUNDARY_CHOICES, ExperimentConfig
 
 SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
     """Invalid or malformed experiment configuration."""
-
-
-def _check_keys(record: dict, allowed: set[str], required: set[str], where: str):
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(record) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(record)
-    if missing:
-        raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
 
 
 def read_int(value, where: str) -> int:
@@ -50,49 +47,107 @@ def read_float(value, where: str) -> float:
 
 
 def read_array(value, where: str, read) -> tuple:
-    """A JSON array as the tuple of ``read(entry, where)`` over its entries
-    (``read`` is `read_int` or `read_float`); anything else, a bare number or
-    a string included, is refused."""
+    """A JSON array as the tuple of ``read(entry, where[i])`` over its
+    entries, a nested array as a nested tuple; anything else, a bare number
+    or a string included, is refused."""
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected an array, got {value!r}")
-    return tuple(read(x, where) for x in value)
+    return tuple(read_array(x, f"{where}[{i}]", read) if isinstance(x, list)
+                 else read(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
-def _read_floats(value, where: str):
-    """`read_float` applied to every entry of a JSON array, nested to any
-    depth; a bare number is read as one entry."""
-    if isinstance(value, list):
-        return [_read_floats(x, where) for x in value]
-    return read_float(value, where)
+def read_record(value, where: str, readers: dict, required=()) -> dict:
+    """A JSON object as the dict of ``readers[key](value[key], path)`` over
+    its keys, in the order of ``readers``; a non-object, a key that
+    ``readers`` lacks and a missing ``required`` key are refused.  ``where``
+    is the record's key path, empty for the top level."""
+    name = where or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected an object, got {value!r}")
+    unknown = set(value) - set(readers)
+    if unknown:
+        raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
+    missing = set(required) - set(value)
+    if missing:
+        raise ConfigError(f"{name}: missing key(s) {sorted(missing)}")
+    return {key: read(value[key], f"{where}.{key}" if where else key)
+            for key, read in readers.items() if key in value}
 
 
-def _optional_float(value, where: str) -> float | None:
-    """`read_float`, except that null stays None."""
-    return None if value is None else read_float(value, where)
-
-
-def parse_density(record: dict, where: str) -> Density:
-    _check_keys(record, {"type", "lo", "hi", "value", "breakpoints", "heights"},
-                {"type"}, where)
-    kind = record["type"]
+def construct(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the TypeError or ValueError by which a
+    constructor or check refuses its arguments raised as a ConfigError
+    naming ``where``."""
     try:
-        if kind == "uniform":
-            _check_keys(record, {"type", "lo", "hi"}, {"type", "lo", "hi"}, where)
-            return DensitySpec.uniform(read_float(record["lo"], f"{where}.lo"),
-                                       read_float(record["hi"], f"{where}.hi"))
-        if kind == "piecewise":
-            _check_keys(record, {"type", "breakpoints", "heights"},
-                        {"type", "breakpoints", "heights"}, where)
-            return DensitySpec(*(read_array(record[key], f"{where}.{key}", read_float)
-                                 for key in ("breakpoints", "heights")))
-        if kind == "constant":
-            _check_keys(record, {"type", "value"}, {"type", "value"}, where)
-            return ConstantValue(read_float(record["value"], f"{where}.value"))
-    except ConfigError:
-        raise
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown density type {kind!r}")
+
+
+@dataclass(frozen=True)
+class _Record:
+    """The table of a record: the reader of each key, the keys it requires,
+    and ``make``, which builds the record's value from the keys read."""
+
+    readers: dict
+    required: tuple = ()
+    make: Callable = dict
+
+    def __call__(self, value, where: str):
+        return construct(where, self.make, **read_record(value, where, self.readers, self.required))
+
+
+def _one_of(*choices):
+    """The reader accepting only the JSON values ``choices``, each of its own
+    type (1 is not true and not 1.0)."""
+    def read(value, where):
+        if not any(type(value) is type(c) and value == c for c in choices):
+            raise ConfigError(f"{where}: expected one of {json.dumps(choices)}, got {value!r}")
+        return value
+    return read
+
+
+def _at_least(low: int):
+    """`read_int`, refusing integers below ``low``."""
+    def read(value, where):
+        if read_int(value, where) < low:
+            raise ConfigError(f"{where}: expected at least {low}, got {value}")
+        return value
+    return read
+
+
+def _or_null(read):
+    """``read``, except that null reads as None."""
+    return lambda value, where: None if value is None else read(value, where)
+
+
+def _energy_range(**energies) -> dict:
+    """The ``dos_transform.energies`` record, refused unless hi > lo."""
+    if not energies["hi"] > energies["lo"]:
+        raise ValueError(f"hi must exceed lo, got {energies['lo']!r} to {energies['hi']!r}")
+    return energies
+
+
+_floats = partial(read_array, read=read_float)
+
+# density type -> the table of the keys beside "type"
+_DENSITIES = {
+    "uniform": _Record({"lo": read_float, "hi": read_float}, ("lo", "hi"), DensitySpec.uniform),
+    "piecewise": _Record({"breakpoints": _floats, "heights": _floats},
+                         ("breakpoints", "heights"), DensitySpec),
+    "constant": _Record({"value": read_float}, ("value",), ConstantValue),
+}
+_DENSITY_TYPE = _one_of(*_DENSITIES)
+
+
+def parse_density(value, where: str) -> Density:
+    """A density record, read through the table of its ``type``."""
+    kind = _DENSITY_TYPE(value.get("type"), f"{where}.type") if isinstance(value, dict) else None
+    table = _DENSITIES.get(kind, _Record({}))
+    rec = read_record(value, where, {"type": _DENSITY_TYPE, **table.readers},
+                      ("type", *table.required))
+    del rec["type"]
+    return construct(where, table.make, **rec)
 
 
 def density_record(density: Density) -> dict:
@@ -104,102 +159,56 @@ def density_record(density: Density) -> dict:
             "heights": list(density.heights)}
 
 
-_TOP_KEYS = {"schema_version", "cube", "boundary", "laplacian_sign", "potential",
-             "disorder", "realizations", "seed", "grid", "bin_width",
-             "lifshits", "wegner", "dos_transform"}
-_TOP_REQUIRED = {"schema_version", "cube", "boundary", "disorder", "realizations", "seed"}
+# The document: each key's reader, nested records through their own tables.
+# The command sections are read into plain dicts keyed like the document;
+# keys they leave out take the defaults of the code that runs them.
+_DOCUMENT = _Record({
+    "schema_version": _one_of(SCHEMA_VERSION),
+    "cube": _Record({"dim": read_int, "side": read_int, "centered": _one_of(True, False)},
+                    ("dim", "side"), Cube),
+    "boundary": _one_of(*BOUNDARY_CHOICES),
+    "laplacian_sign": read_int,
+    "potential": _Record({"period": partial(read_array, read=read_int), "values": _floats},
+                         ("period", "values"), PeriodicPotential),
+    "disorder": _Record({"V": parse_density, "b": parse_density}, ("V", "b"),
+                        lambda V, b: DisorderModel(V, b)),
+    "realizations": read_int,
+    "seed": read_int,
+    "grid": _Record({"lo": _or_null(read_float), "hi": _or_null(read_float), "points": read_int}),
+    "bin_width": _or_null(read_float),
+    "lifshits": _Record({"epsilons": _floats, "lam": read_float, "c": read_float,
+                         "alpha": read_float, "realizations": read_int}, ("epsilons", "lam")),
+    "wegner": _Record({"mode": _one_of("H", "B"), "lower_constant": read_float,
+                       "min_count": _at_least(0)}, ("mode", "lower_constant")),
+    "dos_transform": _Record({
+        "beta": read_float, "source": parse_density,
+        "energies": _Record({"lo": read_float, "hi": read_float, "points": _at_least(1)},
+                            ("lo", "hi"), _energy_range),
+    }, ("beta", "source")),
+}, ("schema_version", "cube", "boundary", "disorder", "realizations", "seed"))
+_SECTIONS = ("lifshits", "wegner", "dos_transform")
 
 
 def parse_config(doc: dict, seed_override: int | None = None,
                  threads: int = 1) -> tuple[ExperimentConfig, dict]:
     """Parse the top-level document into an ExperimentConfig.
 
-    Returns (config, extras) where extras holds the per-command sections
-    (lifshits / wegner / dos_transform), already key-checked.
+    Returns (config, extras) where extras holds the command sections
+    (lifshits / wegner / dos_transform) the document has, already read.
     """
-    _check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "config")
-    version = read_int(doc["schema_version"], "schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"config: unsupported schema_version {version!r}")
-
-    cube_rec = doc["cube"]
-    _check_keys(cube_rec, {"dim", "side", "centered"}, {"dim", "side"}, "cube")
-    centered = cube_rec.get("centered", False)
-    if not isinstance(centered, bool):
-        raise ConfigError(f"cube.centered: expected true or false, got {centered!r}")
-    dim, side = (read_int(cube_rec[k], f"cube.{k}") for k in ("dim", "side"))
-    try:
-        cube = Cube(dim, side, centered)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cube: {exc}") from exc
-
-    dis_rec = doc["disorder"]
-    _check_keys(dis_rec, {"V", "b"}, {"V", "b"}, "disorder")
-    disorder = DisorderModel(parse_density(dis_rec["V"], "disorder.V"),
-                             parse_density(dis_rec["b"], "disorder.b"))
-
-    if "potential" in doc:
-        pot_rec = doc["potential"]
-        _check_keys(pot_rec, {"period", "values"}, {"period", "values"}, "potential")
-        try:
-            potential = PeriodicPotential(
-                read_array(pot_rec["period"], "potential.period", read_int),
-                _read_floats(pot_rec["values"], "potential.values"))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"potential: {exc}") from exc
-        if len(potential.period) != cube.dim:
-            raise ConfigError(f"potential: period {list(potential.period)} needs one entry "
-                              f"per axis of the {cube.dim}-d cube")
-    else:
-        potential = PeriodicPotential.zero(cube.dim)
-
-    grid_lo = grid_hi = None
-    grid_points = 512
-    if "grid" in doc:
-        grid_rec = doc["grid"]
-        _check_keys(grid_rec, {"lo", "hi", "points"}, set(), "grid")
-        grid_lo, grid_hi = (_optional_float(grid_rec.get(k), f"grid.{k}") for k in ("lo", "hi"))
-        grid_points = read_int(grid_rec.get("points", 512), "grid.points")
-
-    seed = read_int(doc["seed"] if seed_override is None else seed_override, "seed")
-    try:
-        config = ExperimentConfig(
-            cube=cube,
-            boundary=str(doc["boundary"]),
-            disorder=disorder,
-            potential=potential,
-            realizations=read_int(doc["realizations"], "realizations"),
-            base_seed=seed,
-            laplacian_sign=read_int(doc.get("laplacian_sign", -1), "laplacian_sign"),
-            grid_lo=grid_lo,
-            grid_hi=grid_hi,
-            grid_points=grid_points,
-            bin_width=_optional_float(doc.get("bin_width"), "bin_width"),
-            threads=threads,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    extras = {}
-    if "lifshits" in doc:
-        rec = doc["lifshits"]
-        _check_keys(rec, {"epsilons", "lam", "c", "alpha", "realizations"},
-                    {"epsilons", "lam"}, "lifshits")
-        extras["lifshits"] = rec
-    if "wegner" in doc:
-        rec = doc["wegner"]
-        _check_keys(rec, {"mode", "lower_constant", "min_count"},
-                    {"mode", "lower_constant"}, "wegner")
-        extras["wegner"] = rec
-    if "dos_transform" in doc:
-        rec = doc["dos_transform"]
-        _check_keys(rec, {"beta", "source", "energies"}, {"beta", "source"}, "dos_transform")
-        if "energies" in rec:
-            _check_keys(rec["energies"], {"lo", "hi", "points"}, {"lo", "hi"},
-                        "dos_transform.energies")
-        extras["dos_transform"] = rec
+    rec = _DOCUMENT(doc, "")
+    del rec["schema_version"]
+    extras = {name: rec.pop(name) for name in _SECTIONS if name in rec}
+    rec.update((f"grid_{key}", value) for key, value in rec.pop("grid", {}).items())
+    seed = rec.pop("seed")
+    if seed_override is not None:
+        seed = read_int(seed_override, "seed")
+    cube = rec["cube"]
+    potential = rec.setdefault("potential", PeriodicPotential.zero(cube.dim))
+    if len(potential.period) != cube.dim:
+        raise ConfigError(f"potential: period {list(potential.period)} needs one entry "
+                          f"per axis of the {cube.dim}-d cube")
+    config = construct("config", ExperimentConfig, base_seed=seed, threads=threads, **rec)
     return config, extras
 
 
@@ -216,9 +225,10 @@ def load_config(path: str | Path, seed_override: int | None = None,
     return config, extras, doc
 
 
-def config_echo(config: ExperimentConfig) -> dict:
-    """Round-trippable record of an ExperimentConfig (re-parses to an
-    equivalent config)."""
+def config_echo(config: ExperimentConfig, extras: dict | None = None) -> dict:
+    """Round-trippable record of an ExperimentConfig and the command
+    sections ``extras`` (re-parses to an equivalent config and equal
+    extras)."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "cube": {"dim": config.cube.dim, "side": config.cube.side,
@@ -236,4 +246,7 @@ def config_echo(config: ExperimentConfig) -> dict:
     }
     if config.bin_width is not None:
         doc["bin_width"] = config.bin_width
+    for name, section in (extras or {}).items():
+        doc[name] = {key: density_record(value) if isinstance(value, Density) else value
+                     for key, value in section.items()}
     return doc

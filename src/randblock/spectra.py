@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .disorder import Density, DisorderModel, SeedPolicy, sample_iid, support_bounds
+from .disorder import DisorderModel, SeedPolicy, sample_iid, support_bounds
 from .eigen import EigenError, SquaredBand, SymmetricBand, eigvalsh
 from .lattice import Cube, PeriodicPotential, check_memory
 from .operators import (BoundaryMode, assemble_bracketing, band_square, block_band,

@@ -20,7 +20,7 @@ from randblock.analysis import (
     wegner_check,
 )
 from randblock.config import load_config
-from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
+from randblock.disorder import DensitySpec, DisorderModel, SeedPolicy, sample_iid
 from randblock.eigen import eigvalsh, min_eig_tridiag
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import BoundaryMode, assemble, laplacian

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -218,6 +219,7 @@ class TestConfigErrors:
         ("ids", {"schema_version": True}),
         ("ids", {"schema_version": 1.0}),
         ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": -5}}),
+        ("ids", {"lifshits": {"epsilons": [0.2], "lam": "one"}}),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -243,7 +245,8 @@ class TestConfigErrors:
             "energies-points-zero", "epsilons-empty", "energies-hi-below-lo",
             "energies-hi-equal-lo", "epsilons-number", "epsilons-string-not-array",
             "breakpoints-number", "period-number", "period-string",
-            "schema-version-boolean", "schema-version-fractional", "min-count-negative"])
+            "schema-version-boolean", "schema-version-fractional", "min-count-negative",
+            "section-read-whatever-the-command"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, base_doc(**overrides))
         out = tmp_path / "out"
@@ -334,6 +337,52 @@ class TestConfigErrors:
         assert err.startswith("config error: the DOS histogram")
         assert calls == []
         assert not out.exists()
+
+    def test_wegner_mode_named(self, tmp_path, capsys):
+        doc = base_doc(disorder={"V": _V, "b": {"type": "constant", "value": 0.5}},
+                       wegner={"mode": "X", "lower_constant": 1.0})
+        path = write_config(tmp_path, doc)
+        assert main(["wegner", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: wegner.mode:") and "'X'" in err
+
+    def test_every_record_refuses_unknown_key(self, tmp_path, capsys):
+        # every object record found by walking the schema tables, each
+        # density type at each density key: a record added to a table needs
+        # a sample in `full`
+        densities = [_V, {"type": "piecewise", "breakpoints": [1, 1.5, 2], "heights": [1, 1]},
+                     {"type": "constant", "value": 1.5}]
+        assert sorted(d["type"] for d in densities) == sorted(randblock.config._DENSITIES)
+        full = base_doc(
+            potential={"period": [1], "values": [0]}, grid={"lo": -4, "hi": 4, "points": 64},
+            lifshits={"epsilons": [0.2], "lam": 1.0}, wegner={"mode": "H", "lower_constant": 1.0},
+            dos_transform={"beta": 1.0, "source": _B, "energies": {"lo": -1, "hi": 1}})
+        cases = []                    # (key path, record)
+
+        def walk(table, path, record):
+            cases.append((path, record))
+            for key, read in table.readers.items():
+                if isinstance(read, randblock.config._Record):
+                    walk(read, path + (key,), record[key])
+                elif read is randblock.config.parse_density:
+                    cases.extend((path + (key,), density) for density in densities)
+
+        walk(randblock.config._DOCUMENT, (), full)
+        assert len(cases) == 9 + 3 * len(densities)
+        for path, record in cases:
+            doc = parent = copy.deepcopy(full)
+            for key in path[:-1]:
+                parent = parent[key]
+            if path:
+                parent[path[-1]] = {**record, "bogus": 1}
+            else:
+                doc["bogus"] = 1
+            assert main(["ids", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == 2, path
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, path
+            assert f"{'.'.join(path) or 'config'}: unknown key(s) ['bogus']" in err, path
 
     def test_lifshits_needs_section(self, tmp_path, capsys):
         path = write_config(tmp_path, base_doc())
@@ -487,8 +536,9 @@ class TestEnsembleCommands:
         manifest = json.loads((out / f"{command}_manifest.json").read_text())
         assert manifest["command"] == command
         assert manifest["base_seed"] == 5 and manifest["config"]["seed"] == 5
-        config, _ = parse_config(manifest["config"], threads=1)
+        config, extras = parse_config(manifest["config"], threads=1)
         assert config.base_seed == 5
+        assert extras == load_config(path)[1]   # the sections echo as they were read
         assert sorted(manifest["outputs"]) == sorted(outputs)
         assert all(len(digest) == 64 for digest in manifest["outputs"].values())
         assert manifest["failed_realizations"] == 0

@@ -5,7 +5,8 @@ public method of a public class, must be used somewhere in the package
 outside its own definition, or by the benchmark in ``perfbench/`` (which
 calls `spectra.build_block` and traces names such as
 `eigen.min_eig_tridiag` from outside).  Code that only the tests reach
-belongs in ``tests/reference.py``.
+belongs in ``tests/reference.py``.  And no module of the package or of the
+tests imports a name it does not use.
 """
 
 import ast
@@ -73,3 +74,26 @@ def test_every_public_definition_is_used_outside_tests():
                 module = ".".join(path.relative_to(SRC).with_suffix("").parts)
                 unused.append(f"{module}.{qualname}")
     assert unused == [], f"public code that only tests reach: {unused}"
+
+
+def test_every_import_is_used():
+    # names in __all__ are exported, and a line marked "# noqa: F401" keeps
+    # an import on purpose (the benchmark hooks `analysis.min_eig_tridiag`)
+    unused = []
+    for path in sorted([*SRC.rglob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used and name != "annotations":
+                    unused.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unused == [], f"imported names that are never used: {unused}"
