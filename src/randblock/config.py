@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .disorder import ConstantValue, Density, DensitySpec, DisorderModel
+from .disorder import ConstantValue, Density, DensitySpec, DisorderModel, SeedPolicy
 from .lattice import Cube, PeriodicPotential
 from .spectra import BOUNDARY_CHOICES, ExperimentConfig
 
@@ -48,12 +48,11 @@ def read_float(value, where: str) -> float:
 
 def read_array(value, where: str, read) -> tuple:
     """A JSON array as the tuple of ``read(entry, where[i])`` over its
-    entries, a nested array as a nested tuple; anything else, a bare number
-    or a string included, is refused."""
+    entries; anything else, a bare number or a string included, is
+    refused, and so is a nested array unless ``read`` reads one."""
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected an array, got {value!r}")
-    return tuple(read_array(x, f"{where}[{i}]", read) if isinstance(x, list)
-                 else read(x, f"{where}[{i}]") for i, x in enumerate(value))
+    return tuple(read(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
 def read_record(value, where: str, readers: dict, required=()) -> dict:
@@ -121,11 +120,39 @@ def _or_null(read):
     return lambda value, where: None if value is None else read(value, where)
 
 
+def _positive(value, where):
+    """`read_float`, refusing numbers that are not positive."""
+    x = read_float(value, where)
+    if not x > 0:
+        raise ConfigError(f"{where}: expected a positive number, got {value!r}")
+    return x
+
+
+def _seed(value, where):
+    """`read_int`, refusing seeds outside [0, 2^64)."""
+    return construct(where, SeedPolicy, read_int(value, where)).base_seed
+
+
 def _energy_range(**energies) -> dict:
     """The ``dos_transform.energies`` record, refused unless hi > lo."""
     if not energies["hi"] > energies["lo"]:
         raise ValueError(f"hi must exceed lo, got {energies['lo']!r} to {energies['hi']!r}")
     return energies
+
+
+def _grid(**grid) -> dict:
+    """The ``grid`` record, refused unless ``lo`` and ``hi`` are given
+    together (null counts as not given) and hi > lo."""
+    if (grid.get("lo") is None) != (grid.get("hi") is None):
+        raise ValueError("lo and hi must be given together")
+    return grid if grid.get("lo") is None else _energy_range(**grid)
+
+
+def _floats_nested(value, where):
+    """A float, or an array of them nested to any depth (`read_array`)."""
+    if isinstance(value, list):
+        return read_array(value, where, _floats_nested)
+    return read_float(value, where)
 
 
 _floats = partial(read_array, read=read_float)
@@ -168,14 +195,16 @@ _DOCUMENT = _Record({
                     ("dim", "side"), Cube),
     "boundary": _one_of(*BOUNDARY_CHOICES),
     "laplacian_sign": read_int,
-    "potential": _Record({"period": partial(read_array, read=read_int), "values": _floats},
+    "potential": _Record({"period": partial(read_array, read=read_int),
+                          "values": partial(read_array, read=_floats_nested)},
                          ("period", "values"), PeriodicPotential),
     "disorder": _Record({"V": parse_density, "b": parse_density}, ("V", "b"),
                         lambda V, b: DisorderModel(V, b)),
-    "realizations": read_int,
-    "seed": read_int,
-    "grid": _Record({"lo": _or_null(read_float), "hi": _or_null(read_float), "points": read_int}),
-    "bin_width": _or_null(read_float),
+    "realizations": _at_least(1),
+    "seed": _seed,
+    "grid": _Record({"lo": _or_null(read_float), "hi": _or_null(read_float),
+                     "points": _at_least(2)}, make=_grid),
+    "bin_width": _or_null(_positive),
     "lifshits": _Record({"epsilons": _floats, "lam": read_float, "c": read_float,
                          "alpha": read_float, "realizations": read_int}, ("epsilons", "lam")),
     "wegner": _Record({"mode": _one_of("H", "B"), "lower_constant": read_float,
@@ -202,7 +231,7 @@ def parse_config(doc: dict, seed_override: int | None = None,
     rec.update((f"grid_{key}", value) for key, value in rec.pop("grid", {}).items())
     seed = rec.pop("seed")
     if seed_override is not None:
-        seed = read_int(seed_override, "seed")
+        seed = _seed(seed_override, "seed")
     cube = rec["cube"]
     potential = rec.setdefault("potential", PeriodicPotential.zero(cube.dim))
     if len(potential.period) != cube.dim:

@@ -1,22 +1,27 @@
 """Real symmetric eigensolvers.
 
 Full spectra come from LAPACK (`eigvalsh`): ``dsyevd`` through NumPy for
-dense matrices, ``dsbevd`` through ``scipy.linalg.lapack`` for band matrices
-(`SymmetricBand`).  A block operator with spectrum symmetric about zero and a
-certified gap can instead be given through its n x n square (`SquaredBand`,
-complex Hermitian band storage), which ``zhbevd`` solves at half the
-dimension; its eigenvalues μ come back as ±√μ, moved by |δE| ≲ eps·ρ²/λ when
-the spectrum lies in [-ρ, ρ] and outside (-λ, λ).  Whether stacked
-tridiagonal matrices have an eigenvalue below a threshold comes from one
-batched Sturm pass (`any_eigenvalue_below`), their smallest eigenvalues from
-a bisection on that test (`min_eig_tridiag`).  A failed solve raises
-`EigenError`; `backend_name` names the solvers.  The band types only carry
-their storage to the solver: `operators.dense` gives the matrix a band
-storage stands for.
+dense matrices, ``dsbevd`` from SciPy's compiled LAPACK wrappers (`flapack`)
+for band matrices (`SymmetricBand`).  A block operator with spectrum
+symmetric about zero and a certified gap can instead be given through its
+n x n square (`SquaredBand`, complex Hermitian band storage), which
+``zhbevd`` solves at half the dimension; its eigenvalues μ come back as ±√μ,
+moved by |δE| ≲ eps·ρ²/λ when the spectrum lies in [-ρ, ρ] and outside
+(-λ, λ).  Whether stacked tridiagonal matrices have an eigenvalue below a
+threshold comes from one batched Sturm pass (`any_eigenvalue_below`), their
+smallest eigenvalues from a bisection on that test (`min_eig_tridiag`).
+A failed solve raises `EigenError`; `backend_name` names the solvers.  The
+band types only carry their storage to the solver: `operators.dense` gives
+the matrix a band storage stands for.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +76,10 @@ def eigvalsh(m) -> np.ndarray:
     through ``numpy.linalg.eigvalsh``, which reads the lower triangle only.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver ``dsbevd``
     and a `SquaredBand` to its complex Hermitian twin ``zhbevd``, both called
-    directly from ``scipy.linalg.lapack``; a `SquaredBand`'s eigenvalues μ
-    come back as the 2n values [-√μ[::-1], √μ].  With every |E| >= λ and
-    the spectrum inside [-ρ, ρ], squaring moves an eigenvalue by
-    |δE| ≲ eps·ρ²/λ instead of the direct solve's eps·ρ.  Raises
+    directly from SciPy's compiled wrappers (`flapack`); a `SquaredBand`'s
+    eigenvalues μ come back as the 2n values [-√μ[::-1], √μ].  With every
+    |E| >= λ and the spectrum inside [-ρ, ρ], squaring moves an eigenvalue
+    by |δE| ≲ eps·ρ²/λ instead of the direct solve's eps·ρ.  Raises
     ValueError on non-finite entries and EigenError when LAPACK fails
     (a nonzero ``info``, or no convergence in ``dsyevd``), returns
     eigenvalues out of order, or returns a μ of a `SquaredBand` that is not
@@ -99,15 +104,55 @@ def eigvalsh(m) -> np.ndarray:
     return w
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def flapack():
+    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``
+    whose names ``scipy.linalg.lapack`` star-imports: its ``dsbevd`` and
+    ``zhbevd`` are the very functions ``scipy.linalg.lapack`` exports.
+
+    Only band solves need SciPy, and of it only this module, so it is loaded
+    from its file beside SciPy's package and ``scipy.linalg``'s package init
+    (~0.3 s and ~16 MB of imports, ``numpy.f2py`` and ``numpy.testing``
+    among them) never runs.  The module is taken from ``sys.modules`` when
+    SciPy already loaded it, and registered there when loaded here, so a
+    later ``import scipy.linalg`` reuses it.  When the file is not found,
+    ``scipy.linalg.lapack`` is imported instead."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    path = _flapack_file()
+    if path is None:
+        from scipy.linalg import lapack
+        return lapack
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _flapack_file() -> str | None:
+    """The extension file of ``scipy.linalg._flapack``, or None."""
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
 def _band_solve(m) -> np.ndarray:
     """Eigenvalues of the band storage ``m.lower``: ``dsbevd`` for a
     `SymmetricBand`, ``zhbevd`` for a `SquaredBand` (which are then M's)."""
     if not np.all(np.isfinite(m.lower)):
         raise ValueError("matrix has non-finite entries")
-    from scipy.linalg import lapack   # only band solves need SciPy; it slows start-up
     driver = "dsbevd" if isinstance(m, SymmetricBand) else "zhbevd"
     # LAPACK gets a copy: the caller's band stays as it was
-    w, _, info = getattr(lapack, driver)(m.lower, compute_v=0, lower=1, overwrite_ab=0)
+    w, _, info = getattr(flapack(), driver)(m.lower, compute_v=0, lower=1, overwrite_ab=0)
     if info != 0:
         reason = "did not converge" if info > 0 else "rejected an argument"
         raise EigenError(f"LAPACK {driver} {reason} (n={m.lower.shape[1]}, info = {info})")

@@ -23,6 +23,10 @@ solved is chosen per run (`band_driver`):
   +1): the block in interleaved order (psi1(0), psi2(0), psi1(1), ...) is a
   2n x 2n real band matrix (`operators.block_band`) that ``dsbevd`` solves.
 
+Both drivers come from SciPy's compiled LAPACK wrappers, which
+`eigen.flapack` loads without running ``scipy.linalg``'s package init, the
+larger part of a short run's start-up time and memory.
+
 `build_block` assembles the dense block in natural order from the Laplacian
 bands made dense (`operators.dense`); it shares no code with `block_band` or
 `band_square`, and is the tests' oracle for both paths.
@@ -31,14 +35,13 @@ bands made dense (`operators.dense`); it shares no code with `block_band` or
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .disorder import DisorderModel, SeedPolicy, sample_iid, support_bounds
-from .eigen import EigenError, SquaredBand, SymmetricBand, eigvalsh
+from .eigen import EigenError, SquaredBand, SymmetricBand, eigvalsh, flapack
 from .lattice import Cube, PeriodicPotential, check_memory
 from .operators import (BoundaryMode, assemble_bracketing, band_square, block_band,
                         block_band_bytes, block_half_bandwidth, dense, laplacian)
@@ -357,10 +360,14 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     solve = partial(_solve_chunk, config, clean)
     chunks = _chunks(config.realizations, workers)
     if workers:
+        # the pool's import (multiprocessing, socket, logging) is paid only
+        # by runs that start one
+        from concurrent.futures import ProcessPoolExecutor
+
         # workers rebuild nothing: the clean part ships with each chunk, and
-        # forked workers inherit the band solver's SciPy instead of each
-        # importing it (~0.2 s)
-        import scipy.linalg.lapack  # noqa: F401
+        # forked workers inherit the loaded LAPACK wrappers (`eigen.flapack`)
+        # instead of each loading them
+        flapack()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(solve, chunks))
     else:

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import randblock.analysis
 import randblock.cli
@@ -24,6 +23,7 @@ from randblock.config import (
     parse_density,
 )
 from randblock.disorder import ConstantValue, DensitySpec
+from randblock.eigen import flapack
 
 
 _V = {"type": "uniform", "lo": 1, "hi": 2}
@@ -126,100 +126,112 @@ class TestConfigErrors:
         assert main(["wegner", "--config", path, "--out", str(tmp_path)]) == 2
         assert "certify" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, overrides", [
+    @pytest.mark.parametrize("command, overrides, named", [
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"pts": 3}}}),
+            "energies": {"pts": 3}}}, "dos_transform.energies"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": -1, "hi": 1, "step": 0.1}}}),
-        ("dos", {"bin_width": -0.1}),
-        ("dos", {"bin_width": 0}),
-        ("dos", {"bin_width": "wide"}),
-        ("lifshits", {"lifshits": {"epsilons": [-0.1, 0.2], "lam": 1.0}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": 0}}),
+            "energies": {"lo": -1, "hi": 1, "step": 0.1}}}, "dos_transform.energies"),
+        ("dos", {"bin_width": -0.1}, "bin_width"),
+        ("dos", {"bin_width": 0}, "bin_width"),
+        ("dos", {"bin_width": "wide"}, "bin_width"),
+        ("lifshits", {"lifshits": {"epsilons": [-0.1, 0.2], "lam": 1.0}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": 0}}, "lifshits"),
         ("dostransform", {"dos_transform": {
-            "beta": 0, "source": {"type": "uniform", "lo": -2, "hi": 2}}}),
-        ("ids", {"grid": {"lo": "-1", "hi": "1"}}),
-        ("ids", {"grid": {"points": "many"}}),
-        ("ids", {"seed": "x"}),
-        ("ids", {"potential": {"period": [2, 2], "values": [[0, 0], [0, 0.5]]}}),
+            "beta": 0, "source": {"type": "uniform", "lo": -2, "hi": 2}}}, "dos_transform"),
+        ("ids", {"grid": {"lo": "-1", "hi": "1"}}, "grid.lo"),
+        ("ids", {"grid": {"points": "many"}}, "grid.points"),
+        ("ids", {"seed": "x"}, "seed"),
+        ("ids", {"potential": {"period": [2, 2], "values": [[0, 0], [0, 0.5]]}}, "potential"),
         ("ids", {"cube": {"dim": 2, "side": 4},
-                 "potential": {"period": [2], "values": [0, 0.5]}}),
-        ("ids", {"cube": {"dim": [1], "side": 7}}),
-        ("ids", {"cube": {"dim": 1, "side": 7, "centered": "false"}}),
-        ("ids", {"cube": {"dim": 1, "side": 11.9}, "realizations": 3.7}),
-        ("ids", {"cube": {"dim": True, "side": 7}}),
-        ("ids", {"realizations": True}),
-        ("ids", {"realizations": "3"}),
-        ("ids", {"seed": 11.0}),
-        ("ids", {"seed": -1}),
-        ("ids", {"seed": 2**64}),
-        ("ids", {"laplacian_sign": True}),
-        ("ids", {"grid": {"points": 64.5}}),
-        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": 50.5}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": True}}),
+                 "potential": {"period": [2], "values": [0, 0.5]}}, "potential"),
+        ("ids", {"cube": {"dim": [1], "side": 7}}, "cube.dim"),
+        ("ids", {"cube": {"dim": 1, "side": 7, "centered": "false"}}, "cube.centered"),
+        ("ids", {"cube": {"dim": 1, "side": 11.9}, "realizations": 3.7}, "cube.side"),
+        ("ids", {"cube": {"dim": True, "side": 7}}, "cube.dim"),
+        ("ids", {"realizations": True}, "realizations"),
+        ("ids", {"realizations": "3"}, "realizations"),
+        ("ids", {"seed": 11.0}, "seed"),
+        ("ids", {"seed": -1}, "seed"),
+        ("ids", {"seed": 2**64}, "seed"),
+        ("ids", {"laplacian_sign": True}, "laplacian_sign"),
+        ("ids", {"grid": {"points": 64.5}}, "grid.points"),
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": 50.5}},
+                   "wegner.min_count"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": True}},
+                     "lifshits.realizations"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": -1, "hi": 1, "points": 10.5}}}),
-        ("wegner", {}),
-        ("lifshits", {}),
-        ("dostransform", {}),
-        ("ids", {"disorder": {"V": {"type": "uniform", "lo": "1", "hi": 2}, "b": _B}}),
-        ("ids", {"disorder": {"V": {"type": "uniform", "lo": 1, "hi": "2"}, "b": _B}}),
-        ("ids", {"disorder": {"V": _V, "b": {"type": "constant", "value": True}}}),
+            "energies": {"lo": -1, "hi": 1, "points": 10.5}}}, "dos_transform.energies.points"),
+        ("wegner", {}, "wegner"),
+        ("lifshits", {}, "lifshits"),
+        ("dostransform", {}, "dos_transform"),
+        ("ids", {"disorder": {"V": {"type": "uniform", "lo": "1", "hi": 2}, "b": _B}},
+                "disorder.V.lo"),
+        ("ids", {"disorder": {"V": {"type": "uniform", "lo": 1, "hi": "2"}, "b": _B}},
+                "disorder.V.hi"),
+        ("ids", {"disorder": {"V": _V, "b": {"type": "constant", "value": True}}},
+                "disorder.b.value"),
         ("ids", {"disorder": {"V": {"type": "piecewise", "breakpoints": ["1", 1.5, 2],
-                                    "heights": [1, 1]}, "b": _B}}),
-        ("ids", {"grid": {"lo": -math.inf, "hi": 1}}),
-        ("dos", {"bin_width": True}),
-        ("wegner", {"wegner": {"mode": "H", "lower_constant": "1"}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": True}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": math.nan}}),
-        ("lifshits", {"lifshits": {"epsilons": ["0.2"], "lam": 1.0}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": "4"}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": math.inf}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": True}}),
+                                    "heights": [1, 1]}, "b": _B}}, "disorder.V.breakpoints[0]"),
+        ("ids", {"grid": {"lo": -math.inf, "hi": 1}}, "grid.lo"),
+        ("dos", {"bin_width": True}, "bin_width"),
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": "1"}}, "wegner.lower_constant"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": True}}, "lifshits.lam"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": math.nan}}, "lifshits.lam"),
+        ("lifshits", {"lifshits": {"epsilons": ["0.2"], "lam": 1.0}}, "lifshits.epsilons[0]"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": "4"}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": math.inf}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": True}},
+                     "lifshits.alpha"),
         ("dostransform", {"dos_transform": {
-            "beta": "1", "source": {"type": "uniform", "lo": -2, "hi": 2}}}),
-        ("dostransform", {"dos_transform": {
-            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": "-1", "hi": 1}}}),
+            "beta": "1", "source": {"type": "uniform", "lo": -2, "hi": 2}}}, "dos_transform.beta"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": -1, "hi": math.inf}}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": 0}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": -4.0}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": -0.5}}),
-        ("ids", {"potential": {"period": [2], "values": ["0", "0.5"]}}),
-        ("ids", {"potential": {"period": [2], "values": [0, True]}}),
-        ("ids", {"potential": {"period": [2], "values": [0, math.nan]}}),
-        ("ids", {"potential": {"period": ["2"], "values": [0, 0.5]}}),
-        ("dos", {"bin_width": 1e-12}),
-        ("dos", {"bin_width": 1e-300}),
-        ("dos", {"bin_width": 5e-324}),
+            "energies": {"lo": "-1", "hi": 1}}}, "dos_transform.energies.lo"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": -1, "hi": 1, "points": 10**12}}}),
+            "energies": {"lo": -1, "hi": math.inf}}}, "dos_transform.energies.hi"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": 0}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": -4.0}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": -0.5}}, "lifshits"),
+        ("ids", {"potential": {"period": [2], "values": ["0", "0.5"]}}, "potential.values[0]"),
+        ("ids", {"potential": {"period": [2], "values": [0, True]}}, "potential.values[1]"),
+        ("ids", {"potential": {"period": [2], "values": [0, math.nan]}}, "potential.values[1]"),
+        ("ids", {"potential": {"period": ["2"], "values": [0, 0.5]}}, "potential.period[0]"),
+        ("dos", {"bin_width": 1e-12}, "the DOS histogram"),
+        ("dos", {"bin_width": 1e-300}, "the DOS histogram"),
+        ("dos", {"bin_width": 5e-324}, "the DOS histogram"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": -1, "hi": 1, "points": 0}}}),
-        ("lifshits", {"lifshits": {"epsilons": [], "lam": 1.0}}),
+            "energies": {"lo": -1, "hi": 1, "points": 10**12}}}, "the DOS transform"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": 2, "hi": -2}}}),
+            "energies": {"lo": -1, "hi": 1, "points": 0}}}, "dos_transform.energies.points"),
+        ("lifshits", {"lifshits": {"epsilons": [], "lam": 1.0}}, "lifshits"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": 1, "hi": 1}}}),
-        ("lifshits", {"lifshits": {"epsilons": 0.1, "lam": 1.0}}),
-        ("lifshits", {"lifshits": {"epsilons": "0.1", "lam": 1.0}}),
+            "energies": {"lo": 2, "hi": -2}}}, "dos_transform.energies"),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": 1, "hi": 1}}}, "dos_transform.energies"),
+        ("lifshits", {"lifshits": {"epsilons": 0.1, "lam": 1.0}}, "lifshits.epsilons"),
+        ("lifshits", {"lifshits": {"epsilons": "0.1", "lam": 1.0}}, "lifshits.epsilons"),
         ("ids", {"disorder": {"V": {"type": "piecewise", "breakpoints": 1,
-                                    "heights": [1]}, "b": _B}}),
-        ("ids", {"potential": {"period": 2, "values": [0, 0.5]}}),
-        ("ids", {"potential": {"period": "2", "values": [0, 0.5]}}),
-        ("ids", {"schema_version": True}),
-        ("ids", {"schema_version": 1.0}),
-        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": -5}}),
-        ("ids", {"lifshits": {"epsilons": [0.2], "lam": "one"}}),
+                                    "heights": [1]}, "b": _B}}, "disorder.V.breakpoints"),
+        ("ids", {"potential": {"period": 2, "values": [0, 0.5]}}, "potential.period"),
+        ("ids", {"potential": {"period": "2", "values": [0, 0.5]}}, "potential.period"),
+        ("ids", {"schema_version": True}, "schema_version"),
+        ("ids", {"schema_version": 1.0}, "schema_version"),
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": -5}},
+                   "wegner.min_count"),
+        ("ids", {"lifshits": {"epsilons": [0.2], "lam": "one"}}, "lifshits.lam"),
+        ("lifshits", {"lifshits": {"epsilons": [[0.2]], "lam": 1.0}}, "lifshits.epsilons[0]"),
+        ("ids", {"grid": {"lo": 1}}, "grid"),
+        ("ids", {"realizations": 0}, "realizations"),
+        ("ids", {"grid": {"lo": 1, "hi": 1}}, "grid"),
+        ("ids", {"grid": {"points": 1}}, "grid.points"),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -246,14 +258,16 @@ class TestConfigErrors:
             "energies-hi-equal-lo", "epsilons-number", "epsilons-string-not-array",
             "breakpoints-number", "period-number", "period-string",
             "schema-version-boolean", "schema-version-fractional", "min-count-negative",
-            "section-read-whatever-the-command"])
-    def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides):
+            "section-read-whatever-the-command", "epsilons-nested", "grid-lo-without-hi",
+            "realizations-zero", "grid-hi-equal-lo", "grid-points-one"])
+    def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides,
+                                              named):
         path = write_config(tmp_path, base_doc(**overrides))
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("config error:")
+        assert err.startswith(f"config error: {named}")   # the key path, or what is too large
         assert "Traceback" not in err
         assert not out.exists()       # a refused command writes nothing
 
@@ -320,13 +334,13 @@ class TestConfigErrors:
     def test_dos_bin_width_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # every |E| <= ρ bounds the bin count before the first realization
         calls = []
-        real = scipy.linalg.lapack.zhbevd
+        real = flapack().zhbevd
 
         def counted(a, **kwargs):
             calls.append(a.shape)
             return real(a, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "zhbevd", counted)
+        monkeypatch.setattr(flapack(), "zhbevd", counted)
         doc = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
         doc.update(realizations=500, bin_width=1e-12)
         path = write_config(tmp_path, doc)
@@ -337,6 +351,10 @@ class TestConfigErrors:
         assert err.startswith("config error: the DOS histogram")
         assert calls == []
         assert not out.exists()
+        # the counter counts every solve of the same config with a sane width
+        path = write_config(tmp_path, dict(doc, bin_width=0.05))
+        assert main(["dos", "--config", path, "--out", str(out), "--threads", "1"]) == 0
+        assert len(calls) == 500
 
     def test_wegner_mode_named(self, tmp_path, capsys):
         doc = base_doc(disorder={"V": _V, "b": {"type": "constant", "value": 0.5}},

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import randblock
 from randblock.cli import main
@@ -20,12 +19,16 @@ from randblock.eigen import (
     any_eigenvalue_below,
     backend_name,
     eigvalsh,
+    flapack,
     min_eig_tridiag,
 )
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import assemble, dense
 from randblock.spectra import ExperimentConfig, base_matrices, run_ensemble
 import reference
+
+# the module the band solves look their drivers up on: where a failure is injected
+LAPACK = flapack()
 
 
 class TestEigvalsh:
@@ -85,8 +88,10 @@ class TestEigvalsh:
             assert np.all(np.diff(w) >= 0)
         assert np.allclose(eigvalsh(self.band), eigvalsh(dense(self.band.lower)), atol=1e-14)
 
+    # ids by the public module of each solver, whichever module LAPACK is
     @pytest.mark.parametrize("module, name, banded", [
-        (np.linalg, "eigvalsh", False), (scipy.linalg.lapack, "dsbevd", True)])
+        (np.linalg, "eigvalsh", False), (LAPACK, "dsbevd", True)],
+        ids=["numpy.linalg-eigvalsh-False", "scipy.linalg.lapack-dsbevd-True"])
     def test_unsorted_lapack_result_raises(self, monkeypatch, module, name, banded):
         real = getattr(module, name)
 
@@ -104,16 +109,16 @@ class TestLapackFailure:
     by run_ensemble, and is exit code 3 in the CLI.
 
     With V on [0, 1] no gap is certified, so the ensemble solves the block
-    band with ``dsbevd`` (`scipy.linalg.lapack.dsbevd`), which is what these
+    band with ``dsbevd`` (``LAPACK.dsbevd``), which is what these
     tests make fail; `test_dense_raises_eigen_error` covers ``dsyevd`` on
     dense input and the ``test_squared_*`` twins the ``zhbevd`` solve of a
     certified run (V on [1, 2]).  A failing banded driver returns
     ``info`` > 0 (no convergence), as LAPACK does; NumPy's dense solve
     raises LinAlgError."""
 
-    ZHBEVD = (scipy.linalg.lapack, "zhbevd")
+    ZHBEVD = (LAPACK, "zhbevd")
 
-    def fail_on(self, monkeypatch, failing_calls, module=scipy.linalg.lapack, name="dsbevd"):
+    def fail_on(self, monkeypatch, failing_calls, module=LAPACK, name="dsbevd"):
         real = getattr(module, name)
         calls = itertools.count()
 
@@ -174,7 +179,7 @@ class TestLapackFailure:
     @pytest.mark.parametrize("v_lo, name", [(0.0, "dsbevd"), (1.0, "zhbevd")])
     def test_failure_in_second_chunk_recorded(self, monkeypatch, v_lo, name):
         # 131 realizations make chunks of 44, 44 and 43; index 70 is in the second
-        self.fail_on(monkeypatch, {70}, scipy.linalg.lapack, name)
+        self.fail_on(monkeypatch, {70}, LAPACK, name)
         result = run_ensemble(self.config(2 * 64 + 3, v_lo))
         assert result.failures == [70]
         assert result.realization_ids == [r for r in range(2 * 64 + 3) if r != 70]
@@ -198,7 +203,7 @@ class TestLapackFailure:
             eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
 
     def test_squared_nonzero_info_raises_eigen_error(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg.lapack, "zhbevd",
+        monkeypatch.setattr(LAPACK, "zhbevd",
                             lambda ab, **kwargs: (np.ones(ab.shape[1]), None, 2))
         with pytest.raises(EigenError, match="info = 2"):
             eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
@@ -246,7 +251,7 @@ class TestSquaredBand:
             eigvalsh(SquaredBand(np.array([diagonal], dtype=complex)))
 
     def test_non_finite_lapack_result_raises(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg.lapack, "zhbevd",
+        monkeypatch.setattr(LAPACK, "zhbevd",
                             lambda ab, **kwargs: (np.array([1.0, np.nan, 4.0]), None, 0))
         with pytest.raises(EigenError, match="not finite and positive"):
             eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
@@ -411,22 +416,22 @@ def _run_child(code, **env_vars):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is most of the CLI's start-up and only band solves need it.
-    # A patch of scipy.linalg.lapack.dsbevd, as TestLapackFailure makes, must
-    # still reach the band solve.  A stale RANDBLOCK_FORCE_PY in the
-    # environment must not change the solver.
+    # scipy.linalg and the process pool are most of the CLI's start-up, and
+    # only band solves and pooled runs need them.  A patch of the loaded
+    # module's dsbevd, as TestLapackFailure makes, must reach the band solve.
+    # A stale RANDBLOCK_FORCE_PY in the environment must not change the solver.
     _run_child(textwrap.dedent("""
         import sys
         import numpy as np
         import randblock.cli
-        assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by import randblock.cli"
-        from randblock.eigen import EigenError, SymmetricBand, backend_name, eigvalsh
+        for name in ("scipy.linalg", "concurrent.futures.process"):
+            assert name not in sys.modules, f"{name} loaded by import randblock.cli"
+        from randblock.eigen import EigenError, SymmetricBand, backend_name, eigvalsh, flapack
         assert backend_name() == "lapack"
         assert np.allclose(eigvalsh(np.array([[0., 1.], [1., 0.]])), [-1, 1])
-        import scipy.linalg
         def fail(ab, **kwargs):
             return np.zeros(ab.shape[1]), np.zeros((0, 0)), 1   # did not converge
-        scipy.linalg.lapack.dsbevd = fail
+        flapack().dsbevd = fail
         try:
             eigvalsh(SymmetricBand(np.ones((1, 3))))
         except EigenError:
@@ -434,3 +439,54 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         else:
             raise AssertionError("the patched banded solver was not called")
     """), RANDBLOCK_FORCE_PY="1")
+
+
+class TestFlapackLoader:
+    """`flapack` loads SciPy's compiled LAPACK wrappers without
+    ``scipy.linalg``'s package init, each case in a fresh interpreter."""
+
+    def test_ensemble_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+        config = Path(__file__).parents[1] / "configs" / "example.json"
+        _run_child(textwrap.dedent(f"""
+            import sys
+            from randblock.cli import main
+            args = ["--config", {str(config)!r}, "--out", {str(tmp_path)!r}, "--quiet"]
+            for command in ("ids", "dos", "gap", "wegner"):
+                assert main([command, *args, "--threads", "1"]) == 0, command
+            assert main(["ids", *args, "--threads", "2"]) == 0
+            assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by an ensemble"
+            assert "scipy.linalg._flapack" in sys.modules
+        """))
+
+    def test_same_drivers_as_scipy_linalg_lapack(self):
+        _run_child(textwrap.dedent("""
+            from randblock.eigen import flapack
+            loaded = flapack()
+            import scipy.linalg
+            assert loaded.zhbevd is scipy.linalg.lapack.zhbevd
+            assert loaded.dsbevd is scipy.linalg.lapack.dsbevd
+            assert flapack() is loaded
+        """))
+
+    def test_falls_back_to_scipy_linalg_lapack(self):
+        rng = np.random.default_rng(3)
+        lower = rng.uniform(-1, 1, (3, 9))
+        square = lower[:2] + 1j * lower[1:]
+        square[0] = 6 + lower[0]
+        expected = [eigvalsh(SymmetricBand(lower)).tolist(),
+                    eigvalsh(SquaredBand(square)).tolist()]
+        _run_child(textwrap.dedent(f"""
+            import importlib.machinery
+            import numpy as np
+            importlib.machinery.EXTENSION_SUFFIXES = []   # the file search finds nothing
+            from randblock.eigen import SquaredBand, SymmetricBand, eigvalsh, flapack
+            loaded = flapack()
+            import scipy.linalg.lapack
+            assert loaded is scipy.linalg.lapack
+            rng = np.random.default_rng(3)
+            lower = rng.uniform(-1, 1, (3, 9))
+            square = lower[:2] + 1j * lower[1:]
+            square[0] = 6 + lower[0]
+            got = [eigvalsh(SymmetricBand(lower)).tolist(), eigvalsh(SquaredBand(square)).tolist()]
+            assert got == {expected!r}, got
+        """))

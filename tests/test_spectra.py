@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -101,7 +102,8 @@ def started_pools(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(randblock.spectra, "ProcessPoolExecutor", FakePool)
+    # run_ensemble imports the pool class from here when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return started
 
 
