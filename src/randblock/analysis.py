@@ -16,7 +16,7 @@ import numpy as np
 
 from .disorder import DensitySpec, SeedPolicy, sample_iid, support_bounds
 from .eigen import any_eigenvalue_below
-from .eigen import min_eig_tridiag  # noqa: F401 -- a trace hook target; see ROADMAP "For the next change to the benchmark"
+from .eigen import min_eig_tridiag  # noqa: F401 -- a trace hook target; see ROADMAP item 9
 from .lattice import Cube, check_memory
 from .operators import BoundaryMode, laplacian
 from .spectra import EnsembleResult, certified_floor
@@ -75,8 +75,10 @@ class WegnerBound:
     def __post_init__(self):
         if self.mode not in ("H", "B"):
             raise ValueError("mode must be 'H' or 'B'")
-        if self.lower_constant <= 0 or self.bv <= 0:
-            raise ValueError("constants must be positive")
+        if not self.lower_constant > 0:
+            raise ValueError(f"lower_constant must be positive, got {self.lower_constant}")
+        if not self.bv > 0:
+            raise ValueError(f"bv must be positive, got {self.bv}")
 
 
 def wegner_bound(bound: WegnerBound, energy: float) -> float:
@@ -153,11 +155,11 @@ class LifshitsRun:
         eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
         if not eps:
-            raise ValueError("need at least one epsilon")
+            raise ValueError("epsilons must not be empty")
         if any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be positive")
+            raise ValueError(f"epsilons must be positive, got {list(eps)}")
         if self.realizations < 1:
-            raise ValueError("need at least one realization per epsilon")
+            raise ValueError(f"realizations must be at least 1, got {self.realizations}")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
         if not self.alpha > 0:
@@ -166,7 +168,8 @@ class LifshitsRun:
             raise ValueError("only the one-dimensional tridiagonal probe is implemented")
         v_lo, _ = support_bounds(self.mu_v)
         if v_lo < self.lam:
-            raise ValueError(f"potential support floor {v_lo} below lam={self.lam}")
+            raise ValueError(f"lam must not exceed the potential support floor {v_lo}, "
+                             f"got {self.lam}")
 
     def side_for(self, eps: float) -> int:
         return max(2, math.ceil(self.c * eps ** (-self.alpha / self.dim)))

@@ -5,9 +5,10 @@ clock, calls ``fn(args, config, extras, out_dir)`` and writes the manifest
 from the files, `EnsembleResult` (or None) and exit code the command
 returns.  `config.load_config` has read the whole document, the command
 sections ``extras`` included, so a command only maps its section onto the
-constructors of `analysis` (`construct` turns their refusals into config
-errors) and runs.  The first write makes the output directory, so a command
-refused with exit 2 leaves nothing behind.
+constructors of `analysis` and runs: `construct` turns their refusals into
+config errors naming the key, and what a command adds to the section is
+bound by `functools.partial`, as it names no key.  The first write makes the
+output directory, so a command refused with exit 2 leaves nothing behind.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
@@ -176,7 +177,8 @@ def cmd_wegner(args, config, extras, out_dir):
     density = config.disorder.mu_v if rec["mode"] == "H" else config.disorder.mu_b
     if not isinstance(density, DensitySpec):
         raise ConfigError("wegner: the relevant disorder law must have a density")
-    bound = construct("wegner", WegnerBound, rec["mode"], rec["lower_constant"], bv_norm(density))
+    bound = construct("wegner", functools.partial(WegnerBound, bv=bv_norm(density)),
+                      mode=rec["mode"], lower_constant=rec["lower_constant"])
     construct("wegner", certify_wegner_hypothesis, config, bound)
     result = run_ensemble(config)
     # wegner_check holds the default of min_count when the section leaves it out
@@ -210,8 +212,9 @@ def cmd_lifshits(args, config, extras, out_dir):
     if not isinstance(config.disorder.mu_v, DensitySpec):
         raise ConfigError("lifshits: V must have a density")
     # LifshitsRun holds the defaults of the keys the section leaves out
-    run = construct("lifshits", LifshitsRun, mu_v=config.disorder.mu_v,
-                    base_seed=config.base_seed, dim=config.cube.dim, **rec)
+    make = functools.partial(LifshitsRun, mu_v=config.disorder.mu_v,
+                             base_seed=config.base_seed, dim=config.cube.dim)
+    run = construct("lifshits", make, **rec)
     table = lifshits_probe(run)
     ln_eps, lnln = double_log_coordinates(table.epsilons, table.p_hat)
     path = out_dir / "lifshits.csv"
@@ -248,7 +251,7 @@ def cmd_dostransform(args, config, extras, out_dir):
     source, beta = rec["source"], rec["beta"]
     if not isinstance(source, DensitySpec):
         raise ConfigError("dos_transform: source must have a density")
-    transform = construct("dos_transform", DosTransform, source, beta)
+    transform = construct("dos_transform", DosTransform, source=source, beta=beta)
     top = math.sqrt(max(map(abs, support_bounds(source)))**2 + beta**2) + 0.5
     given = {"lo": -top, "hi": top, "points": _TRANSFORM_POINTS, **rec.get("energies", {})}
     points = given["points"]

@@ -4,10 +4,13 @@ A config is one JSON document with a ``schema_version`` field.  Every JSON
 object in it, the top level, its nested records, each density and the
 command sections (``lifshits``, ``wegner``, ``dos_transform``), is read by
 `read_record` through its table of key readers below, whatever the command
-runs.  Those tables are the one place the document format is written down.
-Unknown keys are errors, not warnings: a typo in a disorder parameter
-silently changes the physics otherwise.  Every error names the key path,
-such as ``lifshits.lam`` or ``potential.values[1]``.
+runs.  Those tables are the one place the document format, the type and
+shape of each key, is written down.  The range of a value is checked once,
+by the constructor that owns it, so a command section's ranges are checked
+only by the command that builds it.  Unknown keys are errors, not warnings:
+a typo in a disorder parameter silently changes the physics otherwise.
+Every error names the key path (`construct`), such as ``lifshits.lam`` or
+``potential.values[1]``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .disorder import ConstantValue, Density, DensitySpec, DisorderModel, SeedPolicy
+from .disorder import ConstantValue, Density, DensitySpec, DisorderModel
 from .lattice import Cube, PeriodicPotential
-from .spectra import BOUNDARY_CHOICES, ExperimentConfig
+from .spectra import ExperimentConfig
 
 SCHEMA_VERSION = 1
 
@@ -73,14 +76,21 @@ def read_record(value, where: str, readers: dict, required=()) -> dict:
             for key, read in readers.items() if key in value}
 
 
-def construct(where: str, make, *args, **kwargs):
+def construct(where: str, make, *args, paths=None, **kwargs):
     """``make(*args, **kwargs)``, with the TypeError or ValueError by which a
-    constructor or check refuses its arguments raised as a ConfigError
-    naming ``where``."""
+    constructor or check refuses its arguments raised as a ConfigError.  A
+    refusal whose first word is a keyword argument's name names its key path
+    ``where.name``, or ``paths[name]``: "c must be positive" in ``lifshits``
+    reads ``lifshits.c: must be positive``.  Any other refusal names
+    ``where``, or "config" at the top level (``where`` empty)."""
     try:
         return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        name, _, rest = str(exc).partition(" ")
+        paths = {key: f"{where}.{key}" if where else key for key in kwargs} | (paths or {})
+        if name in paths:
+            raise ConfigError(f"{paths[name]}: {rest}") from exc
+        raise ConfigError(f"{where or 'config'}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -120,32 +130,11 @@ def _or_null(read):
     return lambda value, where: None if value is None else read(value, where)
 
 
-def _positive(value, where):
-    """`read_float`, refusing numbers that are not positive."""
-    x = read_float(value, where)
-    if not x > 0:
-        raise ConfigError(f"{where}: expected a positive number, got {value!r}")
-    return x
-
-
-def _seed(value, where):
-    """`read_int`, refusing seeds outside [0, 2^64)."""
-    return construct(where, SeedPolicy, read_int(value, where)).base_seed
-
-
 def _energy_range(**energies) -> dict:
     """The ``dos_transform.energies`` record, refused unless hi > lo."""
     if not energies["hi"] > energies["lo"]:
         raise ValueError(f"hi must exceed lo, got {energies['lo']!r} to {energies['hi']!r}")
     return energies
-
-
-def _grid(**grid) -> dict:
-    """The ``grid`` record, refused unless ``lo`` and ``hi`` are given
-    together (null counts as not given) and hi > lo."""
-    if (grid.get("lo") is None) != (grid.get("hi") is None):
-        raise ValueError("lo and hi must be given together")
-    return grid if grid.get("lo") is None else _energy_range(**grid)
 
 
 def _floats_nested(value, where):
@@ -193,18 +182,18 @@ _DOCUMENT = _Record({
     "schema_version": _one_of(SCHEMA_VERSION),
     "cube": _Record({"dim": read_int, "side": read_int, "centered": _one_of(True, False)},
                     ("dim", "side"), Cube),
-    "boundary": _one_of(*BOUNDARY_CHOICES),
+    "boundary": lambda value, where: value,  # ExperimentConfig checks it
     "laplacian_sign": read_int,
     "potential": _Record({"period": partial(read_array, read=read_int),
                           "values": partial(read_array, read=_floats_nested)},
                          ("period", "values"), PeriodicPotential),
     "disorder": _Record({"V": parse_density, "b": parse_density}, ("V", "b"),
                         lambda V, b: DisorderModel(V, b)),
-    "realizations": _at_least(1),
-    "seed": _seed,
+    "realizations": read_int,
+    "seed": read_int,
     "grid": _Record({"lo": _or_null(read_float), "hi": _or_null(read_float),
-                     "points": _at_least(2)}, make=_grid),
-    "bin_width": _or_null(_positive),
+                     "points": read_int}),
+    "bin_width": _or_null(read_float),
     "lifshits": _Record({"epsilons": _floats, "lam": read_float, "c": read_float,
                          "alpha": read_float, "realizations": read_int}, ("epsilons", "lam")),
     "wegner": _Record({"mode": _one_of("H", "B"), "lower_constant": read_float,
@@ -216,6 +205,9 @@ _DOCUMENT = _Record({
     }, ("beta", "source")),
 }, ("schema_version", "cube", "boundary", "disorder", "realizations", "seed"))
 _SECTIONS = ("lifshits", "wegner", "dos_transform")
+# the `ExperimentConfig` fields whose key path is not their name
+_CONFIG_PATHS = {"grid_lo": "grid", "grid_hi": "grid", "grid_points": "grid.points",
+                 "base_seed": "seed"}
 
 
 def parse_config(doc: dict, seed_override: int | None = None,
@@ -230,14 +222,9 @@ def parse_config(doc: dict, seed_override: int | None = None,
     extras = {name: rec.pop(name) for name in _SECTIONS if name in rec}
     rec.update((f"grid_{key}", value) for key, value in rec.pop("grid", {}).items())
     seed = rec.pop("seed")
-    if seed_override is not None:
-        seed = _seed(seed_override, "seed")
-    cube = rec["cube"]
-    potential = rec.setdefault("potential", PeriodicPotential.zero(cube.dim))
-    if len(potential.period) != cube.dim:
-        raise ConfigError(f"potential: period {list(potential.period)} needs one entry "
-                          f"per axis of the {cube.dim}-d cube")
-    config = construct("config", ExperimentConfig, base_seed=seed, threads=threads, **rec)
+    rec.setdefault("potential", PeriodicPotential.zero(rec["cube"].dim))
+    config = construct("", ExperimentConfig, threads=threads, paths=_CONFIG_PATHS,
+                       base_seed=seed if seed_override is None else seed_override, **rec)
     return config, extras
 
 

@@ -58,7 +58,7 @@ class DensitySpec:
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "DensitySpec":
         if not hi > lo:
-            raise ValueError("need hi > lo")
+            raise ValueError(f"hi must exceed lo, got {lo!r} to {hi!r}")
         return cls((lo, hi), (1.0 / (hi - lo),))
 
     def pdf_array(self, x) -> np.ndarray:
@@ -117,7 +117,7 @@ class SeedPolicy:
 
     def __post_init__(self):
         if not 0 <= self.base_seed < 2**64:
-            raise ValueError("base_seed must fit in 64 bits")
+            raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
 
     def key(self, realization_index: int, field: str) -> int:
         """The 128-bit Philox key of one field of one realization."""

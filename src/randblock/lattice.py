@@ -93,9 +93,9 @@ class Cube:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
         if self.side < 1:
-            raise ValueError("side must be a positive integer")
+            raise ValueError(f"side must be a positive integer, got {self.side}")
         # one float per site is the least any computation on the cube holds
         check_memory(8 * self.side**self.dim,
                      f"a vector on the cube with {self.side}^{self.dim} sites")
@@ -165,19 +165,22 @@ class PeriodicPotential:
         object.__setattr__(self, "period", tuple(int(p) for p in self.period))
         vals = np.asarray(self.values, dtype=np.float64)
         if any(p < 1 for p in self.period):
-            raise ValueError("period entries must be positive")
+            raise ValueError(f"period entries must be positive, got {list(self.period)}")
         if vals.shape != self.period:
-            raise ValueError(f"values shape {vals.shape} != period {self.period}")
+            raise ValueError(f"values shape {vals.shape} differs from period {self.period}")
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def zero(cls, dim: int) -> "PeriodicPotential":
         return cls(period=(1,) * dim, values=np.zeros((1,) * dim))
 
+    def check_cube(self, cube: Cube) -> None:
+        """Refuse ``cube`` unless the period has one entry per axis of it."""
+        if len(self.period) != cube.dim:
+            raise ValueError(f"potential period {list(self.period)} needs one entry per axis "
+                             f"of the {cube.dim}-d cube")
+
     def on_cube(self, cube: Cube) -> np.ndarray:
         """Potential evaluated at every site, in linear-index order."""
-        idx = tuple(c % p for c, p in zip(coordinates(cube), self.period))
-        vals = self.values[idx].reshape(cube.n_sites, -1)
-        if vals.shape[1] != 1:      # surplus period axes must be trivial
-            raise ValueError(f"period {self.period} has more axes than the {cube.dim}-d cube")
-        return vals[:, 0].copy()
+        self.check_cube(cube)
+        return self.values[tuple(c % p for c, p in zip(coordinates(cube), self.period))]

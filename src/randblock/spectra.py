@@ -69,23 +69,26 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # each refusal starts with the field it names (see `config.construct`)
         if self.boundary not in BOUNDARY_CHOICES:
-            raise ValueError(f"boundary must be one of {BOUNDARY_CHOICES}")
+            raise ValueError(f"boundary must be one of {BOUNDARY_CHOICES}, got {self.boundary!r}")
+        self.potential.check_cube(self.cube)
         if self.realizations < 1:
-            raise ValueError("need at least one realization")
+            raise ValueError(f"realizations must be at least 1, got {self.realizations}")
         if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         SeedPolicy(self.base_seed)    # refuses a seed outside [0, 2^64)
         if self.laplacian_sign not in (1, -1):
-            raise ValueError("laplacian_sign must be +1 or -1")
+            raise ValueError(f"laplacian_sign must be +1 or -1, got {self.laplacian_sign}")
         if self.grid_points < 2:
-            raise ValueError("need at least two grid points")
+            raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
         if (self.grid_lo is None) != (self.grid_hi is None):
-            raise ValueError("grid_lo and grid_hi must be given together")
+            raise ValueError("grid_lo needs grid_hi" if self.grid_hi is None
+                             else "grid_hi needs grid_lo")
         if self.grid_lo is not None and not self.grid_hi > self.grid_lo:
-            raise ValueError("grid_hi must exceed grid_lo")
+            raise ValueError(f"grid_hi must exceed grid_lo, got {self.grid_lo} to {self.grid_hi}")
         if self.bin_width is not None and not (np.isfinite(self.bin_width) and self.bin_width > 0):
-            raise ValueError("bin_width must be a positive finite number")
+            raise ValueError(f"bin_width must be a positive finite number, got {self.bin_width}")
 
 
 @dataclass

@@ -136,10 +136,11 @@ class TestConfigErrors:
         ("dos", {"bin_width": -0.1}, "bin_width"),
         ("dos", {"bin_width": 0}, "bin_width"),
         ("dos", {"bin_width": "wide"}, "bin_width"),
-        ("lifshits", {"lifshits": {"epsilons": [-0.1, 0.2], "lam": 1.0}}, "lifshits"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": 0}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [-0.1, 0.2], "lam": 1.0}}, "lifshits.epsilons"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": 0}},
+                     "lifshits.realizations"),
         ("dostransform", {"dos_transform": {
-            "beta": 0, "source": {"type": "uniform", "lo": -2, "hi": 2}}}, "dos_transform"),
+            "beta": 0, "source": {"type": "uniform", "lo": -2, "hi": 2}}}, "dos_transform.beta"),
         ("ids", {"grid": {"lo": "-1", "hi": "1"}}, "grid.lo"),
         ("ids", {"grid": {"points": "many"}}, "grid.points"),
         ("ids", {"seed": "x"}, "seed"),
@@ -193,9 +194,10 @@ class TestConfigErrors:
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1, "hi": math.inf}}}, "dos_transform.energies.hi"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": 0}}, "lifshits"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": -4.0}}, "lifshits"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": -0.5}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": 0}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": -4.0}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": -0.5}},
+                     "lifshits.alpha"),
         ("ids", {"potential": {"period": [2], "values": ["0", "0.5"]}}, "potential.values[0]"),
         ("ids", {"potential": {"period": [2], "values": [0, True]}}, "potential.values[1]"),
         ("ids", {"potential": {"period": [2], "values": [0, math.nan]}}, "potential.values[1]"),
@@ -209,13 +211,13 @@ class TestConfigErrors:
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1, "hi": 1, "points": 0}}}, "dos_transform.energies.points"),
-        ("lifshits", {"lifshits": {"epsilons": [], "lam": 1.0}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [], "lam": 1.0}}, "lifshits.epsilons"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": 2, "hi": -2}}}, "dos_transform.energies"),
+            "energies": {"lo": 2, "hi": -2}}}, "dos_transform.energies.hi"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
-            "energies": {"lo": 1, "hi": 1}}}, "dos_transform.energies"),
+            "energies": {"lo": 1, "hi": 1}}}, "dos_transform.energies.hi"),
         ("lifshits", {"lifshits": {"epsilons": 0.1, "lam": 1.0}}, "lifshits.epsilons"),
         ("lifshits", {"lifshits": {"epsilons": "0.1", "lam": 1.0}}, "lifshits.epsilons"),
         ("ids", {"disorder": {"V": {"type": "piecewise", "breakpoints": 1,
@@ -232,6 +234,16 @@ class TestConfigErrors:
         ("ids", {"realizations": 0}, "realizations"),
         ("ids", {"grid": {"lo": 1, "hi": 1}}, "grid"),
         ("ids", {"grid": {"points": 1}}, "grid.points"),
+        ("ids", {"cube": {"dim": 1, "side": 0}}, "cube.side"),
+        ("ids", {"cube": {"dim": 0, "side": 7}}, "cube.dim"),
+        ("ids", {"laplacian_sign": 2}, "laplacian_sign"),
+        ("ids", {"potential": {"period": [0], "values": []}}, "potential.period"),
+        ("ids", {"potential": {"period": [2], "values": [0, 0.5, 1]}}, "potential.values"),
+        ("ids", {"disorder": {"V": {"type": "uniform", "lo": 2, "hi": 1}, "b": _B}},
+                "disorder.V.hi"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.5}}, "lifshits.lam"),
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": 0}}, "wegner.lower_constant"),
+        ("ids", {"grid": {"hi": 1}}, "grid"),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -259,7 +271,10 @@ class TestConfigErrors:
             "breakpoints-number", "period-number", "period-string",
             "schema-version-boolean", "schema-version-fractional", "min-count-negative",
             "section-read-whatever-the-command", "epsilons-nested", "grid-lo-without-hi",
-            "realizations-zero", "grid-hi-equal-lo", "grid-points-one"])
+            "realizations-zero", "grid-hi-equal-lo", "grid-points-one", "cube-side-zero",
+            "cube-dim-zero", "laplacian-sign-two", "potential-period-zero",
+            "potential-values-wrong-shape", "density-hi-below-lo", "lam-above-v-floor",
+            "lower-constant-zero", "grid-hi-without-lo"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides,
                                               named):
         path = write_config(tmp_path, base_doc(**overrides))
@@ -267,7 +282,8 @@ class TestConfigErrors:
         assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith(f"config error: {named}")   # the key path, or what is too large
+        # the key path, or what is too large to fit in memory
+        assert err.startswith(f"config error: {named if named.startswith('the ') else named + ':'}")
         assert "Traceback" not in err
         assert not out.exists()       # a refused command writes nothing
 

@@ -110,6 +110,13 @@ class TestPeriodicPotential:
         vals = pot.on_cube(Cube(2, 2))
         assert list(vals) == [1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("dim, period", [(2, (2,)), (1, (2, 2)), (1, (2, 1))],
+                             ids=["fewer-axes", "more-axes", "trivial-surplus-axis"])
+    def test_on_cube_needs_one_entry_per_axis(self, dim, period):
+        pot = PeriodicPotential(period, np.zeros(period))
+        with pytest.raises(ValueError, match="needs one entry per axis"):
+            pot.on_cube(Cube(dim, 3))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             PeriodicPotential((2,), np.zeros(3))

@@ -451,6 +451,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(grid_lo=1.0, grid_hi=0.0)
 
+    @pytest.mark.parametrize("dim, period", [(2, (2,)), (1, (2, 2)), (1, (2, 1))],
+                             ids=["fewer-axes", "more-axes", "trivial-surplus-axis"])
+    def test_period_needs_one_entry_per_axis(self, dim, period):
+        # a shorter period would vary U0 along the first axes only
+        background = PeriodicPotential(period, np.zeros(period))
+        disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
+        with pytest.raises(ValueError, match="^potential period"):
+            ExperimentConfig(Cube(dim, 3), "N", disorder, background, 2, 0)
+
     def test_explicit_grid_used(self):
         cfg = make_config(grid_lo=-2.0, grid_hi=2.0, grid_points=5)
         assert np.array_equal(default_grid(cfg, base_matrices(cfg)), np.linspace(-2, 2, 5))
