@@ -127,7 +127,8 @@ def _section(extras: dict, name: str) -> dict:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    construct("seed", SeedPolicy, seed)      # refuses a seed outside [0, 2^64)
+    # refuses a seed outside [0, 2^64), in the words of a config's seed
+    construct("", SeedPolicy, base_seed=seed, paths={"base_seed": "seed"})
     results = run_all(seed)
     for r in results:
         if not args.quiet or not r.passed:

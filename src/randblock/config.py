@@ -180,8 +180,7 @@ def density_record(density: Density) -> dict:
 # keys they leave out take the defaults of the code that runs them.
 _DOCUMENT = _Record({
     "schema_version": _one_of(SCHEMA_VERSION),
-    "cube": _Record({"dim": read_int, "side": read_int, "centered": _one_of(True, False)},
-                    ("dim", "side"), Cube),
+    "cube": _Record({"dim": read_int, "side": read_int}, ("dim", "side"), Cube),
     "boundary": lambda value, where: value,  # ExperimentConfig checks it
     "laplacian_sign": read_int,
     "potential": _Record({"period": partial(read_array, read=read_int),
@@ -247,8 +246,7 @@ def config_echo(config: ExperimentConfig, extras: dict | None = None) -> dict:
     extras)."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "cube": {"dim": config.cube.dim, "side": config.cube.side,
-                 "centered": config.cube.centered},
+        "cube": {"dim": config.cube.dim, "side": config.cube.side},
         "boundary": config.boundary,
         "laplacian_sign": config.laplacian_sign,
         "potential": {"period": list(config.potential.period),

@@ -9,9 +9,10 @@ equality of the float arithmetic is not promised.
 A Philox stream is fixed by its key alone (counter 0, empty buffer), so
 `SeedPolicy.streams` draws many realizations' streams by re-keying one bit
 generator instead of building a generator per realization; row r of its draw
-is bit for bit the draw of ``Generator(Philox(key=key(indices[r], field)))``,
-and `sample_iid` maps the whole batch through the inverse CDF at once.  A
-density is evaluated on arrays only (`DensitySpec.pdf_array`).
+is bit for bit the draw of ``Generator(Philox(key=key(indices[r], field)))``.
+`sample_iid` draws from such a batch only, one realization's stream being the
+one-row batch, and maps it through the inverse CDF at once.  A density is
+evaluated on arrays only (`DensitySpec.pdf_array`).
 """
 
 from __future__ import annotations
@@ -147,13 +148,11 @@ class Streams:
         out = np.empty((len(self.keys), n))
         bitgen = np.random.Philox(key=0)
         draw = np.random.Generator(bitgen)
-        # counter 0 and an empty buffer (buffer_pos 4), as in a new Philox(key=k)
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, dtype=np.uint64),
-                           "key": np.zeros(2, dtype=np.uint64)},
-                 "buffer": np.zeros(4, dtype=np.uint64),
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        key = state["state"]["key"]
+        # counter 0 and an empty buffer (buffer_pos 4), as in a new Philox(key=k);
+        # plain ints, which the state setter reads faster than NumPy arrays
+        key = [0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         for row, k in zip(out, self.keys):
             key[0], key[1] = k & _WORD, k >> 64     # Philox's little-endian key words
             bitgen.state = state
@@ -161,14 +160,14 @@ class Streams:
         return out
 
 
-def sample_iid(density: Density, n: int, rng: np.random.Generator | Streams) -> np.ndarray:
-    """n i.i.d. draws via inverse CDF of the piecewise-constant density; from
-    a `Streams` batch, one row of n draws per stream."""
+def sample_iid(density: Density, n: int, streams: Streams) -> np.ndarray:
+    """n i.i.d. draws per stream of ``streams`` via inverse CDF of the
+    piecewise-constant density, as a ``(len(streams), n)`` array."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if isinstance(density, ConstantValue):
-        return np.full((len(rng), n) if isinstance(rng, Streams) else n, density.value)
-    u = rng.random(n)
+        return np.full((len(streams), n), density.value)
+    u = streams.random(n)
     bp = np.asarray(density.breakpoints)
     hs = np.asarray(density.heights)
     widths = np.diff(bp)

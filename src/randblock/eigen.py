@@ -1,18 +1,18 @@
 """Real symmetric eigensolvers.
 
 Full spectra come from LAPACK (`eigvalsh`): ``dsyevd`` through NumPy for
-dense matrices, ``dsbevd`` from SciPy's compiled LAPACK wrappers (`flapack`)
-for band matrices (`SymmetricBand`).  A block operator with spectrum
-symmetric about zero and a certified gap can instead be given through its
-n x n square (`SquaredBand`, complex Hermitian band storage), which
-``zhbevd`` solves at half the dimension; its eigenvalues μ come back as ±√μ,
-moved by |δE| ≲ eps·ρ²/λ when the spectrum lies in [-ρ, ρ] and outside
-(-λ, λ).  Whether stacked tridiagonal matrices have an eigenvalue below a
-threshold comes from one batched Sturm pass (`any_eigenvalue_below`), their
-smallest eigenvalues from a bisection on that test (`min_eig_tridiag`).
-A failed solve raises `EigenError`; `backend_name` names the solvers.  The
-band types only carry their storage to the solver: `operators.dense` gives
-the matrix a band storage stands for.
+dense matrices, one or a stack of them, ``dsbevd`` from SciPy's compiled
+LAPACK wrappers (`flapack`) for band matrices (`SymmetricBand`).  A block
+operator with spectrum symmetric about zero and a certified gap can instead
+be given through its n x n square (`SquaredBand`, complex Hermitian band
+storage), which ``zhbevd`` solves at half the dimension; its eigenvalues μ
+come back as ±√μ, moved by |δE| ≲ eps·ρ²/λ when the spectrum lies in
+[-ρ, ρ] and outside (-λ, λ).  Whether stacked tridiagonal matrices have an
+eigenvalue below a threshold comes from one batched Sturm pass
+(`any_eigenvalue_below`), their smallest eigenvalues from a bisection on
+that test (`min_eig_tridiag`).  A failed solve raises `EigenError`;
+`backend_name` names the solvers.  The band types only carry their storage
+to the solver: `operators.dense` gives the matrix a band storage stands for.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ def eigvalsh(m) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, ascending.
 
     A dense matrix goes to LAPACK's divide-and-conquer solver (``dsyevd``)
-    through ``numpy.linalg.eigvalsh``, which reads the lower triangle only.  A
+    through ``numpy.linalg.eigvalsh``, which reads the lower triangle only;
+    so does each matrix of a dense ``(..., n, n)`` stack, whose eigenvalues
+    come back ``(..., n)``, bit for bit those of its matrices one by one.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver ``dsbevd``
     and a `SquaredBand` to its complex Hermitian twin ``zhbevd``, both called
     directly from SciPy's compiled wrappers (`flapack`); a `SquaredBand`'s
@@ -91,15 +93,15 @@ def eigvalsh(m) -> np.ndarray:
         w = _band_solve(m)
     else:
         m = np.asarray(m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError("matrix must be square")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
         try:
             w = np.linalg.eigvalsh(m)
         except np.linalg.LinAlgError as exc:
-            raise EigenError(f"LAPACK eigensolve failed (n={m.shape[0]}): {exc}") from exc
-    if np.any(np.diff(w) < 0):
+            raise EigenError(f"LAPACK eigensolve failed (n={m.shape[-1]}): {exc}") from exc
+    if (w[..., 1:] < w[..., :-1]).any():
         raise EigenError("LAPACK returned eigenvalues out of ascending order")
     return w
 

@@ -1,14 +1,15 @@
 """Finite cubes of Z^d: coordinates, neighbours, parity, boundary data.
 
-Sites are ordered row-major over coordinates (last coordinate fastest); the
-linear index of a site is fixed once here and used for every matrix layout in
-the package.  Lattice data comes in one form only, as arrays over every site
-at once, from index arithmetic on `np.indices`: `coordinates`, the
+A cube is {0, ..., L-1}^d, given by its dimension and side alone.  Sites are
+ordered row-major over coordinates (last coordinate fastest); the linear
+index of a site is fixed once here and used for every matrix layout in the
+package.  Lattice data comes in one form only, as arrays over every site at
+once, from index arithmetic on `np.indices`: `coordinates`, the
 nearest-neighbour pairs (`hops`), the missing-neighbour counts
-(`deficiencies`) and the parities (`parities`).  The per-site definitions
-they are tested against live in the tests, not here.  `PeriodicPotential` is
-the background potential, and `check_memory` refuses a computation that
-would not fit in `memory_limit`.
+(`deficiencies`) and the parities as floats (`parities`).  The per-site
+definitions they are tested against live in the tests, not here.
+`PeriodicPotential` is the background potential, and `check_memory` refuses
+a computation that would not fit in `memory_limit`.
 """
 
 from __future__ import annotations
@@ -81,15 +82,12 @@ def check_memory(needed: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Cube:
-    """A finite box Λ ⊂ Z^d with L^d sites.
-
-    When ``centered`` is set and L is odd the coordinates run over
-    {-(L-1)/2, ..., (L-1)/2} in each direction, otherwise {0, ..., L-1}.
-    """
+    """A finite box Λ = {0, ..., L-1}^d ⊂ Z^d with L^d sites.  Where the box
+    sits does not matter to the limits the package estimates, so it always
+    starts at the origin."""
 
     dim: int
     side: int
-    centered: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -117,19 +115,11 @@ class Cube:
         axis 0, L^(d-1), or 0 on a single-site cube."""
         return self.strides[0] if self.side > 1 else 0
 
-    @property
-    def origin(self) -> int:
-        """Smallest coordinate value along each axis."""
-        if self.centered and self.side % 2 == 1:
-            return -(self.side - 1) // 2
-        return 0
-
 
 def coordinates(cube: Cube) -> np.ndarray:
     """Site coordinates as a (dim, n_sites) integer array, in linear-index
     order."""
-    shape = (cube.side,) * cube.dim
-    return np.indices(shape).reshape(cube.dim, -1) + cube.origin
+    return np.indices((cube.side,) * cube.dim).reshape(cube.dim, -1)
 
 
 def hops(cube: Cube) -> list[tuple[int, np.ndarray]]:
@@ -137,21 +127,21 @@ def hops(cube: Cube) -> list[tuple[int, np.ndarray]]:
     neighbour i + stride along that axis lies in the cube)."""
     if cube.side == 1:
         return []
-    rel = coordinates(cube) - cube.origin
-    return [(stride, np.flatnonzero(rel[axis] < cube.side - 1))
+    coords = coordinates(cube)
+    return [(stride, np.flatnonzero(coords[axis] < cube.side - 1))
             for axis, stride in enumerate(cube.strides)]
 
 
 def deficiencies(cube: Cube) -> np.ndarray:
     """Missing-neighbour count of every site: the number of its 2d nearest
     neighbours that lie outside the cube."""
-    rel = coordinates(cube) - cube.origin
-    return (rel == 0).sum(axis=0) + (rel == cube.side - 1).sum(axis=0)
+    coords = coordinates(cube)
+    return (coords == 0).sum(axis=0) + (coords == cube.side - 1).sum(axis=0)
 
 
 def parities(cube: Cube) -> np.ndarray:
-    """(-1)^(j_1 + ... + j_d) of every site."""
-    return 1 - 2 * (coordinates(cube).sum(axis=0) % 2)
+    """(-1)^(j_1 + ... + j_d) of every site, as floats."""
+    return 1.0 - 2.0 * (coordinates(cube).sum(axis=0) % 2)
 
 
 @dataclass(frozen=True)

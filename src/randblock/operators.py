@@ -9,9 +9,9 @@ operator on the cube comes in band storage too, in interleaved order
 intermediate; each band is built whole from its inputs and shares no
 storage with them.  The dense block assemblies [[A, B], [B, -A]]
 (`assemble`, and `assemble_bracketing` with different diagonal blocks), the
-parity block-split of the hopping operator (`transform_parity`) and the
-closed form of the squared block operator (`square_identity_residual`) work
-on dense symmetric matrices.
+parity block-split of the hopping operator into its two diagonal blocks
+(`transform_parity`) and the closed form of the squared block operator
+(`square_identity_residual`) work on dense symmetric matrices.
 """
 
 from __future__ import annotations
@@ -71,11 +71,6 @@ def dense(lower: np.ndarray) -> np.ndarray:
         m[j, j + k] = row[:n - k].conj()
         m[j + k, j] = row[:n - k]
     return m
-
-
-def parity_values(cube: Cube) -> np.ndarray:
-    """(-1)^(sum of coordinates) per site, in linear-index order."""
-    return parities(cube).astype(np.float64)
 
 
 def assemble_bracketing(h_top: np.ndarray, h_bot: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,26 +174,23 @@ def transform_parity(m: np.ndarray, cube: Cube):
 
     Requires that the top-left block anticommutes with U = diag((-1)^j) and
     that the off-diagonal block commutes with U (diagonal B always does);
-    otherwise raises PreconditionError.  Returns (conjugated matrix,
-    H_plus, H_minus) where H_pm = A +/- U B.
+    otherwise raises PreconditionError.  Returns (H_plus, H_minus) where
+    H_pm = A +/- U B, the diagonal blocks of the matrix conjugated by
+    [[1, U], [1, -U]] / sqrt(2): its spectrum is their spectra's union.
     """
     a, b, _, d, n = _split_blocks(m)
     if np.abs(d + a).max() > _PARITY_TOL * max(1.0, np.abs(a).max()):
         raise PreconditionError("bottom-right block is not -top-left")
     if cube.n_sites != n:
         raise PreconditionError("cube size does not match block dimension")
-    uvals = parity_values(cube)
-    u = np.diag(uvals)
+    u = np.diag(parities(cube))
     scale = max(1.0, np.abs(a).max(), np.abs(b).max())
     if np.abs(u @ a + a @ u).max() > _PARITY_TOL * scale:
         raise PreconditionError("top-left block does not anticommute with parity")
     if np.abs(b @ u - u @ b).max() > _PARITY_TOL * scale:
         raise PreconditionError("off-diagonal block does not commute with parity")
-    uu = np.block([[np.eye(n), u], [np.eye(n), -u]]) / np.sqrt(2.0)
-    conj = uu @ np.asarray(m, dtype=np.float64) @ uu.T
-    h_plus = a + u @ b
-    h_minus = a - u @ b
-    return conj, h_plus, h_minus
+    ub = u @ b
+    return a + ub, a - ub
 
 
 def square_identity_residual(h: np.ndarray, b: np.ndarray) -> float:

@@ -8,7 +8,8 @@ the parity split (`parity_split_residuals`), the gap bounds (`gap_margins`),
 the bracketing chains of the counting functions (`counting_chains_hold`)
 and the closed form of the squared operator (`square_residual`).  A suite
 draws its instances and calls that function; the acceptance checks call
-the same functions on instances of their own.
+the same functions on instances of their own.  An instance's matrices of
+one size are solved together, as one stack (`eigen.eigvalsh`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import operators as ops
 from .analysis import const_b_map
 from .eigen import eigvalsh
-from .lattice import Cube
+from .lattice import Cube, parities
 from .operators import BoundaryMode
 from .spectra import symmetry_residual, zero_split_check
 
@@ -62,7 +63,7 @@ def suite_symmetry(seed: int) -> SuiteResult:
 def square_residual(h: np.ndarray, b: np.ndarray) -> float:
     """`operators.square_identity_residual` of (H, B) relative to
     (max|spec H| + max|spec B|)^2."""
-    scale = (np.abs(eigvalsh(h)).max() + np.abs(eigvalsh(b)).max()) ** 2
+    scale = np.abs(eigvalsh(np.stack([h, b]))).max(axis=1).sum() ** 2
     return ops.square_identity_residual(h, b) / max(scale, 1e-30)
 
 
@@ -104,14 +105,13 @@ def parity_split_residuals(cube: Cube, bdiag: np.ndarray) -> tuple[float, float]
     the anticommutation (a negative control, far from zero)."""
     b = np.diag(bdiag)
     m = ops.assemble(ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1)), b)
-    _, h_plus, h_minus = ops.transform_parity(m, cube)
-    direct = eigvalsh(m)
-    split = np.sort(np.concatenate([eigvalsh(h_plus), eigvalsh(h_minus)]))
-    mismatch = np.abs(direct - split).max() / max(1.0, np.abs(direct).max())
     neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
-    ub = np.diag(ops.parity_values(cube)) @ b
-    split_neu = np.sort(np.concatenate([eigvalsh(neu + ub), eigvalsh(neu - ub)]))
-    control = float(np.abs(eigvalsh(ops.assemble(neu, b)) - split_neu).max())
+    ub = np.diag(parities(cube)) @ b
+    direct, direct_neu = eigvalsh(np.stack([m, ops.assemble(neu, b)]))
+    halves = eigvalsh(np.stack([*ops.transform_parity(m, cube), neu + ub, neu - ub]))
+    split, split_neu = np.sort(halves.reshape(2, -1), axis=1)
+    mismatch = np.abs(direct - split).max() / max(1.0, np.abs(direct).max())
+    control = float(np.abs(direct_neu - split_neu).max())
     return mismatch, control
 
 
@@ -144,13 +144,14 @@ def gap_margins(rng: np.random.Generator, n: int) -> tuple[float, float]:
     lam = rng.uniform(0.1, 2.0)
     beta = rng.uniform(0.0, 2.0)
     h = _random_symmetric(rng, n)
-    h += (lam - eigvalsh(h)[0]) * np.eye(n)
     b = np.diag(beta + rng.uniform(0, 1, n))
-    gap = np.abs(eigvalsh(ops.assemble(h, b))).min()
     h2 = _random_symmetric(rng, n)
-    h2 += (lam - eigvalsh(h2)[0]) * np.eye(n)
     b_any = _random_symmetric(rng, n)
-    gap2 = np.abs(eigvalsh(ops.assemble_bracketing(h, h2, b_any))).min()
+    low, low2 = eigvalsh(np.stack([h, h2]))[:, 0]
+    h += (lam - low) * np.eye(n)
+    h2 += (lam - low2) * np.eye(n)
+    gap, gap2 = np.abs(eigvalsh(np.stack([ops.assemble(h, b),
+                                          ops.assemble_bracketing(h, h2, b_any)]))).min(axis=1)
     return gap - np.sqrt(lam**2 + beta**2), gap2 - lam
 
 
@@ -183,10 +184,10 @@ def suite_zero_split(seed: int) -> SuiteResult:
         h_n = neu + np.diag(v)
         h_d = dir_ + np.diag(v)
         b = np.diag(bdiag)
-        for m in (ops.assemble(h_n, b), ops.assemble(h_d, b),
-                  ops.assemble_bracketing(h_d, h_n, b),
-                  ops.assemble_bracketing(h_n, h_d, b)):
-            if not zero_split_check(eigvalsh(m)):
+        for ev in eigvalsh(np.stack([ops.assemble(h_n, b), ops.assemble(h_d, b),
+                                     ops.assemble_bracketing(h_d, h_n, b),
+                                     ops.assemble_bracketing(h_n, h_d, b)])):
+            if not zero_split_check(ev):
                 ok = False
     return SuiteResult("zero-split", ok, "half-and-half split" if ok else "split violated", seed)
 
@@ -197,10 +198,9 @@ def counting_chains_hold(h_d: np.ndarray, h_n: np.ndarray, b: np.ndarray,
     functions at ``points`` energies spanning the spectra with margin 0.5.
     D and N are [[H_X, B], [B, -H_X]] with X = D, N, and + and - the
     bracketing [[H_D, B], [B, -H_N]] and [[H_N, B], [B, -H_D]]."""
-    ev_plus = eigvalsh(ops.assemble_bracketing(h_d, h_n, b))
-    ev_minus = eigvalsh(ops.assemble_bracketing(h_n, h_d, b))
-    ev_d = eigvalsh(ops.assemble(h_d, b))
-    ev_n = eigvalsh(ops.assemble(h_n, b))
+    ev_plus, ev_minus, ev_d, ev_n = eigvalsh(np.stack([
+        ops.assemble_bracketing(h_d, h_n, b), ops.assemble_bracketing(h_n, h_d, b),
+        ops.assemble(h_d, b), ops.assemble(h_n, b)]))
     grid = np.linspace(ev_minus.min() - 0.5, ev_plus.max() + 0.5, points)
     c_plus, c_minus, c_d, c_n = (np.searchsorted(ev, grid, side="right")
                                  for ev in (ev_plus, ev_minus, ev_d, ev_n))

@@ -190,18 +190,16 @@ def transform_u3_square(m: np.ndarray) -> np.ndarray:
 # one site at a time: the definitions behind the lattice array helpers
 
 def contains(cube: Cube, j) -> bool:
-    lo = cube.origin
-    return all(lo <= c < lo + cube.side for c in j)
+    return all(0 <= c < cube.side for c in j)
 
 
 def index_of(cube: Cube, j) -> int:
     """Row-major linear index of site j."""
     if not contains(cube, j):
         raise ValueError(f"site {tuple(j)} outside cube")
-    lo = cube.origin
     idx = 0
     for c in j:
-        idx = idx * cube.side + (c - lo)
+        idx = idx * cube.side + c
     return idx
 
 
@@ -209,19 +207,16 @@ def site_of(cube: Cube, idx: int):
     """Inverse of index_of."""
     if not 0 <= idx < cube.n_sites:
         raise ValueError(f"index {idx} out of range")
-    lo = cube.origin
     coords = []
     for _ in range(cube.dim):
-        coords.append(lo + idx % cube.side)
+        coords.append(idx % cube.side)
         idx //= cube.side
     return tuple(reversed(coords))
 
 
 def sites(cube: Cube) -> list[tuple[int, ...]]:
     """All sites of the cube in row-major order."""
-    lo = cube.origin
-    rng = range(lo, lo + cube.side)
-    return [tuple(j) for j in product(rng, repeat=cube.dim)]
+    return [tuple(j) for j in product(range(cube.side), repeat=cube.dim)]
 
 
 def neighbours(cube: Cube, j) -> list[tuple[int, ...]]:

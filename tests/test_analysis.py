@@ -30,7 +30,6 @@ from reference import (
     const_b_dos,
     dos_transform_measure_check,
     feynman_hellmann_sum,
-    generator,
     is_simple_eigenvalue,
     pdf,
     spectrum_inclusion_distances,
@@ -306,15 +305,15 @@ class TestLifshits:
         monkeypatch.setattr(randblock.analysis, "sample_iid", recording)
         table = lifshits_probe(run)
 
-        # reference: one generator and one draw per realization, stacked
+        # reference: one stream and one draw per realization, stacked
         policy = SeedPolicy(run.base_seed)
         p_ref = []
         assert len(drawn) == len(run.epsilons)
         for k, (eps, v) in enumerate(zip(run.epsilons, drawn)):
             side = run.side_for(eps)
-            ref = np.stack([sample_iid(mu_v, side,
-                                       generator(policy, k * run.realizations + r, "V"))
-                            for r in range(run.realizations)])
+            ref = np.concatenate([sample_iid(mu_v, side,
+                                             policy.streams([k * run.realizations + r], "V"))
+                                  for r in range(run.realizations)])
             assert np.array_equal(v, ref)
             lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1)
             ground = min_eig_tridiag(lap[0] + ref, lap[1, :-1], 1e-8)

@@ -77,6 +77,15 @@ class TestVerifyCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:") and "64 bits" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_refusal_worded_as_for_ids(self, tmp_path, capsys, seed):
+        assert main(["verify", "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert main(["ids", "--config", write_config(tmp_path, base_doc()),
+                     "--out", str(tmp_path / "out"), "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == err == \
+            f"config error: seed: must fit in 64 bits, got {seed}\n"
+
     def test_mutated_boundary_term_is_caught(self, capsys, monkeypatch):
         good = randblock.operators.deficiencies
         monkeypatch.setattr(randblock.operators, "deficiencies", lambda cube: -good(cube))
@@ -148,7 +157,7 @@ class TestConfigErrors:
         ("ids", {"cube": {"dim": 2, "side": 4},
                  "potential": {"period": [2], "values": [0, 0.5]}}, "potential"),
         ("ids", {"cube": {"dim": [1], "side": 7}}, "cube.dim"),
-        ("ids", {"cube": {"dim": 1, "side": 7, "centered": "false"}}, "cube.centered"),
+        ("ids", {"cube": {"dim": 1, "side": 7, "centered": False}}, "cube"),
         ("ids", {"cube": {"dim": 1, "side": 11.9}, "realizations": 3.7}, "cube.side"),
         ("ids", {"cube": {"dim": True, "side": 7}}, "cube.dim"),
         ("ids", {"realizations": True}, "realizations"),
@@ -250,7 +259,7 @@ class TestConfigErrors:
             "grid-bounds-not-numbers", "grid-points-not-a-number",
             "seed-not-an-integer", "period-more-axes-than-cube",
             "period-fewer-axes-than-cube", "cube-dim-not-an-integer",
-            "centered-not-a-boolean", "side-and-realizations-fractional",
+            "centered-unknown-key", "side-and-realizations-fractional",
             "cube-dim-boolean", "realizations-boolean", "realizations-string",
             "seed-fractional", "seed-negative", "seed-above-64-bits",
             "laplacian-sign-boolean", "grid-points-fractional", "min-count-fractional",
@@ -590,14 +599,15 @@ class TestConfigRoundTrip:
         assert echoed == config
 
     @pytest.mark.parametrize("centered", [True, False])
-    def test_centered_boolean_echoed(self, tmp_path, centered):
+    def test_centered_refused(self, tmp_path, capsys, centered):
+        # the cube starts at the origin; a config written for the removed option exits 2
+        config, _, _ = load_config(write_config(tmp_path, base_doc()))
+        assert config_echo(config)["cube"] == {"dim": 1, "side": 7}
         doc = base_doc(cube={"dim": 1, "side": 7, "centered": centered})
-        config, _, _ = load_config(write_config(tmp_path, doc))
-        assert config.cube.centered is centered
-        assert main(["ids", "--config", write_config(tmp_path, doc),
-                     "--out", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "ids_manifest.json").read_text())
-        assert manifest["config"]["cube"]["centered"] is centered
+        out = tmp_path / "out"
+        assert main(["ids", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: cube: unknown key(s) ['centered']\n"
+        assert not out.exists()
 
     def test_density_parsing(self):
         d = parse_density({"type": "piecewise", "breakpoints": [0, 1],

@@ -37,28 +37,26 @@ class TestDensitySpec:
 
 class TestSampling:
     def test_uniform_mean(self):
-        rng = generator(SeedPolicy(1), 0, "V")
-        x = sample_iid(DensitySpec.uniform(0, 1), 100_000, rng)
+        x = sample_iid(DensitySpec.uniform(0, 1), 100_000, SeedPolicy(1).streams([0], "V"))
         assert abs(x.mean() - 0.5) < 0.01
 
     def test_single_cell_equals_uniform(self):
         pw = DensitySpec((0.0, 2.0), (0.5,))
         uni = DensitySpec.uniform(0.0, 2.0)
-        a = sample_iid(pw, 1000, generator(SeedPolicy(7), 3, "b"))
-        b = sample_iid(uni, 1000, generator(SeedPolicy(7), 3, "b"))
+        a = sample_iid(pw, 1000, SeedPolicy(7).streams([3], "b"))
+        b = sample_iid(uni, 1000, SeedPolicy(7).streams([3], "b"))
         assert np.array_equal(a, b)
 
     def test_empty(self):
-        assert sample_iid(DensitySpec.uniform(0, 1), 0,
-                          generator(SeedPolicy(0), 0, "V")).size == 0
+        assert sample_iid(DensitySpec.uniform(0, 1), 0, SeedPolicy(0).streams([0], "V")).size == 0
 
     def test_constant(self):
-        x = sample_iid(ConstantValue(2.5), 5, generator(SeedPolicy(0), 0, "b"))
-        assert np.array_equal(x, np.full(5, 2.5))
+        x = sample_iid(ConstantValue(2.5), 5, SeedPolicy(0).streams([0], "b"))
+        assert np.array_equal(x, np.full((1, 5), 2.5))
 
     def test_kolmogorov_distance(self):
         d = DensitySpec((0.0, 0.5, 1.0, 2.0), (0.5, 1.0, 0.25))
-        x = np.sort(sample_iid(d, 1_000_000, generator(SeedPolicy(11), 0, "V")))
+        x = np.sort(sample_iid(d, 1_000_000, SeedPolicy(11).streams([0], "V"))[0])
         grid = np.linspace(-0.1, 2.1, 2000)
         emp = np.searchsorted(x, grid, side="right") / x.size
         exact = np.array([cdf(d, g) for g in grid])
@@ -66,7 +64,7 @@ class TestSampling:
 
     def test_zero_height_cell_excluded(self):
         d = DensitySpec((0.0, 1.0, 2.0, 3.0), (0.5, 0.0, 0.5))
-        x = sample_iid(d, 20_000, generator(SeedPolicy(3), 0, "V"))
+        x = sample_iid(d, 20_000, SeedPolicy(3).streams([0], "V"))
         assert not np.any((x > 1.0) & (x < 2.0))
 
 
@@ -135,7 +133,7 @@ class TestBatchedSampling:
         policy = SeedPolicy(17)
         indices = range(20, 45)
         batch = sample_iid(density, n, policy.streams(indices, "V"))
-        ref = np.stack([sample_iid(density, n, generator(policy, i, "V")) for i in indices])
+        ref = np.concatenate([sample_iid(density, n, policy.streams([i], "V")) for i in indices])
         assert batch.shape == (len(indices), n)
         assert np.array_equal(batch, ref)
 

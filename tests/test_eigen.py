@@ -72,14 +72,31 @@ class TestEigvalsh:
             assert np.abs(got - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
     def test_non_square(self):
-        with pytest.raises(ValueError):
-            eigvalsh(np.zeros((2, 3)))
+        for shape in ((2, 3), (4, 2, 3), (3,)):
+            with pytest.raises(ValueError, match="square"):
+                eigvalsh(np.zeros(shape))
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
             eigvalsh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             eigvalsh(SymmetricBand(np.array([[1.0, np.inf], [0.0, 0.0]])))
+
+    def test_non_finite_in_one_matrix_of_a_stack(self):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            eigvalsh(stack)
+
+    def test_stack_equals_matrices_one_by_one(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 65):
+            stack = rng.standard_normal((3, n, n))
+            stack += stack.transpose(0, 2, 1)
+            w = eigvalsh(stack)
+            assert w.shape == (3, n)
+            for ev, m in zip(w, stack):
+                assert ev.tobytes() == eigvalsh(m).tobytes()
 
     def test_returns_ascending_array_on_both_paths(self):
         for m in (dense(self.band.lower), self.band):
@@ -102,6 +119,18 @@ class TestEigvalsh:
         monkeypatch.setattr(module, name, reversed_eigenvalues)
         with pytest.raises(EigenError, match="ascending"):
             eigvalsh(self.band if banded else dense(self.band.lower))
+
+    def test_unsorted_result_in_one_matrix_of_a_stack_raises(self, monkeypatch):
+        real = np.linalg.eigvalsh
+
+        def last_reversed(m):
+            w = real(m)
+            w[-1] = w[-1, ::-1].copy()
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", last_reversed)
+        with pytest.raises(EigenError, match="ascending"):
+            eigvalsh(np.stack([dense(self.band.lower)] * 3))
 
 
 class TestLapackFailure:

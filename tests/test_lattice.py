@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -18,8 +19,9 @@ from reference import (boundary_deficiency, index_of, neighbours, parity, potent
                        site_of, sites)
 
 
-def test_sites_centered_1d():
-    assert sites(Cube(1, 3, centered=True)) == [(-1,), (0,), (1,)]
+def test_sites_1d():
+    assert sites(Cube(1, 3)) == [(0,), (1,), (2,)]
+    assert coordinates(Cube(1, 3)).tolist() == [[0, 1, 2]]
 
 
 def test_sites_single_site_2d():
@@ -34,20 +36,28 @@ def test_sites_count_row_major():
 
 
 def test_index_roundtrip():
-    for cube in (Cube(1, 5), Cube(2, 4), Cube(3, 3, centered=True), Cube(3, 3)):
+    for cube in (Cube(1, 5), Cube(2, 4), Cube(3, 3)):
         for i, j in enumerate(sites(cube)):
             assert index_of(cube, j) == i
             assert site_of(cube, i) == j
 
 
-def test_even_side_never_centered():
-    assert Cube(1, 4, centered=True).origin == 0
+def test_cube_refuses_centered():
+    # where the box sits changes no limit over growing boxes: it starts at 0
+    assert [f.name for f in dataclasses.fields(Cube)] == ["dim", "side"]
+    with pytest.raises(TypeError, match="centered"):
+        Cube(1, 3, centered=True)
+
+
+def test_parities_are_floats():
+    p = parities(Cube(1, 3))
+    assert p.dtype == np.float64 and p.tolist() == [1.0, -1.0, 1.0]
 
 
 def test_boundary_deficiency_examples():
-    c = Cube(1, 3, centered=True)
-    assert boundary_deficiency(c, (-1,)) == 1
-    assert boundary_deficiency(c, (0,)) == 0
+    c = Cube(1, 3)
+    assert boundary_deficiency(c, (0,)) == 1
+    assert boundary_deficiency(c, (1,)) == 0
     assert boundary_deficiency(Cube(2, 3), (0, 0)) == 2
 
 
@@ -122,11 +132,10 @@ class TestPeriodicPotential:
             PeriodicPotential((2,), np.zeros(3))
 
 
-CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, centered=True),
-               Cube(2, 1, centered=True)]
+ODD_SIDES = [Cube(1, 7), Cube(2, 5), Cube(3, 3), Cube(2, 1)]
 
 
-@pytest.mark.parametrize("cube", CENTRED_ODD, ids=lambda c: f"d{c.dim}L{c.side}")
+@pytest.mark.parametrize("cube", ODD_SIDES, ids=lambda c: f"d{c.dim}L{c.side}")
 class TestArrayHelpersMatchPerSite:
     """The array helpers against the per-site definitions."""
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from randblock.eigen import SquaredBand, eigvalsh
-from randblock.lattice import Cube
+from randblock.lattice import Cube, parities
 from randblock.operators import (
     BoundaryMode,
     PreconditionError,
@@ -14,7 +14,6 @@ from randblock.operators import (
     block_half_bandwidth,
     dense,
     laplacian,
-    parity_values,
     square_identity_residual,
     transform_parity,
 )
@@ -51,11 +50,10 @@ def boundary_term(cube):
             - dense(laplacian(cube, BoundaryMode.NEUMANN, -1))) / 2
 
 
-CENTRED_ODD = [Cube(1, 7, centered=True), Cube(2, 5, centered=True), Cube(3, 3, centered=True),
-               Cube(3, 1, centered=True)]
+ODD_SIDES = [Cube(1, 7), Cube(2, 5), Cube(3, 3), Cube(3, 1)]
 
 
-@pytest.mark.parametrize("cube", CENTRED_ODD, ids=lambda c: f"d{c.dim}L{c.side}")
+@pytest.mark.parametrize("cube", ODD_SIDES, ids=lambda c: f"d{c.dim}L{c.side}")
 class TestVectorizedMatchesPerSite:
     """The index-arithmetic constructions against the per-site definitions."""
 
@@ -73,8 +71,14 @@ class TestVectorizedMatchesPerSite:
         degree = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1)).sum(axis=1)
         assert np.array_equal(2 * cube.dim - degree, missing)
 
-    def test_parity_values(self, cube):
-        assert parity_values(cube).tolist() == [float(parity(j)) for j in sites(cube)]
+    def test_parity_split(self, cube):
+        # H± = Δ ± UB, with U the per-site parities and B = diag(b)
+        adjacency = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1))
+        b = np.arange(1.0, cube.n_sites + 1)
+        ub = np.diag([parity(j) * x for j, x in zip(sites(cube), b)])
+        h_plus, h_minus = transform_parity(assemble(adjacency, np.diag(b)), cube)
+        assert np.array_equal(h_plus, adjacency + ub)
+        assert np.array_equal(h_minus, adjacency - ub)
 
     @pytest.mark.parametrize("mode", list(BoundaryMode))
     @pytest.mark.parametrize("sign", [1, -1])
@@ -125,7 +129,7 @@ class TestSquareBand:
     """M = (H - iB)(H + iB) in band storage against its dense product."""
 
     @pytest.mark.parametrize("cube", [Cube(1, 1), Cube(1, 2), Cube(1, 7), Cube(2, 4),
-                                      Cube(3, 3, centered=True)], ids=repr)
+                                      Cube(3, 3)], ids=repr)
     @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
     def test_matches_dense_product(self, cube, mode):
         lap = laplacian(cube, mode, -1)
@@ -156,11 +160,6 @@ class TestGamma:
     def test_2d_row_major(self):
         assert np.array_equal(np.diagonal(boundary_term(Cube(2, 3))),
                               [2, 1, 2, 1, 0, 1, 2, 1, 2])
-
-
-def test_parity_values_centred():
-    vals = parity_values(Cube(1, 3, centered=True))
-    assert list(vals) == [-1.0, 1.0, -1.0]
 
 
 class TestAssemble:
@@ -252,19 +251,23 @@ class TestTransforms:
         assert np.allclose(out[:n, :n], k_minus, atol=1e-10)
 
     def test_parity_example_from_path_graph(self):
-        # 1-d centred cube, hopping Laplacian, b = 1: blocks are
+        # 1-d cube, hopping Laplacian, b = 1: blocks are
         # adjacency ± parity; eigenvalues {-√3, -√3, -1, 1, √3, √3}
-        cube = Cube(1, 3, centered=True)
+        cube = Cube(1, 3)
         delta = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1))
         m = assemble(delta, np.eye(3))
-        conj, h_plus, h_minus = transform_parity(m, cube)
+        h_plus, h_minus = transform_parity(m, cube)
         expected = np.sort([-np.sqrt(3), -np.sqrt(3), -1, 1, np.sqrt(3), np.sqrt(3)])
         assert np.allclose(eigvalsh(m), expected, atol=1e-10)
         union = np.sort(np.concatenate([eigvalsh(h_plus), eigvalsh(h_minus)]))
         assert np.allclose(union, expected, atol=1e-10)
-        # conjugated matrix is block diagonal with those blocks
+        # conjugated by [[1, U], [1, -U]] / √2, the matrix is block diagonal with those blocks
+        u = np.diag(parities(cube))
+        uu = np.block([[np.eye(3), u], [np.eye(3), -u]]) / np.sqrt(2.0)
+        conj = uu @ m @ uu.T
         assert np.abs(conj[:3, 3:]).max() < 1e-12
         assert np.allclose(conj[:3, :3], h_plus, atol=1e-12)
+        assert np.allclose(conj[3:, 3:], h_minus, atol=1e-12)
 
     def test_parity_precondition_neumann_fails(self):
         cube = Cube(1, 4)

@@ -31,7 +31,6 @@ from randblock.spectra import (
     symmetry_residual,
     zero_split_check,
 )
-from reference import generator
 
 
 def make_config(side=5, boundary="N", mu_v=None, mu_b=None, realizations=3,
@@ -179,8 +178,8 @@ class TestChunks:
             for row, one, mu, name in zip(fields, single, (cfg.disorder.mu_v, cfg.disorder.mu_b),
                                           ("V", "b")):
                 assert row[k].tobytes() == one.tobytes()
-                # the seeding contract: the realization's own Philox generator
-                own = sample_iid(mu, 9, generator(policy, start + k, name))
+                # the seeding contract: the realization's own Philox stream
+                own = sample_iid(mu, 9, policy.streams([start + k], name))[0]
                 assert one.tobytes() == own.tobytes()
 
 
@@ -191,7 +190,7 @@ class TestBandedSolve:
     @pytest.mark.parametrize("boundary", ["D", "N", "+", "-"])
     def test_matches_dense(self, dim, side, boundary):
         background = PeriodicPotential((2,) * dim, np.linspace(0, 0.7, 2**dim).reshape((2,) * dim))
-        cfg = ExperimentConfig(Cube(dim, side, centered=True), boundary,
+        cfg = ExperimentConfig(Cube(dim, side), boundary,
                                DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5)),
                                background, 2, 17)
         assert block_half_bandwidth(cfg.cube) == max(2 * side ** (dim - 1), 1)
