@@ -41,6 +41,8 @@ class DosTransform:
     beta: float
 
     def __post_init__(self):
+        if not isinstance(self.source, DensitySpec):
+            raise ValueError("source must have a density")
         if self.beta == 0:
             raise ValueError("beta must be nonzero")
 
@@ -52,8 +54,13 @@ def const_b_dos_array(transform: DosTransform, energies) -> np.ndarray:
     singularity marker (0 where the source density vanishes at 0)."""
     beta = abs(transform.beta)
     e = np.abs(np.asarray(energies, dtype=np.float64))
+    # x from |E| and beta scaled by a power of two to below 2, so that no
+    # square overflows; the scaling is exact, and x has the bits of the
+    # unscaled formula wherever that one neither overflows nor underflows
+    scale = math.ldexp(1.0, math.frexp(max(beta, float(e.max(initial=0.0))))[1] - 1)
+    es, bs = e / scale, beta / scale
     with np.errstate(invalid="ignore", divide="ignore"):
-        x = np.sqrt(e * e - beta * beta)          # nan inside the gap
+        x = scale * np.sqrt(es * es - bs * bs)          # nan inside the gap
         dos = e / x * (transform.source.pdf_array(x) + transform.source.pdf_array(-x))
     dos[e < beta] = 0.0
     dos[e == beta] = math.inf if transform.source.pdf_array(0.0) > 0 else 0.0
@@ -74,7 +81,7 @@ class WegnerBound:
 
     def __post_init__(self):
         if self.mode not in ("H", "B"):
-            raise ValueError("mode must be 'H' or 'B'")
+            raise ValueError(f"mode must be 'H' or 'B', got {self.mode!r}")
         if not self.lower_constant > 0:
             raise ValueError(f"lower_constant must be positive, got {self.lower_constant}")
         if not self.bv > 0:
@@ -166,10 +173,17 @@ class LifshitsRun:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.dim != 1:
             raise ValueError("only the one-dimensional tridiagonal probe is implemented")
+        if not isinstance(self.mu_v, DensitySpec):
+            raise ValueError("V must have a density")
         v_lo, _ = support_bounds(self.mu_v)
         if v_lo < self.lam:
             raise ValueError(f"lam must not exceed the potential support floor {v_lo}, "
                              f"got {self.lam}")
+        try:
+            self.side_for(min(eps))   # the largest side
+        except OverflowError:
+            raise ValueError(f"the box side c * eps^(-alpha/dim) at eps {min(eps)} "
+                             f"is not finite (c {self.c}, alpha {self.alpha})") from None
 
     def side_for(self, eps: float) -> int:
         return max(2, math.ceil(self.c * eps ** (-self.alpha / self.dim)))

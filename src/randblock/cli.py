@@ -3,12 +3,15 @@
 `main` runs every command but ``verify``: it loads the config, starts the
 clock, calls ``fn(args, config, extras, out_dir)`` and writes the manifest
 from the files, `EnsembleResult` (or None) and exit code the command
-returns.  `config.load_config` has read the whole document, the command
+returns; the manifest echoes the config document as read, with the seed the
+run used.  `config.load_config` has read the whole document, the command
 sections ``extras`` included, so a command only maps its section onto the
 constructors of `analysis` and runs: `construct` turns their refusals into
 config errors naming the key, and what a command adds to the section is
-bound by `functools.partial`, as it names no key.  The first write makes the
-output directory, so a command refused with exit 2 leaves nothing behind.
+passed beside the section's keys (`functools.partial`, or the law
+`cmd_wegner` picks by the mode), as it names no key.  The first write makes the
+output directory, so a command refused with exit 2 leaves nothing behind; a
+write the system refuses exits 2 too, naming the path.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
@@ -41,8 +44,8 @@ from .analysis import (
     wegner_bound,
     wegner_check,
 )
-from .config import ConfigError, config_echo, construct, load_config
-from .disorder import DensitySpec, SeedPolicy, bv_norm, support_bounds
+from .config import ConfigError, construct, load_config
+from .disorder import SeedPolicy, bv_norm, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError, check_memory
 from .spectra import run_ensemble
@@ -55,9 +58,13 @@ EXIT_NUMERICAL = 3
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, making its directory first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    """Write ``text`` to ``path``, making its directory first; a write the
+    system refuses is a config error naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
 def _write_csv(path: Path, header_comment: list[str], names: list[str],
@@ -90,10 +97,10 @@ def _blas_identity() -> dict | None:
     return {k: blas[k] for k in ("name", "version") if k in blas}
 
 
-def _write_manifest(out_dir: Path, command: str, config, extras: dict, t0: float,
+def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,
                     files: list[Path], result) -> None:
-    """Write ``<command>_manifest.json``: the echo of the config and of its
-    command sections ``extras``, the time since ``t0`` and the outputs'
+    """Write ``<command>_manifest.json``: the config document ``echo`` as
+    read, with the seed the run used, the time since ``t0`` and the outputs'
     digests, plus the failures (their count and sorted indices), LAPACK
     driver and half-bandwidth of the ensemble ``result`` for commands that
     run one."""
@@ -108,8 +115,8 @@ def _write_manifest(out_dir: Path, command: str, config, extras: dict, t0: float
         "thread_env": {k: v for k, v in sorted(os.environ.items())
                        if k.endswith("_NUM_THREADS")},
         "command": command,
-        "config": config_echo(config, extras),
-        "base_seed": config.base_seed,
+        "config": echo,
+        "base_seed": echo["seed"],
         "wall_time_seconds": time.monotonic() - t0,
         "failed_realizations": 0 if result is None else len(result.failures),
         "failed_indices": None if result is None else result.failures,
@@ -175,11 +182,16 @@ def cmd_ensemble(args, config, extras, out_dir):
 
 def cmd_wegner(args, config, extras, out_dir):
     rec = _section(extras, "wegner")
-    density = config.disorder.mu_v if rec["mode"] == "H" else config.disorder.mu_b
-    if not isinstance(density, DensitySpec):
-        raise ConfigError("wegner: the relevant disorder law must have a density")
-    bound = construct("wegner", functools.partial(WegnerBound, bv=bv_norm(density)),
-                      mode=rec["mode"], lower_constant=rec["lower_constant"])
+    disorder = config.disorder
+
+    def bound_of(mode, lower_constant):
+        # the law of V for mode 'H', of b for 'B'; WegnerBound refuses any
+        # other mode, which has no law and so no bv
+        law = disorder.mu_v if mode == "H" else disorder.mu_b if mode == "B" else None
+        return WegnerBound(mode, lower_constant, None if law is None else bv_norm(law))
+
+    bound = construct("wegner", bound_of, mode=rec["mode"],
+                      lower_constant=rec["lower_constant"])
     construct("wegner", certify_wegner_hypothesis, config, bound)
     result = run_ensemble(config)
     # wegner_check holds the default of min_count when the section leaves it out
@@ -210,8 +222,6 @@ def cmd_wegner(args, config, extras, out_dir):
 
 def cmd_lifshits(args, config, extras, out_dir):
     rec = _section(extras, "lifshits")
-    if not isinstance(config.disorder.mu_v, DensitySpec):
-        raise ConfigError("lifshits: V must have a density")
     # LifshitsRun holds the defaults of the keys the section leaves out
     make = functools.partial(LifshitsRun, mu_v=config.disorder.mu_v,
                              base_seed=config.base_seed, dim=config.cube.dim)
@@ -250,10 +260,8 @@ _TRANSFORM_POINTS = 512
 def cmd_dostransform(args, config, extras, out_dir):
     rec = _section(extras, "dos_transform")
     source, beta = rec["source"], rec["beta"]
-    if not isinstance(source, DensitySpec):
-        raise ConfigError("dos_transform: source must have a density")
     transform = construct("dos_transform", DosTransform, source=source, beta=beta)
-    top = math.sqrt(max(map(abs, support_bounds(source)))**2 + beta**2) + 0.5
+    top = math.hypot(max(map(abs, support_bounds(source))), beta) + 0.5
     given = {"lo": -top, "hi": top, "points": _TRANSFORM_POINTS, **rec.get("energies", {})}
     points = given["points"]
     check_memory(8 * _TRANSFORM_ARRAYS * points, f"the DOS transform at {points} energies")
@@ -320,11 +328,12 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if not args.config:
             raise ConfigError(f"{args.command}: --config is required")
-        config, extras, _ = load_config(args.config, args.seed, args.threads)
+        config, extras, doc = load_config(args.config, args.seed, args.threads)
         t0 = time.monotonic()
         out_dir = Path(args.out)
         files, result, code = args.fn(args, config, extras, out_dir)
-        _write_manifest(out_dir, args.command, config, extras, t0, files, result)
+        _write_manifest(out_dir, args.command, {**doc, "seed": config.base_seed}, t0,
+                        files, result)
         return code
     except (ConfigError, MemoryLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Experiment configuration files: strict JSON parsing and echo.
+"""Experiment configuration files: strict JSON parsing.
 
 A config is one JSON document with a ``schema_version`` field.  Every JSON
 object in it, the top level, its nested records, each density and the
@@ -116,6 +116,12 @@ def _one_of(*choices):
     return read
 
 
+def _as_is(value, where):
+    """The reader of a key whose owner checks its value whole (the
+    ``boundary`` by `ExperimentConfig`, ``wegner.mode`` by `WegnerBound`)."""
+    return value
+
+
 def _at_least(low: int):
     """`read_int`, refusing integers below ``low``."""
     def read(value, where):
@@ -131,9 +137,11 @@ def _or_null(read):
 
 
 def _energy_range(**energies) -> dict:
-    """The ``dos_transform.energies`` record, refused unless hi > lo."""
-    if not energies["hi"] > energies["lo"]:
-        raise ValueError(f"hi must exceed lo, got {energies['lo']!r} to {energies['hi']!r}")
+    """The ``dos_transform.energies`` record, refused unless hi - lo is
+    positive and finite."""
+    if not 0 < energies["hi"] - energies["lo"] < math.inf:
+        raise ValueError(f"hi must exceed lo by a finite span, "
+                         f"got {energies['lo']!r} to {energies['hi']!r}")
     return energies
 
 
@@ -166,22 +174,13 @@ def parse_density(value, where: str) -> Density:
     return construct(where, table.make, **rec)
 
 
-def density_record(density: Density) -> dict:
-    if isinstance(density, ConstantValue):
-        return {"type": "constant", "value": density.value}
-    if len(density.heights) == 1:
-        return {"type": "uniform", "lo": density.breakpoints[0], "hi": density.breakpoints[-1]}
-    return {"type": "piecewise", "breakpoints": list(density.breakpoints),
-            "heights": list(density.heights)}
-
-
 # The document: each key's reader, nested records through their own tables.
 # The command sections are read into plain dicts keyed like the document;
 # keys they leave out take the defaults of the code that runs them.
 _DOCUMENT = _Record({
     "schema_version": _one_of(SCHEMA_VERSION),
     "cube": _Record({"dim": read_int, "side": read_int}, ("dim", "side"), Cube),
-    "boundary": lambda value, where: value,  # ExperimentConfig checks it
+    "boundary": _as_is,
     "laplacian_sign": read_int,
     "potential": _Record({"period": partial(read_array, read=read_int),
                           "values": partial(read_array, read=_floats_nested)},
@@ -195,7 +194,7 @@ _DOCUMENT = _Record({
     "bin_width": _or_null(read_float),
     "lifshits": _Record({"epsilons": _floats, "lam": read_float, "c": read_float,
                          "alpha": read_float, "realizations": read_int}, ("epsilons", "lam")),
-    "wegner": _Record({"mode": _one_of("H", "B"), "lower_constant": read_float,
+    "wegner": _Record({"mode": _as_is, "lower_constant": read_float,
                        "min_count": _at_least(0)}, ("mode", "lower_constant")),
     "dos_transform": _Record({
         "beta": read_float, "source": parse_density,
@@ -238,29 +237,3 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     config, extras = parse_config(doc, seed_override, threads)
     return config, extras, doc
-
-
-def config_echo(config: ExperimentConfig, extras: dict | None = None) -> dict:
-    """Round-trippable record of an ExperimentConfig and the command
-    sections ``extras`` (re-parses to an equivalent config and equal
-    extras)."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "cube": {"dim": config.cube.dim, "side": config.cube.side},
-        "boundary": config.boundary,
-        "laplacian_sign": config.laplacian_sign,
-        "potential": {"period": list(config.potential.period),
-                      "values": config.potential.values.tolist()},
-        "disorder": {"V": density_record(config.disorder.mu_v),
-                     "b": density_record(config.disorder.mu_b)},
-        "realizations": config.realizations,
-        "seed": config.base_seed,
-        "grid": {"lo": config.grid_lo, "hi": config.grid_hi,
-                 "points": config.grid_points},
-    }
-    if config.bin_width is not None:
-        doc["bin_width"] = config.bin_width
-    for name, section in (extras or {}).items():
-        doc[name] = {key: density_record(value) if isinstance(value, Density) else value
-                     for key, value in section.items()}
-    return doc

@@ -24,9 +24,7 @@ import numpy as np
 _NORM_TOL = 1e-12
 
 # stream tags for the two random fields
-FIELD_V = 0
-FIELD_B = 1
-_FIELD_TAGS = {"V": FIELD_V, "b": FIELD_B}
+_FIELD_TAGS = {"V": 0, "b": 1}
 _WORD = 2**64 - 1
 
 
@@ -53,7 +51,7 @@ class DensitySpec:
         if any(h < 0 for h in hs):
             raise ValueError("heights must be non-negative")
         total = sum(h * (b2 - b1) for h, b1, b2 in zip(hs, bp, bp[1:]))
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:      # a NaN total fails too
             raise ValueError(f"density integrates to {total}, not 1")
 
     @classmethod

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,7 +77,9 @@ def check_memory(needed: int, what: str) -> None:
     known limit nothing is checked."""
     available = memory_limit()
     if available is not None and needed > available:
-        raise MemoryLimitError(f"{what} needs an estimated {needed / 1e9:.3g} GB, more than "
+        # an integer past the float range does not convert; it prints as inf
+        gigabytes = needed / 1e9 if needed <= sys.float_info.max else float("inf")
+        raise MemoryLimitError(f"{what} needs an estimated {gigabytes:.3g} GB, more than "
                                f"the {available / 1e9:.3g} GB of memory available")
 
 

@@ -46,7 +46,12 @@ from .lattice import Cube, PeriodicPotential, check_memory
 from .operators import (BoundaryMode, assemble_bracketing, band_square, block_band,
                         block_band_bytes, block_half_bandwidth, dense, laplacian)
 
-BOUNDARY_CHOICES = ("D", "N", "+", "-")
+_BOUNDARY_MODES = {   # (top block, bottom block) of [[H_top, B], [B, -H_bot]]
+    "D": (BoundaryMode.DIRICHLET, BoundaryMode.DIRICHLET),
+    "N": (BoundaryMode.NEUMANN, BoundaryMode.NEUMANN),
+    "+": (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN),
+    "-": (BoundaryMode.NEUMANN, BoundaryMode.DIRICHLET),
+}
 
 
 class ZeroSplitAnomaly(RuntimeError):
@@ -70,8 +75,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each refusal starts with the field it names (see `config.construct`)
-        if self.boundary not in BOUNDARY_CHOICES:
-            raise ValueError(f"boundary must be one of {BOUNDARY_CHOICES}, got {self.boundary!r}")
+        choices = tuple(_BOUNDARY_MODES)   # a tuple, so an unhashable value is refused too
+        if self.boundary not in choices:
+            raise ValueError(f"boundary must be one of {choices}, got {self.boundary!r}")
         self.potential.check_cube(self.cube)
         if self.realizations < 1:
             raise ValueError(f"realizations must be at least 1, got {self.realizations}")
@@ -85,8 +91,9 @@ class ExperimentConfig:
         if (self.grid_lo is None) != (self.grid_hi is None):
             raise ValueError("grid_lo needs grid_hi" if self.grid_hi is None
                              else "grid_hi needs grid_lo")
-        if self.grid_lo is not None and not self.grid_hi > self.grid_lo:
-            raise ValueError(f"grid_hi must exceed grid_lo, got {self.grid_lo} to {self.grid_hi}")
+        if self.grid_lo is not None and not 0 < self.grid_hi - self.grid_lo < np.inf:
+            raise ValueError(f"grid_hi must exceed grid_lo by a finite span, "
+                             f"got {self.grid_lo} to {self.grid_hi}")
         if self.bin_width is not None and not (np.isfinite(self.bin_width) and self.bin_width > 0):
             raise ValueError(f"bin_width must be a positive finite number, got {self.bin_width}")
 
@@ -107,14 +114,6 @@ class EnsembleResult:
     driver: str                       # LAPACK driver of the band solves (`band_driver`)
     half_bandwidth: int               # of the band storage that driver solved
     failures: list[int] = field(default_factory=list)
-
-
-_BOUNDARY_MODES = {   # (top block, bottom block) of [[H_top, B], [B, -H_bot]]
-    "D": (BoundaryMode.DIRICHLET, BoundaryMode.DIRICHLET),
-    "N": (BoundaryMode.NEUMANN, BoundaryMode.NEUMANN),
-    "+": (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN),
-    "-": (BoundaryMode.NEUMANN, BoundaryMode.DIRICHLET),
-}
 
 
 @dataclass(frozen=True)

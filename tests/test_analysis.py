@@ -20,7 +20,7 @@ from randblock.analysis import (
     wegner_check,
 )
 from randblock.config import load_config
-from randblock.disorder import DensitySpec, DisorderModel, SeedPolicy, sample_iid
+from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
 from randblock.eigen import eigvalsh, min_eig_tridiag
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import BoundaryMode, assemble, laplacian
@@ -80,6 +80,10 @@ class TestConstBDos:
         with pytest.raises(ValueError):
             DosTransform(DensitySpec.uniform(-1, 1), 0.0)
 
+    def test_source_without_density_rejected(self):
+        with pytest.raises(ValueError, match="^source must have a density"):
+            DosTransform(ConstantValue(0.5), 1.0)
+
 
 class TestConstBDosArray:
     """The whole-grid evaluation against the scalar, bit for bit."""
@@ -103,6 +107,18 @@ class TestConstBDosArray:
         assert np.array_equal(np.isinf(expected), np.abs(energies) == abs(beta))
         assert (expected == 0.0).sum() >= 8
         assert np.array_equal(const_b_dos_array(t, energies), expected)
+
+    def test_scales_past_the_square_range(self):
+        # energies, beta and the support scaled by 2^700 (so every square
+        # overflows) give the DOS scaled by 2^-700, bit for bit
+        big = 2.0**700
+        t = DosTransform(self.source, 1.0)
+        scaled = DosTransform(DensitySpec(tuple(b * big for b in self.source.breakpoints),
+                                          tuple(h / big for h in self.source.heights)), big)
+        energies = self.energies(1.0)
+        expected = const_b_dos_array(t, energies) / big
+        assert np.count_nonzero(np.isfinite(expected) & (expected > 0)) >= 8
+        assert np.array_equal(const_b_dos_array(scaled, energies * big), expected)
 
     def test_edge_is_zero_where_source_vanishes_at_zero(self):
         t = DosTransform(DensitySpec.uniform(1, 2), 1.0)
@@ -151,8 +167,8 @@ class TestWegner:
         assert wegner_bound(WegnerBound("B", 0.5, 2.0), 1.0) == pytest.approx(16.0)
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            WegnerBound("X", 1.0, 1.0)
+        with pytest.raises(ValueError, match="^mode must be 'H' or 'B', got 'X'$"):
+            WegnerBound("X", 1.0, None)     # the mode is refused before bv is read
         with pytest.raises(ValueError):
             WegnerBound("H", 0.0, 1.0)
 
@@ -277,6 +293,14 @@ class TestLifshits:
             LifshitsRun((0.1,), DensitySpec.uniform(0, 1), 1.0, 0)
         with pytest.raises(ValueError):
             LifshitsRun((0.1,), DensitySpec.uniform(1, 2), 1.0, 0, dim=2)
+        with pytest.raises(ValueError, match="^V must have a density"):
+            LifshitsRun((0.1,), ConstantValue(1.5), 1.0, 0)
+
+    @pytest.mark.parametrize("c, alpha", [(4.0, 1000.0), (1e308, 0.5)],
+                             ids=["power-overflows", "product-overflows"])
+    def test_box_side_must_be_finite(self, c, alpha):
+        with pytest.raises(ValueError, match="^the box side .* at eps 0.1 is not finite"):
+            LifshitsRun((0.4, 0.1), DensitySpec.uniform(1, 2), 1.0, 0, c=c, alpha=alpha)
 
     def test_probe_small(self):
         run = LifshitsRun((0.4, 0.2), DensitySpec.uniform(1, 2), 1.0, 5,

@@ -17,7 +17,6 @@ from randblock.analysis import LifshitsRun, wegner_check
 from randblock.cli import build_parser, main
 from randblock.config import (
     ConfigError,
-    config_echo,
     load_config,
     parse_config,
     parse_density,
@@ -253,6 +252,25 @@ class TestConfigErrors:
         ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.5}}, "lifshits.lam"),
         ("wegner", {"wegner": {"mode": "H", "lower_constant": 0}}, "wegner.lower_constant"),
         ("ids", {"grid": {"hi": 1}}, "grid"),
+        ("lifshits", {"disorder": {"V": {"type": "constant", "value": 1.5}, "b": _B},
+                      "lifshits": {"epsilons": [0.2], "lam": 1.0}}, "lifshits"),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "constant", "value": 0.5}}}, "dos_transform.source"),
+        ("wegner", {"disorder": {"V": _V, "b": {"type": "constant", "value": 0.5}},
+                    "wegner": {"mode": "B", "lower_constant": 0.5}}, "wegner"),
+        ("lifshits", {"lifshits": {"epsilons": [0.4], "lam": 1.0, "alpha": 1000}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.1], "lam": 1.0, "c": 1e308}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.4], "lam": 1.0, "c": 1e308}},
+                     "the tail probe"),
+        ("ids", {"cube": {"dim": 1, "side": 10**400}}, "cube"),
+        ("ids", {"disorder": {"V": {"type": "uniform", "lo": -1e308, "hi": 1e308}, "b": _B}},
+                "disorder.V"),
+        ("ids", {"grid": {"lo": -1e308, "hi": 1e308}}, "grid"),
+        ("dostransform", {"dos_transform": {
+            "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
+            "energies": {"lo": -1e308, "hi": 1e308}}}, "dos_transform.energies.hi"),
+        ("ids", {"boundary": ["N"]}, "boundary"),
+        ("wegner", {"wegner": {"mode": ["H"], "lower_constant": 1.0}}, "wegner.mode"),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -283,7 +301,12 @@ class TestConfigErrors:
             "realizations-zero", "grid-hi-equal-lo", "grid-points-one", "cube-side-zero",
             "cube-dim-zero", "laplacian-sign-two", "potential-period-zero",
             "potential-values-wrong-shape", "density-hi-below-lo", "lam-above-v-floor",
-            "lower-constant-zero", "grid-hi-without-lo"])
+            "lower-constant-zero", "grid-hi-without-lo", "lifshits-v-constant",
+            "dos-transform-source-constant", "wegner-mode-b-with-constant-b",
+            "alpha-overflows-side", "c-overflows-side", "side-past-float-range",
+            "cube-side-past-float-range", "density-span-infinite",
+            "grid-span-infinite", "energies-span-infinite", "boundary-array",
+            "wegner-mode-array"])
     def test_malformed_config_one_line_exit_2(self, tmp_path, capsys, command, overrides,
                                               named):
         path = write_config(tmp_path, base_doc(**overrides))
@@ -427,9 +450,36 @@ class TestConfigErrors:
             assert len(err.splitlines()) == 1, path
             assert f"{'.'.join(path) or 'config'}: unknown key(s) ['bogus']" in err, path
 
+    def test_ids_leaves_section_ranges_to_their_commands(self, tmp_path):
+        # a section's types are read whatever the command; its ranges only by
+        # the command that builds it
+        doc = base_doc(wegner={"mode": "X", "lower_constant": 0},
+                       lifshits={"epsilons": [0.2], "lam": 1.0, "c": 0},
+                       dos_transform={"beta": 0, "source": _V})
+        path = write_config(tmp_path, doc)
+        assert main(["ids", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_lifshits_needs_section(self, tmp_path, capsys):
         path = write_config(tmp_path, base_doc())
         assert main(["lifshits", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, section", [
+        ("ids", {}),
+        ("dostransform", {"dos_transform": {"beta": 1.0, "source": _V}}),
+    ])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command, section, below):
+        # --out naming an existing file, or a directory under one
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        path = write_config(tmp_path, base_doc(**section))
+        assert main([command, "--config", path, "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: --out: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
 
 
 class TestCachedParser:
@@ -544,6 +594,17 @@ class TestEnsembleCommands:
         report = json.loads((tmp_path / "wegner_report.json").read_text())
         assert report["min_count"] == signature(wegner_check).parameters["min_count"].default
 
+    def test_dostransform_huge_beta(self, tmp_path):
+        # beta**2 overflows; the energy range and x are computed without it
+        doc = base_doc(dos_transform={"beta": 1e200,
+                                      "source": {"type": "uniform", "lo": -2, "hi": 2}})
+        path = write_config(tmp_path, doc)
+        assert main(["dostransform", "--config", path, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "dos_transform.csv").read_text().splitlines()
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[3:]])
+        assert rows.shape == (512, 3) and np.isfinite(rows).all()
+        assert rows[-1, 0] == 1e200       # hypot(2, 1e200) + 0.5
+
     def test_dostransform_command(self, tmp_path):
         doc = base_doc(dos_transform={"beta": 1.0,
                                       "source": {"type": "uniform", "lo": -2, "hi": 2}})
@@ -568,20 +629,23 @@ class TestEnsembleCommands:
         ("ids", {"boundary": "+"}, ["ids.csv"], True),
     ])
     def test_manifest_records_run(self, tmp_path, command, sections, outputs, ensemble):
-        # every command's manifest carries the config echo with the seed in
-        # force, the outputs' digests, and the band solve of its ensemble if
-        # any: the square on the certified D/N runs (V on [1, 2]), the block
-        # for bracketing
-        path = write_config(tmp_path, base_doc(**sections))
+        # every command's manifest carries the document as read with the seed
+        # in force, which leaves out what the document left out (here
+        # laplacian_sign, potential and grid), the outputs' digests, and the
+        # band solve of its ensemble if any: the square on the certified D/N
+        # runs (V on [1, 2]), the block for bracketing
+        doc = base_doc(**sections)
+        assert not {"laplacian_sign", "potential", "grid"} & set(doc)
+        path = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["--quiet", command, "--config", path, "--out", str(out),
                      "--seed", "5"]) == 0
         manifest = json.loads((out / f"{command}_manifest.json").read_text())
         assert manifest["command"] == command
-        assert manifest["base_seed"] == 5 and manifest["config"]["seed"] == 5
-        config, extras = parse_config(manifest["config"], threads=1)
-        assert config.base_seed == 5
-        assert extras == load_config(path)[1]   # the sections echo as they were read
+        assert manifest["base_seed"] == 5
+        assert manifest["config"] == {**doc, "seed": 5}
+        config, extras, _ = load_config(path, 5, threads=1)
+        assert parse_config(manifest["config"], threads=1) == (config, extras)
         assert sorted(manifest["outputs"]) == sorted(outputs)
         assert all(len(digest) == 64 for digest in manifest["outputs"].values())
         assert manifest["failed_realizations"] == 0
@@ -594,15 +658,25 @@ class TestEnsembleCommands:
 
 class TestConfigRoundTrip:
     def test_echo_reparses_equal(self, tmp_path):
-        config, _, _ = load_config(write_config(tmp_path, base_doc()))
-        echoed, _ = parse_config(config_echo(config), threads=config.threads)
+        # the manifest keeps each key as written: a one-cell piecewise density
+        # stays piecewise, an integer stays an integer
+        doc = base_doc(disorder={"V": {"type": "piecewise", "breakpoints": [1, 2],
+                                       "heights": [1]}, "b": _B}, laplacian_sign=-1)
+        path = write_config(tmp_path, doc)
+        assert main(["ids", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        echo = json.loads((tmp_path / "run" / "ids_manifest.json").read_text())["config"]
+        assert json.dumps(echo) == json.dumps(doc)
+        config, _, _ = load_config(path)
+        echoed, _ = parse_config(echo, threads=config.threads)
         assert echoed == config
 
     @pytest.mark.parametrize("centered", [True, False])
     def test_centered_refused(self, tmp_path, capsys, centered):
         # the cube starts at the origin; a config written for the removed option exits 2
-        config, _, _ = load_config(write_config(tmp_path, base_doc()))
-        assert config_echo(config)["cube"] == {"dim": 1, "side": 7}
+        path = write_config(tmp_path, base_doc())
+        assert main(["ids", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        manifest = json.loads((tmp_path / "run" / "ids_manifest.json").read_text())
+        assert manifest["config"]["cube"] == {"dim": 1, "side": 7}
         doc = base_doc(cube={"dim": 1, "side": 7, "centered": centered})
         out = tmp_path / "out"
         assert main(["ids", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2

@@ -24,6 +24,11 @@ class TestDensitySpec:
         with pytest.raises(ValueError):
             DensitySpec((0.0, 1.0), (0.5,))
 
+    def test_infinite_span_refused(self):
+        # 0 * inf is NaN: a total that is not a number fails the check too
+        with pytest.raises(ValueError, match="integrates to nan"):
+            DensitySpec.uniform(-1e308, 1e308)
+
     def test_negative_height(self):
         with pytest.raises(ValueError):
             DensitySpec((0.0, 1.0, 2.0), (2.0, -1.0))

@@ -449,6 +449,8 @@ class TestConfigValidation:
             make_config(grid_lo=1.0)
         with pytest.raises(ValueError):
             make_config(grid_lo=1.0, grid_hi=0.0)
+        with pytest.raises(ValueError, match="^grid_hi must exceed grid_lo by a finite span"):
+            make_config(grid_lo=-1e308, grid_hi=1e308)
 
     @pytest.mark.parametrize("dim, period", [(2, (2,)), (1, (2, 2)), (1, (2, 1))],
                              ids=["fewer-axes", "more-axes", "trivial-surplus-axis"])
