@@ -9,9 +9,10 @@ sections ``extras`` included, so a command only maps its section onto the
 constructors of `analysis` and runs: `construct` turns their refusals into
 config errors naming the key, and what a command adds to the section is
 passed beside the section's keys (`functools.partial`, or the law
-`cmd_wegner` picks by the mode), as it names no key.  The first write makes the
-output directory, so a command refused with exit 2 leaves nothing behind; a
-write the system refuses exits 2 too, naming the path.
+`cmd_wegner` picks by the mode), as it names no key.  An ``--out`` that
+cannot be written is refused before the command runs, and the first write
+makes the output directory, so a command refused with exit 2 leaves nothing
+behind; a write the system refuses exits 2 too, naming the path.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
@@ -20,6 +21,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -65,6 +67,17 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {exc.filename or path}: {exc.strerror}") from exc
+
+
+def _check_out(out_dir: Path) -> None:
+    """Refuse, before any work and creating nothing, an output directory
+    that exists and is not a directory, or whose nearest existing ancestor
+    is not a writable directory."""
+    nearest = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise ConfigError(f"--out: cannot write {out_dir}: {os.strerror(errno.ENOTDIR)}")
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out: cannot write {out_dir}: {os.strerror(errno.EACCES)}")
 
 
 def _write_csv(path: Path, header_comment: list[str], names: list[str],
@@ -262,6 +275,9 @@ def cmd_dostransform(args, config, extras, out_dir):
     source, beta = rec["source"], rec["beta"]
     transform = construct("dos_transform", DosTransform, source=source, beta=beta)
     top = math.hypot(max(map(abs, support_bounds(source))), beta) + 0.5
+    if "energies" not in rec and not math.isfinite(2 * top):
+        raise ConfigError(f"dos_transform: the default energies {-top!r} to {top!r} "
+                          "span more than a float holds; give dos_transform.energies")
     given = {"lo": -top, "hi": top, "points": _TRANSFORM_POINTS, **rec.get("energies", {})}
     points = given["points"]
     check_memory(8 * _TRANSFORM_ARRAYS * points, f"the DOS transform at {points} energies")
@@ -331,6 +347,7 @@ def main(argv=None) -> int:
         config, extras, doc = load_config(args.config, args.seed, args.threads)
         t0 = time.monotonic()
         out_dir = Path(args.out)
+        _check_out(out_dir)
         files, result, code = args.fn(args, config, extras, out_dir)
         _write_manifest(out_dir, args.command, {**doc, "seed": config.base_seed}, t0,
                         files, result)

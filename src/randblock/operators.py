@@ -8,10 +8,9 @@ operator on the cube comes in band storage too, in interleaved order
 (`band_square`), which the ensemble solve reads without an n x n
 intermediate; each band is built whole from its inputs and shares no
 storage with them.  The dense block assemblies [[A, B], [B, -A]]
-(`assemble`, and `assemble_bracketing` with different diagonal blocks), the
-parity block-split of the hopping operator into its two diagonal blocks
-(`transform_parity`) and the closed form of the squared block operator
-(`square_identity_residual`) work on dense symmetric matrices.
+(`assemble`, and `assemble_bracketing` with different diagonal blocks) and
+the closed form of the squared block operator (`square_identity_residual`)
+work on dense symmetric matrices.
 """
 
 from __future__ import annotations
@@ -20,17 +19,13 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import Cube, deficiencies, hops, parities
+from .lattice import Cube, deficiencies, hops
 
 
 class BoundaryMode(Enum):
     ADJACENCY = "adjacency"   # plain truncation of the centred Laplacian
     NEUMANN = "neumann"       # graph Laplacian
     DIRICHLET = "dirichlet"   # graph Laplacian + 2*Gamma
-
-
-class PreconditionError(ValueError):
-    """A transform was applied to a matrix violating its hypothesis."""
 
 
 def laplacian(cube: Cube, mode: BoundaryMode, sign: int = 1) -> np.ndarray:
@@ -155,42 +150,6 @@ def band_square(lower: np.ndarray) -> np.ndarray:
             lo, hi = max(0, -p), min(n - p - q, n - p)
             square[p + q, lo:hi] += diagonal(q, lo + p, hi + p).conj() * diagonal(p, lo, hi)
     return square
-
-
-def _split_blocks(m: np.ndarray):
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-        raise ValueError("expected a 2n x 2n block matrix")
-    n = m.shape[0] // 2
-    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:], n
-
-
-# relative tolerance of `transform_parity`'s hypothesis checks
-_PARITY_TOL = 1e-12
-
-
-def transform_parity(m: np.ndarray, cube: Cube):
-    """Block-diagonalization via the on-site parity involution.
-
-    Requires that the top-left block anticommutes with U = diag((-1)^j) and
-    that the off-diagonal block commutes with U (diagonal B always does);
-    otherwise raises PreconditionError.  Returns (H_plus, H_minus) where
-    H_pm = A +/- U B, the diagonal blocks of the matrix conjugated by
-    [[1, U], [1, -U]] / sqrt(2): its spectrum is their spectra's union.
-    """
-    a, b, _, d, n = _split_blocks(m)
-    if np.abs(d + a).max() > _PARITY_TOL * max(1.0, np.abs(a).max()):
-        raise PreconditionError("bottom-right block is not -top-left")
-    if cube.n_sites != n:
-        raise PreconditionError("cube size does not match block dimension")
-    u = np.diag(parities(cube))
-    scale = max(1.0, np.abs(a).max(), np.abs(b).max())
-    if np.abs(u @ a + a @ u).max() > _PARITY_TOL * scale:
-        raise PreconditionError("top-left block does not anticommute with parity")
-    if np.abs(b @ u - u @ b).max() > _PARITY_TOL * scale:
-        raise PreconditionError("off-diagonal block does not commute with parity")
-    ub = u @ b
-    return a + ub, a - ub
 
 
 def square_identity_residual(h: np.ndarray, b: np.ndarray) -> float:

@@ -104,11 +104,11 @@ def parity_split_residuals(cube: Cube, bdiag: np.ndarray) -> tuple[float, float]
     same mismatch, absolute, for the graph Laplacian, whose diagonal breaks
     the anticommutation (a negative control, far from zero)."""
     b = np.diag(bdiag)
-    m = ops.assemble(ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1)), b)
+    adj = ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1))
     neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
     ub = np.diag(parities(cube)) @ b
-    direct, direct_neu = eigvalsh(np.stack([m, ops.assemble(neu, b)]))
-    halves = eigvalsh(np.stack([*ops.transform_parity(m, cube), neu + ub, neu - ub]))
+    direct, direct_neu = eigvalsh(np.stack([ops.assemble(adj, b), ops.assemble(neu, b)]))
+    halves = eigvalsh(np.stack([adj + ub, adj - ub, neu + ub, neu - ub]))
     split, split_neu = np.sort(halves.reshape(2, -1), axis=1)
     mismatch = np.abs(direct - split).max() / max(1.0, np.abs(direct).max())
     control = float(np.abs(direct_neu - split_neu).max())

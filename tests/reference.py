@@ -38,7 +38,6 @@ from randblock.analysis import DosTransform
 from randblock.disorder import DensitySpec, SeedPolicy, bv_norm, support_bounds
 from randblock.eigen import eigvalsh
 from randblock.lattice import Cube, PeriodicPotential
-from randblock.operators import _split_blocks
 
 _EPS = np.finfo(np.float64).eps
 
@@ -158,7 +157,7 @@ def spectrum_inclusion_distances(h_eigenvalues, block_eigenvalues,
 def transform_u1(m: np.ndarray) -> np.ndarray:
     """Conjugation by (1/sqrt2) [[1, 1], [1, -1]]: swaps diagonal and
     off-diagonal blocks of [[H, B], [B, -H]]."""
-    _, _, _, _, n = _split_blocks(m)
+    n = len(m) // 2
     eye = np.eye(n)
     u = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
     return u @ m @ u.T
@@ -167,7 +166,7 @@ def transform_u1(m: np.ndarray) -> np.ndarray:
 def transform_u2(m: np.ndarray) -> np.ndarray:
     """Particle-hole conjugation by [[0, 1], [-1, 0]]; negates the block
     operator when it has the [[H, B], [B, -H]] shape."""
-    _, _, _, _, n = _split_blocks(m)
+    n = len(m) // 2
     eye = np.eye(n)
     u = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
     return u @ m @ u.T
@@ -179,7 +178,7 @@ def transform_u3_square(m: np.ndarray) -> np.ndarray:
     For M = [[H, B], [B, -H]] the result is block-diagonal with blocks
     H^2 + B^2 -/+ i[H, B].  Returns a complex matrix.
     """
-    _, _, _, _, n = _split_blocks(m)
+    n = len(m) // 2
     eye = np.eye(n)
     u = np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2.0)
     m2 = np.asarray(m, dtype=np.float64) @ np.asarray(m, dtype=np.float64)

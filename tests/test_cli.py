@@ -466,10 +466,16 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, section", [
         ("ids", {}),
         ("dostransform", {"dos_transform": {"beta": 1.0, "source": _V}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.5], "lam": 1.0}}),
     ])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
-    def test_unwritable_out_exit_2(self, tmp_path, capsys, command, section, below):
-        # --out naming an existing file, or a directory under one
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, command, section, below):
+        # --out naming an existing file, or a directory under one, is refused
+        # before anything is drawn or solved
+        def never(*args):
+            raise AssertionError("the command ran before --out was checked")
+        monkeypatch.setattr(randblock.cli, "run_ensemble", never)
+        monkeypatch.setattr(randblock.cli, "lifshits_probe", never)
         blocker = tmp_path / "blocker"
         blocker.write_text("kept\n")
         out = blocker / "sub" if below else blocker
@@ -480,6 +486,22 @@ class TestConfigErrors:
         assert err.startswith(f"config error: --out: cannot write {out}: ")
         assert "Traceback" not in err
         assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
+    def test_out_below_unwritable_directory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the nearest existing ancestor of --out must be writable; os.access
+        # stands in for the permission bits, which do not bind a superuser
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != locked and access(p, mode))
+        monkeypatch.setattr(randblock.cli, "run_ensemble", lambda config: pytest.fail("ran"))
+        out = locked / "a" / "b"
+        path = write_config(tmp_path, base_doc())
+        assert main(["ids", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --out: cannot write {out}: Permission denied\n"
+        assert list(locked.iterdir()) == []
 
 
 class TestCachedParser:
@@ -604,6 +626,24 @@ class TestEnsembleCommands:
         rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[3:]])
         assert rows.shape == (512, 3) and np.isfinite(rows).all()
         assert rows[-1, 0] == 1e200       # hypot(2, 1e200) + 0.5
+
+    def test_dostransform_beta_beyond_default_range(self, tmp_path, capsys):
+        # 2 * top overflows, so the default energies cannot be spaced: the
+        # range must be given
+        doc = base_doc(dos_transform={"beta": 1.7e308,
+                                      "source": {"type": "uniform", "lo": -2, "hi": 2}})
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["dostransform", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: dos_transform: the default energies -1.7e+308 to "
+                       "1.7e+308 span more than a float holds; give dos_transform.energies\n")
+        assert not out.exists()
+        doc["dos_transform"]["energies"] = {"lo": 1e308, "hi": 1.7e308, "points": 3}
+        assert main(["dostransform", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        lines = (out / "dos_transform.csv").read_text().splitlines()
+        assert [float(ln.split(",")[0]) for ln in lines[3:]] == [1e308, 1.35e308, 1.7e308]
 
     def test_dostransform_command(self, tmp_path):
         doc = base_doc(dos_transform={"beta": 1.0,

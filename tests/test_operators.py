@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from randblock import verify
 from randblock.eigen import SquaredBand, eigvalsh
 from randblock.lattice import Cube, parities
 from randblock.operators import (
     BoundaryMode,
-    PreconditionError,
     assemble,
     assemble_bracketing,
     band_square,
@@ -15,7 +15,6 @@ from randblock.operators import (
     dense,
     laplacian,
     square_identity_residual,
-    transform_parity,
 )
 from reference import (boundary_deficiency, index_of, neighbours, parity, sites, transform_u1,
                        transform_u2, transform_u3_square)
@@ -71,12 +70,17 @@ class TestVectorizedMatchesPerSite:
         degree = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1)).sum(axis=1)
         assert np.array_equal(2 * cube.dim - degree, missing)
 
-    def test_parity_split(self, cube):
-        # H± = Δ ± UB, with U the per-site parities and B = diag(b)
+    def test_parity_split(self, cube, monkeypatch):
+        # verify solves [[Δ, B], [B, -Δ]] and H± = Δ ± UB, with U the per-site
+        # parities and B = diag(b)
         adjacency = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1))
         b = np.arange(1.0, cube.n_sites + 1)
         ub = np.diag([parity(j) * x for j, x in zip(sites(cube), b)])
-        h_plus, h_minus = transform_parity(assemble(adjacency, np.diag(b)), cube)
+        solved = []
+        monkeypatch.setattr(verify, "eigvalsh", lambda stack: solved.append(stack) or eigvalsh(stack))
+        verify.parity_split_residuals(cube, b)
+        (direct, _), (h_plus, h_minus, _, _) = solved
+        assert np.array_equal(direct, assemble(adjacency, np.diag(b)))
         assert np.array_equal(h_plus, adjacency + ub)
         assert np.array_equal(h_minus, adjacency - ub)
 
@@ -256,25 +260,18 @@ class TestTransforms:
         cube = Cube(1, 3)
         delta = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1))
         m = assemble(delta, np.eye(3))
-        h_plus, h_minus = transform_parity(m, cube)
+        u = np.diag(parities(cube))
+        h_plus, h_minus = delta + u, delta - u
         expected = np.sort([-np.sqrt(3), -np.sqrt(3), -1, 1, np.sqrt(3), np.sqrt(3)])
         assert np.allclose(eigvalsh(m), expected, atol=1e-10)
         union = np.sort(np.concatenate([eigvalsh(h_plus), eigvalsh(h_minus)]))
         assert np.allclose(union, expected, atol=1e-10)
         # conjugated by [[1, U], [1, -U]] / √2, the matrix is block diagonal with those blocks
-        u = np.diag(parities(cube))
         uu = np.block([[np.eye(3), u], [np.eye(3), -u]]) / np.sqrt(2.0)
         conj = uu @ m @ uu.T
         assert np.abs(conj[:3, 3:]).max() < 1e-12
         assert np.allclose(conj[:3, :3], h_plus, atol=1e-12)
         assert np.allclose(conj[3:, 3:], h_minus, atol=1e-12)
-
-    def test_parity_precondition_neumann_fails(self):
-        cube = Cube(1, 4)
-        neu = dense(laplacian(cube, BoundaryMode.NEUMANN, -1))
-        m = assemble(neu, np.eye(4))
-        with pytest.raises(PreconditionError):
-            transform_parity(m, cube)
 
 
 class TestSquareIdentity:
