@@ -16,7 +16,7 @@ import numpy as np
 
 from .disorder import DensitySpec, SeedPolicy, sample_iid, support_bounds
 from .eigen import any_eigenvalue_below
-from .eigen import min_eig_tridiag  # noqa: F401 -- a trace hook target; see ROADMAP item 9
+from .eigen import min_eig_tridiag  # noqa: F401 -- a trace hook target; see ROADMAP item 1
 from .lattice import Cube, check_memory
 from .operators import BoundaryMode, laplacian
 from .spectra import EnsembleResult, certified_floor
@@ -107,8 +107,6 @@ def certify_wegner_hypothesis(config, bound: WegnerBound) -> None:
     """Refuse the check unless the support bounds certify the mode's
     positivity hypothesis at finite volume."""
     if bound.mode == "H":
-        if config.laplacian_sign != -1:
-            raise ValueError("mode 'H' needs the positive semidefinite Laplacian convention")
         floor = certified_floor(config)
         if floor < bound.lower_constant:
             raise ValueError(
@@ -219,7 +217,7 @@ def lifshits_probe(run: LifshitsRun) -> LifshitsTable:
     p_hat = np.zeros(len(run.epsilons))
     for k, (eps, side) in enumerate(zip(run.epsilons, sides)):
         # band storage of -lap_N: row 0 the diagonal, row 1 the off-diagonal
-        lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1)
+        lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN)
         first = k * run.realizations
         v = sample_iid(run.mu_v, side,
                        policy.streams(range(first, first + run.realizations), "V"))

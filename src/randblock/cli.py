@@ -102,10 +102,14 @@ def _sha256(path: Path) -> str:
 
 
 def _blas_identity() -> dict | None:
-    """Name and version of the BLAS/LAPACK library that NumPy's solves use."""
+    """Name and version of the BLAS/LAPACK library SciPy is built with: the
+    one its compiled LAPACK wrappers (`eigen.flapack`), and so every band
+    solve, call.  Reading SciPy's build config loads no ``scipy.linalg``."""
+    import scipy
+
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):     # show_config(mode=...) needs NumPy >= 1.25
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):     # show_config(mode=...) needs SciPy >= 1.11
         return None
     return {k: blas[k] for k in ("name", "version") if k in blas}
 

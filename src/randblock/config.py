@@ -181,7 +181,6 @@ _DOCUMENT = _Record({
     "schema_version": _one_of(SCHEMA_VERSION),
     "cube": _Record({"dim": read_int, "side": read_int}, ("dim", "side"), Cube),
     "boundary": _as_is,
-    "laplacian_sign": read_int,
     "potential": _Record({"period": partial(read_array, read=read_int),
                           "values": partial(read_array, read=_floats_nested)},
                          ("period", "values"), PeriodicPotential),

@@ -1,12 +1,12 @@
 """Lattice Hamiltonians and 2n x 2n block operators.
 
-The discrete Laplacian under three boundary modes (`laplacian`) is built in
-one way only: in LAPACK lower band storage, from the array helpers of
-`lattice`; `dense` gives the matrix of any lower band storage.  The block
-operator on the cube comes in band storage too, in interleaved order
-(`block_band`) and as the square M = (H - iB)(H + iB) of its D/N form
-(`band_square`), which the ensemble solve reads without an n x n
-intermediate; each band is built whole from its inputs and shares no
+The Laplacian term of H = -Δ + U0 + V under three boundary modes
+(`laplacian`) is built in one way only: in LAPACK lower band storage, from
+the array helpers of `lattice`; `dense` gives the matrix of any lower band
+storage.  The block operator on the cube comes in band storage too, in
+interleaved order (`block_band`) and as the square M = (H - iB)(H + iB) of
+its D/N form (`band_square`), which the ensemble solve reads without an
+n x n intermediate; each band is built whole from its inputs and shares no
 storage with them.  The dense block assemblies [[A, B], [B, -A]]
 (`assemble`, and `assemble_bracketing` with different diagonal blocks) and
 the closed form of the squared block operator (`square_identity_residual`)
@@ -28,32 +28,30 @@ class BoundaryMode(Enum):
     DIRICHLET = "dirichlet"   # graph Laplacian + 2*Gamma
 
 
-def laplacian(cube: Cube, mode: BoundaryMode, sign: int = 1) -> np.ndarray:
-    """sign times the truncated Laplacian in the given boundary mode, in
-    LAPACK lower band storage: shape (cube.half_bandwidth + 1, n), row k
-    holding the entries (i + k, i), so row 0 is the diagonal and no n x n
-    array is formed (`dense` gives the matrix itself).
+def laplacian(cube: Cube, mode: BoundaryMode) -> np.ndarray:
+    """The Laplacian term of H in the given boundary mode, in LAPACK lower
+    band storage: shape (cube.half_bandwidth + 1, n), row k holding the
+    entries (i + k, i), so row 0 is the diagonal and no n x n array is
+    formed (`dense` gives the matrix itself).
 
-    ADJACENCY: hopping only, zero diagonal (sign=+1 gives the centred
-    discrete Laplacian restricted to the cube).  NEUMANN: adjacency minus
-    degree, so sign=-1 yields the positive semidefinite graph Laplacian.
-    DIRICHLET: Neumann shifted by -2*Gamma, i.e. -lap_D = -lap_N + 2*Gamma,
-    Gamma the diagonal of missing-neighbour counts.
+    ADJACENCY: the hopping matrix A, zero diagonal (the centred discrete
+    Laplacian restricted to the cube).  NEUMANN: -lap_N = degree - A, the
+    positive semidefinite graph Laplacian.  DIRICHLET: -lap_D = -lap_N +
+    2*Gamma, Gamma the diagonal of missing-neighbour counts.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if not isinstance(mode, BoundaryMode):
         raise ValueError(f"unknown boundary mode {mode}")
     lap = np.zeros((cube.half_bandwidth + 1, cube.n_sites))
     for stride, i in hops(cube):
         lap[stride, i] = 1.0
-    if mode is not BoundaryMode.ADJACENCY:
-        # the degree (row sum of the adjacency) is 2d minus the missing neighbours
-        missing = deficiencies(cube)
-        lap[0] -= 2 * cube.dim - missing
-        if mode is BoundaryMode.DIRICHLET:
-            lap[0] -= 2.0 * missing
-    return sign * lap
+    if mode is BoundaryMode.ADJACENCY:
+        return lap
+    # the degree (row sum of the adjacency) is 2d minus the missing neighbours
+    missing = deficiencies(cube)
+    lap[0] -= 2 * cube.dim - missing
+    if mode is BoundaryMode.DIRICHLET:
+        lap[0] -= 2.0 * missing
+    return -lap
 
 
 def dense(lower: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Disorder-ensemble driver: IDS curves, DOS histograms, gap statistics.
 
+A run's operator is [[H_top, B], [B, -H_bot]] with H = -Δ_X + U0 + V and
+B = diag(b), -Δ_X the positive semidefinite Laplacian (`operators.laplacian`)
+of the boundary mode X that ``boundary`` gives each block.
+
 Realizations are independent and reproducible from (base_seed, index).  A
 run is cut into chunks of at most 64 consecutive indices, shared evenly
 among the processes that solve (`_chunks`); each chunk is drawn in one batch
@@ -11,17 +15,16 @@ operator (`CleanPart`) is built once per run and never changed; each
 realization builds its own band from it (`realization_band`).  Which band is
 solved is chosen per run (`band_driver`):
 
-- D/N boundaries with ``laplacian_sign`` -1 and a certified floor
-  λ = min U0 + inf supp V with λ > 0 and λ >= ρ/64 (ρ the Gershgorin bound
-  of H's clean part plus the largest |V| and |b|, the bound the default
-  energy grid is built on): the block [[H, B], [B, -H]] anticommutes with
-  iσ_y, so its spectrum is ±√spec(M) with M = (H - iB)(H + iB), and
-  M >= λ².  LAPACK's ``zhbevd`` solves the n x n complex Hermitian band of M
-  (half-bandwidth 2·L^(d-1)), and each eigenvalue moves by
-  |δE| ≲ eps·ρ²/λ.
-- every other run (bracketing + and -, no certified gap, ``laplacian_sign``
-  +1): the block in interleaved order (psi1(0), psi2(0), psi1(1), ...) is a
-  2n x 2n real band matrix (`operators.block_band`) that ``dsbevd`` solves.
+- D/N boundaries with a certified floor λ = min U0 + inf supp V with λ > 0
+  and λ >= ρ/64 (ρ the Gershgorin bound of H's clean part plus the largest
+  |V| and |b|, the bound the default energy grid is built on): the block
+  [[H, B], [B, -H]] anticommutes with iσ_y, so its spectrum is ±√spec(M)
+  with M = (H - iB)(H + iB), and M >= λ².  LAPACK's ``zhbevd`` solves the
+  n x n complex Hermitian band of M (half-bandwidth 2·L^(d-1)), and each
+  eigenvalue moves by |δE| ≲ eps·ρ²/λ.
+- every other run (bracketing + and -, no certified gap): the block in
+  interleaved order (psi1(0), psi2(0), psi1(1), ...) is a 2n x 2n real band
+  matrix (`operators.block_band`) that ``dsbevd`` solves.
 
 Both drivers come from SciPy's compiled LAPACK wrappers, which
 `eigen.flapack` loads without running ``scipy.linalg``'s package init, the
@@ -66,7 +69,6 @@ class ExperimentConfig:
     potential: PeriodicPotential
     realizations: int
     base_seed: int
-    laplacian_sign: int = -1          # -1: H = -lap + U0 + V (default), +1: H = lap + U0 + V
     grid_lo: float | None = None
     grid_hi: float | None = None
     grid_points: int = 512
@@ -84,8 +86,6 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         SeedPolicy(self.base_seed)    # refuses a seed outside [0, 2^64)
-        if self.laplacian_sign not in (1, -1):
-            raise ValueError(f"laplacian_sign must be +1 or -1, got {self.laplacian_sign}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
         if (self.grid_lo is None) != (self.grid_hi is None):
@@ -136,8 +136,8 @@ class CleanPart:
 
 
 def certified_floor(config: ExperimentConfig) -> float:
-    """λ = min U0 + inf supp V.  With the positive semidefinite Laplacian
-    term (``laplacian_sign`` -1), H >= λ in every realization."""
+    """λ = min U0 + inf supp V.  As the Laplacian term is positive
+    semidefinite, H >= λ in every realization."""
     v_lo, _ = support_bounds(config.disorder.mu_v)
     return float(config.potential.on_cube(config.cube).min()) + v_lo
 
@@ -164,16 +164,15 @@ def band_driver(config: ExperimentConfig, radius: float) -> str:
     square M = (H - iB)(H + iB), ``"dsbevd"`` on the 2n x 2n block.
 
     The square is taken when H_top = H_bot (boundary D or N), so that the
-    block's spectrum is symmetric about zero, the Laplacian term is positive
-    semidefinite (``laplacian_sign`` -1), and the certified floor
+    block's spectrum is symmetric about zero, and the certified floor
     λ = `certified_floor` satisfies λ > 0 and λ >= ρ/64, ρ = ``radius``.
     Then every |E| >= λ (the robust gap), M >= λ², and the squared solve
-    loses at most |δE| ≲ eps·ρ²/λ.  Bracketing (+/-), gapless and
-    ``laplacian_sign`` +1 runs stay on ``dsbevd``.
+    loses at most |δE| ≲ eps·ρ²/λ.  Bracketing (+/-) and gapless runs stay
+    on ``dsbevd``.
     """
     floor = certified_floor(config)
-    squared = (config.boundary in ("D", "N") and config.laplacian_sign == -1
-               and floor > 0 and floor >= radius / _SQUARE_FLOOR_RATIO)
+    squared = (config.boundary in ("D", "N") and floor > 0
+               and floor >= radius / _SQUARE_FLOOR_RATIO)
     return "zhbevd" if squared else "dsbevd"
 
 
@@ -183,8 +182,7 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
     formed)."""
     cube = config.cube
     modes = _BOUNDARY_MODES[config.boundary]
-    laps = {mode: laplacian(cube, mode, config.laplacian_sign)
-            for mode in dict.fromkeys(modes)}
+    laps = {mode: laplacian(cube, mode) for mode in dict.fromkeys(modes)}
     top, bot = laps[modes[0]], laps[modes[1]]
     u0 = config.potential.on_cube(cube)
     radius = _spectral_radius(config, top, bot, u0)
@@ -215,7 +213,7 @@ def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.nd
     block and square band code."""
     cube = config.cube
     h = np.diag(config.potential.on_cube(cube) + v)
-    top, bot = (dense(laplacian(cube, mode, config.laplacian_sign)) + h
+    top, bot = (dense(laplacian(cube, mode)) + h
                 for mode in _BOUNDARY_MODES[config.boundary])
     return assemble_bracketing(top, bot, np.diag(b))
 

@@ -50,7 +50,7 @@ def suite_symmetry(seed: int) -> SuiteResult:
     for _ in range(10):
         side = int(rng.integers(6, 20))
         cube = Cube(1, side)
-        h = (ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
+        h = (ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
              + np.diag(rng.uniform(0, 2, side)))
         m = ops.assemble(h, np.diag(rng.uniform(-1, 1, side)))
         ev = eigvalsh(m)
@@ -85,10 +85,10 @@ def suite_square_identity(seed: int) -> SuiteResult:
     boundary_ok = True
     for dim, side in ((1, 5), (2, 4)):
         cube = Cube(dim, side)
-        diff = (ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET, -1))
-                - ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1)))
+        diff = (ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET))
+                - ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN)))
         # the missing neighbours from the hops, not from the deficiencies the band uses
-        degree = ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1)).sum(axis=1)
+        degree = ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY)).sum(axis=1)
         expected = 2.0 * np.diag(2 * dim - degree)
         if np.abs(diff - expected).max() > 0:
             boundary_ok = False
@@ -104,8 +104,8 @@ def parity_split_residuals(cube: Cube, bdiag: np.ndarray) -> tuple[float, float]
     same mismatch, absolute, for the graph Laplacian, whose diagonal breaks
     the anticommutation (a negative control, far from zero)."""
     b = np.diag(bdiag)
-    adj = ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY, 1))
-    neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
+    adj = ops.dense(ops.laplacian(cube, BoundaryMode.ADJACENCY))
+    neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
     ub = np.diag(parities(cube)) @ b
     direct, direct_neu = eigvalsh(np.stack([ops.assemble(adj, b), ops.assemble(neu, b)]))
     halves = eigvalsh(np.stack([adj + ub, adj - ub, neu + ub, neu - ub]))
@@ -179,8 +179,8 @@ def suite_zero_split(seed: int) -> SuiteResult:
         cube = Cube(1, side)
         v = rng.uniform(1, 2, side)
         bdiag = rng.uniform(-0.5, 0.5, side)
-        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
-        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET, -1))
+        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
+        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET))
         h_n = neu + np.diag(v)
         h_d = dir_ + np.diag(v)
         b = np.diag(bdiag)
@@ -217,8 +217,8 @@ def suite_bracketing_sandwich(seed: int) -> SuiteResult:
         cube = Cube(1, side)
         v = np.diag(rng.uniform(0, 2, side))
         b = np.diag(rng.uniform(-1, 1, side))
-        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN, -1))
-        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET, -1))
+        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
+        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET))
         ok = counting_chains_hold(dir_ + v, neu + v, b, 32) and ok
     return SuiteResult("bracketing-sandwich", ok,
                        "counting chains hold" if ok else "counting chain violated", seed)

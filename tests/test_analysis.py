@@ -339,7 +339,7 @@ class TestLifshits:
                                              policy.streams([k * run.realizations + r], "V"))
                                   for r in range(run.realizations)])
             assert np.array_equal(v, ref)
-            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1)
+            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN)
             ground = min_eig_tridiag(lap[0] + ref, lap[1, :-1], 1e-8)
             p_ref.append(np.count_nonzero(ground <= lam + eps) / run.realizations)
         assert np.array_equal(table.p_hat, p_ref)
@@ -359,7 +359,7 @@ class TestLifshits:
             side = run.side_for(eps)
             v = sample_iid(run.mu_v, side, policy.streams(
                 range(k * run.realizations, (k + 1) * run.realizations), "V"))
-            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN, -1)
+            lap = laplacian(Cube(1, side), BoundaryMode.NEUMANN)
             ground = min_eig_tridiag(lap[0] + v, lap[1, :-1], 1e-8)
             p_ref.append(np.count_nonzero(ground <= run.lam + eps) / run.realizations)
         p_hat = lifshits_probe(run).p_hat

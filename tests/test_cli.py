@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import randblock.analysis
 import randblock.cli
@@ -164,7 +165,6 @@ class TestConfigErrors:
         ("ids", {"seed": 11.0}, "seed"),
         ("ids", {"seed": -1}, "seed"),
         ("ids", {"seed": 2**64}, "seed"),
-        ("ids", {"laplacian_sign": True}, "laplacian_sign"),
         ("ids", {"grid": {"points": 64.5}}, "grid.points"),
         ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": 50.5}},
                    "wegner.min_count"),
@@ -244,7 +244,6 @@ class TestConfigErrors:
         ("ids", {"grid": {"points": 1}}, "grid.points"),
         ("ids", {"cube": {"dim": 1, "side": 0}}, "cube.side"),
         ("ids", {"cube": {"dim": 0, "side": 7}}, "cube.dim"),
-        ("ids", {"laplacian_sign": 2}, "laplacian_sign"),
         ("ids", {"potential": {"period": [0], "values": []}}, "potential.period"),
         ("ids", {"potential": {"period": [2], "values": [0, 0.5, 1]}}, "potential.values"),
         ("ids", {"disorder": {"V": {"type": "uniform", "lo": 2, "hi": 1}, "b": _B}},
@@ -280,7 +279,7 @@ class TestConfigErrors:
             "centered-unknown-key", "side-and-realizations-fractional",
             "cube-dim-boolean", "realizations-boolean", "realizations-string",
             "seed-fractional", "seed-negative", "seed-above-64-bits",
-            "laplacian-sign-boolean", "grid-points-fractional", "min-count-fractional",
+            "grid-points-fractional", "min-count-fractional",
             "lifshits-realizations-boolean", "energies-points-fractional",
             "wegner-section-missing",
             "lifshits-section-missing", "dos-transform-section-missing",
@@ -299,7 +298,7 @@ class TestConfigErrors:
             "schema-version-boolean", "schema-version-fractional", "min-count-negative",
             "section-read-whatever-the-command", "epsilons-nested", "grid-lo-without-hi",
             "realizations-zero", "grid-hi-equal-lo", "grid-points-one", "cube-side-zero",
-            "cube-dim-zero", "laplacian-sign-two", "potential-period-zero",
+            "cube-dim-zero", "potential-period-zero",
             "potential-values-wrong-shape", "density-hi-below-lo", "lam-above-v-floor",
             "lower-constant-zero", "grid-hi-without-lo", "lifshits-v-constant",
             "dos-transform-source-constant", "wegner-mode-b-with-constant-b",
@@ -548,7 +547,9 @@ class TestEnsembleCommands:
         assert m1["outputs"] == m2["outputs"]
         assert m1["backend"] == "lapack"
         assert (m1["driver"], m1["half_bandwidth"]) == ("zhbevd", 2)   # 1-d, side 7
-        assert set(m1["blas"]) == {"name", "version"}
+        # the library SciPy's LAPACK wrappers, and so the band solves, call
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert m1["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert m1["thread_env"] == {k: v for k, v in os.environ.items()
                                     if k.endswith("_NUM_THREADS")}
 
@@ -671,11 +672,11 @@ class TestEnsembleCommands:
     def test_manifest_records_run(self, tmp_path, command, sections, outputs, ensemble):
         # every command's manifest carries the document as read with the seed
         # in force, which leaves out what the document left out (here
-        # laplacian_sign, potential and grid), the outputs' digests, and the
+        # potential and grid), the outputs' digests, and the
         # band solve of its ensemble if any: the square on the certified D/N
         # runs (V on [1, 2]), the block for bracketing
         doc = base_doc(**sections)
-        assert not {"laplacian_sign", "potential", "grid"} & set(doc)
+        assert not {"potential", "grid"} & set(doc)
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["--quiet", command, "--config", path, "--out", str(out),
@@ -701,7 +702,7 @@ class TestConfigRoundTrip:
         # the manifest keeps each key as written: a one-cell piecewise density
         # stays piecewise, an integer stays an integer
         doc = base_doc(disorder={"V": {"type": "piecewise", "breakpoints": [1, 2],
-                                       "heights": [1]}, "b": _B}, laplacian_sign=-1)
+                                       "heights": [1]}, "b": _B}, grid={"points": 64})
         path = write_config(tmp_path, doc)
         assert main(["ids", "--config", path, "--out", str(tmp_path / "run")]) == 0
         echo = json.loads((tmp_path / "run" / "ids_manifest.json").read_text())["config"]
@@ -721,6 +722,17 @@ class TestConfigRoundTrip:
         out = tmp_path / "out"
         assert main(["ids", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: cube: unknown key(s) ['centered']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_laplacian_sign_refused(self, tmp_path, capsys, sign):
+        # H = -lap + U0 + V is the only convention; a config written for the
+        # removed key exits 2, whichever sign it names
+        doc = base_doc(laplacian_sign=sign)
+        out = tmp_path / "out"
+        assert main(["ids", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: config: unknown key(s) "
+                                           "['laplacian_sign']\n")
         assert not out.exists()
 
     def test_density_parsing(self):

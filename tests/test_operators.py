@@ -22,31 +22,31 @@ from reference import (boundary_deficiency, index_of, neighbours, parity, sites,
 
 class TestLaplacian:
     def test_adjacency_1d(self):
-        lap = dense(laplacian(Cube(1, 3), BoundaryMode.ADJACENCY, 1))
+        lap = dense(laplacian(Cube(1, 3), BoundaryMode.ADJACENCY))
         assert np.array_equal(lap, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         assert np.allclose(eigvalsh(lap), [-np.sqrt(2), 0, np.sqrt(2)])
 
     def test_neumann_1d(self):
-        neg = dense(laplacian(Cube(1, 3), BoundaryMode.NEUMANN, -1))
+        neg = dense(laplacian(Cube(1, 3), BoundaryMode.NEUMANN))
         assert np.array_equal(neg, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
         assert abs(eigvalsh(neg)[0]) < 1e-12
 
     def test_dirichlet_minus_neumann_is_2gamma(self):
         c = Cube(1, 3)
-        diff = (dense(laplacian(c, BoundaryMode.DIRICHLET, -1))
-                - dense(laplacian(c, BoundaryMode.NEUMANN, -1)))
+        diff = (dense(laplacian(c, BoundaryMode.DIRICHLET))
+                - dense(laplacian(c, BoundaryMode.NEUMANN)))
         assert np.array_equal(diff, 2.0 * np.diag([1.0, 0.0, 1.0]))
 
-    def test_sign_flag(self):
-        c = Cube(2, 3)
-        assert np.array_equal(dense(laplacian(c, BoundaryMode.NEUMANN, 1)),
-                              -dense(laplacian(c, BoundaryMode.NEUMANN, -1)))
+    def test_takes_no_sign(self):
+        # H = -lap + U0 + V is the only convention, so the mode fixes the matrix
+        with pytest.raises(TypeError):
+            laplacian(Cube(1, 3), BoundaryMode.NEUMANN, -1)
 
 
 def boundary_term(cube):
     """Γ = (D - N) / 2 read off the dense Dirichlet and Neumann Laplacians."""
-    return (dense(laplacian(cube, BoundaryMode.DIRICHLET, -1))
-            - dense(laplacian(cube, BoundaryMode.NEUMANN, -1))) / 2
+    return (dense(laplacian(cube, BoundaryMode.DIRICHLET))
+            - dense(laplacian(cube, BoundaryMode.NEUMANN))) / 2
 
 
 ODD_SIDES = [Cube(1, 7), Cube(2, 5), Cube(3, 3), Cube(3, 1)]
@@ -61,19 +61,19 @@ class TestVectorizedMatchesPerSite:
         for j in sites(cube):
             for k in neighbours(cube, j):
                 expected[index_of(cube, j), index_of(cube, k)] = 1.0
-        assert np.array_equal(dense(laplacian(cube, BoundaryMode.ADJACENCY, 1)), expected)
+        assert np.array_equal(dense(laplacian(cube, BoundaryMode.ADJACENCY)), expected)
 
     def test_gamma(self, cube):
         missing = [boundary_deficiency(cube, j) for j in sites(cube)]
         assert np.array_equal(boundary_term(cube), np.diag(missing))
         # the relation verify checks: the degree (row sum of the adjacency) is 2d minus Γ
-        degree = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1)).sum(axis=1)
+        degree = dense(laplacian(cube, BoundaryMode.ADJACENCY)).sum(axis=1)
         assert np.array_equal(2 * cube.dim - degree, missing)
 
     def test_parity_split(self, cube, monkeypatch):
         # verify solves [[Δ, B], [B, -Δ]] and H± = Δ ± UB, with U the per-site
         # parities and B = diag(b)
-        adjacency = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1))
+        adjacency = dense(laplacian(cube, BoundaryMode.ADJACENCY))
         b = np.arange(1.0, cube.n_sites + 1)
         ub = np.diag([parity(j) * x for j, x in zip(sites(cube), b)])
         solved = []
@@ -85,9 +85,9 @@ class TestVectorizedMatchesPerSite:
         assert np.array_equal(h_minus, adjacency - ub)
 
     @pytest.mark.parametrize("mode", list(BoundaryMode))
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_band_laplacian_is_dense_laplacian(self, cube, mode, sign):
-        # sign times: adjacency, minus the degree (N), minus twice the missing neighbours (D)
+    def test_band_laplacian_is_dense_laplacian(self, cube, mode):
+        # the adjacency A; for N and D the negation of A minus the degree,
+        # minus (D) twice the missing neighbours
         expected = np.zeros((cube.n_sites, cube.n_sites))
         for j in sites(cube):
             i = index_of(cube, j)
@@ -97,17 +97,30 @@ class TestVectorizedMatchesPerSite:
                 expected[i, i] -= len(neighbours(cube, j))
             if mode is BoundaryMode.DIRICHLET:
                 expected[i, i] -= 2 * boundary_deficiency(cube, j)
-        band = laplacian(cube, mode, sign)
+        band = laplacian(cube, mode)
         assert band.shape == (cube.half_bandwidth + 1, cube.n_sites)
+        sign = 1 if mode is BoundaryMode.ADJACENCY else -1
         assert np.array_equal(dense(band), sign * expected)
+
+    def test_neumann_and_dirichlet_are_positive(self, cube):
+        # -lap_N >= 0 with the constants as its kernel, -lap_D > 0: the floor
+        # of H that the block's gap rests on; every zero of the band is -0.0,
+        # the bits of the negation the bands have always been solved with
+        neumann = laplacian(cube, BoundaryMode.NEUMANN)
+        dirichlet = laplacian(cube, BoundaryMode.DIRICHLET)
+        assert np.array_equal(dense(neumann) @ np.ones(cube.n_sites), np.zeros(cube.n_sites))
+        assert eigvalsh(dense(neumann))[0] >= -1e-12
+        assert eigvalsh(dense(dirichlet))[0] > 0.1
+        for band in (neumann, dirichlet):
+            assert np.signbit(band[band == 0]).all()
 
 
 class TestBlockBand:
     def test_interleaved_block(self):
         # [[H_top, B], [B, -H_bot]] permuted to (psi1(0), psi2(0), psi1(1), ...)
         cube = Cube(2, 3)
-        top = laplacian(cube, BoundaryMode.DIRICHLET, -1)
-        bot = laplacian(cube, BoundaryMode.NEUMANN, -1)
+        top = laplacian(cube, BoundaryMode.DIRICHLET)
+        bot = laplacian(cube, BoundaryMode.NEUMANN)
         b = np.arange(1.0, 10.0)
         ab = block_band(cube, top, bot, b)
         assert ab.shape == (2 * cube.half_bandwidth + 1, 18)
@@ -136,7 +149,7 @@ class TestSquareBand:
                                       Cube(3, 3)], ids=repr)
     @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
     def test_matches_dense_product(self, cube, mode):
-        lap = laplacian(cube, mode, -1)
+        lap = laplacian(cube, mode)
         dense_lap = dense(lap)
         lap2 = band_square(lap)
         assert lap2.shape == (2 * cube.half_bandwidth + 1, cube.n_sites)
@@ -216,8 +229,8 @@ class TestAssembleBracketing:
         rng = np.random.default_rng(2)
         cube = Cube(1, 8)
         v = rng.uniform(0, 2, 8)
-        hd = dense(laplacian(cube, BoundaryMode.DIRICHLET, -1)) + np.diag(v)
-        hn = dense(laplacian(cube, BoundaryMode.NEUMANN, -1)) + np.diag(v)
+        hd = dense(laplacian(cube, BoundaryMode.DIRICHLET)) + np.diag(v)
+        hn = dense(laplacian(cube, BoundaryMode.NEUMANN)) + np.diag(v)
         b = np.diag(rng.uniform(-1, 1, 8))
         ev_plus = eigvalsh(assemble_bracketing(hd, hn, b))
         ev_minus = eigvalsh(assemble_bracketing(hn, hd, b))
@@ -258,7 +271,7 @@ class TestTransforms:
         # 1-d cube, hopping Laplacian, b = 1: blocks are
         # adjacency ± parity; eigenvalues {-√3, -√3, -1, 1, √3, √3}
         cube = Cube(1, 3)
-        delta = dense(laplacian(cube, BoundaryMode.ADJACENCY, 1))
+        delta = dense(laplacian(cube, BoundaryMode.ADJACENCY))
         m = assemble(delta, np.eye(3))
         u = np.diag(parities(cube))
         h_plus, h_minus = delta + u, delta - u

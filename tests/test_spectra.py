@@ -13,7 +13,8 @@ import randblock.spectra
 from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
 from randblock.eigen import eigvalsh
 from randblock.lattice import Cube, PeriodicPotential
-from randblock.operators import block_half_bandwidth
+from randblock.operators import (BoundaryMode, assemble_bracketing, block_half_bandwidth,
+                                 dense, laplacian)
 from randblock.spectra import (
     ExperimentConfig,
     ZeroSplitAnomaly,
@@ -276,6 +277,34 @@ class TestCleanPart:
             assert np.array_equal(getattr(used[0], name), getattr(fresh, name))
 
 
+class TestMigrationRecipe:
+    """A run of the former convention H = +lap + U0 + V has the spectra of the
+    run with U0 and V negated and + and - swapped: J = [[0, I], [I, 0]] maps
+    [[H_top, B], [B, -H_bot]] to [[-H_bot, B], [B, H_top]]."""
+
+    # (top, bottom) Laplacian of each boundary, spelled out for the oracle
+    MODES = {"D": (BoundaryMode.DIRICHLET, BoundaryMode.DIRICHLET),
+             "N": (BoundaryMode.NEUMANN, BoundaryMode.NEUMANN),
+             "+": (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN),
+             "-": (BoundaryMode.NEUMANN, BoundaryMode.DIRICHLET)}
+
+    @pytest.mark.parametrize("dim, side", [(1, 9), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("boundary", ["D", "N", "+", "-"])
+    def test_former_plus_one_is_the_mirrored_run(self, dim, side, boundary):
+        values = np.linspace(-0.4, 0.7, 2**dim).reshape((2,) * dim)
+        cfg = ExperimentConfig(Cube(dim, side), boundary,
+                               DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5)),
+                               PeriodicPotential((2,) * dim, values), 1, 29)
+        v, b = realization_fields(cfg, 0)
+        h = np.diag(cfg.potential.on_cube(cfg.cube) + v)
+        top, bot = (-dense(laplacian(cfg.cube, mode)) + h for mode in self.MODES[boundary])
+        former = eigvalsh(assemble_bracketing(top, bot, np.diag(b)))
+        mirrored = replace(cfg, boundary={"+": "-", "-": "+"}.get(boundary, boundary),
+                           potential=PeriodicPotential((2,) * dim, -values))
+        ev = eigvalsh(build_block(mirrored, -v, b))
+        assert np.abs(ev - former).max() <= 1e-12 * np.abs(former).max()
+
+
 class TestBandDriver:
     """Which band each run solves: the square M on certified D/N runs, the
     block everywhere else."""
@@ -294,8 +323,7 @@ class TestBandDriver:
         {"mu_v": DensitySpec.uniform(0, 1)},                # floor 0
         {"mu_v": DensitySpec.uniform(-1, 1)},               # floor -1
         {"mu_v": DensitySpec.uniform(0.05, 0.1)},           # floor 0.05 < rho/64 = 0.072
-        {"laplacian_sign": 1},
-    ], ids=["plus", "minus", "floor-zero", "floor-negative", "floor-below-rho-64", "sign-plus"])
+    ], ids=["plus", "minus", "floor-zero", "floor-negative", "floor-below-rho-64"])
     def test_others_stay_on_block(self, kw):
         cfg = make_config(side=9, **kw)
         assert base_matrices(cfg).driver == "dsbevd"
