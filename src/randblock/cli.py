@@ -24,6 +24,7 @@ import argparse
 import errno
 import functools
 import hashlib
+import importlib.machinery
 import json
 import math
 import os
@@ -48,7 +49,7 @@ from .analysis import (
 )
 from .config import ConfigError, construct, load_config
 from .disorder import SeedPolicy, bv_norm, support_bounds
-from .eigen import EigenError, backend_name
+from .eigen import EigenError, backend_name, scipy_module
 from .lattice import MemoryLimitError, check_memory
 from .spectra import run_ensemble
 from .verify import run_all
@@ -101,15 +102,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@functools.cache
 def _blas_identity() -> dict | None:
     """Name and version of the BLAS/LAPACK library SciPy is built with: the
     one its compiled LAPACK wrappers (`eigen.flapack`), and so every band
-    solve, call.  Reading SciPy's build config loads no ``scipy.linalg``."""
-    import scipy
-
+    solve, call.  Read once per process from ``CONFIG`` of SciPy's
+    build-config file ``scipy/__config__.py``, run by `eigen.scipy_module`
+    without importing SciPy; None when that file or its
+    ``["Build Dependencies"]["blas"]`` entry is missing."""
+    config = scipy_module("__config__", importlib.machinery.SOURCE_SUFFIXES)
     try:
-        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):     # show_config(mode=...) needs SciPy >= 1.11
+        blas = config.CONFIG["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError):     # no file, or an older file without CONFIG or the entry
         return None
     return {k: blas[k] for k in ("name", "version") if k in blas}
 

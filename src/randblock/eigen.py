@@ -13,6 +13,8 @@ eigenvalue below a threshold comes from one batched Sturm pass
 that test (`min_eig_tridiag`).  A failed solve raises `EigenError`;
 `backend_name` names the solvers.  The band types only carry their storage
 to the solver: `operators.dense` gives the matrix a band storage stands for.
+`scipy_module` runs one of SciPy's modules from its file, without SciPy's
+package init: the LAPACK wrappers here, the build config in `cli`.
 """
 
 from __future__ import annotations
@@ -106,9 +108,6 @@ def eigvalsh(m) -> np.ndarray:
     return w
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
 @functools.cache
 def flapack():
     """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``
@@ -116,32 +115,49 @@ def flapack():
     ``zhbevd`` are the very functions ``scipy.linalg.lapack`` exports.
 
     Only band solves need SciPy, and of it only this module, so it is loaded
-    from its file beside SciPy's package and ``scipy.linalg``'s package init
-    (~0.3 s and ~16 MB of imports, ``numpy.f2py`` and ``numpy.testing``
-    among them) never runs.  The module is taken from ``sys.modules`` when
-    SciPy already loaded it, and registered there when loaded here, so a
-    later ``import scipy.linalg`` reuses it.  When the file is not found,
-    ``scipy.linalg.lapack`` is imported instead."""
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK]
-    path = _flapack_file()
-    if path is None:
+    from its file beside SciPy's package (`scipy_module`) and
+    ``scipy.linalg``'s package init (~0.3 s and ~16 MB of imports,
+    ``numpy.f2py`` and ``numpy.testing`` among them) never runs.  The module
+    is taken from ``sys.modules`` when SciPy already loaded it, and
+    registered there when loaded here, so a later ``import scipy.linalg``
+    reuses it.  When the file is not found, ``scipy.linalg.lapack`` is
+    imported instead."""
+    module = scipy_module("linalg._flapack", importlib.machinery.EXTENSION_SUFFIXES)
+    if module is None:
         from scipy.linalg import lapack
         return lapack
-    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_FLAPACK] = module
+    sys.modules["scipy.linalg._flapack"] = module
     return module
 
 
-def _flapack_file() -> str | None:
-    """The extension file of ``scipy.linalg._flapack``, or None."""
+def scipy_module(name: str, suffixes):
+    """SciPy's submodule ``scipy.<name>``, run from its file (`_scipy_file`)
+    without running SciPy's package init, or None when no file is found; it
+    is not registered in ``sys.modules``.  A module SciPy already loaded is
+    taken from ``sys.modules``."""
+    qualified = f"scipy.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    path = _scipy_file(name, suffixes)
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(qualified, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _scipy_file(name: str, suffixes) -> str | None:
+    """The file of SciPy's submodule ``scipy.<name>`` (``name`` dotted, as
+    ``"linalg._flapack"``) with the first of ``suffixes`` that exists, in
+    the first of SciPy's package directories that has one, or None.  The
+    directories come from SciPy's import spec, so SciPy is not imported."""
+    *dirs, stem = name.split(".")
     scipy = importlib.util.find_spec("scipy")
     roots = scipy.submodule_search_locations if scipy else None
     for root in roots or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
+        for suffix in suffixes:
+            path = os.path.join(root, *dirs, stem + suffix)
             if os.path.isfile(path):
                 return path
     return None

@@ -318,9 +318,20 @@ def default_grid(config: ExperimentConfig, clean: CleanPart) -> np.ndarray:
 
 
 def _freedman_diaconis(pooled: np.ndarray) -> float:
-    q75, q25 = np.percentile(pooled, [75, 25])
+    # the quartiles of np.percentile's "linear" method, bit for bit, from one
+    # partition: np.percentile itself imports numpy.ma (through np.unique)
+    n = len(pooled)
+    at = [(n - 1) * q for q in (0.75, 0.25)]
+    below = [int(x) for x in at]
+    part = np.partition(pooled, sorted({min(k + d, n - 1) for k in below for d in (0, 1)}))
+
+    def lerp(x, k):
+        a, b, t = part[k], part[min(k + 1, n - 1)], x - k
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    q75, q25 = map(lerp, at, below)
     iqr = q75 - q25
-    width = 2.0 * iqr / len(pooled) ** (1.0 / 3.0)
+    width = 2.0 * iqr / n ** (1.0 / 3.0)
     if width <= 0:
         width = (pooled.max() - pooled.min()) / 64 or 1.0
     return float(width)
@@ -332,11 +343,16 @@ def _freedman_diaconis(pooled: np.ndarray) -> float:
 _HISTOGRAM_ARRAYS = 8
 
 
-def _histogram_bins(span: float, width: float) -> float:
-    """The bin count max(1, ⌈span/width⌉) of a DOS histogram, as a float (inf
-    for a subnormal width); MemoryLimitError when its arrays would not fit."""
+def _histogram_bins(lo: float, hi: float, width: float) -> float:
+    """The bin count of a DOS histogram over [lo, hi], as a float (inf for a
+    subnormal width): max(1, ⌈(hi - lo)/width⌉), and one more when that
+    quotient rounded down onto an integer and left the last edge
+    lo + width·count below hi, where `np.histogram` would drop the maximum.
+    MemoryLimitError when its arrays would not fit."""
     with np.errstate(over="ignore"):
-        nbins = max(1.0, np.ceil(span / width))
+        nbins = max(1.0, np.ceil((hi - lo) / width))
+    if lo + width * nbins < hi:
+        nbins += 1
     check_memory(8 * _HISTOGRAM_ARRAYS * (nbins + 1),
                  f"the DOS histogram ({nbins:.3g} bins of width {width!r})")
     return nbins
@@ -348,7 +364,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     Raises MemoryLimitError before allocating when `peak_bytes` exceeds
     `lattice.memory_limit`, and when the DOS histogram's arrays do: before
     binning, and for a given ``bin_width`` already before the first solve
-    (every |E| <= ρ, so there are at most ⌈2ρ/width⌉ bins)."""
+    (every |E| <= ρ: it checks the bins over [-ρ, ρ])."""
     workers = pool_workers(config)
     check_memory(peak_bytes(config, workers),
                  f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
@@ -356,7 +372,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
                  f"realizations, {max(workers, 1)} process(es))")
     clean = base_matrices(config)
     if config.bin_width is not None:
-        _histogram_bins(2 * clean.radius, config.bin_width)
+        _histogram_bins(-clean.radius, clean.radius, config.bin_width)
     solve = partial(_solve_chunk, config, clean)
     chunks = _chunks(config.realizations, workers)
     if workers:
@@ -390,7 +406,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     pooled = np.concatenate(spectra)
     width = config.bin_width or _freedman_diaconis(pooled)
     lo, hi = pooled.min(), pooled.max()
-    nbins = _histogram_bins(hi - lo, width)
+    nbins = _histogram_bins(lo, hi, width)
     edges = lo + width * np.arange(int(nbins) + 1)
     hist, _ = np.histogram(pooled, bins=edges)
     total = pooled.size

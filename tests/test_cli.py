@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import sys
 import time
 from inspect import signature
 from pathlib import Path
@@ -12,6 +13,7 @@ import scipy
 
 import randblock.analysis
 import randblock.cli
+import randblock.eigen
 import randblock.lattice
 import randblock.operators
 from randblock.analysis import LifshitsRun, wegner_check
@@ -533,6 +535,32 @@ def test_write_csv_matches_per_value_format(tmp_path):
     randblock.cli._write_csv(tmp_path / "t.csv", ["note"], list("abcde"), *columns)
     rows = [",".join(fmt(x) for x in row) for row in zip(*columns)]
     assert (tmp_path / "t.csv").read_text() == "\n".join(["# note", "a,b,c,d,e"] + rows) + "\n"
+
+
+class TestBlasIdentity:
+    """The manifest's ``blas``, read once per process from SciPy's build-config
+    file, is None where that file or its entry is missing; each case runs the
+    read afresh, with SciPy's loaded copy of the file out of ``sys.modules``
+    (`TestFlapackLoader` reads the real file in a fresh interpreter)."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_read(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.__config__")
+        randblock.cli._blas_identity.cache_clear()
+        yield
+        randblock.cli._blas_identity.cache_clear()
+
+    def test_none_without_the_file(self, monkeypatch):
+        monkeypatch.setattr(randblock.eigen, "_scipy_file", lambda name, suffixes: None)
+        assert randblock.cli._blas_identity() is None
+
+    @pytest.mark.parametrize("text", ["", "CONFIG = {}", "CONFIG = {'Build Dependencies': {}}"],
+                             ids=["no-config", "no-section", "no-blas"])
+    def test_none_without_the_keys(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "__config__.py"
+        path.write_text(text + "\n")
+        monkeypatch.setattr(randblock.eigen, "_scipy_file", lambda name, suffixes: str(path))
+        assert randblock.cli._blas_identity() is None
 
 
 class TestEnsembleCommands:

@@ -477,14 +477,22 @@ class TestFlapackLoader:
     def test_ensemble_commands_leave_scipy_linalg_unloaded(self, tmp_path):
         config = Path(__file__).parents[1] / "configs" / "example.json"
         _run_child(textwrap.dedent(f"""
+            import json
             import sys
             from randblock.cli import main
             args = ["--config", {str(config)!r}, "--out", {str(tmp_path)!r}, "--quiet"]
-            for command in ("ids", "dos", "gap", "wegner"):
-                assert main([command, *args, "--threads", "1"]) == 0, command
-            assert main(["ids", *args, "--threads", "2"]) == 0
-            assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by an ensemble"
+            runs = [(command, "1") for command in
+                    ("ids", "dos", "gap", "wegner", "lifshits", "dostransform")]
+            for command, threads in runs + [("ids", "2")]:
+                assert main([command, *args, "--threads", threads]) == 0, command
+                # np.percentile would load numpy.ma, scipy.show_config SciPy's package
+                for name in ("numpy.ma", "scipy", "scipy.linalg"):
+                    assert name not in sys.modules, f"{{name}} loaded by {{command}}"
             assert "scipy.linalg._flapack" in sys.modules
+            blas = json.load(open({str(tmp_path / "ids_manifest.json")!r}))["blas"]
+            import scipy
+            built = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert blas == {{"name": built["name"], "version": built["version"]}}, blas
         """))
 
     def test_same_drivers_as_scipy_linalg_lapack(self):

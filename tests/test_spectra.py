@@ -22,6 +22,8 @@ from randblock.spectra import (
     base_matrices,
     build_block,
     _chunks,
+    _freedman_diaconis,
+    _histogram_bins,
     default_grid,
     ensemble_fields,
     peak_bytes,
@@ -389,6 +391,54 @@ class TestEnsembleStatistics:
     def test_symmetry_residual_small(self):
         for ev in self.result.spectra:
             assert symmetry_residual(ev) < 1e-9 * np.abs(ev).max()
+
+
+def _percentile_width(pooled):
+    # the Freedman–Diaconis width as it was written on np.percentile
+    q75, q25 = np.percentile(pooled, [75, 25])
+    width = 2.0 * (q75 - q25) / len(pooled) ** (1.0 / 3.0)
+    if width <= 0:
+        width = (pooled.max() - pooled.min()) / 64 or 1.0
+    return float(width)
+
+
+class TestDosHistogram:
+    def test_freedman_diaconis_is_np_percentile(self):
+        rng = np.random.default_rng(8)
+        sizes = [1, 2, 3, 1, 2, 3, *rng.integers(1, 2001, 1500)]
+        for i, n in enumerate(sizes):
+            x = rng.normal(0.5, 2.0, n)
+            if i % 3 == 0:
+                x = np.round(x, 1)         # ties
+            want = _percentile_width(x)
+            assert np.float64(_freedman_diaconis(x)).tobytes() == np.float64(want).tobytes(), n
+
+    def test_keeps_the_largest_eigenvalues(self):
+        # (hi - lo)/width rounds down onto 41 here, and the 41st edge lands
+        # one rounding below the spectrum's maximum 0.884
+        zero, v = ConstantValue(0.0), ConstantValue(0.884)
+        cfg = ExperimentConfig(Cube(1, 1), "N", DisorderModel(v, zero), PeriodicPotential.zero(1),
+                               3, 0, bin_width=0.04312195121951219)
+        result = run_ensemble(cfg)
+        assert result.dos_counts.sum() == 3 * 2
+        assert abs((result.dos_density * cfg.bin_width).sum() - 1.0) <= 1e-12
+
+    def test_bins_cover_the_maximum(self):
+        # widths span/k·(1 ± eps) put (hi - lo)/width on or next to an integer
+        rng = np.random.default_rng(9)
+        added = 0
+        for _ in range(5000):
+            lo, hi = np.sort(rng.uniform(-10, 10, 2))
+            width = (hi - lo) / rng.integers(1, 200) * (1 + rng.choice([-1, 0, 1]) * 2.2e-16)
+            nbins = _histogram_bins(lo, hi, width)
+            edges = lo + width * np.arange(int(nbins) + 1)
+            assert edges[-1] >= hi
+            assert np.histogram([lo, hi], edges)[0].sum() == 2
+            # a bin is added only where the ⌈span/width⌉ bins leave hi out
+            ceil = max(1.0, np.ceil((hi - lo) / width))
+            assert nbins == ceil + (lo + width * ceil < hi)
+            added += nbins > ceil
+        assert added > 0
 
 
 @pytest.mark.parametrize("boundary", ["+", "-"])
