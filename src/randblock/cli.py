@@ -8,11 +8,11 @@ run used.  `config.load_config` has read the whole document, the command
 sections ``extras`` included, so a command only maps its section onto the
 constructors of `analysis` and runs: `construct` turns their refusals into
 config errors naming the key, and what a command adds to the section is
-passed beside the section's keys (`functools.partial`, or the law
-`cmd_wegner` picks by the mode), as it names no key.  An ``--out`` that
-cannot be written is refused before the command runs, and the first write
-makes the output directory, so a command refused with exit 2 leaves nothing
-behind; a write the system refuses exits 2 too, naming the path.
+passed beside the section's keys (`functools.partial`, or the constant and
+law `cmd_wegner` derives from the mode), as it names no key.  An ``--out``
+that cannot be written is refused before the command runs, and the first
+write makes the output directory, so a command refused with exit 2 leaves
+nothing behind; a write the system refuses exits 2 too, naming the path.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
@@ -39,7 +39,6 @@ from .analysis import (
     DosTransform,
     LifshitsRun,
     WegnerBound,
-    certify_wegner_hypothesis,
     const_b_dos_array,
     double_log_coordinates,
     lifshits_exponent_fit,
@@ -51,7 +50,7 @@ from .config import ConfigError, construct, load_config
 from .disorder import SeedPolicy, bv_norm, support_bounds
 from .eigen import EigenError, backend_name, scipy_module
 from .lattice import MemoryLimitError, check_memory
-from .spectra import run_ensemble
+from .spectra import certified_floor, run_ensemble, usable_cpus
 from .verify import run_all
 
 EXIT_OK = 0
@@ -205,15 +204,21 @@ def cmd_wegner(args, config, extras, out_dir):
     rec = _section(extras, "wegner")
     disorder = config.disorder
 
-    def bound_of(mode, lower_constant):
-        # the law of V for mode 'H', of b for 'B'; WegnerBound refuses any
-        # other mode, which has no law and so no bv
-        law = disorder.mu_v if mode == "H" else disorder.mu_b if mode == "B" else None
-        return WegnerBound(mode, lower_constant, None if law is None else bv_norm(law))
+    def bound_of(mode):
+        # c is the largest constant the supports certify, so the bound needs
+        # no separate certification: H's floor with V's law in mode 'H', b's
+        # with b's law in mode 'B'.  WegnerBound refuses any other mode
+        if mode == "H":
+            floor, law, what = certified_floor(config), disorder.mu_v, "min U0 + inf supp V"
+        elif mode == "B":
+            floor, law, what = support_bounds(disorder.mu_b)[0], disorder.mu_b, "inf supp b"
+        else:
+            return WegnerBound(mode, None, None)
+        if not floor > 0:
+            raise ValueError(f"mode {mode!r} needs a positive floor, but {what} is {floor!r}")
+        return WegnerBound(mode, floor, bv_norm(law))
 
-    bound = construct("wegner", bound_of, mode=rec["mode"],
-                      lower_constant=rec["lower_constant"])
-    construct("wegner", certify_wegner_hypothesis, config, bound)
+    bound = construct("wegner", bound_of, mode=rec["mode"])
     result = run_ensemble(config)
     # wegner_check holds the default of min_count when the section leaves it out
     report = wegner_check(result, bound, **{k: v for k, v in rec.items() if k == "min_count"})
@@ -243,8 +248,10 @@ def cmd_wegner(args, config, extras, out_dir):
 
 def cmd_lifshits(args, config, extras, out_dir):
     rec = _section(extras, "lifshits")
-    # LifshitsRun holds the defaults of the keys the section leaves out
-    make = functools.partial(LifshitsRun, mu_v=config.disorder.mu_v,
+    # LifshitsRun holds the defaults of the keys the section leaves out; the
+    # band edge lam is the bottom of the spectrum of -lap_N + V, inf supp V
+    mu_v = config.disorder.mu_v
+    make = functools.partial(LifshitsRun, mu_v=mu_v, lam=support_bounds(mu_v)[0],
                              base_seed=config.base_seed, dim=config.cube.dim)
     run = construct("lifshits", make, **rec)
     table = lifshits_probe(run)
@@ -321,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the config base seed")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for ensembles (default: CPU count), "
-                             "at most one per CPU and per realization")
+                        help="worker processes for ensembles (default: the CPUs "
+                             "this process may run on), at most one per such CPU "
+                             "and per realization")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="randblock",
@@ -346,7 +354,7 @@ def main(argv=None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     if not hasattr(args, "threads"):
-        args.threads = os.cpu_count() or 1
+        args.threads = usable_cpus()
     try:
         if args.fn is cmd_verify:     # no config, no manifest
             return cmd_verify(args)

@@ -9,7 +9,7 @@ shape of each key, is written down.  The range of a value is checked once,
 by the constructor that owns it, so a command section's ranges are checked
 only by the command that builds it.  Unknown keys are errors, not warnings:
 a typo in a disorder parameter silently changes the physics otherwise.
-Every error names the key path (`construct`), such as ``lifshits.lam`` or
+Every error names the key path (`construct`), such as ``lifshits.c`` or
 ``potential.values[1]``.
 """
 
@@ -191,10 +191,9 @@ _DOCUMENT = _Record({
     "grid": _Record({"lo": _or_null(read_float), "hi": _or_null(read_float),
                      "points": read_int}),
     "bin_width": _or_null(read_float),
-    "lifshits": _Record({"epsilons": _floats, "lam": read_float, "c": read_float,
-                         "alpha": read_float, "realizations": read_int}, ("epsilons", "lam")),
-    "wegner": _Record({"mode": _as_is, "lower_constant": read_float,
-                       "min_count": _at_least(0)}, ("mode", "lower_constant")),
+    "lifshits": _Record({"epsilons": _floats, "c": read_float, "alpha": read_float,
+                         "realizations": read_int}, ("epsilons",)),
+    "wegner": _Record({"mode": _as_is, "min_count": _at_least(0)}, ("mode",)),
     "dos_transform": _Record({
         "beta": read_float, "source": parse_density,
         "energies": _Record({"lo": read_float, "hi": read_float, "points": _at_least(1)},

@@ -82,10 +82,13 @@ Density = DensitySpec | ConstantValue
 
 
 def support_bounds(density: Density) -> tuple[float, float]:
-    """Exact support interval endpoints."""
+    """Exact ends of the support: the start of the first cell of nonzero
+    height and the end of the last one, as cells of zero height at either end
+    carry no probability; a point mass's value twice."""
     if isinstance(density, ConstantValue):
         return density.value, density.value
-    return density.breakpoints[0], density.breakpoints[-1]
+    nonzero = [k for k, h in enumerate(density.heights) if h > 0]
+    return density.breakpoints[nonzero[0]], density.breakpoints[nonzero[-1] + 1]
 
 
 def bv_norm(density: DensitySpec) -> float:

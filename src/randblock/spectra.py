@@ -240,11 +240,22 @@ def realization_fields(config: ExperimentConfig, index: int) -> tuple[np.ndarray
     return v[0], b[0]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the system
+    has one (`os.sched_getaffinity`), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_workers(config: ExperimentConfig) -> int:
-    """Worker processes `run_ensemble` starts: ``threads``, capped at the CPU
-    count and at the number of realizations, or 0 when that leaves one and
-    the ensemble runs in this process."""
-    workers = min(config.threads, os.cpu_count() or 1, config.realizations)
+    """Worker processes `run_ensemble` starts: ``threads``, capped at the
+    usable CPUs (read only when ``threads`` asks for more than one) and at
+    the number of realizations, or 0 when that leaves one and the ensemble
+    runs in this process."""
+    if config.threads < 2:
+        return 0
+    workers = min(config.threads, usable_cpus(), config.realizations)
     return workers if workers > 1 else 0
 
 

@@ -20,7 +20,8 @@ from randblock.analysis import (
     wegner_check,
 )
 from randblock.config import load_config
-from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
+from randblock.disorder import (ConstantValue, DensitySpec, DisorderModel, SeedPolicy,
+                                sample_iid, support_bounds)
 from randblock.eigen import eigvalsh, min_eig_tridiag
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import BoundaryMode, assemble, laplacian
@@ -178,6 +179,12 @@ class TestWegner:
         cfg_b = _wegner_config(DensitySpec.uniform(-0.5, 0.5), DensitySpec.uniform(0.5, 1.5))
         certify_wegner_hypothesis(cfg_b, WegnerBound("B", 0.5, 1.0))
 
+    def test_certification_skips_zero_end_cells(self):
+        zero_below = DensitySpec((0, 1, 2), (0, 1))     # every draw >= 1
+        cfg = _wegner_config(zero_below, DensitySpec((0.25, 0.5, 1.5, 2), (0, 1, 0)))
+        certify_wegner_hypothesis(cfg, WegnerBound("H", 1.0, 2.0))
+        certify_wegner_hypothesis(cfg, WegnerBound("B", 0.5, 2.0))
+
     def test_certification_refuses(self):
         cfg = _wegner_config(DensitySpec.uniform(0, 1), DensitySpec.uniform(-0.5, 0.5))
         with pytest.raises(ValueError):
@@ -276,7 +283,8 @@ def _example_run() -> LifshitsRun:
     """The tail probe of ``configs/example.json``, as the CLI builds it."""
     config, extras, _ = load_config(Path(__file__).parents[1] / "configs" / "example.json")
     rec = extras["lifshits"]
-    return LifshitsRun(tuple(rec["epsilons"]), config.disorder.mu_v, rec["lam"],
+    mu_v = config.disorder.mu_v
+    return LifshitsRun(tuple(rec["epsilons"]), mu_v, support_bounds(mu_v)[0],
                        config.base_seed, realizations=rec["realizations"])
 
 
@@ -295,6 +303,10 @@ class TestLifshits:
             LifshitsRun((0.1,), DensitySpec.uniform(1, 2), 1.0, 0, dim=2)
         with pytest.raises(ValueError, match="^V must have a density"):
             LifshitsRun((0.1,), ConstantValue(1.5), 1.0, 0)
+
+    def test_zero_end_cell_below_floor(self):
+        # every draw of V is at least 1: a zero-height cell below carries no mass
+        LifshitsRun((0.2,), DensitySpec((0, 1, 2), (0, 1)), 1.0, 0)
 
     @pytest.mark.parametrize("c, alpha", [(4.0, 1000.0), (1e308, 0.5)],
                              ids=["power-overflows", "product-overflows"])

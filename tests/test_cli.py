@@ -16,7 +16,7 @@ import randblock.cli
 import randblock.eigen
 import randblock.lattice
 import randblock.operators
-from randblock.analysis import LifshitsRun, wegner_check
+from randblock.analysis import LifshitsRun, lifshits_probe, wegner_check
 from randblock.cli import build_parser, main
 from randblock.config import (
     ConfigError,
@@ -24,7 +24,8 @@ from randblock.config import (
     parse_config,
     parse_density,
 )
-from randblock.disorder import ConstantValue, DensitySpec
+from randblock.disorder import ConstantValue, DensitySpec, bv_norm, support_bounds
+from randblock.spectra import certified_floor
 from randblock.eigen import flapack
 
 
@@ -130,12 +131,19 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["ids", "--config", str(path), "--out", str(tmp_path)]) == 2
 
-    def test_wegner_uncertified_refused_before_run(self, tmp_path, capsys):
-        doc = base_doc(wegner={"mode": "H", "lower_constant": 5.0},
-                       realizations=10_000_000)  # huge run must never start
-        path = write_config(tmp_path, doc)
-        assert main(["wegner", "--config", path, "--out", str(tmp_path)]) == 2
-        assert "certify" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode, disorder, err", [
+        ("H", {"V": {"type": "uniform", "lo": 0, "hi": 1}, "b": _B},
+         "'H' needs a positive floor, but min U0 + inf supp V is 0.0"),
+        ("B", {"V": _V, "b": _B}, "'B' needs a positive floor, but inf supp b is -0.5"),
+    ])
+    def test_wegner_floor_not_positive_refused_before_run(self, tmp_path, capsys, mode,
+                                                         disorder, err):
+        # no positive constant is certified, so no bound: the huge run never starts
+        doc = base_doc(disorder=disorder, wegner={"mode": mode}, realizations=10_000_000)
+        out = tmp_path / "out"
+        assert main(["wegner", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: wegner.mode: {err}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, overrides, named", [
         ("dostransform", {"dos_transform": {
@@ -147,9 +155,8 @@ class TestConfigErrors:
         ("dos", {"bin_width": -0.1}, "bin_width"),
         ("dos", {"bin_width": 0}, "bin_width"),
         ("dos", {"bin_width": "wide"}, "bin_width"),
-        ("lifshits", {"lifshits": {"epsilons": [-0.1, 0.2], "lam": 1.0}}, "lifshits.epsilons"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": 0}},
-                     "lifshits.realizations"),
+        ("lifshits", {"lifshits": {"epsilons": [-0.1, 0.2]}}, "lifshits.epsilons"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "realizations": 0}}, "lifshits.realizations"),
         ("dostransform", {"dos_transform": {
             "beta": 0, "source": {"type": "uniform", "lo": -2, "hi": 2}}}, "dos_transform.beta"),
         ("ids", {"grid": {"lo": "-1", "hi": "1"}}, "grid.lo"),
@@ -168,9 +175,8 @@ class TestConfigErrors:
         ("ids", {"seed": -1}, "seed"),
         ("ids", {"seed": 2**64}, "seed"),
         ("ids", {"grid": {"points": 64.5}}, "grid.points"),
-        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": 50.5}},
-                   "wegner.min_count"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "realizations": True}},
+        ("wegner", {"wegner": {"mode": "H", "min_count": 50.5}}, "wegner.min_count"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "realizations": True}},
                      "lifshits.realizations"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
@@ -188,14 +194,10 @@ class TestConfigErrors:
                                     "heights": [1, 1]}, "b": _B}}, "disorder.V.breakpoints[0]"),
         ("ids", {"grid": {"lo": -math.inf, "hi": 1}}, "grid.lo"),
         ("dos", {"bin_width": True}, "bin_width"),
-        ("wegner", {"wegner": {"mode": "H", "lower_constant": "1"}}, "wegner.lower_constant"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": True}}, "lifshits.lam"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": math.nan}}, "lifshits.lam"),
-        ("lifshits", {"lifshits": {"epsilons": ["0.2"], "lam": 1.0}}, "lifshits.epsilons[0]"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": "4"}}, "lifshits.c"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": math.inf}}, "lifshits.c"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": True}},
-                     "lifshits.alpha"),
+        ("lifshits", {"lifshits": {"epsilons": ["0.2"]}}, "lifshits.epsilons[0]"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "c": "4"}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "c": math.inf}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "alpha": True}}, "lifshits.alpha"),
         ("dostransform", {"dos_transform": {
             "beta": "1", "source": {"type": "uniform", "lo": -2, "hi": 2}}}, "dos_transform.beta"),
         ("dostransform", {"dos_transform": {
@@ -204,10 +206,9 @@ class TestConfigErrors:
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1, "hi": math.inf}}}, "dos_transform.energies.hi"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": 0}}, "lifshits.c"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "c": -4.0}}, "lifshits.c"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0, "alpha": -0.5}},
-                     "lifshits.alpha"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "c": 0}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "c": -4.0}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "alpha": -0.5}}, "lifshits.alpha"),
         ("ids", {"potential": {"period": [2], "values": ["0", "0.5"]}}, "potential.values[0]"),
         ("ids", {"potential": {"period": [2], "values": [0, True]}}, "potential.values[1]"),
         ("ids", {"potential": {"period": [2], "values": [0, math.nan]}}, "potential.values[1]"),
@@ -221,25 +222,24 @@ class TestConfigErrors:
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1, "hi": 1, "points": 0}}}, "dos_transform.energies.points"),
-        ("lifshits", {"lifshits": {"epsilons": [], "lam": 1.0}}, "lifshits.epsilons"),
+        ("lifshits", {"lifshits": {"epsilons": []}}, "lifshits.epsilons"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": 2, "hi": -2}}}, "dos_transform.energies.hi"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": 1, "hi": 1}}}, "dos_transform.energies.hi"),
-        ("lifshits", {"lifshits": {"epsilons": 0.1, "lam": 1.0}}, "lifshits.epsilons"),
-        ("lifshits", {"lifshits": {"epsilons": "0.1", "lam": 1.0}}, "lifshits.epsilons"),
+        ("lifshits", {"lifshits": {"epsilons": 0.1}}, "lifshits.epsilons"),
+        ("lifshits", {"lifshits": {"epsilons": "0.1"}}, "lifshits.epsilons"),
         ("ids", {"disorder": {"V": {"type": "piecewise", "breakpoints": 1,
                                     "heights": [1]}, "b": _B}}, "disorder.V.breakpoints"),
         ("ids", {"potential": {"period": 2, "values": [0, 0.5]}}, "potential.period"),
         ("ids", {"potential": {"period": "2", "values": [0, 0.5]}}, "potential.period"),
         ("ids", {"schema_version": True}, "schema_version"),
         ("ids", {"schema_version": 1.0}, "schema_version"),
-        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0, "min_count": -5}},
-                   "wegner.min_count"),
-        ("ids", {"lifshits": {"epsilons": [0.2], "lam": "one"}}, "lifshits.lam"),
-        ("lifshits", {"lifshits": {"epsilons": [[0.2]], "lam": 1.0}}, "lifshits.epsilons[0]"),
+        ("wegner", {"wegner": {"mode": "H", "min_count": -5}}, "wegner.min_count"),
+        ("ids", {"lifshits": {"epsilons": [0.2], "c": "one"}}, "lifshits.c"),
+        ("lifshits", {"lifshits": {"epsilons": [[0.2]]}}, "lifshits.epsilons[0]"),
         ("ids", {"grid": {"lo": 1}}, "grid"),
         ("ids", {"realizations": 0}, "realizations"),
         ("ids", {"grid": {"lo": 1, "hi": 1}}, "grid"),
@@ -250,19 +250,16 @@ class TestConfigErrors:
         ("ids", {"potential": {"period": [2], "values": [0, 0.5, 1]}}, "potential.values"),
         ("ids", {"disorder": {"V": {"type": "uniform", "lo": 2, "hi": 1}, "b": _B}},
                 "disorder.V.hi"),
-        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.5}}, "lifshits.lam"),
-        ("wegner", {"wegner": {"mode": "H", "lower_constant": 0}}, "wegner.lower_constant"),
         ("ids", {"grid": {"hi": 1}}, "grid"),
         ("lifshits", {"disorder": {"V": {"type": "constant", "value": 1.5}, "b": _B},
-                      "lifshits": {"epsilons": [0.2], "lam": 1.0}}, "lifshits"),
+                      "lifshits": {"epsilons": [0.2]}}, "lifshits"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "constant", "value": 0.5}}}, "dos_transform.source"),
         ("wegner", {"disorder": {"V": _V, "b": {"type": "constant", "value": 0.5}},
-                    "wegner": {"mode": "B", "lower_constant": 0.5}}, "wegner"),
-        ("lifshits", {"lifshits": {"epsilons": [0.4], "lam": 1.0, "alpha": 1000}}, "lifshits"),
-        ("lifshits", {"lifshits": {"epsilons": [0.1], "lam": 1.0, "c": 1e308}}, "lifshits"),
-        ("lifshits", {"lifshits": {"epsilons": [0.4], "lam": 1.0, "c": 1e308}},
-                     "the tail probe"),
+                    "wegner": {"mode": "B"}}, "wegner"),
+        ("lifshits", {"lifshits": {"epsilons": [0.4], "alpha": 1000}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.1], "c": 1e308}}, "lifshits"),
+        ("lifshits", {"lifshits": {"epsilons": [0.4], "c": 1e308}}, "the tail probe"),
         ("ids", {"cube": {"dim": 1, "side": 10**400}}, "cube"),
         ("ids", {"disorder": {"V": {"type": "uniform", "lo": -1e308, "hi": 1e308}, "b": _B}},
                 "disorder.V"),
@@ -271,7 +268,7 @@ class TestConfigErrors:
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1e308, "hi": 1e308}}}, "dos_transform.energies.hi"),
         ("ids", {"boundary": ["N"]}, "boundary"),
-        ("wegner", {"wegner": {"mode": ["H"], "lower_constant": 1.0}}, "wegner.mode"),
+        ("wegner", {"wegner": {"mode": ["H"]}}, "wegner.mode"),
     ], ids=["energies-missing-lo-hi", "energies-unknown-key", "bin-width-negative",
             "bin-width-zero", "bin-width-not-a-number", "epsilons-negative",
             "lifshits-realizations-zero", "beta-zero",
@@ -287,7 +284,7 @@ class TestConfigErrors:
             "lifshits-section-missing", "dos-transform-section-missing",
             "density-lo-string", "density-hi-string", "density-value-boolean",
             "breakpoint-string", "grid-lo-infinite", "bin-width-boolean",
-            "lower-constant-string", "lam-boolean", "lam-nan", "epsilons-string",
+            "epsilons-string",
             "c-string", "c-infinite", "alpha-boolean", "beta-string",
             "energies-lo-string", "energies-hi-infinite", "c-zero", "c-negative",
             "alpha-negative", "potential-value-string", "potential-value-boolean",
@@ -301,8 +298,8 @@ class TestConfigErrors:
             "section-read-whatever-the-command", "epsilons-nested", "grid-lo-without-hi",
             "realizations-zero", "grid-hi-equal-lo", "grid-points-one", "cube-side-zero",
             "cube-dim-zero", "potential-period-zero",
-            "potential-values-wrong-shape", "density-hi-below-lo", "lam-above-v-floor",
-            "lower-constant-zero", "grid-hi-without-lo", "lifshits-v-constant",
+            "potential-values-wrong-shape", "density-hi-below-lo",
+            "grid-hi-without-lo", "lifshits-v-constant",
             "dos-transform-source-constant", "wegner-mode-b-with-constant-b",
             "alpha-overflows-side", "c-overflows-side", "side-past-float-range",
             "cube-side-past-float-range", "density-span-infinite",
@@ -328,11 +325,23 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:") and "threads" in err
 
+    def test_threads_default_is_usable_cpus(self, tmp_path, monkeypatch):
+        # pinned to one of eight CPUs, the default --threads is 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        threads = []
+        run = randblock.cli.run_ensemble
+        monkeypatch.setattr(randblock.cli, "run_ensemble",
+                            lambda config: threads.append(config.threads) or run(config))
+        path = write_config(tmp_path, base_doc())
+        assert main(["ids", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert threads == [1]
+
     def test_wegner_min_count_refused_before_run(self, tmp_path, capsys, monkeypatch):
         def never(config):
             raise AssertionError("the ensemble ran before min_count was checked")
         monkeypatch.setattr(randblock.cli, "run_ensemble", never)
-        doc = base_doc(wegner={"mode": "H", "lower_constant": 1.0, "min_count": "x"})
+        doc = base_doc(wegner={"mode": "H", "min_count": "x"})
         path = write_config(tmp_path, doc)
         assert main(["wegner", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -343,7 +352,7 @@ class TestConfigErrors:
         # 3-d side 40: half-bandwidth 3200 on a 128000-dimensional block, ~3.3 GB
         # of band storage per copy; two workers hold several copies
         monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: 8 * 2**30)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         path = write_config(tmp_path, base_doc(cube={"dim": 3, "side": 40}))
         t0 = time.monotonic()
         assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "2"]) == 2
@@ -359,7 +368,7 @@ class TestConfigErrors:
             raise AssertionError("the tail probe drew before its memory was checked")
         monkeypatch.setattr(randblock.analysis, "sample_iid", never)
         monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: 2**20)
-        doc = base_doc(lifshits={"epsilons": [0.4, 0.2], "lam": 1.0,
+        doc = base_doc(lifshits={"epsilons": [0.4, 0.2],
                                  "realizations": 100_000})
         path = write_config(tmp_path, doc)
         assert main(["lifshits", "--config", path, "--out", str(tmp_path)]) == 2
@@ -370,7 +379,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("epsilons", [0.1, "0.1"], ids=["number", "string"])
     def test_epsilons_not_an_array(self, tmp_path, capsys, epsilons):
-        path = write_config(tmp_path, base_doc(lifshits={"epsilons": epsilons, "lam": 1.0}))
+        path = write_config(tmp_path, base_doc(lifshits={"epsilons": epsilons}))
         assert main(["lifshits", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "epsilons: expected an array" in capsys.readouterr().err
 
@@ -407,7 +416,7 @@ class TestConfigErrors:
 
     def test_wegner_mode_named(self, tmp_path, capsys):
         doc = base_doc(disorder={"V": _V, "b": {"type": "constant", "value": 0.5}},
-                       wegner={"mode": "X", "lower_constant": 1.0})
+                       wegner={"mode": "X"})
         path = write_config(tmp_path, doc)
         assert main(["wegner", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -423,7 +432,7 @@ class TestConfigErrors:
         assert sorted(d["type"] for d in densities) == sorted(randblock.config._DENSITIES)
         full = base_doc(
             potential={"period": [1], "values": [0]}, grid={"lo": -4, "hi": 4, "points": 64},
-            lifshits={"epsilons": [0.2], "lam": 1.0}, wegner={"mode": "H", "lower_constant": 1.0},
+            lifshits={"epsilons": [0.2]}, wegner={"mode": "H"},
             dos_transform={"beta": 1.0, "source": _B, "energies": {"lo": -1, "hi": 1}})
         cases = []                    # (key path, record)
 
@@ -454,8 +463,7 @@ class TestConfigErrors:
     def test_ids_leaves_section_ranges_to_their_commands(self, tmp_path):
         # a section's types are read whatever the command; its ranges only by
         # the command that builds it
-        doc = base_doc(wegner={"mode": "X", "lower_constant": 0},
-                       lifshits={"epsilons": [0.2], "lam": 1.0, "c": 0},
+        doc = base_doc(wegner={"mode": "X"}, lifshits={"epsilons": [0.2], "c": 0},
                        dos_transform={"beta": 0, "source": _V})
         path = write_config(tmp_path, doc)
         assert main(["ids", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -467,7 +475,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, section", [
         ("ids", {}),
         ("dostransform", {"dos_transform": {"beta": 1.0, "source": _V}}),
-        ("lifshits", {"lifshits": {"epsilons": [0.5], "lam": 1.0}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.5]}}),
     ])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, command, section, below):
@@ -611,7 +619,7 @@ class TestEnsembleCommands:
 
     def test_wegner_report(self, tmp_path):
         doc = base_doc(cube={"dim": 1, "side": 11}, realizations=30,
-                       wegner={"mode": "H", "lower_constant": 1.0, "min_count": 50})
+                       wegner={"mode": "H", "min_count": 50})
         path = write_config(tmp_path, doc)
         assert main(["--quiet", "wegner", "--config", path, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "wegner_report.json").read_text())
@@ -619,9 +627,47 @@ class TestEnsembleCommands:
         assert report["checked_bins"] > 0
         assert report["bv_norm"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("mode, disorder, potential, constant", [
+        ("H", {"V": _V, "b": _B}, None, 1.0),
+        ("H", {"V": _V, "b": _B}, {"period": [2], "values": [0.25, -0.5]}, 0.5),
+        ("H", {"V": {"type": "piecewise", "breakpoints": [0, 1, 2], "heights": [0, 1]},
+               "b": _B}, None, 1.0),
+        ("B", {"V": _B, "b": {"type": "uniform", "lo": 0.5, "hi": 1.5}}, None, 0.5),
+        ("B", {"V": _B, "b": {"type": "piecewise", "breakpoints": [0, 0.25, 1.25],
+                              "heights": [0, 1]}}, None, 0.25),
+    ], ids=["H", "H-periodic-u0", "H-zero-end-cell", "B", "B-zero-end-cell"])
+    def test_wegner_constant_derived(self, tmp_path, mode, disorder, potential, constant):
+        # the bound's constant is the largest the supports certify: H's floor
+        # min U0 + inf supp V in mode H, inf supp b in mode B
+        doc = base_doc(disorder=disorder, wegner={"mode": mode, "min_count": 5},
+                       **({"potential": potential} if potential else {}))
+        path = write_config(tmp_path, doc)
+        assert main(["--quiet", "wegner", "--config", path, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "wegner_report.json").read_text())
+        config, _, _ = load_config(path)
+        floor = certified_floor(config) if mode == "H" else \
+            support_bounds(config.disorder.mu_b)[0]
+        assert report["lower_constant"] == floor == constant
+        law = config.disorder.mu_v if mode == "H" else config.disorder.mu_b
+        assert report["bv_norm"] == bv_norm(law)
+
+    @pytest.mark.parametrize("v", [_V, {"type": "piecewise", "breakpoints": [0, 1, 2],
+                                        "heights": [0, 1]}], ids=["uniform", "zero-end-cell"])
+    def test_lifshits_edge_derived(self, tmp_path, v):
+        # the probe's band edge is inf supp V, here 1 for both laws
+        doc = base_doc(disorder={"V": v, "b": _B},
+                       lifshits={"epsilons": [0.5, 0.3, 0.2], "realizations": 40})
+        path = write_config(tmp_path, doc)
+        assert main(["--quiet", "lifshits", "--config", path, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "lifshits.csv").read_text().splitlines()[2:]
+        p_hat = np.array([float(line.split(",")[3]) for line in lines])
+        config, extras, _ = load_config(path)
+        run = LifshitsRun(extras["lifshits"]["epsilons"], config.disorder.mu_v, 1.0,
+                          config.base_seed, realizations=40)
+        assert p_hat.tobytes() == lifshits_probe(run).p_hat.tobytes()
+
     def test_lifshits_command(self, tmp_path):
-        doc = base_doc(lifshits={"epsilons": [0.5, 0.4, 0.3, 0.2],
-                                 "lam": 1.0, "realizations": 40})
+        doc = base_doc(lifshits={"epsilons": [0.5, 0.4, 0.3, 0.2], "realizations": 40})
         path = write_config(tmp_path, doc)
         assert main(["--quiet", "lifshits", "--config", path,
                      "--out", str(tmp_path)]) == 0
@@ -636,8 +682,8 @@ class TestEnsembleCommands:
         monkeypatch.setattr(randblock.cli, "lifshits_probe",
                             lambda run: runs.append(run) or probe(run))
         doc = base_doc(cube={"dim": 1, "side": 11}, realizations=30,
-                       wegner={"mode": "H", "lower_constant": 1.0},
-                       lifshits={"epsilons": [0.5], "lam": 1.0})
+                       wegner={"mode": "H"},
+                       lifshits={"epsilons": [0.5]})
         path = write_config(tmp_path, doc)
         for command in ("wegner", "lifshits"):
             assert main(["--quiet", command, "--config", path, "--out", str(tmp_path)]) == 0
@@ -655,6 +701,16 @@ class TestEnsembleCommands:
         rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[3:]])
         assert rows.shape == (512, 3) and np.isfinite(rows).all()
         assert rows[-1, 0] == 1e200       # hypot(2, 1e200) + 0.5
+
+    def test_dostransform_default_range_skips_zero_end_cells(self, tmp_path):
+        # the source is supported on [-2, 2]: its empty cell [-3, -2] does not
+        # widen the default energies
+        source = {"type": "piecewise", "breakpoints": [-3, -2, 2], "heights": [0, 0.25]}
+        doc = base_doc(dos_transform={"beta": 1.0, "source": source})
+        assert main(["dostransform", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "dos_transform.csv").read_text().splitlines()
+        assert float(lines[-1].split(",")[0]) == math.hypot(2, 1.0) + 0.5
 
     def test_dostransform_beta_beyond_default_range(self, tmp_path, capsys):
         # 2 * top overflows, so the default energies cannot be spaced: the
@@ -688,10 +744,9 @@ class TestEnsembleCommands:
         ("dos", {}, ["dos.csv"], True),
         ("gap", {}, ["gap.csv"], True),
         ("wegner", {"cube": {"dim": 1, "side": 11}, "realizations": 30,
-                    "wegner": {"mode": "H", "lower_constant": 1.0, "min_count": 50}},
+                    "wegner": {"mode": "H", "min_count": 50}},
          ["wegner_report.json"], True),
-        ("lifshits", {"lifshits": {"epsilons": [0.5, 0.4, 0.3, 0.2],
-                                   "lam": 1.0, "realizations": 40}},
+        ("lifshits", {"lifshits": {"epsilons": [0.5, 0.4, 0.3, 0.2], "realizations": 40}},
          ["lifshits.csv", "lifshits_fit.json"], False),
         ("dostransform", {"dos_transform": {"beta": 1.0, "source": {
             "type": "uniform", "lo": -2, "hi": 2}}}, ["dos_transform.csv"], False),
@@ -761,6 +816,23 @@ class TestConfigRoundTrip:
         assert main(["ids", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("config error: config: unknown key(s) "
                                            "['laplacian_sign']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("wegner", {"wegner": {"mode": "H", "lower_constant": 1.0}}),
+        ("lifshits", {"lifshits": {"epsilons": [0.2], "lam": 1.0}}),
+        ("ids", {"wegner": {"mode": "H", "lower_constant": 0.5}}),
+        ("ids", {"lifshits": {"epsilons": [0.2], "lam": 0.5}}),
+    ], ids=["wegner-lower-constant", "lifshits-lam", "ids-lower-constant", "ids-lam"])
+    def test_removed_section_keys_refused(self, tmp_path, capsys, command, section):
+        # the Wegner constant and the band edge are derived from the supports;
+        # a config written for the removed keys exits 2, whatever the command
+        name, = section
+        key = "lower_constant" if name == "wegner" else "lam"
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, base_doc(**section)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {name}: unknown key(s) ['{key}']\n"
         assert not out.exists()
 
     def test_density_parsing(self):

@@ -197,3 +197,19 @@ class TestSupportBounds:
         d = DensitySpec((1.0, 1.0 + w), (1.0 / w,))
         lo, hi = support_bounds(d)
         assert lo == 1.0 and hi == 1.0 + w
+
+    @pytest.mark.parametrize("breakpoints, heights, bounds", [
+        ((0, 1, 2), (0, 1), (1.0, 2.0)),
+        ((0, 1, 2), (1, 0), (0.0, 1.0)),
+        ((0, 1, 2, 3, 4), (0, 0.5, 0.5, 0), (1.0, 3.0)),
+        ((0, 1, 2, 3), (0.5, 0, 0.5), (0.0, 3.0)),
+    ], ids=["zero-cell-below", "zero-cell-above", "zero-cells-both-ends", "zero-cell-inside"])
+    def test_zero_height_end_cells_left_out(self, breakpoints, heights, bounds):
+        # cells of zero height at the ends carry no draws; one inside the
+        # support leaves its ends alone
+        d = DensitySpec(breakpoints, heights)
+        assert support_bounds(d) == bounds
+        lo, hi = bounds
+        x = sample_iid(d, 4000, SeedPolicy(3).streams(range(2), "V"))
+        assert lo <= x.min() and x.max() <= hi
+        assert x.min() < lo + 0.01 and x.max() > hi - 0.01

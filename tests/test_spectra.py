@@ -32,8 +32,14 @@ from randblock.spectra import (
     realization_fields,
     run_ensemble,
     symmetry_residual,
+    usable_cpus,
     zero_split_check,
 )
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    """Let this process run on ``cpus`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def make_config(side=5, boundary="N", mu_v=None, mu_b=None, realizations=3,
@@ -69,7 +75,7 @@ class TestDeterminism:
         # OpenBLAS to thread, which side 5 never is.  Two workers start
         # whatever the machine's CPU count, and 131 realizations make four
         # chunks, two for each.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         for side in (5, 201):
             pooled = make_config(side=side, realizations=2 * 64 + 3, threads=2)
             assert pool_workers(pooled) == 2
@@ -111,9 +117,10 @@ def started_pools(monkeypatch):
 
 class TestPoolWorkers:
     @pytest.mark.parametrize("cpus, threads, workers", [
-        (4, 64, 4), (8, 3, 3), (1, 8, 0), (None, 64, 0), (2, 1, 0)])
-    def test_capped_at_cpu_count(self, monkeypatch, started_pools, cpus, threads, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        (4, 64, 4), (8, 3, 3), (1, 8, 0), (2, 1, 0)])
+    def test_capped_at_usable_cpus(self, monkeypatch, started_pools, cpus, threads, workers):
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)     # not the CPUs it may use
         # more realizations than any row's workers
         cfg = make_config(realizations=5, threads=threads)
         assert pool_workers(cfg) == workers
@@ -126,17 +133,27 @@ class TestPoolWorkers:
     @pytest.mark.parametrize("realizations, workers", [(1, 0), (2, 2), (3, 3)])
     def test_capped_at_realization_count(self, monkeypatch, started_pools, realizations,
                                          workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        set_cpus(monkeypatch, 8)
         cfg = make_config(realizations=realizations, threads=8)
         assert pool_workers(cfg) == workers
         run_ensemble(cfg)
         assert started_pools == ([workers] if workers else [])
 
-    def test_cpu_count_read_once_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpu_count, cpus):
+        # where the system has no affinity mask, the CPU count, or one if unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert usable_cpus() == cpus
+
+    @pytest.mark.parametrize("threads, reads", [(1, 0), (4, 1)])
+    def test_usable_cpus_read_once_per_run(self, monkeypatch, threads, reads):
+        # read once per run, and not at all when one thread is asked for
         calls = []
-        monkeypatch.setattr(os, "cpu_count", lambda: calls.append(1) or 1)
-        run_ensemble(make_config(realizations=2, threads=4))
-        assert len(calls) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append(pid) or {0},
+                            raising=False)
+        run_ensemble(make_config(realizations=2, threads=threads))
+        assert len(calls) == reads
 
 
 class TestChunks:
@@ -160,7 +177,7 @@ class TestChunks:
     def test_spectra_equal_single_realization_solves(self, monkeypatch, boundary, driver,
                                                      threads):
         # serially chunks of 44, 44 and 43; in a pool of two, four of 33 or 32
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         cfg = make_config(side=9, boundary=boundary, realizations=self.R, threads=threads)
         clean = base_matrices(cfg)
         assert clean.driver == driver
@@ -331,6 +348,14 @@ class TestBandDriver:
         assert base_matrices(cfg).driver == "dsbevd"
         result = run_ensemble(cfg)
         assert (result.driver, result.half_bandwidth) == ("dsbevd", 2)
+
+    def test_zero_height_end_cells_left_out(self):
+        # every draw of V lies in [1, 2]: the floor is 1, not the 0 where V's
+        # first (empty) cell starts, and rho counts |V| <= 2, not 3
+        cfg = make_config(side=31, mu_v=DensitySpec((0, 1, 2), (0, 1)))
+        assert base_matrices(cfg).driver == "zhbevd"
+        cfg = make_config(side=9, mu_v=DensitySpec((1, 2, 3), (1, 0)))
+        assert base_matrices(cfg).radius == 6.5
 
     def test_threshold_is_rho_over_64(self):
         cfg = make_config(mu_v=DensitySpec.uniform(0.5, 1))
