@@ -1,8 +1,9 @@
 """Closed-form transforms and bound verifiers.
 
 The constant off-diagonal spectral map (`const_b_map`) and DOS transform
-(`DosTransform`, `const_b_dos_array`), the Wegner-type density bound and
-its check against an ensemble's DOS (`WegnerBound`, `wegner_check`), and
+(`DosTransform`, `const_b_dos_array`), the Wegner-type density bound the
+laws certify (`certify_wegner_hypothesis`, `WegnerBound`) and its check
+against an ensemble's DOS (`wegner_check`), and
 the band-edge tail probe (`LifshitsRun`, `lifshits_probe`) with its
 double-log exponent fit (`lifshits_exponent_fit`).
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DensitySpec, SeedPolicy, sample_iid, support_bounds
+from .disorder import DensitySpec, SeedPolicy, bv_norm, sample_iid, support_bounds
 from .eigen import any_eigenvalue_below
 from .eigen import min_eig_tridiag  # noqa: F401 -- a trace hook target; see ROADMAP item 1
 from .lattice import Cube, check_memory
@@ -103,26 +104,32 @@ class WegnerReport:
         return not self.violations
 
 
-def certify_wegner_hypothesis(config, bound: WegnerBound) -> None:
-    """Refuse the check unless the support bounds certify the mode's
-    positivity hypothesis at finite volume."""
-    if bound.mode == "H":
-        floor = certified_floor(config)
-        if floor < bound.lower_constant:
-            raise ValueError(
-                f"potential support floor {floor} does not certify H >= {bound.lower_constant}")
+def certify_wegner_hypothesis(config, mode: str) -> WegnerBound:
+    """The bound the laws certify in ``mode``: c the positivity constant the
+    supports prove, min U0 + inf supp V (`certified_floor`) in mode 'H' and
+    inf supp b in mode 'B', and bv the BV norm of that mode's law.  Refused
+    for a floor <= 0, and by `WegnerBound` for any other mode."""
+    disorder = config.disorder
+    if mode == "H":
+        floor, law, what = certified_floor(config), disorder.mu_v, "min U0 + inf supp V"
+    elif mode == "B":
+        floor, law, what = support_bounds(disorder.mu_b)[0], disorder.mu_b, "inf supp b"
     else:
-        b_lo, _ = support_bounds(config.disorder.mu_b)
-        if b_lo < bound.lower_constant:
-            raise ValueError(
-                f"b support floor {b_lo} does not certify b >= {bound.lower_constant}")
+        return WegnerBound(mode, None, None)
+    if not floor > 0:
+        raise ValueError(f"mode {mode!r} needs a positive floor, but {what} is {floor!r}")
+    return WegnerBound(mode, floor, bv_norm(law))
 
 
 def wegner_check(result: EnsembleResult, bound: WegnerBound,
                  min_count: int = 100) -> WegnerReport:
     """Check every well-populated DOS bin against the density bound with a
-    3-standard-error statistical slack."""
-    certify_wegner_hypothesis(result.config, bound)
+    3-standard-error statistical slack.  Refused unless ``bound`` is at most
+    as tight as the one the laws certify (`certify_wegner_hypothesis`)."""
+    certified = certify_wegner_hypothesis(result.config, bound.mode)
+    if bound.lower_constant > certified.lower_constant or bound.bv < certified.bv:
+        raise ValueError(f"the laws do not certify {bound}: they give c <= "
+                         f"{certified.lower_constant} and bv >= {certified.bv}")
     violations = []
     checked = 0
     for center, count, density, stderr in zip(result.dos_centers, result.dos_counts,

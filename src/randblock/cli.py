@@ -8,11 +8,12 @@ run used.  `config.load_config` has read the whole document, the command
 sections ``extras`` included, so a command only maps its section onto the
 constructors of `analysis` and runs: `construct` turns their refusals into
 config errors naming the key, and what a command adds to the section is
-passed beside the section's keys (`functools.partial`, or the constant and
-law `cmd_wegner` derives from the mode), as it names no key.  An ``--out``
-that cannot be written is refused before the command runs, and the first
-write makes the output directory, so a command refused with exit 2 leaves
-nothing behind; a write the system refuses exits 2 too, naming the path.
+passed beside the section's keys (`functools.partial`, or the config whose
+laws give ``wegner``'s bound, `analysis.certify_wegner_hypothesis`), as it
+names no key.  An ``--out`` that cannot be written is refused before the
+command runs, and the first write makes the output directory, so a command
+refused with exit 2 leaves nothing behind; a write the system refuses exits
+2 too, naming the path.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
 failure.
@@ -38,7 +39,7 @@ from . import __version__
 from .analysis import (
     DosTransform,
     LifshitsRun,
-    WegnerBound,
+    certify_wegner_hypothesis,
     const_b_dos_array,
     double_log_coordinates,
     lifshits_exponent_fit,
@@ -47,10 +48,10 @@ from .analysis import (
     wegner_check,
 )
 from .config import ConfigError, construct, load_config
-from .disorder import SeedPolicy, bv_norm, support_bounds
+from .disorder import SeedPolicy, support_bounds
 from .eigen import EigenError, backend_name, scipy_module
 from .lattice import MemoryLimitError, check_memory
-from .spectra import certified_floor, run_ensemble, usable_cpus
+from .spectra import run_ensemble, usable_cpus
 from .verify import run_all
 
 EXIT_OK = 0
@@ -202,23 +203,8 @@ def cmd_ensemble(args, config, extras, out_dir):
 
 def cmd_wegner(args, config, extras, out_dir):
     rec = _section(extras, "wegner")
-    disorder = config.disorder
-
-    def bound_of(mode):
-        # c is the largest constant the supports certify, so the bound needs
-        # no separate certification: H's floor with V's law in mode 'H', b's
-        # with b's law in mode 'B'.  WegnerBound refuses any other mode
-        if mode == "H":
-            floor, law, what = certified_floor(config), disorder.mu_v, "min U0 + inf supp V"
-        elif mode == "B":
-            floor, law, what = support_bounds(disorder.mu_b)[0], disorder.mu_b, "inf supp b"
-        else:
-            return WegnerBound(mode, None, None)
-        if not floor > 0:
-            raise ValueError(f"mode {mode!r} needs a positive floor, but {what} is {floor!r}")
-        return WegnerBound(mode, floor, bv_norm(law))
-
-    bound = construct("wegner", bound_of, mode=rec["mode"])
+    # the bound the laws certify in the section's mode; refused before the run
+    bound = construct("wegner", certify_wegner_hypothesis, config, mode=rec["mode"])
     result = run_ensemble(config)
     # wegner_check holds the default of min_count when the section leaves it out
     report = wegner_check(result, bound, **{k: v for k, v in rec.items() if k == "min_count"})

@@ -83,6 +83,10 @@ def check_memory(needed: int, what: str) -> None:
                                f"the {available / 1e9:.3g} GB of memory available")
 
 
+# the largest dim `coordinates` supports: one axis below NumPy's limit, 32 before 2.0, 64 since
+_MAX_DIM = (64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32) - 1
+
+
 @dataclass(frozen=True)
 class Cube:
     """A finite box Λ = {0, ..., L-1}^d ⊂ Z^d with L^d sites.  Where the box
@@ -95,6 +99,9 @@ class Cube:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        if self.dim > _MAX_DIM:       # before side**dim, slow to form for a huge dim
+            raise ValueError(f"dim must be at most {_MAX_DIM}, as the site coordinates "
+                             f"take dim + 1 NumPy axes, got {self.dim}")
         if self.side < 1:
             raise ValueError(f"side must be a positive integer, got {self.side}")
         # one float per site is the least any computation on the cube holds

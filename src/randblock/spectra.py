@@ -86,6 +86,14 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         SeedPolicy(self.base_seed)    # refuses a seed outside [0, 2^64)
+        # |E| <= ρ <= max|U0| + 4d + max|V| + max|b|; the grid and bins span [-ρ, ρ]
+        (v_lo, v_hi), (b_lo, b_hi) = map(support_bounds, (self.disorder.mu_v, self.disorder.mu_b))
+        u0 = float(np.abs(self.potential.values).max())
+        top = u0 + 4 * self.cube.dim + max(-v_lo, v_hi) + max(-b_lo, b_hi)
+        if not np.isfinite(2 * top):
+            raise ValueError(f"disorder supports V [{v_lo!r}, {v_hi!r}] and b [{b_lo!r}, {b_hi!r}] "
+                             f"with max|U0| {u0!r} bound |E| only by ρ = {top!r}, so the "
+                             f"energy span 2ρ overflows")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
         if (self.grid_lo is None) != (self.grid_hi is None):
@@ -168,11 +176,11 @@ def band_driver(config: ExperimentConfig, radius: float) -> str:
     λ = `certified_floor` satisfies λ > 0 and λ >= ρ/64, ρ = ``radius``.
     Then every |E| >= λ (the robust gap), M >= λ², and the squared solve
     loses at most |δE| ≲ eps·ρ²/λ.  Bracketing (+/-) and gapless runs stay
-    on ``dsbevd``.
+    on ``dsbevd``, and so do runs whose ρ², and so M's entries, overflow.
     """
     floor = certified_floor(config)
     squared = (config.boundary in ("D", "N") and floor > 0
-               and floor >= radius / _SQUARE_FLOOR_RATIO)
+               and floor >= radius / _SQUARE_FLOOR_RATIO and np.isfinite(radius * radius))
     return "zhbevd" if squared else "dsbevd"
 
 
@@ -259,13 +267,20 @@ def pool_workers(config: ExperimentConfig) -> int:
     return workers if workers > 1 else 0
 
 
+def _chunk_count(realizations: int, workers: int) -> int:
+    """How many chunks `_chunks` cuts 0..R-1 into, in constant time: the
+    fewest of at most `_CHUNK` indices, rounded up to a multiple of the
+    process count.  The longest has ⌈R / count⌉ indices (`peak_bytes`)."""
+    procs = max(workers, 1)
+    return procs * -(-realizations // (procs * _CHUNK))
+
+
 def _chunks(realizations: int, workers: int) -> list[range]:
     """0..R-1 cut into consecutive ranges of at most `_CHUNK` indices, as few
     as ``workers`` processes (this one when 0) can share evenly: their count
-    is a multiple of the process count and their lengths differ by at most
-    one."""
-    procs = max(workers, 1)
-    count = procs * -(-realizations // (procs * _CHUNK))
+    is a multiple of the process count (`_chunk_count`) and their lengths
+    differ by at most one."""
+    count = _chunk_count(realizations, workers)
     edges = [realizations * k // count for k in range(count + 1)]
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -287,7 +302,7 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     n = config.cube.n_sites
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
-    chunk = 8 * 6 * max(map(len, _chunks(config.realizations, workers))) * n
+    chunk = 8 * 6 * -(-config.realizations // _chunk_count(config.realizations, workers)) * n
     aggregates = 8 * config.realizations * (4 * n + 3 * config.grid_points)
     return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
 

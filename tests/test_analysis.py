@@ -173,32 +173,54 @@ class TestWegner:
         with pytest.raises(ValueError):
             WegnerBound("H", 0.0, 1.0)
 
-    def test_certification_accepts(self):
+    def test_certification_derives_bound(self):
+        # c is H's floor in mode H and inf supp b in mode B, bv the law's BV norm
         cfg = _wegner_config(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
-        certify_wegner_hypothesis(cfg, WegnerBound("H", 1.0, 2.0))
+        assert certify_wegner_hypothesis(cfg, "H") == WegnerBound("H", 1.0, 2.0)
         cfg_b = _wegner_config(DensitySpec.uniform(-0.5, 0.5), DensitySpec.uniform(0.5, 1.5))
-        certify_wegner_hypothesis(cfg_b, WegnerBound("B", 0.5, 1.0))
+        assert certify_wegner_hypothesis(cfg_b, "B") == WegnerBound("B", 0.5, 2.0)
 
     def test_certification_skips_zero_end_cells(self):
         zero_below = DensitySpec((0, 1, 2), (0, 1))     # every draw >= 1
         cfg = _wegner_config(zero_below, DensitySpec((0.25, 0.5, 1.5, 2), (0, 1, 0)))
-        certify_wegner_hypothesis(cfg, WegnerBound("H", 1.0, 2.0))
-        certify_wegner_hypothesis(cfg, WegnerBound("B", 0.5, 2.0))
+        assert certify_wegner_hypothesis(cfg, "H") == WegnerBound("H", 1.0, 2.0)
+        assert certify_wegner_hypothesis(cfg, "B") == WegnerBound("B", 0.5, 2.0)
 
     def test_certification_refuses(self):
         cfg = _wegner_config(DensitySpec.uniform(0, 1), DensitySpec.uniform(-0.5, 0.5))
-        with pytest.raises(ValueError):
-            certify_wegner_hypothesis(cfg, WegnerBound("H", 1.0, 2.0))
-        with pytest.raises(ValueError):
-            certify_wegner_hypothesis(cfg, WegnerBound("B", 0.5, 1.0))
+        with pytest.raises(ValueError, match=r"^mode 'H' needs a positive floor, "
+                                             r"but min U0 \+ inf supp V is 0\.0$"):
+            certify_wegner_hypothesis(cfg, "H")
+        with pytest.raises(ValueError, match=r"^mode 'B' needs a positive floor, "
+                                             r"but inf supp b is -0\.5$"):
+            certify_wegner_hypothesis(cfg, "B")
+        with pytest.raises(ValueError, match="^mode must be 'H' or 'B', got 'X'$"):
+            certify_wegner_hypothesis(cfg, "X")
 
-    def test_check_small_ensemble(self):
+    @pytest.fixture(scope="class")
+    def small_ensemble(self):
         cfg = _wegner_config(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5),
                              side=15, realizations=40, seed=7)
-        result = run_ensemble(cfg)
-        report = wegner_check(result, WegnerBound("H", 1.0, 2.0), min_count=50)
+        return run_ensemble(cfg)
+
+    def test_check_small_ensemble(self, small_ensemble):
+        report = wegner_check(small_ensemble, WegnerBound("H", 1.0, 2.0), min_count=50)
         assert report.checked_bins > 0
         assert report.ok, report.violations
+
+    @pytest.mark.parametrize("bound", [WegnerBound("H", 1.5, 2.0), WegnerBound("H", 1.0, 0.01),
+                                       WegnerBound("B", 0.5, 1.0)],
+                             ids=["constant-above-floor", "bv-below-law", "b-not-positive"])
+    def test_check_refuses_uncertified_bound(self, small_ensemble, bound):
+        # a larger constant or a smaller BV norm than the laws give is no
+        # bound the estimate proves: bv 0.01 would report violations here
+        with pytest.raises(ValueError):
+            wegner_check(small_ensemble, bound, min_count=50)
+
+    @pytest.mark.parametrize("bound", [WegnerBound("H", 0.5, 2.0), WegnerBound("H", 1.0, 4.0)],
+                             ids=["constant-below-floor", "bv-above-law"])
+    def test_check_accepts_weaker_bound(self, small_ensemble, bound):
+        assert wegner_check(small_ensemble, bound, min_count=50).ok
 
 
 class TestFeynmanHellmann:

@@ -16,6 +16,7 @@ import randblock.cli
 import randblock.eigen
 import randblock.lattice
 import randblock.operators
+import randblock.spectra
 from randblock.analysis import LifshitsRun, lifshits_probe, wegner_check
 from randblock.cli import build_parser, main
 from randblock.config import (
@@ -143,6 +144,51 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["wegner", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: wegner.mode: {err}\n"
+        assert not out.exists()
+
+    def test_memory_estimate_constant_time_in_realizations(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the estimate refuses 10**15 realizations without cutting them into
+        # chunks, which would itself exhaust memory
+        def cut(*args):
+            raise AssertionError("the estimate cut the chunks")
+        monkeypatch.setattr(randblock.spectra, "_chunks", cut)
+        path = write_config(tmp_path, base_doc(realizations=10**15))
+        out = tmp_path / "out"
+        t0 = time.monotonic()
+        assert main(["ids", "--config", path, "--out", str(out), "--threads", "1"]) == 2
+        assert time.monotonic() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: the ensemble on a 1-d cube") and "GB" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [64, 10**12])
+    def test_cube_dim_past_numpy_refused(self, tmp_path, capsys, dim):
+        # coordinates add an axis to dim, and NumPy arrays have at most 64:
+        # refused before side**dim and the zero potential's dim axes are formed
+        path = write_config(tmp_path, base_doc(cube={"dim": dim, "side": 1}))
+        out = tmp_path / "out"
+        t0 = time.monotonic()
+        assert main(["ids", "--config", path, "--out", str(out)]) == 2
+        assert dim < 10**12 or time.monotonic() - t0 < 0.1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: cube.dim: must be at most "
+                              f"{randblock.lattice._MAX_DIM}, ") and err.endswith(f"got {dim}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ids", "dos"])
+    def test_energy_span_past_float_range_refused(self, tmp_path, capsys, command):
+        # with V and b on [1e308, 1.5e308] the bound rho on |E| is inf, and the
+        # default grid would read NaN
+        huge = {"type": "uniform", "lo": 1e308, "hi": 1.5e308}
+        path = write_config(tmp_path, base_doc(disorder={"V": huge, "b": huge}))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: disorder: supports V [1e+308, 1.5e+308] and b [1e+308, 1.5e+308] "
+            "with max|U0| 0.0 bound |E| only by ρ = inf, so the energy span 2ρ overflows\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, overrides, named", [
@@ -419,9 +465,7 @@ class TestConfigErrors:
                        wegner={"mode": "X"})
         path = write_config(tmp_path, doc)
         assert main(["wegner", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("config error: wegner.mode:") and "'X'" in err
+        assert capsys.readouterr().err == "config error: wegner.mode: must be 'H' or 'B', got 'X'\n"
 
     def test_every_record_refuses_unknown_key(self, tmp_path, capsys):
         # every object record found by walking the schema tables, each
@@ -572,6 +616,23 @@ class TestBlasIdentity:
 
 
 class TestEnsembleCommands:
+    def test_largest_cube_dim_runs(self, tmp_path):
+        doc = base_doc(cube={"dim": randblock.lattice._MAX_DIM, "side": 1})
+        path = write_config(tmp_path, doc)
+        assert main(["--quiet", "ids", "--config", path, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command, name", [("ids", "ids.csv"), ("dos", "dos.csv")])
+    def test_square_overflow_solved_on_block(self, tmp_path, command, name):
+        # V on [1e154, 1.5e154] certifies the square's floor, but its entries,
+        # of size rho², would overflow: the block is solved instead
+        doc = base_doc(disorder={"V": {"type": "uniform", "lo": 1e154, "hi": 1.5e154}, "b": _B})
+        path = write_config(tmp_path, doc)
+        assert main(["--quiet", command, "--config", path, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / f"{command}_manifest.json").read_text())
+        assert manifest["driver"] == "dsbevd" and manifest["failed_realizations"] == 0
+        table = np.loadtxt(tmp_path / name, delimiter=",", comments="#", skiprows=2)
+        assert table.size and np.isfinite(table).all()
+
     def test_ids_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, base_doc())
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -21,6 +21,7 @@ from randblock.spectra import (
     band_driver,
     base_matrices,
     build_block,
+    _chunk_count,
     _chunks,
     _freedman_diaconis,
     _histogram_bins,
@@ -171,6 +172,26 @@ class TestChunks:
         assert [r for chunk in chunks for r in chunk] == list(range(realizations))
         lengths = [len(chunk) for chunk in chunks]
         assert max(lengths) <= 64 and max(lengths) - min(lengths) <= 1
+
+    @pytest.mark.parametrize("workers", range(5))
+    def test_longest_chunk_closed_form(self, workers):
+        # the memory estimate's longest chunk, from the chunk count alone
+        for realizations in range(1, 2001):
+            longest = max(map(len, _chunks(realizations, workers)))
+            assert -(-realizations // _chunk_count(realizations, workers)) == longest
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_estimate_cuts_no_chunks(self, monkeypatch, workers):
+        # constant time in R: at 10**15 realizations, cutting the chunks would
+        # itself exhaust memory before the estimate could refuse the run
+        def cut(*args):
+            raise AssertionError("the estimate cut the chunks")
+        monkeypatch.setattr(randblock.spectra, "_chunks", cut)
+        small, large = (make_config(side=9, realizations=r) for r in (128, 10**15))
+        # both runs have chunks of 64: R adds only the spectra and the IDS counts
+        per_realization = 8 * (4 * 9 + 3 * 512)
+        assert (peak_bytes(large, workers) - peak_bytes(small, workers)
+                == per_realization * (10**15 - 128))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
@@ -356,6 +377,29 @@ class TestBandDriver:
         assert base_matrices(cfg).driver == "zhbevd"
         cfg = make_config(side=9, mu_v=DensitySpec((1, 2, 3), (1, 0)))
         assert base_matrices(cfg).radius == 6.5
+
+    def test_square_overflow_stays_on_block(self):
+        # lambda = 1e154 >= rho/64, but rho² = 2.25e308 overflows, and so would
+        # the square's entries: the block is solved, to finite spectra
+        cfg = make_config(side=9, mu_v=DensitySpec.uniform(1e154, 1.5e154))
+        radius = base_matrices(cfg).radius
+        assert 1e154 >= radius / 64 and radius * radius == np.inf
+        result = run_ensemble(cfg)
+        assert result.driver == "dsbevd" and not result.failures
+        assert all(np.isfinite(ev).all() for ev in result.spectra)
+        assert np.isfinite(result.grid).all() and np.isfinite(result.dos_centers).all()
+
+    @pytest.mark.parametrize("mu_v, mu_b, u0", [
+        (DensitySpec.uniform(1e308, 1.5e308), DensitySpec.uniform(1e308, 1.5e308), 0.0),
+        (DensitySpec.uniform(0.9e308, 1e308), DensitySpec.uniform(-0.5, 0.5), 0.0),
+        (DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5), 0.9e308),
+    ], ids=["rho-infinite", "span-infinite", "u0-past-half-range"])
+    def test_energy_span_past_float_range_refused(self, mu_v, mu_b, u0):
+        # the default grid and the DOS bins span [-rho, rho], which would read NaN
+        with pytest.raises(ValueError, match=r"^disorder supports V \[.*\] and b \[.*\] "
+                                             r"with max\|U0\| .* bound \|E\| only by"):
+            ExperimentConfig(Cube(1, 9), "N", DisorderModel(mu_v, mu_b),
+                             PeriodicPotential((1,), [u0]), 3, 0)
 
     def test_threshold_is_rho_over_64(self):
         cfg = make_config(mu_v=DensitySpec.uniform(0.5, 1))
