@@ -7,13 +7,12 @@ of the boundary mode X that ``boundary`` gives each block.
 Realizations are independent and reproducible from (base_seed, index).  A
 run is cut into chunks of at most 64 consecutive indices, shared evenly
 among the processes that solve (`_chunks`); each chunk is drawn in one batch
-(`ensemble_fields`) and solved in index order (`_solve_chunk`).  The chunks
-run in this process, or over a process pool when ``threads`` asks for one
-(`pool_workers`), and are aggregated in index order, so no output depends on
-the worker count or on where the chunks are cut.  The clean part of the
-operator (`CleanPart`) is built once per run and never changed; each
-realization builds its own band from it (`realization_band`).  Which band is
-solved is chosen per run (`band_driver`):
+(`ensemble_fields`), built from the clean part (`CleanPart`, never changed)
+a slice of `_slice_rows` rows at a time, and solved in index order
+(`_solve_chunk`).  The chunks run in this process, or over a process pool
+when ``threads`` asks for one (`pool_workers`), and are aggregated in index
+order, so no output depends on the worker count or on where chunks and
+slices are cut.  Which band is solved is chosen per run (`band_driver`):
 
 - D/N boundaries with a certified floor λ = min U0 + inf supp V with λ > 0
   and λ >= ρ/64 (ρ the Gershgorin bound of H's clean part plus the largest
@@ -25,14 +24,6 @@ solved is chosen per run (`band_driver`):
 - every other run (bracketing + and -, no certified gap): the block in
   interleaved order (psi1(0), psi2(0), psi1(1), ...) is a 2n x 2n real band
   matrix (`operators.block_band`) that ``dsbevd`` solves.
-
-Both drivers come from SciPy's compiled LAPACK wrappers, which
-`eigen.flapack` loads without running ``scipy.linalg``'s package init, the
-larger part of a short run's start-up time and memory.
-
-`build_block` assembles the dense block in natural order from the Laplacian
-bands made dense (`operators.dense`); it shares no code with `block_band` or
-`band_square`, and is the tests' oracle for both paths.
 """
 
 from __future__ import annotations
@@ -40,6 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -199,26 +191,11 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
     return CleanPart(cube, band_driver(config, radius), top, bot, u0, radius)
 
 
-def realization_band(clean: CleanPart, v: np.ndarray,
-                     b: np.ndarray) -> SymmetricBand | SquaredBand:
-    """One realization's operator in a band storage of its own, built whole
-    from ``clean`` with H = Laplacian term + diag(u0 + v) and B = diag(b):
-    on the ``zhbevd`` path the square M = conj(A)·A of A = H + iB
-    (`operators.band_square`), on the ``dsbevd`` path the block in
-    interleaved order (`operators.block_band`)."""
-    h = clean.u0 + v
-    if clean.driver == "zhbevd":
-        a = clean.top.astype(np.complex128)
-        a[0] += h + 1j * b
-        return SquaredBand(band_square(a))
-    return SymmetricBand(block_band(clean.cube, clean.top, clean.bot, b, h))
-
-
 def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 2n x 2n block operator of one disorder realization, dense and in
     natural order [[H_top, B], [B, -H_bot]], H = Laplacian term + diag(U0 + V):
-    assembled from the Laplacian bands made dense, independently of the
-    block and square band code."""
+    assembled from the Laplacian bands made dense (`operators.dense`),
+    sharing no code with the band builders: the tests' oracle for both."""
     cube = config.cube
     h = np.diag(config.potential.on_cube(cube) + v)
     top, bot = (dense(laplacian(cube, mode)) + h
@@ -285,20 +262,28 @@ def _chunks(realizations: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _slice_rows(cube: Cube, length: int) -> int:
+    """How many realizations a chunk of ``length`` builds at once: one, and as
+    many more as fit, at three block bands each (a band, its A = H + iB and
+    the build's temporaries), in the length·n floats that the draw frees
+    beyond the solve's V, b and spectra: b's draw from a density peaks near
+    5·length·n floats.  That is 4 rows of a 64-row chunk in 1-d, 2 on a 2-d
+    cube of side 4, and one at a time from 2-d side 5 and 3-d side 3 on."""
+    return 1 + 8 * length * cube.n_sites // (3 * block_band_bytes(cube))
+
+
 def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     """Estimated peak memory of `run_ensemble` with ``workers`` worker
-    processes (`pool_workers`).  This process holds the clean
-    part (two Laplacian bands and u0), the spectra and their pooled copy, and
-    the IDS counts with two temporaries of their size.  Each process that
-    solves holds one chunk of C realizations (C the longest chunk's length):
-    while it is drawn, V and `sample_iid`'s temporaries for b, at most
-    6·C·n floats (one field's draw peaked at 4.3·C·n on a piecewise
-    density), and while it is solved, its fields and spectra (4·C·n floats),
-    one realization's band and the copy LAPACK solves (the square's complex
-    band of n columns takes at most the block band's bytes, and A = H + iB,
-    freed before the solve, half that); the estimate adds the 6·C·n floats
-    to the two bands.  A process pool adds, per worker, the clean part of
-    its current chunk and of two pickled chunks queued for it."""
+    processes (`pool_workers`).  This process holds the clean part (two
+    Laplacian bands and u0), the spectra and their pooled copy, and the IDS
+    counts with two temporaries of their size.  Each process that solves
+    holds a chunk of C realizations (C the longest chunk's length): 6·C·n
+    floats while it is drawn (V and `sample_iid`'s temporaries for b; one
+    field's draw peaked at 4.3·C·n on a piecewise density), which also hold
+    its fields, spectra and further slice rows while it is solved
+    (`_slice_rows`), and two block bands, a band and the copy LAPACK solves.
+    A process pool adds, per worker, the clean part of its current chunk and
+    of two pickled chunks queued for it."""
     n = config.cube.n_sites
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
@@ -307,14 +292,34 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
 
 
+def _slice_bands(clean: CleanPart, h: np.ndarray, b: np.ndarray):
+    """The bands of the realizations whose H and B diagonals are the rows of
+    ``h`` (u0 + V) and ``b``, built as one stack, or of the one whose are the
+    vectors h and b: squares of A = H + iB on ``zhbevd``, else blocks."""
+    if clean.driver == "zhbevd":
+        a = np.empty(h.shape[:-1] + clean.top.shape, np.complex128)
+        a[...] = clean.top
+        a[..., 0, :] += h + 1j * b
+        stack, band = band_square(a), SquaredBand
+    else:
+        stack, band = block_band(clean.cube, clean.top, clean.bot, b, h), SymmetricBand
+    return map(band, stack) if stack.ndim == 3 else (band(stack),)
+
+
 def _solve_chunk(config: ExperimentConfig, clean: CleanPart,
                  indices: range) -> tuple[list[np.ndarray], list[int]]:
     """Draw, build and solve the realizations ``indices``: the spectra that
-    solved, in index order, and the indices whose solve failed."""
+    solved, in index order, and the indices whose solve failed.  No name
+    holds a band past its solve, so a slice is freed before the next is built."""
+    v, b = ensemble_fields(config, indices)
+    step = _slice_rows(config.cube, len(indices))
+    # one row is built from vectors: NumPy's calls on a (1, ·, n) stack cost more
+    rows = [slice(k, k + step) if step > 1 else k for k in range(0, len(indices), step)]
+    bands = chain.from_iterable(_slice_bands(clean, clean.u0 + v[r], b[r]) for r in rows)
     spectra, failed = [], []
-    for index, v, b in zip(indices, *ensemble_fields(config, indices)):
+    for index in indices:
         try:
-            spectra.append(eigvalsh(realization_band(clean, v, b)))
+            spectra.append(eigvalsh(next(bands)))
         except EigenError:
             failed.append(index)
     return spectra, failed
@@ -421,10 +426,9 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
         raise EigenError(f"{len(failures)} of {config.realizations} eigensolves failed")
     ids = sorted(set(range(config.realizations)).difference(failures))
 
-    n2 = 2 * config.cube.n_sites
     grid = default_grid(config, clean)
     counts = np.array([np.searchsorted(ev, grid, side="right") for ev in spectra])
-    frac = counts / n2
+    frac = counts / (2 * config.cube.n_sites)
     ids_mean = frac.mean(axis=0)
     ids_stderr = frac.std(axis=0, ddof=1) / np.sqrt(len(spectra)) if len(spectra) > 1 \
         else np.zeros_like(ids_mean)
@@ -442,9 +446,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     gaps = np.array([np.abs(ev).min() for ev in spectra])
-    cube = config.cube
-    half_bandwidth = (2 * cube.half_bandwidth if clean.driver == "zhbevd"
-                      else block_half_bandwidth(cube))
+    half_bandwidth = (2 * config.cube.half_bandwidth if clean.driver == "zhbevd"
+                      else block_half_bandwidth(config.cube))
     return EnsembleResult(config, spectra, ids, grid, ids_mean, ids_stderr,
                           centers, hist, density, stderr, gaps, clean.driver,
                           half_bandwidth, failures)
@@ -458,11 +461,10 @@ def zero_split_check(ev: np.ndarray) -> bool:
     """
     ev = np.asarray(ev)
     if ev.size % 2 != 0:
-        raise ValueError("block spectra have even length")
+        raise ValueError(f"a block spectrum has even length, got {ev.size}")
     if np.abs(ev).min() < 1e-9:
         raise ZeroSplitAnomaly("eigenvalue at zero despite gap guarantee")
-    neg = int((ev < 0).sum())
-    return neg == ev.size // 2
+    return int((ev < 0).sum()) == ev.size // 2
 
 
 def symmetry_residual(ev: np.ndarray) -> float:

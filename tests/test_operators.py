@@ -122,24 +122,23 @@ class TestBlockBand:
         top = laplacian(cube, BoundaryMode.DIRICHLET)
         bot = laplacian(cube, BoundaryMode.NEUMANN)
         b = np.arange(1.0, 10.0)
-        ab = block_band(cube, top, bot, b)
+        ab = block_band(cube, top, bot, b, 0.0)
         assert ab.shape == (2 * cube.half_bandwidth + 1, 18)
         assert block_band_bytes(cube) == ab.nbytes
         natural = assemble_bracketing(dense(top), dense(bot), np.diag(b))
-        perm = np.empty(18, dtype=int)
-        perm[0::2], perm[1::2] = np.arange(9), np.arange(9, 18)
+        perm = interleaving(9)
         assert np.array_equal(dense(ab), natural[np.ix_(perm, perm)])
 
     def test_single_site(self):
         cube = Cube(1, 1)
-        ab = block_band(cube, np.array([[3.0]]), np.array([[2.0]]), [1.0])
+        ab = block_band(cube, np.array([[3.0]]), np.array([[2.0]]), [1.0], 0.0)
         assert np.array_equal(dense(ab), [[3.0, 1.0], [1.0, -2.0]])
         assert block_half_bandwidth(cube) == 1
 
     def test_shape_checked(self):
         cube = Cube(1, 3)
         with pytest.raises(ValueError, match="band storages"):
-            block_band(cube, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3))
+            block_band(cube, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3), 0.0)
 
 
 class TestSquareBand:
@@ -167,6 +166,65 @@ class TestSquareBand:
         # its eigenvalues are the squares of the block operator's positive ones
         block = eigvalsh(assemble(hd, bd))
         assert np.allclose(eigvalsh(SquaredBand(ab)), block, rtol=0, atol=1e-12)
+
+
+def interleaving(n):
+    """The permutation (psi1(0), psi2(0), psi1(1), ...) of the 2n natural indices."""
+    perm = np.empty(2 * n, dtype=int)
+    perm[0::2], perm[1::2] = np.arange(n), np.arange(n, 2 * n)
+    return perm
+
+
+@pytest.mark.parametrize("cube", [Cube(1, 7), Cube(2, 4), Cube(3, 3)], ids=repr)
+class TestStackedBands:
+    """The band builders on a stack of rows, as a chunk of the ensemble builds
+    them: each row is the band built for that row alone, a Fortran-ordered
+    storage of its own."""
+
+    ROWS = 3
+
+    def fields(self, cube):
+        rng = np.random.default_rng(cube.n_sites)
+        shape = (self.ROWS, cube.n_sites)
+        return rng.uniform(1, 2, shape), rng.uniform(-0.5, 0.5, shape)
+
+    @staticmethod
+    def check_storage(stack, inputs):
+        for k, row in enumerate(stack):
+            assert row.flags.f_contiguous
+            assert not any(np.shares_memory(row, a) for a in inputs)
+            assert not any(np.shares_memory(row, other) for other in stack[:k])
+
+    @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
+    def test_square(self, cube, mode):
+        lap = laplacian(cube, mode)
+        h, b = self.fields(cube)
+        a = np.broadcast_to(lap, (self.ROWS,) + lap.shape).astype(np.complex128)
+        a[:, 0] += h + 1j * b
+        stack = band_square(a)
+        assert stack.shape == (self.ROWS, 2 * cube.half_bandwidth + 1, cube.n_sites)
+        self.check_storage(stack, (lap, a, h, b))
+        for row, one, hk, bk in zip(stack, a, h, b):
+            assert row.tobytes() == band_square(one).tobytes()
+            hd, bd = dense(lap) + np.diag(hk), np.diag(bk)
+            m = (hd - 1j * bd) @ (hd + 1j * bd)
+            assert np.abs(dense(row) - m).max() <= 1e-13 * np.abs(m).max()
+
+    @pytest.mark.parametrize("modes", ["DD", "NN", "DN", "ND"])
+    def test_block(self, cube, modes):
+        # the top and bottom blocks' boundary modes, Dirichlet or Neumann
+        top, bot = (laplacian(cube, {"D": BoundaryMode.DIRICHLET, "N": BoundaryMode.NEUMANN}[m])
+                    for m in modes)
+        h, b = self.fields(cube)
+        stack = block_band(cube, top, bot, b, h)
+        assert stack.shape == (self.ROWS, block_half_bandwidth(cube) + 1, 2 * cube.n_sites)
+        self.check_storage(stack, (top, bot, h, b))
+        perm = interleaving(cube.n_sites)
+        for row, hk, bk in zip(stack, h, b):
+            assert row.tobytes() == block_band(cube, top, bot, bk, hk).tobytes()
+            natural = assemble_bracketing(dense(top) + np.diag(hk), dense(bot) + np.diag(hk),
+                                          np.diag(bk))
+            assert np.array_equal(dense(row), natural[np.ix_(perm, perm)])
 
 
 class TestGamma:

@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,11 +26,12 @@ from randblock.spectra import (
     _chunks,
     _freedman_diaconis,
     _histogram_bins,
+    _slice_rows,
+    _solve_chunk,
     default_grid,
     ensemble_fields,
     peak_bytes,
     pool_workers,
-    realization_band,
     realization_fields,
     run_ensemble,
     symmetry_residual,
@@ -205,7 +207,7 @@ class TestChunks:
         result = run_ensemble(cfg)
         assert result.realization_ids == list(range(self.R))
         for r, ev in zip(result.realization_ids, result.spectra):
-            single = eigvalsh(realization_band(clean, *realization_fields(cfg, r)))
+            (single,), _ = _solve_chunk(cfg, clean, range(r, r + 1))
             assert ev.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("start, stop", [(0, 64), (60, 70), (64, 128), (128, 131)])
@@ -222,6 +224,47 @@ class TestChunks:
                 # the seeding contract: the realization's own Philox stream
                 own = sample_iid(mu, 9, policy.streams([start + k], name))[0]
                 assert one.tobytes() == own.tobytes()
+
+
+class TestPeakBytes:
+    """The memory estimate against what a run allocates, as tracemalloc sees it."""
+
+    @pytest.mark.parametrize("dim, side, boundary, realizations", [
+        *((dim, side, boundary, 64) for dim, side in ((1, 201), (2, 8), (2, 16), (3, 4))
+          for boundary in ("N", "+")),
+        (3, 8, "N", 16)])
+    def test_bounds_traced_peak(self, dim, side, boundary, realizations):
+        disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
+        cfg = ExperimentConfig(Cube(dim, side), boundary, disorder, PeriodicPotential.zero(dim),
+                               realizations, 0)
+        # the modules a run loads are loaded before the traced run
+        run_ensemble(replace(cfg, cube=Cube(dim, 2), realizations=2))
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_bytes(cfg, 0)
+
+    @pytest.mark.parametrize("boundary", ["N", "+"], ids=["square", "block"])
+    def test_slices_add_nothing_to_a_chunk_peak(self, boundary, monkeypatch):
+        # a chunk built in slices peaks no higher than one built row by row
+        # (up to 1% of Python objects): the further rows fit in what the draw frees
+        cfg = make_config(side=1001, boundary=boundary, realizations=64)
+        clean = base_matrices(cfg)
+        assert _slice_rows(cfg.cube, 64) > 1
+        _solve_chunk(cfg, clean, range(1))   # the solver is loaded before the traced runs
+        peaks = []
+        for rows in (_slice_rows, lambda cube, length: 1):
+            monkeypatch.setattr(randblock.spectra, "_slice_rows", rows)
+            tracemalloc.start()
+            try:
+                _solve_chunk(cfg, clean, range(64))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.01 * peaks[1]
 
 
 class TestBandedSolve:
@@ -293,13 +336,22 @@ class TestCleanPart:
     """The clean part is built once per run and never written to."""
 
     @pytest.mark.parametrize("boundary", ["N", "+"], ids=["square", "block"])
-    def test_realizations_share_no_storage(self, boundary):
-        cfg = make_config(side=9, boundary=boundary)
+    def test_realizations_share_no_storage(self, boundary, monkeypatch):
+        # the bands a chunk solves: the rows of one slice are views of one stack
+        cfg = make_config(side=9, boundary=boundary, realizations=64)
         clean = base_matrices(cfg)
-        first, second = (realization_band(clean, *realization_fields(cfg, r)) for r in (0, 1))
-        assert not np.shares_memory(first.lower, second.lower)
-        for a in (clean.top, clean.bot, clean.u0):
-            assert not np.shares_memory(first.lower, a) and not a.flags.writeable
+        solved = []
+        monkeypatch.setattr(randblock.spectra, "eigvalsh",
+                            lambda band: solved.append(band.lower) or eigvalsh(band))
+        _solve_chunk(cfg, clean, range(64))
+        step = _slice_rows(cfg.cube, 64)
+        assert step > 1 and len(solved) == 64
+        for k, band in enumerate(solved):
+            assert (band.base is solved[k - 1].base) == (k % step != 0)
+            assert band.flags.f_contiguous
+            assert not any(np.shares_memory(band, other) for other in solved[:k])
+            for a in (clean.top, clean.bot, clean.u0):
+                assert not np.shares_memory(band, a) and not a.flags.writeable
 
     @pytest.mark.parametrize("boundary", ["N", "+"], ids=["square", "block"])
     def test_run_leaves_clean_part_unchanged(self, boundary, monkeypatch):
@@ -562,7 +614,7 @@ class TestZeroSplit:
             zero_split_check(np.array([-1.0, 1e-12, 1e-10, 1.0]))
 
     def test_odd_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a block spectrum has even length, got 3$"):
             zero_split_check(np.array([-1.0, 0.5, 1.0]))
 
 
