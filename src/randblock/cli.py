@@ -127,7 +127,6 @@ def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,
     run one."""
     manifest = {
         "tool_version": __version__,
-        "backend": backend_name(),
         # LAPACK driver and half-bandwidth of the ensemble's band solves, if any
         "driver": None if result is None else result.driver,
         "half_bandwidth": None if result is None else result.half_bandwidth,

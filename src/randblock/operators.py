@@ -5,9 +5,9 @@ The Laplacian term of H = -Δ + U0 + V under three boundary modes
 the array helpers of `lattice`; `dense` gives the matrix of any lower band
 storage.  The block operator on the cube comes in band storage too, in
 interleaved order (`block_band`) and as the square M = (H - iB)(H + iB) of
-its D/N form (`band_square`), without an n x n intermediate: a stack of one
-Fortran-ordered band per row, sharing no storage with the inputs or each
-other.  The dense block assemblies [[A, B], [B, -A]] (`assemble`, and
+its D/N form (`band_square`), without an n x n intermediate: one
+Fortran-ordered band per call, sharing no storage with the inputs.  The
+dense block assemblies [[A, B], [B, -A]] (`assemble`, and
 `assemble_bracketing` with different diagonal blocks) and the closed form
 of the squared block operator (`square_identity_residual`) work on dense
 symmetric matrices.
@@ -102,47 +102,44 @@ def block_band_bytes(cube: Cube) -> int:
 def block_band(cube: Cube, h_top: np.ndarray, h_bot: np.ndarray, b, h) -> np.ndarray:
     """[[H_top + diag(h), diag(b)], [diag(b), -H_bot - diag(h)]] on the cube in
     interleaved order (psi1(0), psi2(0), psi1(1), ...), in LAPACK lower band
-    storage, for each row of ``b`` (shape (..., n)), ``h`` broadcast against it.
+    storage.
 
     ``h_top`` and ``h_bot`` are lower band storages (s+1, n) of the diagonal
     blocks, s = cube.half_bandwidth, as `laplacian` gives them.  The result
-    has shape (..., w+1, 2n), w = `block_half_bandwidth`, every row
-    Fortran-ordered, as LAPACK reads it."""
+    has shape (w+1, 2n), w = `block_half_bandwidth`; it is Fortran-ordered,
+    as LAPACK reads it."""
     n = cube.n_sites
     if h_top.shape != (cube.half_bandwidth + 1, n) or h_bot.shape != h_top.shape:
         raise ValueError("H_top and H_bot must be band storages of the cube's shape")
-    rows = np.shape(b)[:-1]
-    ab = np.zeros(rows + (2 * n, block_half_bandwidth(cube) + 1)).swapaxes(-1, -2)
-    ab[..., 0, 0::2] = h_top[0] + h
-    ab[..., 0, 1::2] = -(h_bot[0] + h)
-    ab[..., 1, 0::2] = b
-    ab[..., 2::2, 0::2] = h_top[1:]
-    ab[..., 2::2, 1::2] = -h_bot[1:]
+    ab = np.zeros((block_half_bandwidth(cube) + 1, 2 * n), order="F")
+    ab[0, 0::2] = h_top[0] + h
+    ab[0, 1::2] = -(h_bot[0] + h)
+    ab[1, 0::2] = b
+    ab[2::2, 0::2] = h_top[1:]
+    ab[2::2, 1::2] = -h_bot[1:]
     return ab
 
 
 def band_square(lower: np.ndarray) -> np.ndarray:
-    """conj(A)·A in lower band storage (..., 2s+1, n) for each complex
-    symmetric (A^T = A; for real input: symmetric) A in the stack ``lower`` of
-    lower band storages (..., s+1, n), from the products of the stack's
-    nonzero diagonals: no n x n array is formed.
+    """conj(A)·A in lower band storage (2s+1, n) for a complex symmetric
+    (A^T = A; for real input: symmetric) A in lower band storage (s+1, n),
+    from the products of A's nonzero diagonals: no n x n array is formed.
 
     For A = H + iB with H, B real symmetric this is M = (H - iB)(H + iB),
-    Hermitian, so its lower band storage describes it.  Every row of the
-    result is Fortran-ordered, as LAPACK reads it."""
-    s, n = lower.shape[-2] - 1, lower.shape[-1]
-    offsets = [o for o in range(-s, s + 1) if lower[..., abs(o), :n - abs(o)].any()]
+    Hermitian, so its lower band storage describes it.  The result is
+    Fortran-ordered, as LAPACK reads it."""
+    s, n = lower.shape[0] - 1, lower.shape[1]
+    offsets = [o for o in range(-s, s + 1) if lower[abs(o), :n - abs(o)].any()]
 
     def diagonal(o, lo, hi):
         # A[j + o, j] for lo <= j < hi; the upper diagonals mirror the lower ones
-        return lower[..., o, lo:hi] if o >= 0 else lower[..., -o, lo + o:hi + o]
+        return lower[o, lo:hi] if o >= 0 else lower[-o, lo + o:hi + o]
 
-    square = np.zeros(lower.shape[:-2] + (n, 2 * s + 1),
-                      dtype=np.result_type(lower, np.float64)).swapaxes(-1, -2)
+    square = np.zeros((2 * s + 1, n), dtype=np.result_type(lower, np.float64), order="F")
     # M[j + p + q, j] gains conj(A[j + p + q, j + p]) · A[j + p, j]
     for p, q in ((p, q) for p in offsets for q in offsets if p + q >= 0):
         lo, hi = max(0, -p), min(n - p - q, n - p)
-        out = square[..., p + q, lo:hi]   # a view: `out +=` skips setitem's overlap copy
+        out = square[p + q, lo:hi]   # a view: `out +=` skips setitem's overlap copy
         out += diagonal(q, lo + p, hi + p).conj() * diagonal(p, lo, hi)
     return square
 

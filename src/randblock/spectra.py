@@ -7,12 +7,12 @@ of the boundary mode X that ``boundary`` gives each block.
 Realizations are independent and reproducible from (base_seed, index).  A
 run is cut into chunks of at most 64 consecutive indices, shared evenly
 among the processes that solve (`_chunks`); each chunk is drawn in one batch
-(`ensemble_fields`), built from the clean part (`CleanPart`, never changed)
-a slice of `_slice_rows` rows at a time, and solved in index order
+(`ensemble_fields`), and its realizations are built one at a time from the
+clean part (`CleanPart`, never changed) and solved in index order
 (`_solve_chunk`).  The chunks run in this process, or over a process pool
 when ``threads`` asks for one (`pool_workers`), and are aggregated in index
-order, so no output depends on the worker count or on where chunks and
-slices are cut.  Which band is solved is chosen per run (`band_driver`):
+order, so no output depends on the worker count or on where chunks are cut.
+Which band is solved is chosen per run (`band_driver`):
 
 - D/N boundaries with a certified floor λ = min U0 + inf supp V with λ > 0
   and λ >= ρ/64 (ρ the Gershgorin bound of H's clean part plus the largest
@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -262,64 +261,57 @@ def _chunks(realizations: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _slice_rows(cube: Cube, length: int) -> int:
-    """How many realizations a chunk of ``length`` builds at once: one, and as
-    many more as fit, at three block bands each (a band, its A = H + iB and
-    the build's temporaries), in the length·n floats that the draw frees
-    beyond the solve's V, b and spectra: b's draw from a density peaks near
-    5·length·n floats.  That is 4 rows of a 64-row chunk in 1-d, 2 on a 2-d
-    cube of side 4, and one at a time from 2-d side 5 and 3-d side 3 on."""
-    return 1 + 8 * length * cube.n_sites // (3 * block_band_bytes(cube))
-
-
 def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     """Estimated peak memory of `run_ensemble` with ``workers`` worker
-    processes (`pool_workers`).  This process holds the clean part (two
-    Laplacian bands and u0), the spectra and their pooled copy, and the IDS
-    counts with two temporaries of their size.  Each process that solves
-    holds a chunk of C realizations (C the longest chunk's length): 6·C·n
-    floats while it is drawn (V and `sample_iid`'s temporaries for b; one
-    field's draw peaked at 4.3·C·n on a piecewise density), which also hold
-    its fields, spectra and further slice rows while it is solved
-    (`_slice_rows`), and two block bands, a band and the copy LAPACK solves.
-    A process pool adds, per worker, the clean part of its current chunk and
-    of two pickled chunks queued for it."""
-    n = config.cube.n_sites
+    processes (`pool_workers`), as the sum of these terms:
+
+    - the clean part (two Laplacian bands and u0);
+    - per process that solves, a chunk of C realizations (C the longest
+      chunk's length): 6·C·n floats while it is drawn (V and `sample_iid`'s
+      temporaries for b; one field's draw peaked at 4.3·C·n on a piecewise
+      density), which also hold its fields and spectra while it is solved,
+      and two block bands, a realization's band and the copy LAPACK solves;
+    - per worker of a process pool, the clean part of its current chunk and
+      of two pickled chunks queued for it;
+    - per realization, its spectrum and its pooled copy (4n floats), the
+      spectrum's array object (`np.empty(0).__sizeof__()` bytes), and its row
+      of the IDS counts with the two temporaries of their size that the
+      standard error takes (3 floats per grid point);
+    - four grid-length arrays that do not scale with R: the grid, the IDS
+      mean, and the standard error's mean and sum;
+    - one buffer of NumPy's ufuncs, `np.getbufsize` floats (64 KiB), which
+      the counts' cast and the standard error's reductions fill."""
+    n, points = config.cube.n_sites, config.grid_points
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
     chunk = 8 * 6 * -(-config.realizations // _chunk_count(config.realizations, workers)) * n
-    aggregates = 8 * config.realizations * (4 * n + 3 * config.grid_points)
+    per_realization = 8 * (4 * n + 3 * points) + np.empty(0).__sizeof__()
+    aggregates = config.realizations * per_realization + 8 * (4 * points + np.getbufsize())
     return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
 
 
-def _slice_bands(clean: CleanPart, h: np.ndarray, b: np.ndarray):
-    """The bands of the realizations whose H and B diagonals are the rows of
-    ``h`` (u0 + V) and ``b``, built as one stack, or of the one whose are the
-    vectors h and b: squares of A = H + iB on ``zhbevd``, else blocks."""
+def _realization_band(clean: CleanPart, v: np.ndarray,
+                      b: np.ndarray) -> SquaredBand | SymmetricBand:
+    """One realization's band, built whole from ``clean`` with H = Laplacian
+    term + diag(u0 + v) and B = diag(b): on ``zhbevd`` the square of
+    A = H + iB (`operators.band_square`), else the block in interleaved order
+    (`operators.block_band`)."""
+    h = clean.u0 + v
     if clean.driver == "zhbevd":
-        a = np.empty(h.shape[:-1] + clean.top.shape, np.complex128)
-        a[...] = clean.top
-        a[..., 0, :] += h + 1j * b
-        stack, band = band_square(a), SquaredBand
-    else:
-        stack, band = block_band(clean.cube, clean.top, clean.bot, b, h), SymmetricBand
-    return map(band, stack) if stack.ndim == 3 else (band(stack),)
+        a = clean.top.astype(np.complex128)
+        a[0] += h + 1j * b
+        return SquaredBand(band_square(a))
+    return SymmetricBand(block_band(clean.cube, clean.top, clean.bot, b, h))
 
 
 def _solve_chunk(config: ExperimentConfig, clean: CleanPart,
                  indices: range) -> tuple[list[np.ndarray], list[int]]:
     """Draw, build and solve the realizations ``indices``: the spectra that
-    solved, in index order, and the indices whose solve failed.  No name
-    holds a band past its solve, so a slice is freed before the next is built."""
-    v, b = ensemble_fields(config, indices)
-    step = _slice_rows(config.cube, len(indices))
-    # one row is built from vectors: NumPy's calls on a (1, ·, n) stack cost more
-    rows = [slice(k, k + step) if step > 1 else k for k in range(0, len(indices), step)]
-    bands = chain.from_iterable(_slice_bands(clean, clean.u0 + v[r], b[r]) for r in rows)
+    solved, in index order, and the indices whose solve failed."""
     spectra, failed = [], []
-    for index in indices:
+    for index, v, b in zip(indices, *ensemble_fields(config, indices)):
         try:
-            spectra.append(eigvalsh(next(bands)))
+            spectra.append(eigvalsh(_realization_band(clean, v, b)))
         except EigenError:
             failed.append(index)
     return spectra, failed

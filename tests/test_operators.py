@@ -115,7 +115,36 @@ class TestVectorizedMatchesPerSite:
             assert np.signbit(band[band == 0]).all()
 
 
+def interleaving(n):
+    """The permutation (psi1(0), psi2(0), psi1(1), ...) of the 2n natural indices."""
+    perm = np.empty(2 * n, dtype=int)
+    perm[0::2], perm[1::2] = np.arange(n), np.arange(n, 2 * n)
+    return perm
+
+
+def fields(cube):
+    """A realization's H-diagonal h and B-diagonal b on the cube."""
+    rng = np.random.default_rng(cube.n_sites)
+    return rng.uniform(1, 2, cube.n_sites), rng.uniform(-0.5, 0.5, cube.n_sites)
+
+
 class TestBlockBand:
+    @pytest.mark.parametrize("cube", [Cube(1, 7), Cube(2, 4), Cube(3, 3)], ids=repr)
+    @pytest.mark.parametrize("modes", ["DD", "NN", "DN", "ND"])
+    def test_matches_dense_block(self, cube, modes):
+        # the top and bottom blocks' boundary modes, Dirichlet or Neumann
+        top, bot = (laplacian(cube, {"D": BoundaryMode.DIRICHLET, "N": BoundaryMode.NEUMANN}[m])
+                    for m in modes)
+        h, b = fields(cube)
+        ab = block_band(cube, top, bot, b, h)
+        assert ab.shape == (block_half_bandwidth(cube) + 1, 2 * cube.n_sites)
+        assert ab.flags.f_contiguous
+        assert not any(np.shares_memory(ab, a) for a in (top, bot, h, b))
+        natural = assemble_bracketing(dense(top) + np.diag(h), dense(bot) + np.diag(h),
+                                      np.diag(b))
+        perm = interleaving(cube.n_sites)
+        assert np.array_equal(dense(ab), natural[np.ix_(perm, perm)])
+
     def test_interleaved_block(self):
         # [[H_top, B], [B, -H_bot]] permuted to (psi1(0), psi2(0), psi1(1), ...)
         cube = Cube(2, 3)
@@ -147,84 +176,29 @@ class TestSquareBand:
     @pytest.mark.parametrize("cube", [Cube(1, 1), Cube(1, 2), Cube(1, 7), Cube(2, 4),
                                       Cube(3, 3)], ids=repr)
     @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
-    def test_matches_dense_product(self, cube, mode):
+    def test_squares_the_laplacian(self, cube, mode):
         lap = laplacian(cube, mode)
-        dense_lap = dense(lap)
         lap2 = band_square(lap)
         assert lap2.shape == (2 * cube.half_bandwidth + 1, cube.n_sites)
-        assert np.array_equal(dense(lap2), dense_lap @ dense_lap)
+        assert np.array_equal(dense(lap2), dense(lap) @ dense(lap))
 
-        rng = np.random.default_rng(cube.n_sites)
-        h, b = rng.uniform(1, 2, cube.n_sites), rng.uniform(-0.5, 0.5, cube.n_sites)
+    @pytest.mark.parametrize("cube", [Cube(1, 1), Cube(1, 2), Cube(1, 7), Cube(2, 4),
+                                      Cube(3, 3)], ids=repr)
+    @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
+    def test_matches_dense_product(self, cube, mode):
+        lap = laplacian(cube, mode)
+        h, b = fields(cube)
         a = lap.astype(np.complex128)
         a[0] += h + 1j * b
         ab = band_square(a)
-        assert ab.shape == lap2.shape and ab.flags.f_contiguous
-        hd, bd = dense_lap + np.diag(h), np.diag(b)
+        assert ab.shape == (2 * cube.half_bandwidth + 1, cube.n_sites) and ab.flags.f_contiguous
+        assert not any(np.shares_memory(ab, x) for x in (lap, a, h, b))
+        hd, bd = dense(lap) + np.diag(h), np.diag(b)
         m = (hd - 1j * bd) @ (hd + 1j * bd)
         assert np.abs(dense(ab) - m).max() <= 1e-13 * np.abs(m).max()
         # its eigenvalues are the squares of the block operator's positive ones
         block = eigvalsh(assemble(hd, bd))
         assert np.allclose(eigvalsh(SquaredBand(ab)), block, rtol=0, atol=1e-12)
-
-
-def interleaving(n):
-    """The permutation (psi1(0), psi2(0), psi1(1), ...) of the 2n natural indices."""
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2], perm[1::2] = np.arange(n), np.arange(n, 2 * n)
-    return perm
-
-
-@pytest.mark.parametrize("cube", [Cube(1, 7), Cube(2, 4), Cube(3, 3)], ids=repr)
-class TestStackedBands:
-    """The band builders on a stack of rows, as a chunk of the ensemble builds
-    them: each row is the band built for that row alone, a Fortran-ordered
-    storage of its own."""
-
-    ROWS = 3
-
-    def fields(self, cube):
-        rng = np.random.default_rng(cube.n_sites)
-        shape = (self.ROWS, cube.n_sites)
-        return rng.uniform(1, 2, shape), rng.uniform(-0.5, 0.5, shape)
-
-    @staticmethod
-    def check_storage(stack, inputs):
-        for k, row in enumerate(stack):
-            assert row.flags.f_contiguous
-            assert not any(np.shares_memory(row, a) for a in inputs)
-            assert not any(np.shares_memory(row, other) for other in stack[:k])
-
-    @pytest.mark.parametrize("mode", [BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN])
-    def test_square(self, cube, mode):
-        lap = laplacian(cube, mode)
-        h, b = self.fields(cube)
-        a = np.broadcast_to(lap, (self.ROWS,) + lap.shape).astype(np.complex128)
-        a[:, 0] += h + 1j * b
-        stack = band_square(a)
-        assert stack.shape == (self.ROWS, 2 * cube.half_bandwidth + 1, cube.n_sites)
-        self.check_storage(stack, (lap, a, h, b))
-        for row, one, hk, bk in zip(stack, a, h, b):
-            assert row.tobytes() == band_square(one).tobytes()
-            hd, bd = dense(lap) + np.diag(hk), np.diag(bk)
-            m = (hd - 1j * bd) @ (hd + 1j * bd)
-            assert np.abs(dense(row) - m).max() <= 1e-13 * np.abs(m).max()
-
-    @pytest.mark.parametrize("modes", ["DD", "NN", "DN", "ND"])
-    def test_block(self, cube, modes):
-        # the top and bottom blocks' boundary modes, Dirichlet or Neumann
-        top, bot = (laplacian(cube, {"D": BoundaryMode.DIRICHLET, "N": BoundaryMode.NEUMANN}[m])
-                    for m in modes)
-        h, b = self.fields(cube)
-        stack = block_band(cube, top, bot, b, h)
-        assert stack.shape == (self.ROWS, block_half_bandwidth(cube) + 1, 2 * cube.n_sites)
-        self.check_storage(stack, (top, bot, h, b))
-        perm = interleaving(cube.n_sites)
-        for row, hk, bk in zip(stack, h, b):
-            assert row.tobytes() == block_band(cube, top, bot, bk, hk).tobytes()
-            natural = assemble_bracketing(dense(top) + np.diag(hk), dense(bot) + np.diag(hk),
-                                          np.diag(bk))
-            assert np.array_equal(dense(row), natural[np.ix_(perm, perm)])
 
 
 class TestGamma:

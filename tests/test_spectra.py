@@ -26,7 +26,6 @@ from randblock.spectra import (
     _chunks,
     _freedman_diaconis,
     _histogram_bins,
-    _slice_rows,
     _solve_chunk,
     default_grid,
     ensemble_fields,
@@ -191,7 +190,7 @@ class TestChunks:
         monkeypatch.setattr(randblock.spectra, "_chunks", cut)
         small, large = (make_config(side=9, realizations=r) for r in (128, 10**15))
         # both runs have chunks of 64: R adds only the spectra and the IDS counts
-        per_realization = 8 * (4 * 9 + 3 * 512)
+        per_realization = 8 * (4 * 9 + 3 * 512) + np.empty(0).__sizeof__()
         assert (peak_bytes(large, workers) - peak_bytes(small, workers)
                 == per_realization * (10**15 - 128))
 
@@ -229,14 +228,20 @@ class TestChunks:
 class TestPeakBytes:
     """The memory estimate against what a run allocates, as tracemalloc sees it."""
 
-    @pytest.mark.parametrize("dim, side, boundary, realizations", [
-        *((dim, side, boundary, 64) for dim, side in ((1, 201), (2, 8), (2, 16), (3, 4))
-          for boundary in ("N", "+")),
-        (3, 8, "N", 16)])
-    def test_bounds_traced_peak(self, dim, side, boundary, realizations):
+    ROWS = [*((dim, side, boundary, 64, 512) for dim, side in ((1, 201), (2, 8), (2, 16), (3, 4))
+              for boundary in ("N", "+")),
+            (3, 8, "N", 16, 512),
+            # small runs, where the grid-length arrays and NumPy's ufunc buffer count
+            (2, 6, "+", 16, 512), (1, 3, "N", 2, 4096)]
+
+    # a row's id names its grid when that is not the default 512 points
+    @pytest.mark.parametrize("dim, side, boundary, realizations, grid_points", ROWS,
+                             ids=["-".join(map(str, row if row[4] != 512 else row[:4]))
+                                  for row in ROWS])
+    def test_bounds_traced_peak(self, dim, side, boundary, realizations, grid_points):
         disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
         cfg = ExperimentConfig(Cube(dim, side), boundary, disorder, PeriodicPotential.zero(dim),
-                               realizations, 0)
+                               realizations, 0, grid_points=grid_points)
         # the modules a run loads are loaded before the traced run
         run_ensemble(replace(cfg, cube=Cube(dim, 2), realizations=2))
         tracemalloc.start()
@@ -246,25 +251,6 @@ class TestPeakBytes:
         finally:
             tracemalloc.stop()
         assert peak <= peak_bytes(cfg, 0)
-
-    @pytest.mark.parametrize("boundary", ["N", "+"], ids=["square", "block"])
-    def test_slices_add_nothing_to_a_chunk_peak(self, boundary, monkeypatch):
-        # a chunk built in slices peaks no higher than one built row by row
-        # (up to 1% of Python objects): the further rows fit in what the draw frees
-        cfg = make_config(side=1001, boundary=boundary, realizations=64)
-        clean = base_matrices(cfg)
-        assert _slice_rows(cfg.cube, 64) > 1
-        _solve_chunk(cfg, clean, range(1))   # the solver is loaded before the traced runs
-        peaks = []
-        for rows in (_slice_rows, lambda cube, length: 1):
-            monkeypatch.setattr(randblock.spectra, "_slice_rows", rows)
-            tracemalloc.start()
-            try:
-                _solve_chunk(cfg, clean, range(64))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 1.01 * peaks[1]
 
 
 class TestBandedSolve:
@@ -287,38 +273,19 @@ class TestBandedSolve:
             assert np.array_equal(np.searchsorted(ev, result.grid, side="right"),
                                   np.searchsorted(dense, result.grid, side="right"))
 
-    def test_thread_count_invariant(self):
-        # dsbevd gives the same bits with 1 and 2 OpenBLAS threads on the c08 size
+    @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
+    def test_thread_count_invariant(self, boundary, driver):
+        # the c08 size gives the same bits with 1 and 2 OpenBLAS threads, on the
+        # square that N takes and on the block that bracketing keeps
         code = (
             "import hashlib, numpy as np;"
             "from randblock.disorder import DensitySpec, DisorderModel;"
             "from randblock.lattice import Cube, PeriodicPotential;"
             "from randblock.spectra import ExperimentConfig, run_ensemble;"
-            "cfg = ExperimentConfig(Cube(1, 201), 'N', DisorderModel(DensitySpec.uniform(1, 2),"
-            " DensitySpec.uniform(-0.5, 0.5)), PeriodicPotential.zero(1), 3, 5);"
-            "print(hashlib.sha256(np.array(run_ensemble(cfg).spectra).tobytes()).hexdigest())"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(randblock.__file__).resolve().parent.parent)]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        digests = {threads: subprocess.run([sys.executable, "-c", code], check=True,
-                                           capture_output=True, text=True,
-                                           env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
-                   for threads in ("1", "2")}
-        assert digests["1"] == digests["2"] != ""
-
-    def test_thread_count_invariant_on_the_block(self):
-        # the c08 size above takes the square (zhbevd); bracketing keeps the
-        # dsbevd block solve, which must give the same bits too
-        code = (
-            "import hashlib, numpy as np;"
-            "from randblock.disorder import DensitySpec, DisorderModel;"
-            "from randblock.lattice import Cube, PeriodicPotential;"
-            "from randblock.spectra import ExperimentConfig, run_ensemble;"
-            "cfg = ExperimentConfig(Cube(1, 201), '+', DisorderModel(DensitySpec.uniform(1, 2),"
-            " DensitySpec.uniform(-0.5, 0.5)), PeriodicPotential.zero(1), 3, 5);"
-            "result = run_ensemble(cfg); assert result.driver == 'dsbevd';"
+            f"cfg = ExperimentConfig(Cube(1, 201), {boundary!r},"
+            " DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5)),"
+            " PeriodicPotential.zero(1), 3, 5);"
+            f"result = run_ensemble(cfg); assert result.driver == {driver!r};"
             "print(hashlib.sha256(np.array(result.spectra).tobytes()).hexdigest())"
         )
         env = dict(os.environ)
@@ -337,18 +304,16 @@ class TestCleanPart:
 
     @pytest.mark.parametrize("boundary", ["N", "+"], ids=["square", "block"])
     def test_realizations_share_no_storage(self, boundary, monkeypatch):
-        # the bands a chunk solves: the rows of one slice are views of one stack
+        # the bands a chunk solves, each an array of its own
         cfg = make_config(side=9, boundary=boundary, realizations=64)
         clean = base_matrices(cfg)
         solved = []
         monkeypatch.setattr(randblock.spectra, "eigvalsh",
                             lambda band: solved.append(band.lower) or eigvalsh(band))
         _solve_chunk(cfg, clean, range(64))
-        step = _slice_rows(cfg.cube, 64)
-        assert step > 1 and len(solved) == 64
+        assert len(solved) == 64
         for k, band in enumerate(solved):
-            assert (band.base is solved[k - 1].base) == (k % step != 0)
-            assert band.flags.f_contiguous
+            assert band.base is None and band.flags.f_contiguous
             assert not any(np.shares_memory(band, other) for other in solved[:k])
             for a in (clean.top, clean.bot, clean.u0):
                 assert not np.shares_memory(band, a) and not a.flags.writeable
