@@ -150,8 +150,9 @@ def wegner_check(result: EnsembleResult, bound: WegnerBound,
 class LifshitsRun:
     """Ground-state tail probe for H_N = -lap_N + V in one dimension.
 
-    For each epsilon the box side is L = ceil(c * eps^(-alpha/dim)) and the
-    probability P[min spec <= lam + eps] is estimated over R realizations.
+    For each epsilon the box side is L = ceil(c * eps^(-1/2)), the law
+    eps^(-alpha/dim) at the Lifshits exponent alpha = dim/2 (`alpha`), and
+    the probability P[min spec <= lam + eps] is estimated over R realizations.
     """
 
     epsilons: tuple[float, ...]
@@ -160,7 +161,6 @@ class LifshitsRun:
     base_seed: int
     realizations: int = 2000
     c: float = 4.0
-    alpha: float = 0.5               # target exponent, d/2 by default
     dim: int = 1
 
     def __post_init__(self):
@@ -174,8 +174,6 @@ class LifshitsRun:
             raise ValueError(f"realizations must be at least 1, got {self.realizations}")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.dim != 1:
             raise ValueError("only the one-dimensional tridiagonal probe is implemented")
         if not isinstance(self.mu_v, DensitySpec):
@@ -187,11 +185,16 @@ class LifshitsRun:
         try:
             self.side_for(min(eps))   # the largest side
         except OverflowError:
-            raise ValueError(f"the box side c * eps^(-alpha/dim) at eps {min(eps)} "
-                             f"is not finite (c {self.c}, alpha {self.alpha})") from None
+            raise ValueError(f"the box side c * eps^(-1/2) at eps {min(eps)} "
+                             f"is not finite (c {self.c})") from None
+
+    @property
+    def alpha(self) -> float:
+        """The Lifshits exponent d/2 that the box sides follow."""
+        return self.dim / 2
 
     def side_for(self, eps: float) -> int:
-        return max(2, math.ceil(self.c * eps ** (-self.alpha / self.dim)))
+        return max(2, math.ceil(self.c * eps ** -0.5))
 
 
 @dataclass

@@ -191,8 +191,8 @@ _DOCUMENT = _Record({
     "grid": _Record({"lo": _or_null(read_float), "hi": _or_null(read_float),
                      "points": read_int}),
     "bin_width": _or_null(read_float),
-    "lifshits": _Record({"epsilons": _floats, "c": read_float, "alpha": read_float,
-                         "realizations": read_int}, ("epsilons",)),
+    "lifshits": _Record({"epsilons": _floats, "c": read_float, "realizations": read_int},
+                        ("epsilons",)),
     "wegner": _Record({"mode": _as_is, "min_count": _at_least(0)}, ("mode",)),
     "dos_transform": _Record({
         "beta": read_float, "source": parse_density,
@@ -201,9 +201,10 @@ _DOCUMENT = _Record({
     }, ("beta", "source")),
 }, ("schema_version", "cube", "boundary", "disorder", "realizations", "seed"))
 _SECTIONS = ("lifshits", "wegner", "dos_transform")
-# the `ExperimentConfig` fields whose key path is not their name
+# the `ExperimentConfig` fields whose key path is not their name; ``threads``
+# comes from the command line
 _CONFIG_PATHS = {"grid_lo": "grid", "grid_hi": "grid", "grid_points": "grid.points",
-                 "base_seed": "seed"}
+                 "base_seed": "seed", "threads": "--threads"}
 
 
 def parse_config(doc: dict, seed_override: int | None = None,

@@ -123,7 +123,10 @@ class Cube:
     def half_bandwidth(self) -> int:
         """Largest index distance between neighbouring sites: the stride of
         axis 0, L^(d-1), or 0 on a single-site cube."""
-        return self.strides[0] if self.side > 1 else 0
+        # not `strides[0]`: band builds read this once per realization, and
+        # each tuple that `strides` builds from a generator is freed into
+        # CPython's tuple free list, which then holds up to ~96 KB
+        return self.side ** (self.dim - 1) if self.side > 1 else 0
 
 
 def coordinates(cube: Cube) -> np.ndarray:

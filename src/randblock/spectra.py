@@ -29,6 +29,7 @@ Which band is solved is chosen per run (`band_driver`):
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -274,19 +275,27 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     - per worker of a process pool, the clean part of its current chunk and
       of two pickled chunks queued for it;
     - per realization, its spectrum and its pooled copy (4n floats), the
-      spectrum's array object (`np.empty(0).__sizeof__()` bytes), and its row
+      spectrum's array object (`np.empty(0).__sizeof__()` bytes), its row
       of the IDS counts with the two temporaries of their size that the
-      standard error takes (3 floats per grid point);
+      standard error takes (3 floats per grid point), its index's int
+      object (at most `sys.getsizeof` of R) and four list slots: one each in
+      the chunk's and the run's spectra lists and in ``realization_ids``, and
+      one for the eighth that a growing list over-allocates;
     - four grid-length arrays that do not scale with R: the grid, the IDS
       mean, and the standard error's mean and sum;
     - one buffer of NumPy's ufuncs, `np.getbufsize` floats (64 KiB), which
-      the counts' cast and the standard error's reductions fill."""
-    n, points = config.cube.n_sites, config.grid_points
+      the counts' cast and the standard error's reductions fill;
+    - the sorted copy of the pooled spectra that `np.histogram` takes, at
+      most `_HISTOGRAM_BLOCK` floats (the bin width's quartiles are found in
+      place, `_freedman_diaconis`)."""
+    n, points, r = config.cube.n_sites, config.grid_points, config.realizations
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
-    chunk = 8 * 6 * -(-config.realizations // _chunk_count(config.realizations, workers)) * n
-    per_realization = 8 * (4 * n + 3 * points) + np.empty(0).__sizeof__()
-    aggregates = config.realizations * per_realization + 8 * (4 * points + np.getbufsize())
+    chunk = 8 * 6 * -(-r // _chunk_count(r, workers)) * n
+    per_realization = (8 * (4 * n + 3 * points + 4) + np.empty(0).__sizeof__()
+                       + sys.getsizeof(r))
+    aggregates = r * per_realization + 8 * (4 * points + np.getbufsize()
+                                            + min(2 * n * r, _HISTOGRAM_BLOCK))
     return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
 
 
@@ -341,15 +350,17 @@ def default_grid(config: ExperimentConfig, clean: CleanPart) -> np.ndarray:
 
 
 def _freedman_diaconis(pooled: np.ndarray) -> float:
+    """The Freedman-Diaconis bin width of ``pooled``, which it partitions in
+    place (no copy is made; the order of ``pooled`` changes, not its values)."""
     # the quartiles of np.percentile's "linear" method, bit for bit, from one
     # partition: np.percentile itself imports numpy.ma (through np.unique)
     n = len(pooled)
     at = [(n - 1) * q for q in (0.75, 0.25)]
     below = [int(x) for x in at]
-    part = np.partition(pooled, sorted({min(k + d, n - 1) for k in below for d in (0, 1)}))
+    pooled.partition(sorted({min(k + d, n - 1) for k in below for d in (0, 1)}))
 
     def lerp(x, k):
-        a, b, t = part[k], part[min(k + 1, n - 1)], x - k
+        a, b, t = pooled[k], pooled[min(k + 1, n - 1)], x - k
         return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
     q75, q25 = map(lerp, at, below)
@@ -360,6 +371,8 @@ def _freedman_diaconis(pooled: np.ndarray) -> float:
     return float(width)
 
 
+# `np.histogram` sorts the values it bins in blocks of this many
+_HISTOGRAM_BLOCK = 65536
 # float arrays of the bin count's length alive at once: the edges, the counts,
 # the density, the proportions, the standard errors and the centers, and
 # `np.histogram`'s temporaries
@@ -416,10 +429,14 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     failures = [r for _, failed in done for r in failed]
     if len(failures) > 0.01 * config.realizations:
         raise EigenError(f"{len(failures)} of {config.realizations} eigensolves failed")
-    ids = sorted(set(range(config.realizations)).difference(failures))
+    dropped = set(failures)
+    ids = [r for r in range(config.realizations) if r not in dropped]
 
     grid = default_grid(config, clean)
-    counts = np.array([np.searchsorted(ev, grid, side="right") for ev in spectra])
+    # filled row by row: one searchsorted row is alive at a time
+    counts = np.empty((len(spectra), grid.size), dtype=np.intp)
+    for row, ev in zip(counts, spectra):
+        row[:] = np.searchsorted(ev, grid, side="right")
     frac = counts / (2 * config.cube.n_sites)
     ids_mean = frac.mean(axis=0)
     ids_stderr = frac.std(axis=0, ddof=1) / np.sqrt(len(spectra)) if len(spectra) > 1 \
@@ -437,7 +454,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     stderr = np.sqrt(p * (1.0 - p) * total) / (total * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    gaps = np.array([np.abs(ev).min() for ev in spectra])
+    gaps = np.fromiter((np.abs(ev).min() for ev in spectra), np.float64, len(spectra))
     half_bandwidth = (2 * config.cube.half_bandwidth if clean.driver == "zhbevd"
                       else block_half_bandwidth(config.cube))
     return EnsembleResult(config, spectra, ids, grid, ids_mean, ids_stderr,

@@ -181,26 +181,26 @@ def suite_zero_split(seed: int) -> SuiteResult:
         bdiag = rng.uniform(-0.5, 0.5, side)
         neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
         dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET))
-        h_n = neu + np.diag(v)
-        h_d = dir_ + np.diag(v)
-        b = np.diag(bdiag)
-        for ev in eigvalsh(np.stack([ops.assemble(h_n, b), ops.assemble(h_d, b),
-                                     ops.assemble_bracketing(h_d, h_n, b),
-                                     ops.assemble_bracketing(h_n, h_d, b)])):
+        for ev in boundary_spectra(dir_ + np.diag(v), neu + np.diag(v), np.diag(bdiag)):
             if not zero_split_check(ev):
                 ok = False
     return SuiteResult("zero-split", ok, "half-and-half split" if ok else "split violated", seed)
 
 
+def boundary_spectra(h_d: np.ndarray, h_n: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The spectra, solved as one stack, of the blocks +, -, D and N, in that
+    order: D and N are [[H_X, B], [B, -H_X]] with X = D, N, and + and - the
+    bracketing [[H_D, B], [B, -H_N]] and [[H_N, B], [B, -H_D]]."""
+    return eigvalsh(np.stack([ops.assemble_bracketing(top, bot, b)
+                              for top, bot in ((h_d, h_n), (h_n, h_d), (h_d, h_d), (h_n, h_n))]))
+
+
 def counting_chains_hold(h_d: np.ndarray, h_n: np.ndarray, b: np.ndarray,
                          points: int) -> bool:
     """Whether N_+ <= N_D <= N_- and N_+ <= N_N <= N_- hold for the counting
-    functions at ``points`` energies spanning the spectra with margin 0.5.
-    D and N are [[H_X, B], [B, -H_X]] with X = D, N, and + and - the
-    bracketing [[H_D, B], [B, -H_N]] and [[H_N, B], [B, -H_D]]."""
-    ev_plus, ev_minus, ev_d, ev_n = eigvalsh(np.stack([
-        ops.assemble_bracketing(h_d, h_n, b), ops.assemble_bracketing(h_n, h_d, b),
-        ops.assemble(h_d, b), ops.assemble(h_n, b)]))
+    functions of the four blocks (`boundary_spectra`) at ``points`` energies
+    spanning the spectra with margin 0.5."""
+    ev_plus, ev_minus, ev_d, ev_n = boundary_spectra(h_d, h_n, b)
     grid = np.linspace(ev_minus.min() - 0.5, ev_plus.max() + 0.5, points)
     c_plus, c_minus, c_d, c_n = (np.searchsorted(ev, grid, side="right")
                                  for ev in (ev_plus, ev_minus, ev_d, ev_n))

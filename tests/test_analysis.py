@@ -301,6 +301,10 @@ class TestBvInequality:
         assert rhs3 == pytest.approx(3 * rhs1, rel=1e-12)
 
 
+# the epsilons of acceptance check c11
+C11_EPSILONS = (0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05)
+
+
 def _example_run() -> LifshitsRun:
     """The tail probe of ``configs/example.json``, as the CLI builds it."""
     config, extras, _ = load_config(Path(__file__).parents[1] / "configs" / "example.json")
@@ -315,6 +319,17 @@ class TestLifshits:
         run = LifshitsRun((0.25,), DensitySpec.uniform(1, 2), 1.0, 0)
         assert run.side_for(0.25) == 8          # ceil(4 * 0.25^-0.5)
         assert run.side_for(4.0) == 2
+        # 4 * eps^-0.5 rounds to 31.000000000000004 here, 4 / sqrt(eps) to 31.0:
+        # the law is the power, and a rewrite to the root would move this box
+        assert run.side_for((4 / 31) ** 2) == 32
+        # perfbench's `Lifshits1D.expected_sides` writes the law with the
+        # exponent d/2 (`alpha`); it gives the same boxes over the epsilons of
+        # acceptance check c11 and of configs/example.json
+        for run in (LifshitsRun(C11_EPSILONS, DensitySpec.uniform(0.5, 1.5), 0.5, 0),
+                    _example_run()):
+            assert run.alpha == 0.5
+            assert [run.side_for(e) for e in run.epsilons] == \
+                [max(2, math.ceil(run.c * e ** (-run.alpha / run.dim))) for e in run.epsilons]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -330,11 +345,11 @@ class TestLifshits:
         # every draw of V is at least 1: a zero-height cell below carries no mass
         LifshitsRun((0.2,), DensitySpec((0, 1, 2), (0, 1)), 1.0, 0)
 
-    @pytest.mark.parametrize("c, alpha", [(4.0, 1000.0), (1e308, 0.5)],
-                             ids=["power-overflows", "product-overflows"])
-    def test_box_side_must_be_finite(self, c, alpha):
+    # eps^(-1/2) is finite for every positive double: only a huge c overflows
+    @pytest.mark.parametrize("c", [1e308], ids=["product-overflows"])
+    def test_box_side_must_be_finite(self, c):
         with pytest.raises(ValueError, match="^the box side .* at eps 0.1 is not finite"):
-            LifshitsRun((0.4, 0.1), DensitySpec.uniform(1, 2), 1.0, 0, c=c, alpha=alpha)
+            LifshitsRun((0.4, 0.1), DensitySpec.uniform(1, 2), 1.0, 0, c=c)
 
     def test_probe_small(self):
         run = LifshitsRun((0.4, 0.2), DensitySpec.uniform(1, 2), 1.0, 5,

@@ -188,11 +188,14 @@ class TestChunks:
         def cut(*args):
             raise AssertionError("the estimate cut the chunks")
         monkeypatch.setattr(randblock.spectra, "_chunks", cut)
-        small, large = (make_config(side=9, realizations=r) for r in (128, 10**15))
-        # both runs have chunks of 64: R adds only the spectra and the IDS counts
-        per_realization = 8 * (4 * 9 + 3 * 512) + np.empty(0).__sizeof__()
+        small, large = (make_config(side=9, realizations=r) for r in (4096, 10**15))
+        # both runs have chunks of 64 and pool more than the 65536 floats
+        # `np.histogram` sorts at once: R adds only each realization's spectrum,
+        # IDS counts, list slots and index, an int object at most as large as R
+        def per_realization(r):
+            return 8 * (4 * 9 + 3 * 512 + 4) + np.empty(0).__sizeof__() + sys.getsizeof(r)
         assert (peak_bytes(large, workers) - peak_bytes(small, workers)
-                == per_realization * (10**15 - 128))
+                == per_realization(10**15) * 10**15 - per_realization(4096) * 4096)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
@@ -232,7 +235,9 @@ class TestPeakBytes:
               for boundary in ("N", "+")),
             (3, 8, "N", 16, 512),
             # small runs, where the grid-length arrays and NumPy's ufunc buffer count
-            (2, 6, "+", 16, 512), (1, 3, "N", 2, 4096)]
+            (2, 6, "+", 16, 512), (1, 3, "N", 2, 4096),
+            # tiny, long runs, where each realization's list slots and index count
+            (1, 2, "N", 1024, 2), (1, 2, "+", 1024, 2), (1, 2, "N", 1024, 16)]
 
     # a row's id names its grid when that is not the default 512 points
     @pytest.mark.parametrize("dim, side, boundary, realizations, grid_points", ROWS,
