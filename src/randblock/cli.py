@@ -98,10 +98,6 @@ def _write_csv(path: Path, header_comment: list[str], names: list[str],
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 @functools.cache
 def _blas_identity() -> dict | None:
     """Name and version of the BLAS/LAPACK library SciPy is built with: the
@@ -140,7 +136,7 @@ def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,
         "wall_time_seconds": time.monotonic() - t0,
         "failed_realizations": 0 if result is None else len(result.failures),
         "failed_indices": None if result is None else result.failures,
-        "outputs": {f.name: _sha256(f) for f in files},
+        "outputs": {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files},
     }
     _write_text(out_dir / f"{command}_manifest.json", json.dumps(manifest, indent=2) + "\n")
 

@@ -17,6 +17,7 @@ evaluated on arrays only (`DensitySpec.pdf_array`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,12 +123,13 @@ class SeedPolicy:
             raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
 
     def key(self, realization_index: int, field: str) -> int:
-        """The 128-bit Philox key of one field of one realization."""
+        """The 128-bit Philox key of one field of one realization, whose index
+        may be a NumPy integer (`spectra.EnsembleResult.realization_ids`)."""
         if field not in _FIELD_TAGS:
             raise ValueError(f"field must be one of {sorted(_FIELD_TAGS)}")
         if realization_index < 0:
             raise ValueError("realization index must be non-negative")
-        return (self.base_seed << 64) | (2 * realization_index + _FIELD_TAGS[field])
+        return (self.base_seed << 64) | (2 * operator.index(realization_index) + _FIELD_TAGS[field])
 
     def streams(self, indices, field: str) -> Streams:
         """The streams of ``field`` for several realizations, drawn together."""

@@ -29,8 +29,8 @@ Which band is solved is chosen per run (`band_driver`):
 from __future__ import annotations
 
 import os
-import sys
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -102,7 +102,6 @@ class ExperimentConfig:
 class EnsembleResult:
     config: ExperimentConfig
     spectra: list[np.ndarray]         # sorted eigenvalues per surviving realization
-    realization_ids: list[int]
     grid: np.ndarray
     ids_mean: np.ndarray
     ids_stderr: np.ndarray
@@ -113,7 +112,12 @@ class EnsembleResult:
     gap_per_realization: np.ndarray   # min |eigenvalue| per realization
     driver: str                       # LAPACK driver of the band solves (`band_driver`)
     half_bandwidth: int               # of the band storage that driver solved
-    failures: list[int] = field(default_factory=list)
+    failures: list[int]               # indices whose solve failed, ascending
+
+    @property
+    def realization_ids(self) -> np.ndarray:
+        """The index of each spectrum: those below R not in ``failures``."""
+        return np.delete(np.arange(self.config.realizations, dtype=np.intp), self.failures)
 
 
 @dataclass(frozen=True)
@@ -264,7 +268,8 @@ def _chunks(realizations: int, workers: int) -> list[range]:
 
 def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     """Estimated peak memory of `run_ensemble` with ``workers`` worker
-    processes (`pool_workers`), as the sum of these terms:
+    processes (`pool_workers`) but for the DOS histogram, whose arrays the
+    run checks on top of it (`_histogram_bins`), as the sum of these terms:
 
     - the clean part (two Laplacian bands and u0);
     - per process that solves, a chunk of C realizations (C the longest
@@ -277,10 +282,9 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     - per realization, its spectrum and its pooled copy (4n floats), the
       spectrum's array object (`np.empty(0).__sizeof__()` bytes), its row
       of the IDS counts with the two temporaries of their size that the
-      standard error takes (3 floats per grid point), its index's int
-      object (at most `sys.getsizeof` of R) and four list slots: one each in
-      the chunk's and the run's spectra lists and in ``realization_ids``, and
-      one for the eighth that a growing list over-allocates;
+      standard error takes (3 floats per grid point) and two list slots:
+      its own in the run's spectra list and one for the eighth that a
+      growing list over-allocates;
     - four grid-length arrays that do not scale with R: the grid, the IDS
       mean, and the standard error's mean and sum;
     - one buffer of NumPy's ufuncs, `np.getbufsize` floats (64 KiB), which
@@ -292,8 +296,7 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
     chunk = 8 * 6 * -(-r // _chunk_count(r, workers)) * n
-    per_realization = (8 * (4 * n + 3 * points + 4) + np.empty(0).__sizeof__()
-                       + sys.getsizeof(r))
+    per_realization = 8 * (4 * n + 3 * points + 2) + np.empty(0).__sizeof__()
     aggregates = r * per_realization + 8 * (4 * points + np.getbufsize()
                                             + min(2 * n * r, _HISTOGRAM_BLOCK))
     return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
@@ -379,18 +382,19 @@ _HISTOGRAM_BLOCK = 65536
 _HISTOGRAM_ARRAYS = 8
 
 
-def _histogram_bins(lo: float, hi: float, width: float) -> float:
+def _histogram_bins(lo: float, hi: float, width: float, held: int) -> float:
     """The bin count of a DOS histogram over [lo, hi], as a float (inf for a
     subnormal width): max(1, ⌈(hi - lo)/width⌉), and one more when that
     quotient rounded down onto an integer and left the last edge
     lo + width·count below hi, where `np.histogram` would drop the maximum.
-    MemoryLimitError when its arrays would not fit."""
+    MemoryLimitError when its arrays would not fit beside the ``held``
+    bytes of the run that bins (`peak_bytes`)."""
     with np.errstate(over="ignore"):
         nbins = max(1.0, np.ceil((hi - lo) / width))
     if lo + width * nbins < hi:
         nbins += 1
-    check_memory(8 * _HISTOGRAM_ARRAYS * (nbins + 1),
-                 f"the DOS histogram ({nbins:.3g} bins of width {width!r})")
+    check_memory(8 * _HISTOGRAM_ARRAYS * (nbins + 1) + held,
+                 f"the DOS histogram ({nbins:.3g} bins of width {width!r}) with its ensemble")
     return nbins
 
 
@@ -398,39 +402,36 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Sample, build, diagonalize and aggregate R independent realizations.
 
     Raises MemoryLimitError before allocating when `peak_bytes` exceeds
-    `lattice.memory_limit`, and when the DOS histogram's arrays do: before
-    binning, and for a given ``bin_width`` already before the first solve
-    (every |E| <= ρ: it checks the bins over [-ρ, ρ])."""
+    `lattice.memory_limit`, and when the DOS histogram's arrays on top of it
+    do: before binning, and for a given ``bin_width`` already before the
+    first solve (every |E| <= ρ: it checks the bins over [-ρ, ρ])."""
     workers = pool_workers(config)
-    check_memory(peak_bytes(config, workers),
+    needed = peak_bytes(config, workers)
+    check_memory(needed,
                  f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
                  f"(half-bandwidth {block_half_bandwidth(config.cube)}, {config.realizations} "
                  f"realizations, {max(workers, 1)} process(es))")
     clean = base_matrices(config)
     if config.bin_width is not None:
-        _histogram_bins(-clean.radius, clean.radius, config.bin_width)
+        _histogram_bins(-clean.radius, clean.radius, config.bin_width, needed)
     solve = partial(_solve_chunk, config, clean)
     chunks = _chunks(config.realizations, workers)
-    if workers:
-        # the pool's import (multiprocessing, socket, logging) is paid only
-        # by runs that start one
-        from concurrent.futures import ProcessPoolExecutor
-
-        # workers rebuild nothing: the clean part ships with each chunk, and
-        # forked workers inherit the loaded LAPACK wrappers (`eigen.flapack`)
-        # instead of each loading them
-        flapack()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(solve, chunks))
-    else:
-        done = list(map(solve, chunks))
-
-    spectra = [ev for chunk, _ in done for ev in chunk]
-    failures = [r for _, failed in done for r in failed]
+    spectra, failures = [], []
+    with ExitStack() as stack:
+        solve_all = map
+        if workers:
+            # paid only by runs that start a pool: its import (multiprocessing,
+            # socket, logging), and the LAPACK wrappers (`eigen.flapack`) loaded
+            # once for the forked workers to inherit; the clean part ships with
+            # each chunk, so workers rebuild nothing
+            from concurrent.futures import ProcessPoolExecutor
+            flapack()
+            solve_all = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for solved, failed in solve_all(solve, chunks):    # in index order, as they arrive
+            spectra += solved
+            failures += failed
     if len(failures) > 0.01 * config.realizations:
         raise EigenError(f"{len(failures)} of {config.realizations} eigensolves failed")
-    dropped = set(failures)
-    ids = [r for r in range(config.realizations) if r not in dropped]
 
     grid = default_grid(config, clean)
     # filled row by row: one searchsorted row is alive at a time
@@ -445,7 +446,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     pooled = np.concatenate(spectra)
     width = config.bin_width or _freedman_diaconis(pooled)
     lo, hi = pooled.min(), pooled.max()
-    nbins = _histogram_bins(lo, hi, width)
+    nbins = _histogram_bins(lo, hi, width, needed)
     edges = lo + width * np.arange(int(nbins) + 1)
     hist, _ = np.histogram(pooled, bins=edges)
     total = pooled.size
@@ -457,7 +458,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     gaps = np.fromiter((np.abs(ev).min() for ev in spectra), np.float64, len(spectra))
     half_bandwidth = (2 * config.cube.half_bandwidth if clean.driver == "zhbevd"
                       else block_half_bandwidth(config.cube))
-    return EnsembleResult(config, spectra, ids, grid, ids_mean, ids_stderr,
+    return EnsembleResult(config, spectra, grid, ids_mean, ids_stderr,
                           centers, hist, density, stderr, gaps, clean.driver,
                           half_bandwidth, failures)
 

@@ -456,6 +456,30 @@ class TestConfigErrors:
         assert main(["dos", "--config", path, "--out", str(out), "--threads", "1"]) == 0
         assert len(calls) == 500
 
+    def test_dos_histogram_checked_with_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        # a limit that holds the histogram's arrays over [-ρ, ρ] and the run's
+        # estimate each alone, but not both: refused before any solve
+        doc = base_doc(bin_width=1e-4)
+        config, _ = parse_config(doc)
+        radius = randblock.spectra.base_matrices(config).radius
+        nbins = math.ceil(2 * radius / 1e-4) + 1     # at most one bin more than the run's
+        histogram = 8 * randblock.spectra._HISTOGRAM_ARRAYS * (nbins + 1)
+        estimate = randblock.spectra.peak_bytes(config, 0)
+        assert histogram > estimate
+        monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: histogram + estimate // 2)
+
+        def never(*args):
+            raise AssertionError("a realization was solved before the histogram was checked")
+
+        monkeypatch.setattr(randblock.spectra, "_solve_chunk", never)
+        out = tmp_path / "out"
+        assert main(["dos", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: the DOS histogram")
+        assert not out.exists()
+
     def test_wegner_mode_named(self, tmp_path, capsys):
         doc = base_doc(disorder={"V": _V, "b": {"type": "constant", "value": 0.5}},
                        wegner={"mode": "X"})

@@ -91,6 +91,14 @@ class TestSeedPolicy:
         with pytest.raises(ValueError):
             generator(SeedPolicy(0), 0, "x")
 
+    @pytest.mark.parametrize("index", [np.intp(2), np.uint64(2), np.int8(2)],
+                             ids=["intp", "uint64", "int8"])
+    def test_numpy_index_same_key(self, index):
+        # the 128-bit key does not pass through a NumPy integer's 64 bits
+        p = SeedPolicy(2**64 - 1)
+        assert p.key(index, "b") == p.key(2, "b") == (2**64 - 1) << 64 | 5
+        assert type(p.key(index, "b")) is int
+
 
 class TestStreams:
     @pytest.mark.parametrize("base_seed", [0, 5, 2**64 - 1])

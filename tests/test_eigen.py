@@ -211,7 +211,7 @@ class TestLapackFailure:
         self.fail_on(monkeypatch, {70}, LAPACK, name)
         result = run_ensemble(self.config(2 * 64 + 3, v_lo))
         assert result.failures == [70]
-        assert result.realization_ids == [r for r in range(2 * 64 + 3) if r != 70]
+        assert list(result.realization_ids) == [r for r in range(2 * 64 + 3) if r != 70]
 
     def test_manifest_records_failed_indices(self, tmp_path, monkeypatch):
         path = self.write_config(tmp_path, realizations=2 * 64 + 3)
@@ -220,6 +220,14 @@ class TestLapackFailure:
         manifest = json.loads((tmp_path / "ids_manifest.json").read_text())
         assert manifest["failed_realizations"] == 1
         assert manifest["failed_indices"] == [70]
+
+    def test_gap_table_lists_surviving_indices(self, tmp_path, monkeypatch):
+        path = self.write_config(tmp_path, realizations=2 * 64 + 3)
+        self.fail_on(monkeypatch, {70})
+        assert main(["gap", "--config", path, "--out", str(tmp_path), "--threads", "1"]) == 0
+        rows = (tmp_path / "gap.csv").read_text().splitlines()[3:]
+        assert [int(row.split(",")[0]) for row in rows] == [
+            r for r in range(2 * 64 + 3) if r != 70]
 
     def test_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
         path = self.write_config(tmp_path)

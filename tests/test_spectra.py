@@ -25,6 +25,7 @@ from randblock.spectra import (
     _chunk_count,
     _chunks,
     _freedman_diaconis,
+    _HISTOGRAM_ARRAYS,
     _histogram_bins,
     _solve_chunk,
     default_grid,
@@ -191,11 +192,10 @@ class TestChunks:
         small, large = (make_config(side=9, realizations=r) for r in (4096, 10**15))
         # both runs have chunks of 64 and pool more than the 65536 floats
         # `np.histogram` sorts at once: R adds only each realization's spectrum,
-        # IDS counts, list slots and index, an int object at most as large as R
-        def per_realization(r):
-            return 8 * (4 * 9 + 3 * 512 + 4) + np.empty(0).__sizeof__() + sys.getsizeof(r)
+        # IDS counts and list slots
+        per_realization = 8 * (4 * 9 + 3 * 512 + 2) + np.empty(0).__sizeof__()
         assert (peak_bytes(large, workers) - peak_bytes(small, workers)
-                == per_realization(10**15) * 10**15 - per_realization(4096) * 4096)
+                == per_realization * (10**15 - 4096))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
@@ -207,7 +207,7 @@ class TestChunks:
         clean = base_matrices(cfg)
         assert clean.driver == driver
         result = run_ensemble(cfg)
-        assert result.realization_ids == list(range(self.R))
+        assert list(result.realization_ids) == list(range(self.R))
         for r, ev in zip(result.realization_ids, result.spectra):
             (single,), _ = _solve_chunk(cfg, clean, range(r, r + 1))
             assert ev.tobytes() == single.tobytes()
@@ -231,31 +231,42 @@ class TestChunks:
 class TestPeakBytes:
     """The memory estimate against what a run allocates, as tracemalloc sees it."""
 
-    ROWS = [*((dim, side, boundary, 64, 512) for dim, side in ((1, 201), (2, 8), (2, 16), (3, 4))
-              for boundary in ("N", "+")),
-            (3, 8, "N", 16, 512),
+    ROWS = [*((dim, side, boundary, 64, 512, None)
+              for dim, side in ((1, 201), (2, 8), (2, 16), (3, 4)) for boundary in ("N", "+")),
+            (3, 8, "N", 16, 512, None),
             # small runs, where the grid-length arrays and NumPy's ufunc buffer count
-            (2, 6, "+", 16, 512), (1, 3, "N", 2, 4096),
-            # tiny, long runs, where each realization's list slots and index count
-            (1, 2, "N", 1024, 2), (1, 2, "+", 1024, 2), (1, 2, "N", 1024, 16)]
+            (2, 6, "+", 16, 512, None), (1, 3, "N", 2, 4096, None),
+            # tiny, long runs, where each realization's list slots count
+            (1, 2, "N", 1024, 2, None), (1, 2, "+", 1024, 2, None), (1, 2, "N", 1024, 16, None),
+            (1, 2, "N", 4096, 2, None),
+            # a given bin width whose histogram outweighs the rest of the run
+            (1, 5, "N", 4, 512, 1e-3), (1, 5, "N", 4, 512, 1e-4)]
 
-    # a row's id names its grid when that is not the default 512 points
-    @pytest.mark.parametrize("dim, side, boundary, realizations, grid_points", ROWS,
-                             ids=["-".join(map(str, row if row[4] != 512 else row[:4]))
+    # a row's id names its grid when that is not the default 512 points, and
+    # its bin width (w) when it gives one
+    @pytest.mark.parametrize("dim, side, boundary, realizations, grid_points, bin_width", ROWS,
+                             ids=["-".join([*map(str, row[:4] if row[4] == 512 else row[:5]),
+                                            *([] if row[5] is None else [f"w{row[5]}"])])
                                   for row in ROWS])
-    def test_bounds_traced_peak(self, dim, side, boundary, realizations, grid_points):
+    def test_bounds_traced_peak(self, dim, side, boundary, realizations, grid_points,
+                                bin_width):
         disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
         cfg = ExperimentConfig(Cube(dim, side), boundary, disorder, PeriodicPotential.zero(dim),
-                               realizations, 0, grid_points=grid_points)
+                               realizations, 0, grid_points=grid_points, bin_width=bin_width)
         # the modules a run loads are loaded before the traced run
         run_ensemble(replace(cfg, cube=Cube(dim, 2), realizations=2))
         tracemalloc.start()
         try:
-            run_ensemble(cfg)
+            result = run_ensemble(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= peak_bytes(cfg, 0)
+        if bin_width is None:
+            assert peak <= peak_bytes(cfg, 0)
+        else:
+            # the run's histogram arrays on top of the estimate: what the run checks
+            nbins = result.dos_counts.size
+            assert peak <= peak_bytes(cfg, 0) + 8 * _HISTOGRAM_ARRAYS * (nbins + 1)
 
 
 class TestBandedSolve:
@@ -521,7 +532,7 @@ class TestDosHistogram:
         for _ in range(5000):
             lo, hi = np.sort(rng.uniform(-10, 10, 2))
             width = (hi - lo) / rng.integers(1, 200) * (1 + rng.choice([-1, 0, 1]) * 2.2e-16)
-            nbins = _histogram_bins(lo, hi, width)
+            nbins = _histogram_bins(lo, hi, width, 0)
             edges = lo + width * np.arange(int(nbins) + 1)
             assert edges[-1] >= hi
             assert np.histogram([lo, hi], edges)[0].sum() == 2
