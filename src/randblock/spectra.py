@@ -279,26 +279,22 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
       and two block bands, a realization's band and the copy LAPACK solves;
     - per worker of a process pool, the clean part of its current chunk and
       of two pickled chunks queued for it;
-    - per realization, its spectrum and its pooled copy (4n floats), the
-      spectrum's array object (`np.empty(0).__sizeof__()` bytes), its row
-      of the IDS counts with the two temporaries of their size that the
-      standard error takes (3 floats per grid point) and two list slots:
-      its own in the run's spectra list and one for the eighth that a
-      growing list over-allocates;
+    - per realization, its spectrum and its pooled copy, which is sorted in
+      place (4n floats), the spectrum's array object
+      (`np.empty(0).__sizeof__()` bytes), its row of the IDS counts with the
+      two temporaries of their size that the standard error takes (3 floats
+      per grid point) and two list slots: its own in the run's spectra list
+      and one for the eighth that a growing list over-allocates;
     - four grid-length arrays that do not scale with R: the grid, the IDS
       mean, and the standard error's mean and sum;
     - one buffer of NumPy's ufuncs, `np.getbufsize` floats (64 KiB), which
-      the counts' cast and the standard error's reductions fill;
-    - the sorted copy of the pooled spectra that `np.histogram` takes, at
-      most `_HISTOGRAM_BLOCK` floats (the bin width's quartiles are found in
-      place, `_freedman_diaconis`)."""
+      the counts' cast and the standard error's reductions fill."""
     n, points, r = config.cube.n_sites, config.grid_points, config.realizations
     band = block_band_bytes(config.cube)
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
     chunk = 8 * 6 * -(-r // _chunk_count(r, workers)) * n
     per_realization = 8 * (4 * n + 3 * points + 2) + np.empty(0).__sizeof__()
-    aggregates = r * per_realization + 8 * (4 * points + np.getbufsize()
-                                            + min(2 * n * r, _HISTOGRAM_BLOCK))
+    aggregates = r * per_realization + 8 * (4 * points + np.getbufsize())
     return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
 
 
@@ -353,40 +349,35 @@ def default_grid(config: ExperimentConfig, clean: CleanPart) -> np.ndarray:
 
 
 def _freedman_diaconis(pooled: np.ndarray) -> float:
-    """The Freedman-Diaconis bin width of ``pooled``, which it partitions in
-    place (no copy is made; the order of ``pooled`` changes, not its values)."""
-    # the quartiles of np.percentile's "linear" method, bit for bit, from one
-    # partition: np.percentile itself imports numpy.ma (through np.unique)
+    """The Freedman-Diaconis bin width of the sorted ``pooled``."""
+    # the quartiles of np.percentile's "linear" method, bit for bit, read off
+    # the sorted array: np.percentile itself imports numpy.ma (through np.unique)
     n = len(pooled)
-    at = [(n - 1) * q for q in (0.75, 0.25)]
-    below = [int(x) for x in at]
-    pooled.partition(sorted({min(k + d, n - 1) for k in below for d in (0, 1)}))
 
-    def lerp(x, k):
+    def quartile(q):
+        x = (n - 1) * q
+        k = int(x)
         a, b, t = pooled[k], pooled[min(k + 1, n - 1)], x - k
         return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
-    q75, q25 = map(lerp, at, below)
-    iqr = q75 - q25
+    iqr = quartile(0.75) - quartile(0.25)
     width = 2.0 * iqr / n ** (1.0 / 3.0)
     if width <= 0:
-        width = (pooled.max() - pooled.min()) / 64 or 1.0
+        width = (pooled[-1] - pooled[0]) / 64 or 1.0
     return float(width)
 
 
-# `np.histogram` sorts the values it bins in blocks of this many
-_HISTOGRAM_BLOCK = 65536
 # float arrays of the bin count's length alive at once: the edges, the counts,
-# the density, the proportions, the standard errors and the centers, and
-# `np.histogram`'s temporaries
-_HISTOGRAM_ARRAYS = 8
+# the density, the proportions, the standard errors and the centers, and the
+# edge sums the centers are halved from; no earlier step holds more
+_HISTOGRAM_ARRAYS = 7
 
 
 def _histogram_bins(lo: float, hi: float, width: float, held: int) -> float:
     """The bin count of a DOS histogram over [lo, hi], as a float (inf for a
     subnormal width): max(1, ⌈(hi - lo)/width⌉), and one more when that
     quotient rounded down onto an integer and left the last edge
-    lo + width·count below hi, where `np.histogram` would drop the maximum.
+    lo + width·count below hi, where the last bin would leave out the maximum.
     MemoryLimitError when its arrays would not fit beside the ``held``
     bytes of the run that bins (`peak_bytes`)."""
     with np.errstate(over="ignore"):
@@ -444,11 +435,15 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
         else np.zeros_like(ids_mean)
 
     pooled = np.concatenate(spectra)
+    pooled.sort()
     width = config.bin_width or _freedman_diaconis(pooled)
-    lo, hi = pooled.min(), pooled.max()
+    lo, hi = pooled[0], pooled[-1]
     nbins = _histogram_bins(lo, hi, width, needed)
     edges = lo + width * np.arange(int(nbins) + 1)
-    hist, _ = np.histogram(pooled, bins=edges)
+    # np.histogram's rule: every bin is half-open but the last, which holds its right edge
+    hist = pooled.searchsorted(edges)
+    hist[-1] = pooled.searchsorted(edges[-1], "right")
+    hist = np.diff(hist)
     total = pooled.size
     density = hist / (total * width)
     p = hist / total

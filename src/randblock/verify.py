@@ -43,17 +43,27 @@ def _random_symmetric(rng, n: int) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _instance_1d(rng: np.random.Generator, sides: tuple[int, int],
+                 v_range: tuple[float, float], b_range: tuple[float, float],
+                 modes: tuple[BoundaryMode, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """One random 1-d instance, drawn from ``rng`` in this order: the side of
+    a cube (``rng.integers(*sides)``), then V ~ U(v_range) and b ~ U(b_range)
+    on its sites.  Returns the dense H = Laplacian + diag(V) for each of
+    ``modes`` and B = diag(b)."""
+    side = int(rng.integers(*sides))
+    v = np.diag(rng.uniform(*v_range, side))
+    b = np.diag(rng.uniform(*b_range, side))
+    cube = Cube(1, side)
+    return [ops.dense(ops.laplacian(cube, mode)) + v for mode in modes], b
+
+
 def suite_symmetry(seed: int) -> SuiteResult:
     """Spectra of [[H, b], [b, -H]] are symmetric about zero."""
     rng = _rng(seed, 1)
     worst = 0.0
     for _ in range(10):
-        side = int(rng.integers(6, 20))
-        cube = Cube(1, side)
-        h = (ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
-             + np.diag(rng.uniform(0, 2, side)))
-        m = ops.assemble(h, np.diag(rng.uniform(-1, 1, side)))
-        ev = eigvalsh(m)
+        (h,), b = _instance_1d(rng, (6, 20), (0, 2), (-1, 1), (BoundaryMode.NEUMANN,))
+        ev = eigvalsh(ops.assemble(h, b))
         scale = max(1.0, np.abs(ev).max())
         worst = max(worst, symmetry_residual(ev) / scale)
     passed = worst <= 1e-9
@@ -175,13 +185,9 @@ def suite_zero_split(seed: int) -> SuiteResult:
     rng = _rng(seed, 5)
     ok = True
     for _ in range(8):
-        side = int(rng.integers(5, 15))
-        cube = Cube(1, side)
-        v = rng.uniform(1, 2, side)
-        bdiag = rng.uniform(-0.5, 0.5, side)
-        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
-        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET))
-        for ev in boundary_spectra(dir_ + np.diag(v), neu + np.diag(v), np.diag(bdiag)):
+        (h_d, h_n), b = _instance_1d(rng, (5, 15), (1, 2), (-0.5, 0.5),
+                                     (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN))
+        for ev in boundary_spectra(h_d, h_n, b):
             if not zero_split_check(ev):
                 ok = False
     return SuiteResult("zero-split", ok, "half-and-half split" if ok else "split violated", seed)
@@ -213,13 +219,9 @@ def suite_bracketing_sandwich(seed: int) -> SuiteResult:
     rng = _rng(seed, 6)
     ok = True
     for _ in range(6):
-        side = int(rng.integers(5, 15))
-        cube = Cube(1, side)
-        v = np.diag(rng.uniform(0, 2, side))
-        b = np.diag(rng.uniform(-1, 1, side))
-        neu = ops.dense(ops.laplacian(cube, BoundaryMode.NEUMANN))
-        dir_ = ops.dense(ops.laplacian(cube, BoundaryMode.DIRICHLET))
-        ok = counting_chains_hold(dir_ + v, neu + v, b, 32) and ok
+        (h_d, h_n), b = _instance_1d(rng, (5, 15), (0, 2), (-1, 1),
+                                     (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN))
+        ok = counting_chains_hold(h_d, h_n, b, 32) and ok
     return SuiteResult("bracketing-sandwich", ok,
                        "counting chains hold" if ok else "counting chain violated", seed)
 

@@ -190,8 +190,7 @@ class TestChunks:
             raise AssertionError("the estimate cut the chunks")
         monkeypatch.setattr(randblock.spectra, "_chunks", cut)
         small, large = (make_config(side=9, realizations=r) for r in (4096, 10**15))
-        # both runs have chunks of 64 and pool more than the 65536 floats
-        # `np.histogram` sorts at once: R adds only each realization's spectrum,
+        # both runs have chunks of 64: R adds only each realization's spectrum,
         # IDS counts and list slots
         per_realization = 8 * (4 * 9 + 3 * 512 + 2) + np.empty(0).__sizeof__()
         assert (peak_bytes(large, workers) - peak_bytes(small, workers)
@@ -239,6 +238,9 @@ class TestPeakBytes:
             # tiny, long runs, where each realization's list slots count
             (1, 2, "N", 1024, 2, None), (1, 2, "+", 1024, 2, None), (1, 2, "N", 1024, 16, None),
             (1, 2, "N", 4096, 2, None),
+            # a long run on a short grid, where the pooled spectra, sorted in
+            # place, are the largest aggregate
+            (1, 201, "N", 256, 2, None),
             # a given bin width whose histogram outweighs the rest of the run
             (1, 5, "N", 4, 512, 1e-3), (1, 5, "N", 4, 512, 1e-4)]
 
@@ -513,7 +515,36 @@ class TestDosHistogram:
             if i % 3 == 0:
                 x = np.round(x, 1)         # ties
             want = _percentile_width(x)
-            assert np.float64(_freedman_diaconis(x)).tobytes() == np.float64(want).tobytes(), n
+            got = _freedman_diaconis(np.sort(x))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
+
+    @pytest.mark.parametrize("spectra, bin_width", [
+        # width 0.25 from -1: every eigenvalue on an edge, the largest on the
+        # last one, and ties within and across realizations
+        ([[-1.0, -0.5, -0.5, 0.0, 0.5, 1.0], [-0.75, -0.5, 0.0, 0.0, 0.5, 1.0],
+          [-1.0, -0.25, 0.25, 0.5, 0.75, 1.0]], 0.25),
+        # one realization, on the Freedman–Diaconis width
+        ([[-2.0, -1.1, -0.3, 0.3, 1.1, 2.0]], None),
+        # one value: zero quartile range and zero span, one bin of width 1
+        ([[1.0] * 6] * 2, None),
+    ])
+    def test_counts_are_np_histogram(self, monkeypatch, spectra, bin_width):
+        solved = iter(map(np.array, spectra))
+        monkeypatch.setattr(randblock.spectra, "eigvalsh", lambda band: next(solved))
+        zero = ConstantValue(0.0)
+        cfg = ExperimentConfig(Cube(1, 3), "N", DisorderModel(zero, zero), PeriodicPotential.zero(1),
+                               len(spectra), 0, bin_width=bin_width)
+        counts = run_ensemble(cfg).dos_counts
+        pooled = np.concatenate(spectra)
+        edges = pooled.min() + (bin_width or _percentile_width(pooled)) * np.arange(counts.size + 1)
+        assert edges[-1] >= pooled.max()
+        assert np.array_equal(counts, np.histogram(pooled, edges)[0])
+
+    def test_counts_of_a_run_are_np_histogram(self):
+        result = run_ensemble(make_config(side=9, realizations=20))
+        pooled = np.concatenate(result.spectra)
+        edges = pooled.min() + _percentile_width(pooled) * np.arange(result.dos_counts.size + 1)
+        assert np.array_equal(result.dos_counts, np.histogram(pooled, edges)[0])
 
     def test_keeps_the_largest_eigenvalues(self):
         # (hi - lo)/width rounds down onto 41 here, and the 41st edge lands
