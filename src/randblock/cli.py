@@ -51,7 +51,7 @@ from .config import ConfigError, construct, load_config
 from .disorder import SeedPolicy, support_bounds
 from .eigen import EigenError, backend_name, scipy_module
 from .lattice import MemoryLimitError, check_memory
-from .spectra import run_ensemble, usable_cpus
+from .spectra import pool_workers, run_ensemble, usable_cpus
 from .verify import run_all
 
 EXIT_OK = 0
@@ -119,13 +119,15 @@ def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,
     """Write ``<command>_manifest.json``: the config document ``echo`` as
     read, with the seed the run used, the time since ``t0`` and the outputs'
     digests, plus the failures (their count and sorted indices), LAPACK
-    driver and half-bandwidth of the ensemble ``result`` for commands that
-    run one."""
+    driver, half-bandwidth and worker threads of the ensemble ``result`` for
+    commands that run one."""
     manifest = {
         "tool_version": __version__,
         # LAPACK driver and half-bandwidth of the ensemble's band solves, if any
         "driver": None if result is None else result.driver,
         "half_bandwidth": None if result is None else result.half_bandwidth,
+        # the threads that solved it (`pool_workers`), 0 on the calling thread
+        "workers": None if result is None else pool_workers(result.config),
         # spectra depend in the last bits on the BLAS build and its threads
         "blas": _blas_identity(),
         "thread_env": {k: v for k, v in sorted(os.environ.items())
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the config base seed")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for ensembles (default: the CPUs "
+                        help="worker threads for ensembles (default: the CPUs "
                              "this process may run on), at most one per such CPU "
                              "and per realization")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)

@@ -1,24 +1,27 @@
 """Real symmetric eigensolvers.
 
 Full spectra come from LAPACK (`eigvalsh`): ``dsyevd`` through NumPy for
-dense matrices, one or a stack of them, ``dsbevd`` from SciPy's compiled
-LAPACK wrappers (`flapack`) for band matrices (`SymmetricBand`).  A block
-operator with spectrum symmetric about zero and a certified gap can instead
-be given through its n x n square (`SquaredBand`, complex Hermitian band
-storage), which ``zhbevd`` solves at half the dimension; its eigenvalues μ
-come back as ±√μ, moved by |δE| ≲ eps·ρ²/λ when the spectrum lies in
-[-ρ, ρ] and outside (-λ, λ).  Whether stacked tridiagonal matrices have an
-eigenvalue below a threshold comes from one batched Sturm pass
-(`any_eigenvalue_below`), their smallest eigenvalues from a bisection on
-that test (`min_eig_tridiag`).  A failed solve raises `EigenError`;
-`backend_name` names the solvers.  The band types only carry their storage
-to the solver: `operators.dense` gives the matrix a band storage stands for.
-`scipy_module` runs one of SciPy's modules from its file, without SciPy's
-package init: the LAPACK wrappers here, the build config in `cli`.
+dense matrices, one or a stack of them, ``dsbevd`` for band matrices
+(`SymmetricBand`), called through ctypes at the Fortran routine behind
+SciPy's compiled LAPACK wrappers (`flapack`, `band_routine`), so that a band
+solve releases the GIL.  A block operator with spectrum symmetric about
+zero and a certified gap can instead be given through its n x n square
+(`SquaredBand`, complex Hermitian band storage), which ``zhbevd`` solves at
+half the dimension; its eigenvalues μ come back as ±√μ, moved by
+|δE| ≲ eps·ρ²/λ when the spectrum lies in [-ρ, ρ] and outside (-λ, λ).
+Whether stacked tridiagonal matrices have an eigenvalue below a threshold
+comes from one batched Sturm pass (`any_eigenvalue_below`), their smallest
+eigenvalues from a bisection on that test (`min_eig_tridiag`).  A failed
+solve raises `EigenError`; `backend_name` names the solvers.  The band
+types only carry their storage to the solver: `operators.dense` gives the
+matrix a band storage stands for.  `scipy_module` runs one of SciPy's
+modules from its file, without SciPy's package init: the LAPACK wrappers
+here, the build config in `cli`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -80,7 +83,8 @@ def eigvalsh(m) -> np.ndarray:
     come back ``(..., n)``, bit for bit those of its matrices one by one.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver ``dsbevd``
     and a `SquaredBand` to its complex Hermitian twin ``zhbevd``, both called
-    directly from SciPy's compiled wrappers (`flapack`); a `SquaredBand`'s
+    at the Fortran routines behind SciPy's compiled wrappers
+    (`band_routine`), on other threads too; a `SquaredBand`'s
     eigenvalues μ come back as the 2n values [-√μ[::-1], √μ].  With every
     |E| >= λ and the spectrum inside [-ρ, ρ], squaring moves an eigenvalue
     by |δE| ≲ eps·ρ²/λ instead of the direct solve's eps·ρ.  Raises
@@ -169,12 +173,56 @@ def _band_solve(m) -> np.ndarray:
     if not np.all(np.isfinite(m.lower)):
         raise ValueError("matrix has non-finite entries")
     driver = "dsbevd" if isinstance(m, SymmetricBand) else "zhbevd"
-    # LAPACK gets a copy: the caller's band stays as it was
-    w, _, info = getattr(flapack(), driver)(m.lower, compute_v=0, lower=1, overwrite_ab=0)
+    w, info = _lapack_band(driver, m.lower)
     if info != 0:
         reason = "did not converge" if info > 0 else "rejected an argument"
         raise EigenError(f"LAPACK {driver} {reason} (n={m.lower.shape[1]}, info = {info})")
     return w
+
+
+@functools.cache
+def band_routine(driver: str):
+    """LAPACK's Fortran routine ``driver`` (``"dsbevd"`` or ``"zhbevd"``),
+    which `flapack`'s wrapper of that name calls, as a ctypes function: its
+    address is the wrapper's ``_cpointer`` capsule, and a call through it
+    releases the GIL, which the wrapper holds.  Built once per driver; a
+    caller that solves on several threads builds it before it starts them,
+    as a cache is no lock."""
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(getattr(flapack(), driver)._cpointer, None)
+    # JOBZ, UPLO; N, KD, AB, LDAB, W, Z, LDZ and the workspaces with their
+    # lengths (`_lapack_band`), INFO; the strings' hidden lengths
+    pointers = {"dsbevd": 12, "zhbevd": 14}[driver]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * 2, *[ctypes.c_void_p] * pointers,
+                            ctypes.c_size_t, ctypes.c_size_t)(address)
+
+
+def _lapack_band(driver: str, lower: np.ndarray) -> tuple[np.ndarray, int]:
+    """The eigenvalues of the lower band storage ``lower`` and the ``info``
+    of one call of LAPACK's ``driver`` (`band_routine`) on a Fortran-ordered
+    copy of it, which LAPACK overwrites: the caller's band is left as it
+    was.  Eigenvalues only (``jobz='N'``), in the least workspaces LAPACK
+    takes: ``dsbevd``'s real one of 2n, or ``zhbevd``'s complex and real
+    ones of n, then an integer one of 1 (at least 1 each)."""
+    rows, n = lower.shape
+    ab = np.array(lower, order="F")
+    w, z = np.empty(n), np.empty(1)
+    work = ([np.empty(max(2 * n, 1))] if driver == "dsbevd"
+            else [np.empty(max(n, 1), np.complex128), np.empty(max(n, 1))])
+    work.append(np.empty(1, np.intc))
+    info = ctypes.c_int()
+
+    def integer(k):     # a Fortran INTEGER of SciPy's LP64 `_flapack` is a C int
+        return ctypes.byref(ctypes.c_int(k))
+
+    # arrays go by raw address: an array's ``ctypes`` object passed as an
+    # argument leaves garbage cycles behind
+    band_routine(driver)(b"N", b"L", integer(n), integer(rows - 1), ab.ctypes.data, integer(rows),
+                         w.ctypes.data, z.ctypes.data, integer(1),
+                         *(arg for a in work for arg in (a.ctypes.data, integer(a.size))),
+                         ctypes.byref(info), 1, 1)
+    return w, info.value
 
 
 def _signed_roots(mu: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ of the boundary mode X that ``boundary`` gives each block.
 
 Realizations are independent and reproducible from (base_seed, index).  A
 run is cut into chunks of at most 64 consecutive indices, shared evenly
-among the processes that solve (`_chunks`); each chunk is drawn in one batch
+among the threads that solve (`_chunks`); each chunk is drawn in one batch
 (`ensemble_fields`), and its realizations are built one at a time from the
-clean part (`CleanPart`, never changed) and solved in index order
-(`_solve_chunk`).  The chunks run in this process, or over a process pool
-when ``threads`` asks for one (`pool_workers`), and are aggregated in index
-order, so no output depends on the worker count or on where chunks are cut.
+clean part (`CleanPart`, never changed, shared by every thread) and solved
+in index order (`_solve_chunk`).  The chunks run on the calling thread, or
+over a thread pool when ``threads`` asks for one (`pool_workers`), whose
+LAPACK calls release the GIL (`eigen.band_routine`); they are aggregated in
+index order, so no output depends on the worker count or on where chunks
+are cut.
 Which band is solved is chosen per run (`band_driver`):
 
 - D/N boundaries with a certified floor λ = min U0 + inf supp V with λ > 0
@@ -36,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .disorder import DisorderModel, SeedPolicy, sample_iid, support_bounds
-from .eigen import EigenError, SquaredBand, SymmetricBand, eigvalsh, flapack
+from .eigen import EigenError, SquaredBand, SymmetricBand, band_routine, eigvalsh
 from .lattice import Cube, PeriodicPotential, check_memory
 from .operators import (BoundaryMode, assemble_bracketing, band_square, block_band,
                         block_band_bytes, block_half_bandwidth, dense, laplacian)
@@ -238,10 +240,10 @@ def usable_cpus() -> int:
 
 
 def pool_workers(config: ExperimentConfig) -> int:
-    """Worker processes `run_ensemble` starts: ``threads``, capped at the
+    """Worker threads `run_ensemble` starts: ``threads``, capped at the
     usable CPUs (read only when ``threads`` asks for more than one) and at
     the number of realizations, or 0 when that leaves one and the ensemble
-    runs in this process."""
+    runs on the calling thread."""
     if config.threads < 2:
         return 0
     workers = min(config.threads, usable_cpus(), config.realizations)
@@ -251,15 +253,15 @@ def pool_workers(config: ExperimentConfig) -> int:
 def _chunk_count(realizations: int, workers: int) -> int:
     """How many chunks `_chunks` cuts 0..R-1 into, in constant time: the
     fewest of at most `_CHUNK` indices, rounded up to a multiple of the
-    process count.  The longest has ⌈R / count⌉ indices (`peak_bytes`)."""
-    procs = max(workers, 1)
-    return procs * -(-realizations // (procs * _CHUNK))
+    thread count.  The longest has ⌈R / count⌉ indices (`peak_bytes`)."""
+    threads = max(workers, 1)
+    return threads * -(-realizations // (threads * _CHUNK))
 
 
 def _chunks(realizations: int, workers: int) -> list[range]:
     """0..R-1 cut into consecutive ranges of at most `_CHUNK` indices, as few
-    as ``workers`` processes (this one when 0) can share evenly: their count
-    is a multiple of the process count (`_chunk_count`) and their lengths
+    as ``workers`` threads (the calling one when 0) can share evenly: their
+    count is a multiple of the thread count (`_chunk_count`) and their lengths
     differ by at most one."""
     count = _chunk_count(realizations, workers)
     edges = [realizations * k // count for k in range(count + 1)]
@@ -268,17 +270,15 @@ def _chunks(realizations: int, workers: int) -> list[range]:
 
 def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     """Estimated peak memory of `run_ensemble` with ``workers`` worker
-    processes (`pool_workers`) but for the DOS histogram, whose arrays the
+    threads (`pool_workers`) but for the DOS histogram, whose arrays the
     run checks on top of it (`_histogram_bins`), as the sum of these terms:
 
-    - the clean part (two Laplacian bands and u0);
-    - per process that solves, a chunk of C realizations (C the longest
+    - the clean part (two Laplacian bands and u0), which every thread shares;
+    - per thread that solves, a chunk of C realizations (C the longest
       chunk's length): 6·C·n floats while it is drawn (V and `sample_iid`'s
       temporaries for b; one field's draw peaked at 4.3·C·n on a piecewise
       density), which also hold its fields and spectra while it is solved,
       and two block bands, a realization's band and the copy LAPACK solves;
-    - per worker of a process pool, the clean part of its current chunk and
-      of two pickled chunks queued for it;
     - per realization, its spectrum and its pooled copy, which is sorted in
       place (4n floats), the spectrum's array object
       (`np.empty(0).__sizeof__()` bytes), its row of the IDS counts with the
@@ -295,7 +295,7 @@ def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     chunk = 8 * 6 * -(-r // _chunk_count(r, workers)) * n
     per_realization = 8 * (4 * n + 3 * points + 2) + np.empty(0).__sizeof__()
     aggregates = r * per_realization + 8 * (4 * points + np.getbufsize())
-    return clean * (1 + 3 * workers) + (2 * band + chunk) * max(workers, 1) + aggregates
+    return clean + (2 * band + chunk) * max(workers, 1) + aggregates
 
 
 def _realization_band(clean: CleanPart, v: np.ndarray,
@@ -401,7 +401,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     check_memory(needed,
                  f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
                  f"(half-bandwidth {block_half_bandwidth(config.cube)}, {config.realizations} "
-                 f"realizations, {max(workers, 1)} process(es))")
+                 f"realizations, {max(workers, 1)} thread(s))")
     clean = base_matrices(config)
     if config.bin_width is not None:
         _histogram_bins(-clean.radius, clean.radius, config.bin_width, needed)
@@ -411,13 +411,11 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     with ExitStack() as stack:
         solve_all = map
         if workers:
-            # paid only by runs that start a pool: its import (multiprocessing,
-            # socket, logging), and the LAPACK wrappers (`eigen.flapack`) loaded
-            # once for the forked workers to inherit; the clean part ships with
-            # each chunk, so workers rebuild nothing
-            from concurrent.futures import ProcessPoolExecutor
-            flapack()
-            solve_all = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            # paid only by runs that start a pool: its import, and the LAPACK
+            # routine built here, before any thread would build it
+            from concurrent.futures import ThreadPoolExecutor
+            band_routine(clean.driver)
+            solve_all = stack.enter_context(ThreadPoolExecutor(workers)).map
         for solved, failed in solve_all(solve, chunks):    # in index order, as they arrive
             spectra += solved
             failures += failed

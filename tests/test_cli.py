@@ -27,7 +27,6 @@ from randblock.config import (
 )
 from randblock.disorder import ConstantValue, DensitySpec, bv_norm, support_bounds
 from randblock.spectra import certified_floor
-from randblock.eigen import flapack
 
 
 _V = {"type": "uniform", "lo": 1, "hi": 2}
@@ -434,13 +433,13 @@ class TestConfigErrors:
     def test_dos_bin_width_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # every |E| <= ρ bounds the bin count before the first realization
         calls = []
-        real = flapack().zhbevd
+        real = randblock.eigen._lapack_band
 
-        def counted(a, **kwargs):
-            calls.append(a.shape)
-            return real(a, **kwargs)
+        def counted(driver, lower):
+            calls.append(lower.shape)
+            return real(driver, lower)
 
-        monkeypatch.setattr(flapack(), "zhbevd", counted)
+        monkeypatch.setattr(randblock.eigen, "_lapack_band", counted)
         doc = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
         doc.update(realizations=500, bin_width=1e-12)
         path = write_config(tmp_path, doc)
@@ -859,6 +858,19 @@ class TestEnsembleCommands:
         driver = "dsbevd" if sections.get("boundary") in ("+", "-") else "zhbevd"
         expected = (driver, 2) if ensemble else (None, None)   # 1-d cubes
         assert (manifest["driver"], manifest["half_bandwidth"]) == expected
+
+    @pytest.mark.parametrize("command, threads, workers", [
+        ("ids", "1", 0), ("ids", "2", 2), ("gap", "4", 2), ("dostransform", "2", None)])
+    def test_manifest_records_workers(self, tmp_path, monkeypatch, command, threads, workers):
+        # the threads that solved the ensemble: 0 on the calling thread, at
+        # most one per usable CPU; null for a command without an ensemble
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = write_config(tmp_path, base_doc(dos_transform={"beta": 1.0, "source": _V}))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out), "--threads", threads,
+                     "--quiet"]) == 0
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        assert manifest["workers"] == workers
 
 
 class TestConfigRoundTrip:

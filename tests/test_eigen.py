@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import randblock
+from randblock import eigen
 from randblock.cli import main
 from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import (
@@ -24,11 +25,9 @@ from randblock.eigen import (
 )
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import assemble, dense
-from randblock.spectra import ExperimentConfig, base_matrices, run_ensemble
+from randblock.spectra import (ExperimentConfig, _realization_band, base_matrices,
+                               ensemble_fields, run_ensemble)
 import reference
-
-# the module the band solves look their drivers up on: where a failure is injected
-LAPACK = flapack()
 
 
 class TestEigvalsh:
@@ -105,15 +104,16 @@ class TestEigvalsh:
             assert np.all(np.diff(w) >= 0)
         assert np.allclose(eigvalsh(self.band), eigvalsh(dense(self.band.lower)), atol=1e-14)
 
-    # ids by the public module of each solver, whichever module LAPACK is
+    # ids by the public module of each solver's LAPACK routine; the band
+    # solve's result is injected at its one LAPACK call (`eigen._lapack_band`)
     @pytest.mark.parametrize("module, name, banded", [
-        (np.linalg, "eigvalsh", False), (LAPACK, "dsbevd", True)],
+        (np.linalg, "eigvalsh", False), (eigen, "_lapack_band", True)],
         ids=["numpy.linalg-eigvalsh-False", "scipy.linalg.lapack-dsbevd-True"])
     def test_unsorted_lapack_result_raises(self, monkeypatch, module, name, banded):
         real = getattr(module, name)
 
         def reversed_eigenvalues(*args, **kwargs):
-            out = real(*args, **kwargs)       # dsbevd returns (w, z, info)
+            out = real(*args, **kwargs)       # the band call returns (w, info)
             return (out[0][::-1], *out[1:]) if banded else out[::-1]
 
         monkeypatch.setattr(module, name, reversed_eigenvalues)
@@ -138,27 +138,34 @@ class TestLapackFailure:
     by run_ensemble, and is exit code 3 in the CLI.
 
     With V on [0, 1] no gap is certified, so the ensemble solves the block
-    band with ``dsbevd`` (``LAPACK.dsbevd``), which is what these
-    tests make fail; `test_dense_raises_eigen_error` covers ``dsyevd`` on
-    dense input and the ``test_squared_*`` twins the ``zhbevd`` solve of a
-    certified run (V on [1, 2]).  A failing banded driver returns
-    ``info`` > 0 (no convergence), as LAPACK does; NumPy's dense solve
-    raises LinAlgError."""
+    band with ``dsbevd``, which is what these tests make fail at the band
+    solve's one LAPACK call (`eigen._lapack_band`);
+    `test_dense_raises_eigen_error` covers ``dsyevd`` on dense input and the
+    ``test_squared_*`` twins the ``zhbevd`` solve of a certified run (V on
+    [1, 2]).  A failing banded driver returns ``info`` > 0 (no
+    convergence), as LAPACK does; NumPy's dense solve raises LinAlgError."""
 
-    ZHBEVD = (LAPACK, "zhbevd")
-
-    def fail_on(self, monkeypatch, failing_calls, module=LAPACK, name="dsbevd"):
-        real = getattr(module, name)
+    def fail_on(self, monkeypatch, failing_calls, driver="dsbevd"):
+        # the calls of ``driver`` numbered ``failing_calls``, from 0, fail
         calls = itertools.count()
+        if driver == "dsyevd":
+            real = np.linalg.eigvalsh
 
-        def flaky(a, **kwargs):
-            if next(calls) not in failing_calls:
-                return real(a, **kwargs)
-            if module is np.linalg:
+            def flaky(a):
+                if next(calls) not in failing_calls:
+                    return real(a)
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return np.zeros(a.shape[1]), np.zeros((0, 0)), 1
 
-        monkeypatch.setattr(module, name, flaky)
+            monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+            return
+        real = eigen._lapack_band
+
+        def flaky_band(name, lower):
+            if name != driver or next(calls) not in failing_calls:
+                return real(name, lower)
+            return np.zeros(lower.shape[1]), 1
+
+        monkeypatch.setattr(eigen, "_lapack_band", flaky_band)
 
     def config(self, realizations, v_lo=0.0):
         disorder = DisorderModel(DensitySpec.uniform(v_lo, v_lo + 1),
@@ -189,7 +196,7 @@ class TestLapackFailure:
             eigvalsh(SymmetricBand(np.vstack([np.ones(3), np.zeros((2, 3))])))
 
     def test_dense_raises_eigen_error(self, monkeypatch):
-        self.fail_on(monkeypatch, {0}, np.linalg, "eigvalsh")
+        self.fail_on(monkeypatch, {0}, "dsyevd")
         with pytest.raises(EigenError, match="did not converge"):
             eigvalsh(np.eye(3))
 
@@ -208,7 +215,7 @@ class TestLapackFailure:
     @pytest.mark.parametrize("v_lo, name", [(0.0, "dsbevd"), (1.0, "zhbevd")])
     def test_failure_in_second_chunk_recorded(self, monkeypatch, v_lo, name):
         # 131 realizations make chunks of 44, 44 and 43; index 70 is in the second
-        self.fail_on(monkeypatch, {70}, LAPACK, name)
+        self.fail_on(monkeypatch, {70}, name)
         result = run_ensemble(self.config(2 * 64 + 3, v_lo))
         assert result.failures == [70]
         assert list(result.realization_ids) == [r for r in range(2 * 64 + 3) if r != 70]
@@ -235,18 +242,18 @@ class TestLapackFailure:
         self.assert_cli_exits_3(path, tmp_path, capsys)
 
     def test_squared_raises_eigen_error(self, monkeypatch):
-        self.fail_on(monkeypatch, {0}, *self.ZHBEVD)
+        self.fail_on(monkeypatch, {0}, "zhbevd")
         with pytest.raises(EigenError, match="did not converge"):
             eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
 
     def test_squared_nonzero_info_raises_eigen_error(self, monkeypatch):
-        monkeypatch.setattr(LAPACK, "zhbevd",
-                            lambda ab, **kwargs: (np.ones(ab.shape[1]), None, 2))
+        monkeypatch.setattr(eigen, "_lapack_band",
+                            lambda driver, lower: (np.ones(lower.shape[1]), 2))
         with pytest.raises(EigenError, match="info = 2"):
             eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
 
     def test_squared_ensemble_records_failed_index(self, monkeypatch):
-        self.fail_on(monkeypatch, {7}, *self.ZHBEVD)
+        self.fail_on(monkeypatch, {7}, "zhbevd")
         result = run_ensemble(self.config(100, v_lo=1.0))
         assert result.failures == [7]
         assert 7 not in result.realization_ids
@@ -254,7 +261,7 @@ class TestLapackFailure:
 
     def test_squared_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
         path = self.write_config(tmp_path, v_lo=1.0)
-        self.fail_on(monkeypatch, set(range(3)), *self.ZHBEVD)
+        self.fail_on(monkeypatch, set(range(3)), "zhbevd")
         self.assert_cli_exits_3(path, tmp_path, capsys)
 
 
@@ -288,8 +295,8 @@ class TestSquaredBand:
             eigvalsh(SquaredBand(np.array([diagonal], dtype=complex)))
 
     def test_non_finite_lapack_result_raises(self, monkeypatch):
-        monkeypatch.setattr(LAPACK, "zhbevd",
-                            lambda ab, **kwargs: (np.array([1.0, np.nan, 4.0]), None, 0))
+        monkeypatch.setattr(eigen, "_lapack_band",
+                            lambda driver, lower: (np.array([1.0, np.nan, 4.0]), 0))
         with pytest.raises(EigenError, match="not finite and positive"):
             eigvalsh(SquaredBand(np.ones((1, 3), dtype=complex)))
 
@@ -453,22 +460,23 @@ def _run_child(code, **env_vars):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg and the process pool are most of the CLI's start-up, and
-    # only band solves and pooled runs need them.  A patch of the loaded
-    # module's dsbevd, as TestLapackFailure makes, must reach the band solve.
+    # scipy.linalg and the thread pool are most of the CLI's start-up, and
+    # only band solves and pooled runs need them.  A patch of the band
+    # solve's one LAPACK call, as TestLapackFailure makes, must reach it.
     # A stale RANDBLOCK_FORCE_PY in the environment must not change the solver.
     _run_child(textwrap.dedent("""
         import sys
         import numpy as np
         import randblock.cli
-        for name in ("scipy.linalg", "concurrent.futures.process"):
+        for name in ("scipy.linalg", "concurrent.futures"):
             assert name not in sys.modules, f"{name} loaded by import randblock.cli"
-        from randblock.eigen import EigenError, SymmetricBand, backend_name, eigvalsh, flapack
+        from randblock import eigen
+        from randblock.eigen import EigenError, SymmetricBand, backend_name, eigvalsh
         assert backend_name() == "lapack"
         assert np.allclose(eigvalsh(np.array([[0., 1.], [1., 0.]])), [-1, 1])
-        def fail(ab, **kwargs):
-            return np.zeros(ab.shape[1]), np.zeros((0, 0)), 1   # did not converge
-        flapack().dsbevd = fail
+        def fail(driver, lower):
+            return np.zeros(lower.shape[1]), 1   # did not converge
+        eigen._lapack_band = fail
         try:
             eigvalsh(SymmetricBand(np.ones((1, 3))))
         except EigenError:
@@ -535,3 +543,73 @@ class TestFlapackLoader:
             got = [eigvalsh(SymmetricBand(lower)).tolist(), eigvalsh(SquaredBand(square)).tolist()]
             assert got == {expected!r}, got
         """))
+
+
+# one chunk per driver solved on two threads at once, each against the serial
+# solve of the same chunk; run in this process and in a child
+_TWO_THREADS = textwrap.dedent("""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    from randblock.disorder import DensitySpec, DisorderModel
+    from randblock.eigen import band_routine
+    from randblock.lattice import Cube, PeriodicPotential
+    from randblock.spectra import ExperimentConfig, _solve_chunk, base_matrices
+    disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
+    for boundary, driver in (("N", "zhbevd"), ("+", "dsbevd")):
+        config = ExperimentConfig(Cube(2, 8), boundary, disorder, PeriodicPotential.zero(2), 64, 7)
+        clean = base_matrices(config)
+        assert clean.driver == driver
+        serial, failed = _solve_chunk(config, clean, range(64))
+        assert not failed and len(serial) == 64
+        band_routine(driver)
+        start = threading.Barrier(2, timeout=60)
+
+        def solve(_):
+            start.wait()
+            return _solve_chunk(config, clean, range(64))
+
+        with ThreadPoolExecutor(2) as pool:
+            for spectra, failed in pool.map(solve, range(2)):
+                assert not failed
+                assert [w.tobytes() for w in spectra] == [w.tobytes() for w in serial], driver
+""")
+
+
+class TestBandRoutine:
+    """The band solve's one LAPACK call: the Fortran routine behind SciPy's
+    f2py wrapper, through ctypes, which releases the GIL.  The wrapper is
+    kept only as the oracle here."""
+
+    @pytest.mark.parametrize("driver", ["dsbevd", "zhbevd"])
+    def test_wrapper_exposes_cpointer(self, driver):
+        assert type(getattr(flapack(), driver)._cpointer).__name__ == "PyCapsule"
+
+    @pytest.mark.parametrize("dim, side", [(1, 21), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
+    def test_equals_f2py_wrapper(self, dim, side, boundary, driver):
+        disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
+        config = ExperimentConfig(Cube(dim, side), boundary, disorder,
+                                  PeriodicPotential.zero(dim), 4, 3)
+        clean = base_matrices(config)
+        assert clean.driver == driver
+        for v, b in zip(*ensemble_fields(config, range(4))):
+            lower = _realization_band(clean, v, b).lower
+            kept = lower.copy()
+            w, info = eigen._lapack_band(driver, lower)
+            expected, _, expected_info = getattr(flapack(), driver)(
+                lower, compute_v=0, lower=1, overwrite_ab=0)
+            assert info == expected_info == 0
+            assert w.tobytes() == expected.tobytes()
+            assert np.array_equal(lower, kept)
+
+    def test_chunk_on_two_threads_equals_serial(self):
+        # a short switch interval interleaves the threads' Python work too
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            exec(_TWO_THREADS, {})
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunk_on_two_threads_equals_serial_one_blas_thread(self):
+        _run_child(_TWO_THREADS, OPENBLAS_NUM_THREADS="1")

@@ -96,8 +96,8 @@ class TestDeterminism:
 
 @pytest.fixture
 def started_pools(monkeypatch):
-    """The sizes of the process pools `run_ensemble` starts; each pool maps
-    in this process, so no worker starts."""
+    """The sizes of the thread pools `run_ensemble` starts; each pool maps
+    on the calling thread, so no worker starts."""
     started = []
 
     class FakePool:
@@ -114,7 +114,7 @@ def started_pools(monkeypatch):
             return map(fn, items)
 
     # run_ensemble imports the pool class from here when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakePool)
     return started
 
 
@@ -161,7 +161,7 @@ class TestPoolWorkers:
 
 class TestChunks:
     """Realizations run in chunks of at most 64, shared evenly among the
-    processes that solve; the chunk edges leave no trace."""
+    threads that solve; the chunk edges leave no trace."""
 
     R = 2 * 64 + 3
 
@@ -230,31 +230,39 @@ class TestChunks:
 class TestPeakBytes:
     """The memory estimate against what a run allocates, as tracemalloc sees it."""
 
-    ROWS = [*((dim, side, boundary, 64, 512, None)
+    ROWS = [*((dim, side, boundary, 64, 512, None, 1)
               for dim, side in ((1, 201), (2, 8), (2, 16), (3, 4)) for boundary in ("N", "+")),
-            (3, 8, "N", 16, 512, None),
+            (3, 8, "N", 16, 512, None, 1),
             # small runs, where the grid-length arrays and NumPy's ufunc buffer count
-            (2, 6, "+", 16, 512, None), (1, 3, "N", 2, 4096, None),
+            (2, 6, "+", 16, 512, None, 1), (1, 3, "N", 2, 4096, None, 1),
             # tiny, long runs, where each realization's list slots count
-            (1, 2, "N", 1024, 2, None), (1, 2, "+", 1024, 2, None), (1, 2, "N", 1024, 16, None),
-            (1, 2, "N", 4096, 2, None),
+            (1, 2, "N", 1024, 2, None, 1), (1, 2, "+", 1024, 2, None, 1),
+            (1, 2, "N", 1024, 16, None, 1), (1, 2, "N", 4096, 2, None, 1),
             # a long run on a short grid, where the pooled spectra, sorted in
             # place, are the largest aggregate
-            (1, 201, "N", 256, 2, None),
+            (1, 201, "N", 256, 2, None, 1),
             # a given bin width whose histogram outweighs the rest of the run
-            (1, 5, "N", 4, 512, 1e-3), (1, 5, "N", 4, 512, 1e-4)]
+            (1, 5, "N", 4, 512, 1e-3, 1), (1, 5, "N", 4, 512, 1e-4, 1),
+            # a thread pool of two, whose threads tracemalloc sees
+            (2, 8, "N", 64, 512, None, 2)]
 
-    # a row's id names its grid when that is not the default 512 points, and
-    # its bin width (w) when it gives one
-    @pytest.mark.parametrize("dim, side, boundary, realizations, grid_points, bin_width", ROWS,
-                             ids=["-".join([*map(str, row[:4] if row[4] == 512 else row[:5]),
-                                            *([] if row[5] is None else [f"w{row[5]}"])])
-                                  for row in ROWS])
-    def test_bounds_traced_peak(self, dim, side, boundary, realizations, grid_points,
-                                bin_width):
+    # a row's id names its grid when that is not the default 512 points, its
+    # bin width (w) when it gives one, and its threads (t) when more than one
+    @pytest.mark.parametrize(
+        "dim, side, boundary, realizations, grid_points, bin_width, threads", ROWS,
+        ids=["-".join([*map(str, row[:4] if row[4] == 512 else row[:5]),
+                       *([] if row[5] is None else [f"w{row[5]}"]),
+                       *([] if row[6] == 1 else [f"t{row[6]}"])])
+             for row in ROWS])
+    def test_bounds_traced_peak(self, monkeypatch, dim, side, boundary, realizations,
+                                grid_points, bin_width, threads):
+        set_cpus(monkeypatch, threads)
         disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
         cfg = ExperimentConfig(Cube(dim, side), boundary, disorder, PeriodicPotential.zero(dim),
-                               realizations, 0, grid_points=grid_points, bin_width=bin_width)
+                               realizations, 0, grid_points=grid_points, bin_width=bin_width,
+                               threads=threads)
+        workers = pool_workers(cfg)
+        assert workers == (threads if threads > 1 else 0)
         # the modules a run loads are loaded before the traced run
         run_ensemble(replace(cfg, cube=Cube(dim, 2), realizations=2))
         tracemalloc.start()
@@ -264,11 +272,11 @@ class TestPeakBytes:
         finally:
             tracemalloc.stop()
         if bin_width is None:
-            assert peak <= peak_bytes(cfg, 0)
+            assert peak <= peak_bytes(cfg, workers)
         else:
             # the run's histogram arrays on top of the estimate: what the run checks
             nbins = result.dos_counts.size
-            assert peak <= peak_bytes(cfg, 0) + 8 * _HISTOGRAM_ARRAYS * (nbins + 1)
+            assert peak <= peak_bytes(cfg, workers) + 8 * _HISTOGRAM_ARRAYS * (nbins + 1)
 
 
 class TestBandedSolve:
