@@ -8,12 +8,11 @@ Realizations are independent and reproducible from (base_seed, index).  A
 run is cut into chunks of at most 64 consecutive indices, shared evenly
 among the threads that solve (`_chunks`); each chunk is drawn in one batch
 (`ensemble_fields`), and its realizations are built one at a time from the
-clean part (`CleanPart`, never changed, shared by every thread) and solved
-in index order (`_solve_chunk`).  The chunks run on the calling thread, or
-over a thread pool when ``threads`` asks for one (`pool_workers`), whose
-LAPACK calls release the GIL (`eigen.band_routine`); they are aggregated in
-index order, so no output depends on the worker count or on where chunks
-are cut.
+clean part (`CleanPart`, never changed, shared by every thread), solved and
+counted on the IDS grid into int64 sums (`_solve_chunk`), on the calling
+thread or on a pool of threads whose LAPACK calls release the GIL
+(`pool_workers`, `eigen.band_routine`).  Integer sums are exact and chunks are
+aggregated in index order, so no output depends on the thread count or cuts.
 Which band is solved is chosen per run (`band_driver`):
 
 - D/N boundaries with a certified floor λ = min U0 + inf supp V with λ > 0
@@ -227,16 +226,13 @@ def ensemble_fields(config: ExperimentConfig, indices) -> tuple[np.ndarray, np.n
 
 def realization_fields(config: ExperimentConfig, index: int) -> tuple[np.ndarray, np.ndarray]:
     """The (V, b) sample of one realization: `ensemble_fields`' one-row case."""
-    v, b = ensemble_fields(config, (index,))
-    return v[0], b[0]
+    return tuple(field[0] for field in ensemble_fields(config, (index,)))
 
 
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the system
     has one (`os.sched_getaffinity`), else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def pool_workers(config: ExperimentConfig) -> int:
@@ -259,43 +255,39 @@ def _chunk_count(realizations: int, workers: int) -> int:
 
 
 def _chunks(realizations: int, workers: int) -> list[range]:
-    """0..R-1 cut into consecutive ranges of at most `_CHUNK` indices, as few
-    as ``workers`` threads (the calling one when 0) can share evenly: their
-    count is a multiple of the thread count (`_chunk_count`) and their lengths
-    differ by at most one."""
+    """0..R-1 cut into `_chunk_count` consecutive ranges, which ``workers``
+    threads (the calling one when 0) share evenly: their lengths differ by at
+    most one."""
     count = _chunk_count(realizations, workers)
     edges = [realizations * k // count for k in range(count + 1)]
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
+# grid-length arrays alive as the IDS is formed: the grid, the sums (two), the mean, the
+# variance, its root, the standard error, and ten for the variance's lists of Python ints
+_GRID_ARRAYS = 17
+_FIXED_BYTES = 1 << 14   # objects of fixed size: a 1-d side-2 cube at R = 1 traced ~9 KB
+
+
 def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     """Estimated peak memory of `run_ensemble` with ``workers`` worker
-    threads (`pool_workers`) but for the DOS histogram, whose arrays the
-    run checks on top of it (`_histogram_bins`), as the sum of these terms:
-
-    - the clean part (two Laplacian bands and u0), which every thread shares;
-    - per thread that solves, a chunk of C realizations (C the longest
-      chunk's length): 6·C·n floats while it is drawn (V and `sample_iid`'s
-      temporaries for b; one field's draw peaked at 4.3·C·n on a piecewise
-      density), which also hold its fields and spectra while it is solved,
-      and two block bands, a realization's band and the copy LAPACK solves;
-    - per realization, its spectrum and its pooled copy, which is sorted in
-      place (4n floats), the spectrum's array object
-      (`np.empty(0).__sizeof__()` bytes), its row of the IDS counts with the
-      two temporaries of their size that the standard error takes (3 floats
-      per grid point) and two list slots: its own in the run's spectra list
-      and one for the eighth that a growing list over-allocates;
-    - four grid-length arrays that do not scale with R: the grid, the IDS
-      mean, and the standard error's mean and sum;
-    - one buffer of NumPy's ufuncs, `np.getbufsize` floats (64 KiB), which
-      the counts' cast and the standard error's reductions fill."""
-    n, points, r = config.cube.n_sites, config.grid_points, config.realizations
-    band = block_band_bytes(config.cube)
+    threads (`pool_workers`), in five terms: the clean part, shared by the
+    threads; per thread, the larger of the longest chunk's draw (6·C·n floats
+    for C realizations: V, and b with `sample_iid`'s temporaries) and its
+    solve (2·C·n floats of fields, and two block bands: a realization's and
+    LAPACK's copy), plus four grid-length rows (its sums, a count and its
+    square); per realization 4n + 1 floats (spectrum, pooled copy, min|E|), an
+    array object and two list slots (its own and a growing list's eighth);
+    `_GRID_ARRAYS` grid-length arrays and `_FIXED_BYTES`; and the DOS
+    histogram, checked on top (`_histogram_bins`)."""
+    n, r = config.cube.n_sites, config.realizations
+    chunk = -(-r // _chunk_count(r, workers))
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
-    chunk = 8 * 6 * -(-r // _chunk_count(r, workers)) * n
-    per_realization = 8 * (4 * n + 3 * points + 2) + np.empty(0).__sizeof__()
-    aggregates = r * per_realization + 8 * (4 * points + np.getbufsize())
-    return clean + (2 * band + chunk) * max(workers, 1) + aggregates
+    draw, solve = 8 * 6 * chunk * n, 8 * 2 * chunk * n + 2 * block_band_bytes(config.cube)
+    thread = max(draw, solve) + 8 * 4 * config.grid_points
+    per_realization = 8 * (4 * n + 3) + np.empty(0).__sizeof__()
+    fixed = 8 * _GRID_ARRAYS * config.grid_points + _FIXED_BYTES
+    return clean + thread * max(workers, 1) + r * per_realization + fixed
 
 
 def _realization_band(clean: CleanPart, v: np.ndarray,
@@ -312,17 +304,33 @@ def _realization_band(clean: CleanPart, v: np.ndarray,
     return SymmetricBand(block_band(clean.cube, clean.top, clean.bot, b, h))
 
 
-def _solve_chunk(config: ExperimentConfig, clean: CleanPart,
-                 indices: range) -> tuple[list[np.ndarray], list[int]]:
+def _solve_chunk(config: ExperimentConfig, clean: CleanPart, grid: np.ndarray,
+                 indices: range) -> tuple[list[np.ndarray], list[int], np.ndarray]:
     """Draw, build and solve the realizations ``indices``: the spectra that
-    solved, in index order, and the indices whose solve failed."""
-    spectra, failed = [], []
+    solved, in index order, the indices that failed, and the int64 sums (Σk,
+    Σk²) over the solved of their count k of eigenvalues at or below ``grid``."""
+    spectra, failed, moments = [], [], np.zeros((2, grid.size), np.int64)
     for index, v, b in zip(indices, *ensemble_fields(config, indices)):
         try:
-            spectra.append(eigvalsh(_realization_band(clean, v, b)))
+            ev = eigvalsh(_realization_band(clean, v, b))
         except EigenError:
             failed.append(index)
-    return spectra, failed
+            continue
+        spectra.append(ev)
+        k = ev.searchsorted(grid, "right")
+        moments += k, k * k
+    return spectra, failed, moments
+
+
+def _ids_from_moments(moments: np.ndarray, r: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The IDS mean Σk/(size·r) over ``r`` spectra of ``size`` eigenvalues and
+    its standard error, from the sums (Σk, Σk²) of their counts k
+    (`_solve_chunk`), 0 when r = 1; r·Σk² − (Σk)² overflows int64 once r·size
+    passes ~3·10⁹, so the variance is formed in Python integers."""
+    d = max(r * (r - 1), 1)
+    variance = np.fromiter(((r * q - s * s) / d for s, q in zip(*moments.tolist())),
+                           np.float64, moments.shape[1])
+    return moments[0] / (size * r), np.sqrt(variance) / (size * np.sqrt(r))
 
 
 def _abs_row_sums(lower: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
@@ -405,9 +413,9 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     clean = base_matrices(config)
     if config.bin_width is not None:
         _histogram_bins(-clean.radius, clean.radius, config.bin_width, needed)
-    solve = partial(_solve_chunk, config, clean)
-    chunks = _chunks(config.realizations, workers)
-    spectra, failures = [], []
+    grid = default_grid(config, clean)
+    solve = partial(_solve_chunk, config, clean, grid)
+    spectra, failures, moments = [], [], np.zeros((2, grid.size), np.int64)
     with ExitStack() as stack:
         solve_all = map
         if workers:
@@ -416,21 +424,13 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
             from concurrent.futures import ThreadPoolExecutor
             band_routine(clean.driver)
             solve_all = stack.enter_context(ThreadPoolExecutor(workers)).map
-        for solved, failed in solve_all(solve, chunks):    # in index order, as they arrive
-            spectra += solved
+        for solved, failed, sums in solve_all(solve, _chunks(config.realizations, workers)):
+            spectra += solved    # in index order, as they arrive
             failures += failed
+            moments += sums
     if len(failures) > 0.01 * config.realizations:
         raise EigenError(f"{len(failures)} of {config.realizations} eigensolves failed")
-
-    grid = default_grid(config, clean)
-    # filled row by row: one searchsorted row is alive at a time
-    counts = np.empty((len(spectra), grid.size), dtype=np.intp)
-    for row, ev in zip(counts, spectra):
-        row[:] = np.searchsorted(ev, grid, side="right")
-    frac = counts / (2 * config.cube.n_sites)
-    ids_mean = frac.mean(axis=0)
-    ids_stderr = frac.std(axis=0, ddof=1) / np.sqrt(len(spectra)) if len(spectra) > 1 \
-        else np.zeros_like(ids_mean)
+    ids_mean, ids_stderr = _ids_from_moments(moments, len(spectra), 2 * config.cube.n_sites)
 
     pooled = np.concatenate(spectra)
     pooled.sort()

@@ -20,6 +20,9 @@ another way, and nothing in ``src`` calls it:
 - a density at one point (`pdf`, twin of `DensitySpec.pdf_array`) and its
   distribution function (`cdf`), and the generator of one realization's
   stream (`generator`, the one-row case of `SeedPolicy.streams`);
+- the IDS mean and standard error from the matrix of every spectrum's
+  counts on the grid (`ids_from_counts`, twin of the integer moments that
+  `spectra.run_ensemble` sums per chunk);
 - the in-house symmetric eigensolver kernels in pure NumPy: Householder
   reduction to tridiagonal form (`tridiagonalize`), implicitly shifted QL
   iteration (`tql`) and the Sturm-sequence count (`sturm_count`), the
@@ -273,6 +276,18 @@ def cdf(density: DensitySpec, x: float) -> float:
 
 def generator(policy: SeedPolicy, realization_index: int, field: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=policy.key(realization_index, field)))
+
+
+def ids_from_counts(spectra, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The IDS mean over the spectra of k/2n, k a spectrum's count of
+    eigenvalues at or below each grid point, and its standard error
+    std(ddof=1)/√R, from the R x len(grid) matrix of counts."""
+    counts = np.array([np.searchsorted(ev, grid, side="right") for ev in spectra])
+    frac = counts / len(spectra[0])
+    mean = frac.mean(axis=0)
+    if len(spectra) < 2:
+        return mean, np.zeros_like(mean)
+    return mean, frac.std(axis=0, ddof=1) / np.sqrt(len(spectra))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import concurrent.futures
+import itertools
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 import randblock
 import randblock.spectra
 from randblock.disorder import ConstantValue, DensitySpec, DisorderModel, SeedPolicy, sample_iid
-from randblock.eigen import eigvalsh
+from randblock.eigen import EigenError, eigvalsh
 from randblock.lattice import Cube, PeriodicPotential
 from randblock.operators import (BoundaryMode, assemble_bracketing, block_half_bandwidth,
                                  dense, laplacian)
@@ -27,6 +30,7 @@ from randblock.spectra import (
     _freedman_diaconis,
     _HISTOGRAM_ARRAYS,
     _histogram_bins,
+    _ids_from_moments,
     _solve_chunk,
     default_grid,
     ensemble_fields,
@@ -38,6 +42,7 @@ from randblock.spectra import (
     usable_cpus,
     zero_split_check,
 )
+from reference import ids_from_counts
 
 
 def set_cpus(monkeypatch, cpus: int) -> None:
@@ -190,9 +195,9 @@ class TestChunks:
             raise AssertionError("the estimate cut the chunks")
         monkeypatch.setattr(randblock.spectra, "_chunks", cut)
         small, large = (make_config(side=9, realizations=r) for r in (4096, 10**15))
-        # both runs have chunks of 64: R adds only each realization's spectrum,
-        # IDS counts and list slots
-        per_realization = 8 * (4 * 9 + 3 * 512 + 2) + np.empty(0).__sizeof__()
+        # both runs have chunks of 64: R adds only each realization's spectrum
+        # with its pooled copy, its min|E| and its list slots
+        per_realization = 8 * (4 * 9 + 1 + 2) + np.empty(0).__sizeof__()
         assert (peak_bytes(large, workers) - peak_bytes(small, workers)
                 == per_realization * (10**15 - 4096))
 
@@ -208,7 +213,7 @@ class TestChunks:
         result = run_ensemble(cfg)
         assert list(result.realization_ids) == list(range(self.R))
         for r, ev in zip(result.realization_ids, result.spectra):
-            (single,), _ = _solve_chunk(cfg, clean, range(r, r + 1))
+            (single,), _, _ = _solve_chunk(cfg, clean, result.grid, range(r, r + 1))
             assert ev.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("start, stop", [(0, 64), (60, 70), (64, 128), (128, 131)])
@@ -225,6 +230,67 @@ class TestChunks:
                 # the seeding contract: the realization's own Philox stream
                 own = sample_iid(mu, 9, policy.streams([start + k], name))[0]
                 assert one.tobytes() == own.tobytes()
+
+
+class TestIdsMoments:
+    """The IDS from each chunk's integer sums Σk and Σk² against the matrix
+    of every spectrum's counts (`reference.ids_from_counts`)."""
+
+    R = 2 * 64 + 3
+
+    def config(self, **kw):
+        # 2n = 16, so every k/2n is dyadic and the oracle's float mean of a grid
+        # point where all counts agree is exact; at 2n = 18 it is not, and the
+        # oracle's standard error there reads ~1.8e-16 where the exact one is 0
+        return make_config(side=8, realizations=self.R, **kw)
+
+    def assert_matches_counts(self, result):
+        mean, stderr = ids_from_counts(result.spectra, result.grid)
+        np.testing.assert_allclose(result.ids_mean, mean, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(result.ids_stderr, stderr, rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("threads, workers", [(1, 0), (2, 2)])
+    def test_matches_counts(self, monkeypatch, threads, workers):
+        set_cpus(monkeypatch, 2)
+        cfg = self.config(threads=threads)
+        assert pool_workers(cfg) == workers
+        self.assert_matches_counts(run_ensemble(cfg))
+
+    def test_failed_solve_adds_nothing(self, monkeypatch):
+        # the second chunk's realization 70 fails; the sums hold the other 130
+        calls = itertools.count()
+
+        def flaky(band):
+            if next(calls) == 70:
+                raise EigenError("injected failure")
+            return eigvalsh(band)
+
+        monkeypatch.setattr(randblock.spectra, "eigvalsh", flaky)
+        result = run_ensemble(self.config())
+        assert result.failures == [70] and len(result.spectra) == self.R - 1
+        self.assert_matches_counts(result)
+
+    def test_zero_exactly_where_counts_agree(self):
+        result = run_ensemble(make_config(side=9, realizations=self.R))
+        counts = np.array([ev.searchsorted(result.grid, "right") for ev in result.spectra])
+        agree = (counts == counts[0]).all(axis=0)
+        assert agree.any() and not agree.all()
+        assert (result.ids_stderr[agree] == 0).all() and (result.ids_stderr[~agree] > 0).all()
+
+    def test_variance_exact_past_int64(self):
+        # R·Σk² passes 2⁶³ at every grid point, where an int64 product wraps;
+        # the last point's R·Σk² − (Σk)² is R − 1, which float64 loses
+        r, size = 2 * 10**6, 4000
+        pairs = [(4000, 4000), (0, 4000), (3999, 4000), (1234, 3210)]
+        total = [r // 2 * (a + b) for a, b in pairs] + [r * 3000 + 1]
+        squares = [r // 2 * (a * a + b * b) for a, b in pairs] + [r * 3000**2 + 2 * 3000 + 1]
+        assert all(r * q > 2**63 for q in squares)
+        mean, stderr = _ids_from_moments(np.array([total, squares], np.int64), r, size)
+        for s, q, m, e in zip(total, squares, mean, stderr):
+            assert m == float(Fraction(s, size * r))
+            variance = Fraction(r * q - s * s, r * (r - 1))
+            assert e == pytest.approx(math.sqrt(variance) / (size * math.sqrt(r)),
+                                      rel=1e-15, abs=0)
 
 
 class TestPeakBytes:
@@ -336,7 +402,7 @@ class TestCleanPart:
         solved = []
         monkeypatch.setattr(randblock.spectra, "eigvalsh",
                             lambda band: solved.append(band.lower) or eigvalsh(band))
-        _solve_chunk(cfg, clean, range(64))
+        _solve_chunk(cfg, clean, default_grid(cfg, clean), range(64))
         assert len(solved) == 64
         for k, band in enumerate(solved):
             assert band.base is None and band.flags.f_contiguous
