@@ -25,7 +25,6 @@ import argparse
 import errno
 import functools
 import hashlib
-import importlib.machinery
 import json
 import math
 import os
@@ -49,7 +48,7 @@ from .analysis import (
 )
 from .config import ConfigError, construct, load_config
 from .disorder import SeedPolicy, support_bounds
-from .eigen import EigenError, backend_name, scipy_module
+from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError, check_memory
 from .spectra import pool_workers, run_ensemble, usable_cpus
 from .verify import run_all
@@ -98,20 +97,17 @@ def _write_csv(path: Path, header_comment: list[str], names: list[str],
     _write_text(path, "\n".join(lines) + "\n")
 
 
-@functools.cache
 def _blas_identity() -> dict | None:
-    """Name and version of the BLAS/LAPACK library SciPy is built with: the
-    one its compiled LAPACK wrappers (`eigen.flapack`), and so every band
-    solve, call.  Read once per process from ``CONFIG`` of SciPy's
-    build-config file ``scipy/__config__.py``, run by `eigen.scipy_module`
-    without importing SciPy; None when that file or its
-    ``["Build Dependencies"]["blas"]`` entry is missing."""
-    config = scipy_module("__config__", importlib.machinery.SOURCE_SUFFIXES)
+    """Name and version of the LAPACK library NumPy is built with, in which
+    every band solve runs (`eigen.band_routine`): its
+    ``["Build Dependencies"]["lapack"]`` entry in ``CONFIG`` of NumPy's
+    build config, which ``import numpy`` has loaded; None where that entry
+    is missing (an older NumPy has no ``CONFIG``)."""
     try:
-        blas = config.CONFIG["Build Dependencies"]["blas"]
-    except (AttributeError, KeyError):     # no file, or an older file without CONFIG or the entry
+        lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+    except (AttributeError, KeyError):
         return None
-    return {k: blas[k] for k in ("name", "version") if k in blas}
+    return {k: lapack[k] for k in ("name", "version") if k in lapack}
 
 
 def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,

@@ -2,10 +2,10 @@
 
 Full spectra come from LAPACK (`eigvalsh`): ``dsyevd`` through NumPy for
 dense matrices, one or a stack of them, ``dsbevd`` for band matrices
-(`SymmetricBand`), called through ctypes at the Fortran routine behind
-SciPy's compiled LAPACK wrappers (`flapack`, `band_routine`), so that a band
-solve releases the GIL.  A block operator with spectrum symmetric about
-zero and a certified gap can instead be given through its n x n square
+(`SymmetricBand`), called through ctypes at the Fortran routine in the
+LAPACK NumPy links (`band_routine`), so that a band solve releases the
+GIL.  A block operator with spectrum symmetric about zero and a certified
+gap can instead be given through its n x n square
 (`SquaredBand`, complex Hermitian band storage), which ``zhbevd`` solves at
 half the dimension; its eigenvalues μ come back as ±√μ, moved by
 |δE| ≲ eps·ρ²/λ when the spectrum lies in [-ρ, ρ] and outside (-λ, λ).
@@ -14,19 +14,13 @@ comes from one batched Sturm pass (`any_eigenvalue_below`), their smallest
 eigenvalues from a bisection on that test (`min_eig_tridiag`).  A failed
 solve raises `EigenError`; `backend_name` names the solvers.  The band
 types only carry their storage to the solver: `operators.dense` gives the
-matrix a band storage stands for.  `scipy_module` runs one of SciPy's
-modules from its file, without SciPy's package init: the LAPACK wrappers
-here, the build config in `cli`.
+matrix a band storage stands for.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +77,8 @@ def eigvalsh(m) -> np.ndarray:
     come back ``(..., n)``, bit for bit those of its matrices one by one.  A
     `SymmetricBand` goes to the banded divide-and-conquer solver ``dsbevd``
     and a `SquaredBand` to its complex Hermitian twin ``zhbevd``, both called
-    at the Fortran routines behind SciPy's compiled wrappers
-    (`band_routine`), on other threads too; a `SquaredBand`'s
+    at the Fortran routines in the LAPACK NumPy links (`band_routine`), on
+    other threads too; a `SquaredBand`'s
     eigenvalues μ come back as the 2n values [-√μ[::-1], √μ].  With every
     |E| >= λ and the spectrum inside [-ρ, ρ], squaring moves an eigenvalue
     by |δE| ≲ eps·ρ²/λ instead of the direct solve's eps·ρ.  Raises
@@ -112,61 +106,6 @@ def eigvalsh(m) -> np.ndarray:
     return w
 
 
-@functools.cache
-def flapack():
-    """SciPy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``
-    whose names ``scipy.linalg.lapack`` star-imports: its ``dsbevd`` and
-    ``zhbevd`` are the very functions ``scipy.linalg.lapack`` exports.
-
-    Only band solves need SciPy, and of it only this module, so it is loaded
-    from its file beside SciPy's package (`scipy_module`) and
-    ``scipy.linalg``'s package init (~0.3 s and ~16 MB of imports,
-    ``numpy.f2py`` and ``numpy.testing`` among them) never runs.  The module
-    is taken from ``sys.modules`` when SciPy already loaded it, and
-    registered there when loaded here, so a later ``import scipy.linalg``
-    reuses it.  When the file is not found, ``scipy.linalg.lapack`` is
-    imported instead."""
-    module = scipy_module("linalg._flapack", importlib.machinery.EXTENSION_SUFFIXES)
-    if module is None:
-        from scipy.linalg import lapack
-        return lapack
-    sys.modules["scipy.linalg._flapack"] = module
-    return module
-
-
-def scipy_module(name: str, suffixes):
-    """SciPy's submodule ``scipy.<name>``, run from its file (`_scipy_file`)
-    without running SciPy's package init, or None when no file is found; it
-    is not registered in ``sys.modules``.  A module SciPy already loaded is
-    taken from ``sys.modules``."""
-    qualified = f"scipy.{name}"
-    if qualified in sys.modules:
-        return sys.modules[qualified]
-    path = _scipy_file(name, suffixes)
-    if path is None:
-        return None
-    spec = importlib.util.spec_from_file_location(qualified, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _scipy_file(name: str, suffixes) -> str | None:
-    """The file of SciPy's submodule ``scipy.<name>`` (``name`` dotted, as
-    ``"linalg._flapack"``) with the first of ``suffixes`` that exists, in
-    the first of SciPy's package directories that has one, or None.  The
-    directories come from SciPy's import spec, so SciPy is not imported."""
-    *dirs, stem = name.split(".")
-    scipy = importlib.util.find_spec("scipy")
-    roots = scipy.submodule_search_locations if scipy else None
-    for root in roots or ():
-        for suffix in suffixes:
-            path = os.path.join(root, *dirs, stem + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
 def _band_solve(m) -> np.ndarray:
     """Eigenvalues of the band storage ``m.lower``: ``dsbevd`` for a
     `SymmetricBand`, ``zhbevd`` for a `SquaredBand` (which are then M's)."""
@@ -180,49 +119,85 @@ def _band_solve(m) -> np.ndarray:
     return w
 
 
+# the names NumPy's ILP64 OpenBLAS may give LAPACK's Fortran routine ``r``,
+# tried in order: scipy-openblas wheels prefix theirs with ``scipy_``
+_SYMBOLS = ("scipy_{}_64_", "{}_64_")
+
+# per driver, the pointers between UPLO and the strings' hidden lengths: N,
+# KD, AB, LDAB, W, Z, LDZ, the workspaces with their lengths, INFO
+_POINTERS = {"dsbevd": 12, "zhbevd": 14}
+
+# the ABI probe: a 3 x 3 band of each driver, in lower band storage, whose
+# eigenvalues are 2 - √2, 2 and 2 + √2
+_PROBE = {"dsbevd": [[2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]],
+          "zhbevd": [[2.0, 2.0, 2.0], [-1.0j, 1.0j, 0.0]]}
+
+
+@functools.cache
+def _numpy_lapack() -> ctypes.CDLL:
+    """A handle of NumPy's compiled linear-algebra module, whose symbol
+    lookups also search the OpenBLAS it links."""
+    from numpy.linalg import _umath_linalg
+    return ctypes.CDLL(_umath_linalg.__file__)
+
+
 @functools.cache
 def band_routine(driver: str):
-    """LAPACK's Fortran routine ``driver`` (``"dsbevd"`` or ``"zhbevd"``),
-    which `flapack`'s wrapper of that name calls, as a ctypes function: its
-    address is the wrapper's ``_cpointer`` capsule, and a call through it
-    releases the GIL, which the wrapper holds.  Built once per driver; a
-    caller that solves on several threads builds it before it starts them,
-    as a cache is no lock."""
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(getattr(flapack(), driver)._cpointer, None)
-    # JOBZ, UPLO; N, KD, AB, LDAB, W, Z, LDZ and the workspaces with their
-    # lengths (`_lapack_band`), INFO; the strings' hidden lengths
-    pointers = {"dsbevd": 12, "zhbevd": 14}[driver]
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * 2, *[ctypes.c_void_p] * pointers,
-                            ctypes.c_size_t, ctypes.c_size_t)(address)
+    """LAPACK's Fortran routine ``driver`` (``"dsbevd"`` or ``"zhbevd"``) in
+    the library NumPy links (`_numpy_lapack`, `_SYMBOLS`), as a ctypes
+    function, whose call releases the GIL.  Built once per driver, and
+    checked then on `_PROBE`: a missing routine, or one that gets the probe's
+    eigenvalues wrong (another INTEGER width or string convention), raises
+    EigenError.  A caller that solves on several threads builds it before
+    it starts them, as a cache is no lock."""
+    library = _numpy_lapack()
+    names = [symbol.format(driver) for symbol in _SYMBOLS]
+    name = next((name for name in names if hasattr(library, name)), None)
+    if name is None:
+        raise EigenError(f"NumPy's LAPACK has no {driver}: none of {', '.join(names)} found")
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * 2, *[ctypes.c_void_p] * _POINTERS[driver],
+                               ctypes.c_size_t, ctypes.c_size_t)(
+        ctypes.cast(getattr(library, name), ctypes.c_void_p).value)
+    w, info = _solve(routine, driver, np.array(_PROBE[driver]))
+    expected = [2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)]
+    if info != 0 or not np.allclose(w, expected, rtol=0, atol=1e-12):
+        raise EigenError(f"LAPACK {name} failed its ABI probe: a 3 x 3 band gave "
+                         f"{w.tolist()} (info = {info}), not {expected}")
+    return routine
 
 
 def _lapack_band(driver: str, lower: np.ndarray) -> tuple[np.ndarray, int]:
     """The eigenvalues of the lower band storage ``lower`` and the ``info``
-    of one call of LAPACK's ``driver`` (`band_routine`) on a Fortran-ordered
-    copy of it, which LAPACK overwrites: the caller's band is left as it
-    was.  Eigenvalues only (``jobz='N'``), in the least workspaces LAPACK
-    takes: ``dsbevd``'s real one of 2n, or ``zhbevd``'s complex and real
-    ones of n, then an integer one of 1 (at least 1 each)."""
+    of one call of LAPACK's ``driver`` (`band_routine`, `_solve`)."""
+    return _solve(band_routine(driver), driver, lower)
+
+
+def _solve(routine, driver: str, lower: np.ndarray) -> tuple[np.ndarray, int]:
+    """One call of ``routine``, LAPACK's ``driver``, on a Fortran-ordered
+    copy of ``lower``, which LAPACK overwrites: the caller's band is left as
+    it was.  Eigenvalues only (``jobz='N'``, so Z is never referenced), in
+    the least workspaces LAPACK takes: ``dsbevd``'s real one of 2n, or
+    ``zhbevd``'s complex and real ones of n (one real buffer holds both),
+    then an integer one of 1 (at least 1 each).  Every INTEGER is 64 bits
+    wide, and all of them, IWORK and INFO included, sit in one array."""
     rows, n = lower.shape
     ab = np.array(lower, order="F")
-    w, z = np.empty(n), np.empty(1)
-    work = ([np.empty(max(2 * n, 1))] if driver == "dsbevd"
-            else [np.empty(max(n, 1), np.complex128), np.empty(max(n, 1))])
-    work.append(np.empty(1, np.intc))
-    info = ctypes.c_int()
-
-    def integer(k):     # a Fortran INTEGER of SciPy's LP64 `_flapack` is a C int
-        return ctypes.byref(ctypes.c_int(k))
-
+    w = np.empty(n)
+    if driver == "dsbevd":
+        lengths, work = [max(2 * n, 1)], np.empty(max(2 * n, 1))
+    else:     # zhbevd's complex WORK, 2 reals an entry, then its real RWORK
+        lengths, work = [max(n, 1)] * 2, np.empty(3 * max(n, 1))
+    # N, KD, LDAB, LDZ, each workspace's length, IWORK, LIWORK, INFO
+    ints = np.array([n, rows - 1, rows, 1, *lengths, 0, 1, 0], np.int64)
+    at = ints.ctypes.data
+    n_, kd, ldab, ldz, *sizes, iwork, liwork, info = range(at, at + 8 * ints.size, 8)
+    real, out = work.ctypes.data, w.ctypes.data
+    spaces = (real, real + 16 * lengths[0])      # WORK, then zhbevd's RWORK
     # arrays go by raw address: an array's ``ctypes`` object passed as an
     # argument leaves garbage cycles behind
-    band_routine(driver)(b"N", b"L", integer(n), integer(rows - 1), ab.ctypes.data, integer(rows),
-                         w.ctypes.data, z.ctypes.data, integer(1),
-                         *(arg for a in work for arg in (a.ctypes.data, integer(a.size))),
-                         ctypes.byref(info), 1, 1)
-    return w, info.value
+    routine(b"N", b"L", n_, kd, ab.ctypes.data, ldab, out, out, ldz,
+            *(arg for pair in zip(spaces, sizes) for arg in pair), iwork, liwork, info, 1, 1)
+    return w, int(ints[-1])
 
 
 def _signed_roots(mu: np.ndarray) -> np.ndarray:

@@ -416,13 +416,14 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     grid = default_grid(config, clean)
     solve = partial(_solve_chunk, config, clean, grid)
     spectra, failures, moments = [], [], np.zeros((2, grid.size), np.int64)
+    # the LAPACK routine is built, and its ABI probed, before any thread
+    # would build it; a routine that fails the probe fails the run, not
+    # each realization
+    band_routine(clean.driver)
     with ExitStack() as stack:
         solve_all = map
-        if workers:
-            # paid only by runs that start a pool: its import, and the LAPACK
-            # routine built here, before any thread would build it
+        if workers:     # the pool's import is paid only by runs that start one
             from concurrent.futures import ThreadPoolExecutor
-            band_routine(clean.driver)
             solve_all = stack.enter_context(ThreadPoolExecutor(workers)).map
         for solved, failed, sums in solve_all(solve, _chunks(config.realizations, workers)):
             spectra += solved    # in index order, as they arrive

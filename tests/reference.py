@@ -27,7 +27,9 @@ another way, and nothing in ``src`` calls it:
   reduction to tridiagonal form (`tridiagonalize`), implicitly shifted QL
   iteration (`tql`) and the Sturm-sequence count (`sturm_count`), the
   independent references for the LAPACK solves, the batched Sturm pass
-  `eigen.any_eigenvalue_below` and the bisection `eigen.min_eig_tridiag`.
+  `eigen.any_eigenvalue_below` and the bisection `eigen.min_eig_tridiag`;
+- SciPy's f2py LAPACK wrappers (`flapack`), the oracle of the band solve's
+  ctypes call into NumPy's LAPACK (`eigen.band_routine`).
 """
 
 from __future__ import annotations
@@ -415,3 +417,14 @@ def sturm_count(d, e, x):
         if qv < 0.0:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# SciPy's LAPACK wrappers
+
+def flapack():
+    """SciPy's f2py LAPACK wrappers, ``scipy.linalg.lapack``: its ``dsbevd``
+    and ``zhbevd`` solve what `eigen.band_routine`'s routines solve, through
+    SciPy's own LAPACK.  Only the tests import SciPy."""
+    from scipy.linalg import lapack
+    return lapack

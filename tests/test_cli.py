@@ -2,14 +2,13 @@ import copy
 import json
 import math
 import os
-import sys
 import time
 from inspect import signature
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 
 import randblock.analysis
 import randblock.cli
@@ -609,28 +608,15 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
 
 class TestBlasIdentity:
-    """The manifest's ``blas``, read once per process from SciPy's build-config
-    file, is None where that file or its entry is missing; each case runs the
-    read afresh, with SciPy's loaded copy of the file out of ``sys.modules``
-    (`TestFlapackLoader` reads the real file in a fresh interpreter)."""
+    """The manifest's ``blas`` is None where NumPy's build config has no
+    ``["Build Dependencies"]["lapack"]`` entry (`test_ids_byte_identical_reruns`
+    checks the entry NumPy has)."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_read(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, "scipy.__config__")
-        randblock.cli._blas_identity.cache_clear()
-        yield
-        randblock.cli._blas_identity.cache_clear()
-
-    def test_none_without_the_file(self, monkeypatch):
-        monkeypatch.setattr(randblock.eigen, "_scipy_file", lambda name, suffixes: None)
-        assert randblock.cli._blas_identity() is None
-
-    @pytest.mark.parametrize("text", ["", "CONFIG = {}", "CONFIG = {'Build Dependencies': {}}"],
-                             ids=["no-config", "no-section", "no-blas"])
-    def test_none_without_the_keys(self, tmp_path, monkeypatch, text):
-        path = tmp_path / "__config__.py"
-        path.write_text(text + "\n")
-        monkeypatch.setattr(randblock.eigen, "_scipy_file", lambda name, suffixes: str(path))
+    @pytest.mark.parametrize("config", [SimpleNamespace(), SimpleNamespace(CONFIG={}),
+                                        SimpleNamespace(CONFIG={"Build Dependencies": {}})],
+                             ids=["no-config", "no-section", "no-lapack"])
+    def test_none_without_the_keys(self, monkeypatch, config):
+        monkeypatch.setattr(np, "__config__", config)
         assert randblock.cli._blas_identity() is None
 
 
@@ -663,9 +649,9 @@ class TestEnsembleCommands:
         assert m1["outputs"] == m2["outputs"]
         assert "backend" not in m1   # `driver` names the LAPACK routine
         assert (m1["driver"], m1["half_bandwidth"]) == ("zhbevd", 2)   # 1-d, side 7
-        # the library SciPy's LAPACK wrappers, and so the band solves, call
-        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert m1["blas"] == {"name": blas["name"], "version": blas["version"]}
+        # the LAPACK NumPy is built with, in which the band solves run
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        assert m1["blas"] == {"name": lapack["name"], "version": lapack["version"]}
         assert m1["thread_env"] == {k: v for k, v in os.environ.items()
                                     if k.endswith("_NUM_THREADS")}
 

@@ -1,3 +1,5 @@
+import ctypes
+import importlib.util
 import itertools
 import json
 import os
@@ -5,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from randblock.eigen import (
     any_eigenvalue_below,
     backend_name,
     eigvalsh,
-    flapack,
     min_eig_tridiag,
 )
 from randblock.lattice import Cube, PeriodicPotential
@@ -460,8 +462,8 @@ def _run_child(code, **env_vars):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg and the thread pool are most of the CLI's start-up, and
-    # only band solves and pooled runs need them.  A patch of the band
+    # scipy.linalg and the thread pool would be most of the CLI's start-up;
+    # no run needs the first, and only pooled runs the second.  A patch of the band
     # solve's one LAPACK call, as TestLapackFailure makes, must reach it.
     # A stale RANDBLOCK_FORCE_PY in the environment must not change the solver.
     _run_child(textwrap.dedent("""
@@ -486,63 +488,86 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     """), RANDBLOCK_FORCE_PY="1")
 
 
-class TestFlapackLoader:
-    """`flapack` loads SciPy's compiled LAPACK wrappers without
-    ``scipy.linalg``'s package init, each case in a fresh interpreter."""
+class TestNumpyLapack:
+    """The band solves call LAPACK in the library NumPy links, so no command
+    loads SciPy; a routine that is missing, or that fails the ABI probe
+    `eigen.band_routine` runs when it builds one, stops the first band solve
+    with EigenError and a command with exit 3."""
 
-    def test_ensemble_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+    @pytest.fixture(autouse=True)
+    def fresh_routines(self):
+        eigen.band_routine.cache_clear()
+        yield
+        eigen.band_routine.cache_clear()
+
+    def test_ensemble_commands_load_no_scipy(self, tmp_path):
+        # SciPy's package directory and the libraries its wheel bundles
+        scipy = Path(importlib.util.find_spec("scipy").origin).parent
+        dirs = tuple(f"{d}{os.sep}" for d in (scipy, scipy.with_name("scipy.libs")))
         config = Path(__file__).parents[1] / "configs" / "example.json"
         _run_child(textwrap.dedent(f"""
             import json
+            import os
             import sys
+            import numpy as np
             from randblock.cli import main
             args = ["--config", {str(config)!r}, "--out", {str(tmp_path)!r}, "--quiet"]
             runs = [(command, "1") for command in
                     ("ids", "dos", "gap", "wegner", "lifshits", "dostransform")]
             for command, threads in runs + [("ids", "2")]:
                 assert main([command, *args, "--threads", threads]) == 0, command
-                # np.percentile would load numpy.ma, scipy.show_config SciPy's package
-                for name in ("numpy.ma", "scipy", "scipy.linalg"):
-                    assert name not in sys.modules, f"{{name}} loaded by {{command}}"
-            assert "scipy.linalg._flapack" in sys.modules
+                # np.percentile would load numpy.ma
+                assert "numpy.ma" not in sys.modules, command
+                loaded = [name for name in sys.modules if name.startswith("scipy")]
+                assert not loaded, (command, loaded)
+            if os.path.exists("/proc/self/maps"):
+                with open("/proc/self/maps") as maps:
+                    mapped = {{line.split(maxsplit=5)[-1].strip() for line in maps}}
+                scipy_files = [path for path in mapped if path.startswith({dirs!r})]
+                assert not scipy_files, scipy_files
             blas = json.load(open({str(tmp_path / "ids_manifest.json")!r}))["blas"]
-            import scipy
-            built = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-            assert blas == {{"name": built["name"], "version": built["version"]}}, blas
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+            assert blas == {{"name": lapack["name"], "version": lapack["version"]}}, blas
         """))
 
-    def test_same_drivers_as_scipy_linalg_lapack(self):
-        _run_child(textwrap.dedent("""
-            from randblock.eigen import flapack
-            loaded = flapack()
-            import scipy.linalg
-            assert loaded.zhbevd is scipy.linalg.lapack.zhbevd
-            assert loaded.dsbevd is scipy.linalg.lapack.dsbevd
-            assert flapack() is loaded
-        """))
+    @staticmethod
+    def wrong_library(monkeypatch):
+        """Point the lookup at callbacks that write 1, 2, ..., n as the
+        eigenvalues, with info 0."""
+        def wrong(jobz, uplo, n, kd, ab, ldab, w, *rest):
+            count = ctypes.c_int64.from_address(n).value
+            (ctypes.c_double * count).from_address(w)[:] = range(1, count + 1)
 
-    def test_falls_back_to_scipy_linalg_lapack(self):
-        rng = np.random.default_rng(3)
-        lower = rng.uniform(-1, 1, (3, 9))
-        square = lower[:2] + 1j * lower[1:]
-        square[0] = 6 + lower[0]
-        expected = [eigvalsh(SymmetricBand(lower)).tolist(),
-                    eigvalsh(SquaredBand(square)).tolist()]
-        _run_child(textwrap.dedent(f"""
-            import importlib.machinery
-            import numpy as np
-            importlib.machinery.EXTENSION_SUFFIXES = []   # the file search finds nothing
-            from randblock.eigen import SquaredBand, SymmetricBand, eigvalsh, flapack
-            loaded = flapack()
-            import scipy.linalg.lapack
-            assert loaded is scipy.linalg.lapack
-            rng = np.random.default_rng(3)
-            lower = rng.uniform(-1, 1, (3, 9))
-            square = lower[:2] + 1j * lower[1:]
-            square[0] = 6 + lower[0]
-            got = [eigvalsh(SymmetricBand(lower)).tolist(), eigvalsh(SquaredBand(square)).tolist()]
-            assert got == {expected!r}, got
-        """))
+        routines = {eigen._SYMBOLS[0].format(driver): ctypes.CFUNCTYPE(
+            None, *[ctypes.c_char_p] * 2, *[ctypes.c_void_p] * pointers,
+            ctypes.c_size_t, ctypes.c_size_t)(wrong) for driver, pointers in eigen._POINTERS.items()}
+        monkeypatch.setattr(eigen, "_numpy_lapack", lambda: SimpleNamespace(**routines))
+
+    @staticmethod
+    def no_symbol(monkeypatch):
+        monkeypatch.setattr(eigen, "_SYMBOLS", ("randblock_no_such_{}_",))
+
+    faults = pytest.mark.parametrize("fault, message", [
+        ("wrong_library", "failed its ABI probe"), ("no_symbol", "NumPy's LAPACK has no")])
+
+    @pytest.mark.parametrize("band", [SymmetricBand(np.ones((2, 4))),
+                                      SquaredBand(np.full((2, 4), 3.0 + 0j))],
+                             ids=["dsbevd", "zhbevd"])
+    @faults
+    def test_first_band_solve_raises(self, monkeypatch, band, fault, message):
+        getattr(self, fault)(monkeypatch)
+        with pytest.raises(EigenError, match=message):
+            eigvalsh(band)
+
+    @pytest.mark.parametrize("v_lo", [0.0, 1.0], ids=["dsbevd", "zhbevd"])
+    @faults
+    def test_cli_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys, v_lo, fault, message):
+        path = TestLapackFailure().write_config(tmp_path, v_lo)
+        getattr(self, fault)(monkeypatch)
+        assert main(["ids", "--config", path, "--out", str(tmp_path), "--threads", "1"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure:") and message in err
 
 
 # one chunk per driver solved on two threads at once, each against the serial
@@ -578,13 +603,9 @@ _TWO_THREADS = textwrap.dedent("""
 
 
 class TestBandRoutine:
-    """The band solve's one LAPACK call: the Fortran routine behind SciPy's
-    f2py wrapper, through ctypes, which releases the GIL.  The wrapper is
-    kept only as the oracle here."""
-
-    @pytest.mark.parametrize("driver", ["dsbevd", "zhbevd"])
-    def test_wrapper_exposes_cpointer(self, driver):
-        assert type(getattr(flapack(), driver)._cpointer).__name__ == "PyCapsule"
+    """The band solve's one LAPACK call: the Fortran routine in NumPy's
+    LAPACK, through ctypes, which releases the GIL.  SciPy's f2py wrapper of
+    the same routine is its oracle."""
 
     @pytest.mark.parametrize("dim, side", [(1, 21), (2, 5), (3, 3)])
     @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
@@ -598,7 +619,7 @@ class TestBandRoutine:
             lower = _realization_band(clean, v, b).lower
             kept = lower.copy()
             w, info = eigen._lapack_band(driver, lower)
-            expected, _, expected_info = getattr(flapack(), driver)(
+            expected, _, expected_info = getattr(reference.flapack(), driver)(
                 lower, compute_v=0, lower=1, overwrite_ab=0)
             assert info == expected_info == 0
             assert w.tobytes() == expected.tobytes()
