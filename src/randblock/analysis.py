@@ -3,9 +3,10 @@
 The constant off-diagonal spectral map (`const_b_map`) and DOS transform
 (`DosTransform`, `const_b_dos_array`), the Wegner-type density bound the
 laws certify (`certify_wegner_hypothesis`, `WegnerBound`) and its check
-against an ensemble's DOS (`wegner_check`), and
-the band-edge tail probe (`LifshitsRun`, `lifshits_probe`) with its
-double-log exponent fit (`lifshits_exponent_fit`).
+against an ensemble's DOS (`wegner_check`, which returns the bound at
+every bin, the bounds ``randblock wegner`` writes), and the band-edge tail
+probe (`LifshitsRun`, `lifshits_probe`) with its double-log exponent fit
+(`lifshits_exponent_fit`).
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ class WegnerBound:
             raise ValueError(f"bv must be positive, got {self.bv}")
 
 
-def wegner_bound(bound: WegnerBound, energy: float) -> float:
-    return 2.0 * (abs(energy) + 1.0) / bound.lower_constant * bound.bv
+def wegner_bound(bound: WegnerBound, energy):
+    """The density bound at ``energy``, a float or an array of them."""
+    return 2.0 * (np.abs(energy) + 1.0) / bound.lower_constant * bound.bv
 
 
 @dataclass
@@ -98,6 +100,7 @@ class WegnerReport:
     checked_bins: int
     violations: list[tuple[float, float, float]]  # (bin center, density, allowed)
     min_count: int                                # least count of a checked bin
+    bounds: np.ndarray                            # `wegner_bound` at every bin center
 
     @property
     def ok(self) -> bool:
@@ -123,24 +126,22 @@ def certify_wegner_hypothesis(config, mode: str) -> WegnerBound:
 
 def wegner_check(result: EnsembleResult, bound: WegnerBound,
                  min_count: int = 100) -> WegnerReport:
-    """Check every well-populated DOS bin against the density bound with a
-    3-standard-error statistical slack.  Refused unless ``bound`` is at most
-    as tight as the one the laws certify (`certify_wegner_hypothesis`)."""
+    """Check every DOS bin with at least ``min_count`` eigenvalues against
+    the density bound with a 3-standard-error statistical slack, in one
+    pass over the bins; the report holds the bound at every bin center,
+    checked or not.  Refused unless ``bound`` is at most as tight as the one
+    the laws certify (`certify_wegner_hypothesis`)."""
     certified = certify_wegner_hypothesis(result.config, bound.mode)
     if bound.lower_constant > certified.lower_constant or bound.bv < certified.bv:
         raise ValueError(f"the laws do not certify {bound}: they give c <= "
                          f"{certified.lower_constant} and bv >= {certified.bv}")
-    violations = []
-    checked = 0
-    for center, count, density, stderr in zip(result.dos_centers, result.dos_counts,
-                                              result.dos_density, result.dos_stderr):
-        if count < min_count:
-            continue
-        checked += 1
-        allowed = wegner_bound(bound, center) + 3.0 * stderr
-        if density > allowed:
-            violations.append((float(center), float(density), float(allowed)))
-    return WegnerReport(checked, violations, min_count)
+    bounds = wegner_bound(bound, result.dos_centers)
+    allowed = bounds + 3.0 * result.dos_stderr
+    checked = result.dos_counts >= min_count
+    bad = checked & (result.dos_density > allowed)
+    violations = list(zip(result.dos_centers[bad].tolist(), result.dos_density[bad].tolist(),
+                          allowed[bad].tolist()))
+    return WegnerReport(int(checked.sum()), violations, min_count, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,13 @@ from .analysis import (
     double_log_coordinates,
     lifshits_exponent_fit,
     lifshits_probe,
-    wegner_bound,
     wegner_check,
 )
 from .config import ConfigError, construct, load_config
 from .disorder import SeedPolicy, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError, check_memory
-from .spectra import pool_workers, run_ensemble, usable_cpus
+from .spectra import run_ensemble, usable_cpus
 from .verify import run_all
 
 EXIT_OK = 0
@@ -122,8 +121,8 @@ def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,
         # LAPACK driver and half-bandwidth of the ensemble's band solves, if any
         "driver": None if result is None else result.driver,
         "half_bandwidth": None if result is None else result.half_bandwidth,
-        # the threads that solved it (`pool_workers`), 0 on the calling thread
-        "workers": None if result is None else pool_workers(result.config),
+        # the pool threads that solved it, 0 on the calling thread
+        "workers": None if result is None else result.workers,
         # spectra depend in the last bits on the BLAS build and its threads
         "blas": _blas_identity(),
         "thread_env": {k: v for k, v in sorted(os.environ.items())
@@ -209,10 +208,10 @@ def cmd_wegner(args, config, extras, out_dir):
         "min_count": report.min_count,
         "checked_bins": report.checked_bins,
         "bins": [
-            {"center": float(c), "density": float(d), "stderr": float(s),
-             "count": int(k), "bound": wegner_bound(bound, float(c))}
-            for c, d, s, k in zip(result.dos_centers, result.dos_density,
-                                  result.dos_stderr, result.dos_counts)
+            {"center": c, "density": d, "stderr": s, "count": k, "bound": b}
+            for c, d, s, k, b in zip(result.dos_centers.tolist(), result.dos_density.tolist(),
+                                     result.dos_stderr.tolist(), result.dos_counts.tolist(),
+                                     report.bounds.tolist())
         ],
         "violations": [
             {"center": c, "density": d, "allowed": a} for c, d, a in report.violations

@@ -113,19 +113,9 @@ class Cube:
         return self.side**self.dim
 
     @property
-    def strides(self) -> tuple[int, ...]:
-        """Index distance of one step along each axis, L^(d-1-axis); empty on
-        a single-site cube, which has no neighbouring sites."""
-        return tuple(self.side ** (self.dim - 1 - axis) for axis in range(self.dim)) \
-            if self.side > 1 else ()
-
-    @property
     def half_bandwidth(self) -> int:
         """Largest index distance between neighbouring sites: the stride of
         axis 0, L^(d-1), or 0 on a single-site cube."""
-        # not `strides[0]`: band builds read this once per realization, and
-        # each tuple that `strides` builds from a generator is freed into
-        # CPython's tuple free list, which then holds up to ~96 KB
         return self.side ** (self.dim - 1) if self.side > 1 else 0
 
 
@@ -136,13 +126,13 @@ def coordinates(cube: Cube) -> np.ndarray:
 
 
 def hops(cube: Cube) -> list[tuple[int, np.ndarray]]:
-    """Nearest-neighbour pairs, one entry per axis: (stride, sites i whose
-    neighbour i + stride along that axis lies in the cube)."""
+    """Nearest-neighbour pairs, one entry per axis: (stride L^(d-1-axis),
+    sites i whose neighbour i + stride along that axis lies in the cube)."""
     if cube.side == 1:
         return []
     coords = coordinates(cube)
-    return [(stride, np.flatnonzero(coords[axis] < cube.side - 1))
-            for axis, stride in enumerate(cube.strides)]
+    return [(cube.side ** (cube.dim - 1 - axis), np.flatnonzero(coords[axis] < cube.side - 1))
+            for axis in range(cube.dim)]
 
 
 def deficiencies(cube: Cube) -> np.ndarray:

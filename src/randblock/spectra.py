@@ -114,6 +114,7 @@ class EnsembleResult:
     driver: str                       # LAPACK driver of the band solves (`band_driver`)
     half_bandwidth: int               # of the band storage that driver solved
     failures: list[int]               # indices whose solve failed, ascending
+    workers: int                      # pool threads that solved it (`pool_workers`), 0 if none
 
     @property
     def realization_ids(self) -> np.ndarray:
@@ -454,7 +455,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
                       else block_half_bandwidth(config.cube))
     return EnsembleResult(config, spectra, grid, ids_mean, ids_stderr,
                           centers, hist, density, stderr, gaps, clean.driver,
-                          half_bandwidth, failures)
+                          half_bandwidth, failures, workers)
 
 
 def zero_split_check(ev: np.ndarray) -> bool:

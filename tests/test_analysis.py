@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,32 @@ class TestWegner:
         report = wegner_check(small_ensemble, WegnerBound("H", 1.0, 2.0), min_count=50)
         assert report.checked_bins > 0
         assert report.ok, report.violations
+
+    def test_check_bounds_every_bin(self, small_ensemble):
+        # the bounds of one array pass are the scalar bound at each center
+        bound = WegnerBound("H", 1.0, 2.0)
+        report = wegner_check(small_ensemble, bound, min_count=50)
+        centers = small_ensemble.dos_centers
+        assert np.array_equal(report.bounds, [wegner_bound(bound, float(c)) for c in centers])
+
+    def test_check_matches_per_bin_loop(self, small_ensemble):
+        # densities raised 150-fold put some checked bins over bound + 3
+        # stderr: the report is that of a loop over the bins, in Python floats
+        bound = WegnerBound("H", 1.0, 2.0)
+        raised = replace(small_ensemble, dos_density=150.0 * small_ensemble.dos_density)
+        report = wegner_check(raised, bound, min_count=50)
+        checked, violations = 0, []
+        for c, k, d, s in zip(raised.dos_centers, raised.dos_counts, raised.dos_density,
+                              raised.dos_stderr):
+            if k >= 50:
+                checked += 1
+                allowed = wegner_bound(bound, float(c)) + 3.0 * s
+                if d > allowed:
+                    violations.append((float(c), float(d), float(allowed)))
+        assert 0 < len(violations) < checked
+        assert (report.checked_bins, report.violations) == (checked, violations)
+        assert all(type(x) is float for v in report.violations for x in v)
+        assert not report.ok
 
     @pytest.mark.parametrize("bound", [WegnerBound("H", 1.5, 2.0), WegnerBound("H", 1.0, 0.01),
                                        WegnerBound("B", 0.5, 1.0)],

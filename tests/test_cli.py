@@ -858,6 +858,41 @@ class TestEnsembleCommands:
         manifest = json.loads((out / f"{command}_manifest.json").read_text())
         assert manifest["workers"] == workers
 
+    def test_manifest_records_workers_the_run_started(self, tmp_path, monkeypatch):
+        # the pool size the run started with, even when the CPUs this process
+        # may run on drop from two to one after the solve
+        reads = []
+
+        def affinity(pid):
+            reads.append(pid)
+            return {0, 1} if len(reads) == 1 else {0}
+
+        monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
+        path = write_config(tmp_path, base_doc())
+        out = tmp_path / "out"
+        assert main(["ids", "--config", path, "--out", str(out), "--threads", "2",
+                     "--quiet"]) == 0
+        manifest = json.loads((out / "ids_manifest.json").read_text())
+        assert manifest["workers"] == 2
+        assert len(reads) == 1
+
+    def test_wegner_report_writes_the_checked_bounds(self, tmp_path, monkeypatch):
+        # the bound column is the one wegner_check compared each bin with
+        reports = []
+
+        def check(*args, **kwargs):
+            reports.append(wegner_check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(randblock.cli, "wegner_check", check)
+        doc = base_doc(cube={"dim": 1, "side": 11}, realizations=30,
+                       wegner={"mode": "H", "min_count": 50})
+        path = write_config(tmp_path, doc)
+        assert main(["--quiet", "wegner", "--config", path, "--out", str(tmp_path)]) == 0
+        bins = json.loads((tmp_path / "wegner_report.json").read_text())["bins"]
+        [report] = reports
+        assert [b["bound"] for b in bins] == report.bounds.tolist()
+
 
 class TestConfigRoundTrip:
     def test_echo_reparses_equal(self, tmp_path):

@@ -465,7 +465,6 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg and the thread pool would be most of the CLI's start-up;
     # no run needs the first, and only pooled runs the second.  A patch of the band
     # solve's one LAPACK call, as TestLapackFailure makes, must reach it.
-    # A stale RANDBLOCK_FORCE_PY in the environment must not change the solver.
     _run_child(textwrap.dedent("""
         import sys
         import numpy as np
@@ -485,7 +484,7 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
             pass
         else:
             raise AssertionError("the patched banded solver was not called")
-    """), RANDBLOCK_FORCE_PY="1")
+    """))
 
 
 class TestNumpyLapack:
