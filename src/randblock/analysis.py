@@ -176,7 +176,8 @@ class LifshitsRun:
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.dim != 1:
-            raise ValueError("only the one-dimensional tridiagonal probe is implemented")
+            raise ValueError(f"dim must be 1, got {self.dim}: only the one-dimensional "
+                             "tridiagonal probe is implemented")
         if not isinstance(self.mu_v, DensitySpec):
             raise ValueError("V must have a density")
         v_lo, _ = support_bounds(self.mu_v)

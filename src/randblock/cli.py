@@ -49,7 +49,7 @@ from .config import ConfigError, construct, load_config
 from .disorder import SeedPolicy, support_bounds
 from .eigen import EigenError, backend_name
 from .lattice import MemoryLimitError, check_memory
-from .spectra import run_ensemble, usable_cpus
+from .spectra import certified_floor, run_ensemble, usable_cpus
 from .verify import run_all
 
 EXIT_OK = 0
@@ -226,12 +226,13 @@ def cmd_wegner(args, config, extras, out_dir):
 
 def cmd_lifshits(args, config, extras, out_dir):
     rec = _section(extras, "lifshits")
-    # LifshitsRun holds the defaults of the keys the section leaves out; the
-    # band edge lam is the bottom of the spectrum of -lap_N + V, inf supp V
-    mu_v = config.disorder.mu_v
-    make = functools.partial(LifshitsRun, mu_v=mu_v, lam=support_bounds(mu_v)[0],
+    if np.any(config.potential.values != 0):
+        raise ConfigError("potential: must be zero for lifshits, whose probe samples "
+                          "-lap_N + V only")
+    # LifshitsRun holds the defaults of the keys the section leaves out
+    make = functools.partial(LifshitsRun, mu_v=config.disorder.mu_v, lam=certified_floor(config),
                              base_seed=config.base_seed, dim=config.cube.dim)
-    run = construct("lifshits", make, **rec)
+    run = construct("lifshits", make, paths={"dim": "cube.dim"}, **rec)
     table = lifshits_probe(run)
     ln_eps, lnln = double_log_coordinates(table.epsilons, table.p_hat)
     path = out_dir / "lifshits.csv"

@@ -1,14 +1,14 @@
 """Real symmetric eigensolvers.
 
 Full spectra come from LAPACK (`eigvalsh`): ``dsyevd`` through NumPy for
-dense matrices, one or a stack of them, ``dsbevd`` for band matrices
-(`SymmetricBand`), called through ctypes at the Fortran routine in the
-LAPACK NumPy links (`band_routine`), so that a band solve releases the
-GIL.  A block operator with spectrum symmetric about zero and a certified
-gap can instead be given through its n x n square
-(`SquaredBand`, complex Hermitian band storage), which ``zhbevd`` solves at
-half the dimension; its eigenvalues μ come back as ±√μ, moved by
-|δE| ≲ eps·ρ²/λ when the spectrum lies in [-ρ, ρ] and outside (-λ, λ).
+dense matrices, one or a stack of them, and for a band storage the driver
+its type names (``driver``), called through ctypes at the Fortran routine
+in the LAPACK NumPy links (`band_routine`) so that it releases the GIL:
+``dsbevd`` for a real band matrix (`SymmetricBand`), ``zhbevd`` for the
+n x n square (`SquaredBand`, complex Hermitian) of a block operator with
+spectrum symmetric about zero and a certified gap, at half the dimension.
+The square's eigenvalues μ come back as ±√μ, moved by |δE| ≲ eps·ρ²/λ when
+the spectrum lies in [-ρ, ρ] and outside (-λ, λ).
 Whether stacked tridiagonal matrices have an eigenvalue below a threshold
 comes from one batched Sturm pass (`any_eigenvalue_below`), their smallest
 eigenvalues from a bisection on that test (`min_eig_tridiag`).  A failed
@@ -22,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,6 +44,7 @@ class SymmetricBand:
     """A real symmetric matrix in LAPACK lower band storage: ``lower[k, j]``
     holds entry (j + k, j); entries with j + k >= dim are ignored."""
 
+    driver: ClassVar[str] = "dsbevd"
     lower: np.ndarray
 
     def __post_init__(self):
@@ -61,6 +63,7 @@ class SquaredBand:
     M = (H - iB)(H + iB) = H² + B² + i[H, B] (`operators.band_square`).
     """
 
+    driver: ClassVar[str] = "zhbevd"
     lower: np.ndarray
 
     def __post_init__(self):
@@ -75,22 +78,30 @@ def eigvalsh(m) -> np.ndarray:
     through ``numpy.linalg.eigvalsh``, which reads the lower triangle only;
     so does each matrix of a dense ``(..., n, n)`` stack, whose eigenvalues
     come back ``(..., n)``, bit for bit those of its matrices one by one.  A
-    `SymmetricBand` goes to the banded divide-and-conquer solver ``dsbevd``
-    and a `SquaredBand` to its complex Hermitian twin ``zhbevd``, both called
-    at the Fortran routines in the LAPACK NumPy links (`band_routine`), on
-    other threads too; a `SquaredBand`'s
-    eigenvalues μ come back as the 2n values [-√μ[::-1], √μ].  With every
-    |E| >= λ and the spectrum inside [-ρ, ρ], squaring moves an eigenvalue
-    by |δE| ≲ eps·ρ²/λ instead of the direct solve's eps·ρ.  Raises
-    ValueError on non-finite entries and EigenError when LAPACK fails
-    (a nonzero ``info``, or no convergence in ``dsyevd``), returns
-    eigenvalues out of order, or returns a μ of a `SquaredBand` that is not
-    finite and positive (nothing is clamped).
+    band storage goes to the driver its type names (`band_routine`), on
+    other threads too: a `SymmetricBand` to the banded divide-and-conquer
+    solver ``dsbevd``, a `SquaredBand` to its complex Hermitian twin
+    ``zhbevd``, whose eigenvalues μ come back as the 2n values
+    [-√μ[::-1], √μ].  With every |E| >= λ and the spectrum inside [-ρ, ρ],
+    squaring moves an eigenvalue by |δE| ≲ eps·ρ²/λ instead of the direct
+    solve's eps·ρ.  Raises ValueError on non-finite entries and EigenError
+    when LAPACK fails (a nonzero ``info``, or no convergence in ``dsyevd``),
+    returns eigenvalues out of order, or returns a μ of a `SquaredBand` that
+    is not finite and positive (nothing is clamped).
     """
-    if isinstance(m, SquaredBand):
-        w = _signed_roots(_band_solve(m))
-    elif isinstance(m, SymmetricBand):
-        w = _band_solve(m)
+    if isinstance(m, (SymmetricBand, SquaredBand)):
+        if not np.all(np.isfinite(m.lower)):
+            raise ValueError("matrix has non-finite entries")
+        w, info = _lapack_band(m.driver, m.lower)
+        if info != 0:
+            reason = "did not converge" if info > 0 else "rejected an argument"
+            raise EigenError(f"LAPACK {m.driver} {reason} (n={m.lower.shape[1]}, info = {info})")
+        if isinstance(m, SquaredBand):     # w holds M's eigenvalues μ
+            if not (np.all(np.isfinite(w)) and np.all(w > 0)):
+                raise EigenError(f"squared band has an eigenvalue that is not finite and "
+                                 f"positive: smallest {float(np.min(w))!r}")
+            root = np.sqrt(w)
+            w = np.concatenate([-root[::-1], root])
     else:
         m = np.asarray(m, dtype=np.float64)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -103,19 +114,6 @@ def eigvalsh(m) -> np.ndarray:
             raise EigenError(f"LAPACK eigensolve failed (n={m.shape[-1]}): {exc}") from exc
     if (w[..., 1:] < w[..., :-1]).any():
         raise EigenError("LAPACK returned eigenvalues out of ascending order")
-    return w
-
-
-def _band_solve(m) -> np.ndarray:
-    """Eigenvalues of the band storage ``m.lower``: ``dsbevd`` for a
-    `SymmetricBand`, ``zhbevd`` for a `SquaredBand` (which are then M's)."""
-    if not np.all(np.isfinite(m.lower)):
-        raise ValueError("matrix has non-finite entries")
-    driver = "dsbevd" if isinstance(m, SymmetricBand) else "zhbevd"
-    w, info = _lapack_band(driver, m.lower)
-    if info != 0:
-        reason = "did not converge" if info > 0 else "rejected an argument"
-        raise EigenError(f"LAPACK {driver} {reason} (n={m.lower.shape[1]}, info = {info})")
     return w
 
 
@@ -198,15 +196,6 @@ def _solve(routine, driver: str, lower: np.ndarray) -> tuple[np.ndarray, int]:
     routine(b"N", b"L", n_, kd, ab.ctypes.data, ldab, out, out, ldz,
             *(arg for pair in zip(spaces, sizes) for arg in pair), iwork, liwork, info, 1, 1)
     return w, int(ints[-1])
-
-
-def _signed_roots(mu: np.ndarray) -> np.ndarray:
-    """[-√μ[::-1], √μ]; EigenError unless every μ is finite and positive."""
-    if not (np.all(np.isfinite(mu)) and np.all(mu > 0)):
-        raise EigenError(f"squared band has an eigenvalue that is not finite and positive: "
-                         f"smallest {float(np.min(mu))!r}")
-    root = np.sqrt(mu)
-    return np.concatenate([-root[::-1], root])
 
 
 def min_eig_tridiag(d, e, tol: float) -> np.ndarray:

@@ -166,8 +166,9 @@ _SQUARE_FLOOR_RATIO = 64
 
 
 def band_driver(config: ExperimentConfig, radius: float) -> str:
-    """The LAPACK driver of the run's band solves: ``"zhbevd"`` on the n x n
-    square M = (H - iB)(H + iB), ``"dsbevd"`` on the 2n x 2n block.
+    """The LAPACK driver of the run's band solves, the one its band type
+    names: `SquaredBand`'s ``"zhbevd"`` on the n x n square
+    M = (H - iB)(H + iB), `SymmetricBand`'s ``"dsbevd"`` on the 2n x 2n block.
 
     The square is taken when H_top = H_bot (boundary D or N), so that the
     block's spectrum is symmetric about zero, and the certified floor
@@ -179,7 +180,7 @@ def band_driver(config: ExperimentConfig, radius: float) -> str:
     floor = certified_floor(config)
     squared = (config.boundary in ("D", "N") and floor > 0
                and floor >= radius / _SQUARE_FLOOR_RATIO and np.isfinite(radius * radius))
-    return "zhbevd" if squared else "dsbevd"
+    return (SquaredBand if squared else SymmetricBand).driver
 
 
 def base_matrices(config: ExperimentConfig) -> CleanPart:
@@ -298,7 +299,7 @@ def _realization_band(clean: CleanPart, v: np.ndarray,
     A = H + iB (`operators.band_square`), else the block in interleaved order
     (`operators.block_band`)."""
     h = clean.u0 + v
-    if clean.driver == "zhbevd":
+    if clean.driver == SquaredBand.driver:
         a = clean.top.astype(np.complex128)
         a[0] += h + 1j * b
         return SquaredBand(band_square(a))
@@ -451,7 +452,7 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     gaps = np.fromiter((np.abs(ev).min() for ev in spectra), np.float64, len(spectra))
-    half_bandwidth = (2 * config.cube.half_bandwidth if clean.driver == "zhbevd"
+    half_bandwidth = (2 * config.cube.half_bandwidth if clean.driver == SquaredBand.driver
                       else block_half_bandwidth(config.cube))
     return EnsembleResult(config, spectra, grid, ids_mean, ids_stderr,
                           centers, hist, density, stderr, gaps, clean.driver,

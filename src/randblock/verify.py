@@ -9,7 +9,10 @@ the bracketing chains of the counting functions (`counting_chains_hold`)
 and the closed form of the squared operator (`square_residual`).  A suite
 draws its instances and calls that function; the acceptance checks call
 the same functions on instances of their own.  An instance's matrices of
-one size are solved together, as one stack (`eigen.eigvalsh`).
+one size are solved together, as one stack (`eigen.eigvalsh`).  Operators
+are built afresh in every call: a cache kept across calls would hide a
+mutated builder, such as the one `test_mutated_boundary_term_is_caught`
+plants.
 """
 
 from __future__ import annotations

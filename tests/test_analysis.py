@@ -363,7 +363,7 @@ class TestLifshits:
             LifshitsRun((0.0,), DensitySpec.uniform(1, 2), 1.0, 0)
         with pytest.raises(ValueError):
             LifshitsRun((0.1,), DensitySpec.uniform(0, 1), 1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dim must be 1, got 2"):
             LifshitsRun((0.1,), DensitySpec.uniform(1, 2), 1.0, 0, dim=2)
         with pytest.raises(ValueError, match="^V must have a density"):
             LifshitsRun((0.1,), ConstantValue(1.5), 1.0, 0)

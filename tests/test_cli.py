@@ -534,6 +534,23 @@ class TestConfigErrors:
         path = write_config(tmp_path, base_doc())
         assert main(["lifshits", "--config", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("overrides, line", [
+        ({"potential": {"period": [2], "values": [0, 5]}},
+         "config error: potential: must be zero for lifshits, whose probe samples "
+         "-lap_N + V only\n"),
+        ({"cube": {"dim": 2, "side": 4}},
+         "config error: cube.dim: must be 1, got 2: only the one-dimensional "
+         "tridiagonal probe is implemented\n"),
+    ], ids=["nonzero-potential", "two-dimensional"])
+    def test_lifshits_refuses_what_its_probe_ignores(self, tmp_path, capsys, overrides, line):
+        # the probe samples -lap_N + V on 1-d boxes: a U0 or a cube of another
+        # dim is refused, naming its key, not echoed in a manifest unsampled
+        path = write_config(tmp_path, base_doc(lifshits={"epsilons": [0.2]}, **overrides))
+        out = tmp_path / "out"
+        assert main(["lifshits", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, section", [
         ("ids", {}),
         ("dostransform", {"dos_transform": {"beta": 1.0, "source": _V}}),
@@ -731,6 +748,18 @@ class TestEnsembleCommands:
         run = LifshitsRun(extras["lifshits"]["epsilons"], config.disorder.mu_v, 1.0,
                           config.base_seed, realizations=40)
         assert p_hat.tobytes() == lifshits_probe(run).p_hat.tobytes()
+
+    def test_lifshits_zero_potential_as_none(self, tmp_path):
+        # an explicit zero potential samples the same probe as none
+        section = {"epsilons": [0.5, 0.3, 0.2], "realizations": 40}
+        written = []
+        for name, extra in (("none", {}), ("zero", {"potential": {"period": [1],
+                                                                  "values": [0.0]}})):
+            path = write_config(tmp_path, base_doc(lifshits=section, **extra), f"{name}.json")
+            assert main(["--quiet", "lifshits", "--config", path,
+                         "--out", str(tmp_path / name)]) == 0
+            written.append((tmp_path / name / "lifshits.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_lifshits_command(self, tmp_path):
         doc = base_doc(lifshits={"epsilons": [0.5, 0.4, 0.3, 0.2], "realizations": 40})

@@ -122,6 +122,18 @@ class TestEigvalsh:
         with pytest.raises(EigenError, match="ascending"):
             eigvalsh(self.band if banded else dense(self.band.lower))
 
+    @pytest.mark.parametrize("band, driver", [
+        (SymmetricBand(np.array([[2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])), "dsbevd"),
+        (SquaredBand(np.array([[2.0, 2.0, 2.0], [-1.0j, 1.0j, 0.0]])), "zhbevd"),
+    ], ids=["symmetric", "squared"])
+    def test_band_type_names_its_driver(self, monkeypatch, band, driver):
+        # the band solve calls LAPACK with the driver the band's type states
+        real, seen = eigen._lapack_band, []
+        monkeypatch.setattr(eigen, "_lapack_band",
+                            lambda name, lower: seen.append(name) or real(name, lower))
+        eigvalsh(band)
+        assert seen == [type(band).driver] == [driver]
+
     def test_unsorted_result_in_one_matrix_of_a_stack_raises(self, monkeypatch):
         real = np.linalg.eigvalsh
 
