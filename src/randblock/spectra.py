@@ -2,7 +2,8 @@
 
 A run's operator is [[H_top, B], [B, -H_bot]] with H = -Δ_X + U0 + V and
 B = diag(b), -Δ_X the positive semidefinite Laplacian (`operators.laplacian`)
-of the boundary mode X that ``boundary`` gives each block.
+of the boundary mode X that `BOUNDARY_MODES` gives each block; `dense_blocks`
+builds them dense from that table, for the tests and `verify`.
 
 Realizations are independent and reproducible from (base_seed, index).  A
 run is cut into chunks of at most 64 consecutive indices, shared evenly
@@ -42,7 +43,7 @@ from .lattice import Cube, PeriodicPotential, check_memory
 from .operators import (BoundaryMode, assemble_bracketing, band_square, block_band,
                         block_band_bytes, block_half_bandwidth, dense, laplacian)
 
-_BOUNDARY_MODES = {   # (top block, bottom block) of [[H_top, B], [B, -H_bot]]
+BOUNDARY_MODES = {   # (top block, bottom block) of [[H_top, B], [B, -H_bot]]
     "D": (BoundaryMode.DIRICHLET, BoundaryMode.DIRICHLET),
     "N": (BoundaryMode.NEUMANN, BoundaryMode.NEUMANN),
     "+": (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN),
@@ -70,7 +71,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each refusal starts with the field it names (see `config.construct`)
-        choices = tuple(_BOUNDARY_MODES)   # a tuple, so an unhashable value is refused too
+        choices = tuple(BOUNDARY_MODES)   # a tuple, so an unhashable value is refused too
         if self.boundary not in choices:
             raise ValueError(f"boundary must be one of {choices}, got {self.boundary!r}")
         self.potential.check_cube(self.cube)
@@ -188,7 +189,7 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
     Laplacian(s) the boundary needs, in band storage (no n x n array is
     formed)."""
     cube = config.cube
-    modes = _BOUNDARY_MODES[config.boundary]
+    modes = BOUNDARY_MODES[config.boundary]
     laps = {mode: laplacian(cube, mode) for mode in dict.fromkeys(modes)}
     top, bot = laps[modes[0]], laps[modes[1]]
     u0 = config.potential.on_cube(cube)
@@ -198,16 +199,21 @@ def base_matrices(config: ExperimentConfig) -> CleanPart:
     return CleanPart(cube, band_driver(config, radius), top, bot, u0, radius)
 
 
+def dense_blocks(cube: Cube, h: np.ndarray, b: np.ndarray, boundaries) -> list[np.ndarray]:
+    """The 2n x 2n [[H_top, B], [B, -H_bot]] of each of ``boundaries``, dense
+    and in natural order, H = Laplacian term + diag(h) and B = diag(b): each
+    distinct Laplacian band of `BOUNDARY_MODES` made dense (`operators.dense`)
+    once, sharing no code with the band builders, whose oracle it is."""
+    pairs = [BOUNDARY_MODES[boundary] for boundary in boundaries]
+    hs = {mode: dense(laplacian(cube, mode)) + np.diag(h) for mode in dict.fromkeys(sum(pairs, ()))}
+    return [assemble_bracketing(hs[top], hs[bot], np.diag(b)) for top, bot in pairs]
+
+
 def build_block(config: ExperimentConfig, v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 2n x 2n block operator of one disorder realization, dense and in
-    natural order [[H_top, B], [B, -H_bot]], H = Laplacian term + diag(U0 + V):
-    assembled from the Laplacian bands made dense (`operators.dense`),
-    sharing no code with the band builders: the tests' oracle for both."""
-    cube = config.cube
-    h = np.diag(config.potential.on_cube(cube) + v)
-    top, bot = (dense(laplacian(cube, mode)) + h
-                for mode in _BOUNDARY_MODES[config.boundary])
-    return assemble_bracketing(top, bot, np.diag(b))
+    """`dense_blocks`' one-boundary case: one realization's block, H's
+    diagonal U0 + V."""
+    h = config.potential.on_cube(config.cube) + v
+    return dense_blocks(config.cube, h, b, (config.boundary,))[0]
 
 
 # the most realizations drawn in one batch (`ensemble_fields`) and solved as

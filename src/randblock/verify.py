@@ -8,11 +8,12 @@ the parity split (`parity_split_residuals`), the gap bounds (`gap_margins`),
 the bracketing chains of the counting functions (`counting_chains_hold`)
 and the closed form of the squared operator (`square_residual`).  A suite
 draws its instances and calls that function; the acceptance checks call
-the same functions on instances of their own.  An instance's matrices of
-one size are solved together, as one stack (`eigen.eigvalsh`).  Operators
-are built afresh in every call: a cache kept across calls would hide a
-mutated builder, such as the one `test_mutated_boundary_term_is_caught`
-plants.
+the same functions on instances of their own.  Blocks on a cube come from
+the boundary table the ensembles run (`spectra.dense_blocks`).  An
+instance's matrices of one size are solved together, as one stack
+(`eigen.eigvalsh`).  Operators are built afresh in every call: a cache kept
+across calls would hide a mutated builder, such as the one
+`test_mutated_boundary_term_is_caught` plants.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .analysis import const_b_map
 from .eigen import eigvalsh
 from .lattice import Cube, parities
 from .operators import BoundaryMode
-from .spectra import symmetry_residual, zero_split_check
+from .spectra import dense_blocks, symmetry_residual, zero_split_check
 
 
 @dataclass
@@ -48,16 +49,15 @@ def _random_symmetric(rng, n: int) -> np.ndarray:
 
 def _instance_1d(rng: np.random.Generator, sides: tuple[int, int],
                  v_range: tuple[float, float], b_range: tuple[float, float],
-                 modes: tuple[BoundaryMode, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+                 boundaries: tuple[str, ...]) -> list[np.ndarray]:
     """One random 1-d instance, drawn from ``rng`` in this order: the side of
     a cube (``rng.integers(*sides)``), then V ~ U(v_range) and b ~ U(b_range)
-    on its sites.  Returns the dense H = Laplacian + diag(V) for each of
-    ``modes`` and B = diag(b)."""
+    on its sites.  Returns the dense block of each of ``boundaries``
+    (`spectra.dense_blocks`, H = Laplacian term + diag(V), B = diag(b))."""
     side = int(rng.integers(*sides))
-    v = np.diag(rng.uniform(*v_range, side))
-    b = np.diag(rng.uniform(*b_range, side))
-    cube = Cube(1, side)
-    return [ops.dense(ops.laplacian(cube, mode)) + v for mode in modes], b
+    v = rng.uniform(*v_range, side)
+    b = rng.uniform(*b_range, side)
+    return dense_blocks(Cube(1, side), v, b, boundaries)
 
 
 def suite_symmetry(seed: int) -> SuiteResult:
@@ -65,8 +65,8 @@ def suite_symmetry(seed: int) -> SuiteResult:
     rng = _rng(seed, 1)
     worst = 0.0
     for _ in range(10):
-        (h,), b = _instance_1d(rng, (6, 20), (0, 2), (-1, 1), (BoundaryMode.NEUMANN,))
-        ev = eigvalsh(ops.assemble(h, b))
+        (block,) = _instance_1d(rng, (6, 20), (0, 2), (-1, 1), ("N",))
+        ev = eigvalsh(block)
         scale = max(1.0, np.abs(ev).max())
         worst = max(worst, symmetry_residual(ev) / scale)
     passed = worst <= 1e-9
@@ -182,34 +182,29 @@ def suite_gap_bound(seed: int) -> SuiteResult:
     return SuiteResult("gap-bound", bool(worst >= -1e-9), f"worst margin {worst:.3e}", seed)
 
 
+# the boundaries of the bracketing chains, in the order `counting_chains_hold` reads them
+CHAIN = ("+", "-", "D", "N")
+
+
 def suite_zero_split(seed: int) -> SuiteResult:
     """Gapped realizations have exactly n negative and n positive
     eigenvalues under every boundary restriction."""
     rng = _rng(seed, 5)
     ok = True
     for _ in range(8):
-        (h_d, h_n), b = _instance_1d(rng, (5, 15), (1, 2), (-0.5, 0.5),
-                                     (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN))
-        for ev in boundary_spectra(h_d, h_n, b):
+        blocks = _instance_1d(rng, (5, 15), (1, 2), (-0.5, 0.5), CHAIN)
+        for ev in eigvalsh(np.stack(blocks)):
             if not zero_split_check(ev):
                 ok = False
     return SuiteResult("zero-split", ok, "half-and-half split" if ok else "split violated", seed)
 
 
-def boundary_spectra(h_d: np.ndarray, h_n: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The spectra, solved as one stack, of the blocks +, -, D and N, in that
-    order: D and N are [[H_X, B], [B, -H_X]] with X = D, N, and + and - the
-    bracketing [[H_D, B], [B, -H_N]] and [[H_N, B], [B, -H_D]]."""
-    return eigvalsh(np.stack([ops.assemble_bracketing(top, bot, b)
-                              for top, bot in ((h_d, h_n), (h_n, h_d), (h_d, h_d), (h_n, h_n))]))
-
-
-def counting_chains_hold(h_d: np.ndarray, h_n: np.ndarray, b: np.ndarray,
-                         points: int) -> bool:
+def counting_chains_hold(blocks: list[np.ndarray], points: int) -> bool:
     """Whether N_+ <= N_D <= N_- and N_+ <= N_N <= N_- hold for the counting
-    functions of the four blocks (`boundary_spectra`) at ``points`` energies
-    spanning the spectra with margin 0.5."""
-    ev_plus, ev_minus, ev_d, ev_n = boundary_spectra(h_d, h_n, b)
+    functions of ``blocks``, the blocks of the boundaries `CHAIN` in that
+    order (`spectra.dense_blocks`), solved as one stack, at ``points``
+    energies spanning the spectra with margin 0.5."""
+    ev_plus, ev_minus, ev_d, ev_n = eigvalsh(np.stack(blocks))
     grid = np.linspace(ev_minus.min() - 0.5, ev_plus.max() + 0.5, points)
     c_plus, c_minus, c_d, c_n = (np.searchsorted(ev, grid, side="right")
                                  for ev in (ev_plus, ev_minus, ev_d, ev_n))
@@ -222,9 +217,7 @@ def suite_bracketing_sandwich(seed: int) -> SuiteResult:
     rng = _rng(seed, 6)
     ok = True
     for _ in range(6):
-        (h_d, h_n), b = _instance_1d(rng, (5, 15), (0, 2), (-1, 1),
-                                     (BoundaryMode.DIRICHLET, BoundaryMode.NEUMANN))
-        ok = counting_chains_hold(h_d, h_n, b, 32) and ok
+        ok = counting_chains_hold(_instance_1d(rng, (5, 15), (0, 2), (-1, 1), CHAIN), 32) and ok
     return SuiteResult("bracketing-sandwich", ok,
                        "counting chains hold" if ok else "counting chain violated", seed)
 

@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Twelve checks, each printing one [PASS]/[FAIL] line (run pytest with -s to
+Thirteen checks, each printing one [PASS]/[FAIL] line (run pytest with -s to
 see them all).  Exact finite-dimensional identities are checked at tight
 tolerances; statistical properties at desk-scale ensemble sizes.  Checks
 c02-c04, c06 and c07 test `randblock.verify`'s per-instance identity
@@ -26,16 +26,17 @@ from randblock.analysis import (
 from randblock.cli import main as cli_main
 from randblock.disorder import DensitySpec, DisorderModel
 from randblock.eigen import eigvalsh
-from randblock.lattice import Cube, PeriodicPotential
+from randblock.lattice import Cube, PeriodicPotential, deficiencies
 from randblock.operators import BoundaryMode, assemble, dense, laplacian
 from randblock.spectra import (
     ExperimentConfig,
-    build_block,
+    dense_blocks,
     realization_fields,
     run_ensemble,
     symmetry_residual,
 )
 from randblock.verify import (
+    CHAIN,
     const_b_mismatch,
     counting_chains_hold,
     gap_margins,
@@ -74,12 +75,12 @@ def gapped_ensemble():
                            DisorderModel(DensitySpec.uniform(1, 2),
                                          DensitySpec.uniform(-0.5, 0.5)),
                            PeriodicPotential.zero(1), 20, SEED)
+    boundaries = ("N", "D", "+", "-")
     t0 = time.monotonic()
     out = []
     for r in range(cfg.realizations):
         v, b = realization_fields(cfg, r)
-        out.append({bnd: eigvalsh(build_block(replace(cfg, boundary=bnd), v, b))
-                    for bnd in ("N", "D", "+", "-")})
+        out.append(dict(zip(boundaries, map(eigvalsh, dense_blocks(cfg.cube, v, b, boundaries)))))
     return out, time.monotonic() - t0
 
 
@@ -150,15 +151,12 @@ def test_c05_zero_split(gapped_ensemble):
 
 def test_c06_bracketing_sandwich():
     cube = Cube(1, 31)
-    neu = dense(laplacian(cube, BoundaryMode.NEUMANN))
-    dir_ = dense(laplacian(cube, BoundaryMode.DIRICHLET))
     ok = True
     for r in range(20):
         rng = _rng(6000 + r)
-        hv_n = neu + np.diag(rng.uniform(1, 2, 31))
-        hv_d = dir_ + np.diag(hv_n.diagonal() - neu.diagonal())
-        b = np.diag(rng.uniform(-0.5, 0.5, 31))
-        ok = counting_chains_hold(hv_d, hv_n, b, 64) and ok
+        v = rng.uniform(1, 2, 31)
+        b = rng.uniform(-0.5, 0.5, 31)
+        ok = counting_chains_hold(dense_blocks(cube, v, b, CHAIN), 64) and ok
     report(6, "counting-function bracketing chains",
            ok, "20 realizations x 64 energies, integer chains hold"
            if ok else "chain violated")
@@ -325,3 +323,43 @@ def test_c12_deterministic_cli_output(tmp_path):
             mismatch.append(artifact)
     report(12, "byte-identical CLI reruns",
            ok, "ids/dos/gap artifacts identical" if ok else f"mismatch: {mismatch}")
+
+
+def _bracketing_width(cfg):
+    """The widest N_- - N_+ over the realizations and grid points of the
+    bracketing ensembles + and - of ``cfg`` (same seed, so the same fields),
+    and the number of grid points where it leaves [0, 2·|∂Λ|] with no
+    eigenvalue of either block within 1e-12·max|E| of the point."""
+    plus = run_ensemble(replace(cfg, boundary="+"))
+    minus = run_ensemble(replace(cfg, boundary="-"))
+    assert plus.failures == minus.failures == []
+    bound = 2 * int(np.count_nonzero(deficiencies(cfg.cube)))
+    grid = plus.grid
+    widest, violations = 0, 0
+    for ev_plus, ev_minus in zip(plus.spectra, minus.spectra):
+        width = ev_minus.searchsorted(grid, "right") - ev_plus.searchsorted(grid, "right")
+        both = np.concatenate([ev_plus, ev_minus])
+        near = np.abs(np.subtract.outer(grid, both)).min(axis=1) <= 1e-12 * np.abs(both).max()
+        violations += int((((width < 0) | (width > bound)) & ~near).sum())
+        widest = max(widest, int(width.max()))
+    return widest, bound, violations
+
+
+def test_c15_bracketing_width():
+    # the - block is the + block plus diag(X, X), X = H_N - H_D <= 0 of rank
+    # |∂Λ|, so 0 <= N_-(E) - N_+(E) <= 2·|∂Λ| at every E (Weyl interlacing)
+    disorder = DisorderModel(DensitySpec.uniform(-1, 1), DensitySpec.uniform(-0.5, 0.5))
+    t0 = time.monotonic()
+    violations, details = 0, []
+    for dim, side, realizations in ((1, 201, 16), (2, 16, 16), (3, 6, 8)):
+        top = 4 * dim + 2.0    # past every |E| <= 4d + max|V| + max|b|
+        cfg = ExperimentConfig(Cube(dim, side), "+", disorder, PeriodicPotential.zero(dim),
+                               realizations, SEED, grid_lo=-top, grid_hi=top, grid_points=257)
+        widest, bound, bad = _bracketing_width(cfg)
+        violations += bad
+        details.append(f"{dim}-d L={side}: {widest}/{bound}")
+    elapsed = time.monotonic() - t0
+    ok = violations == 0 and elapsed <= 1.5
+    report(15, "bracketing width a boundary term",
+           ok, f"widest N_- - N_+ against 2|boundary|: {', '.join(details)}; "
+               f"{violations} violations, {elapsed:.2f}s")

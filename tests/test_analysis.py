@@ -173,6 +173,8 @@ class TestWegner:
             WegnerBound("X", 1.0, None)     # the mode is refused before bv is read
         with pytest.raises(ValueError):
             WegnerBound("H", 0.0, 1.0)
+        with pytest.raises(ValueError, match="^bv must be positive, got 0.0$"):
+            WegnerBound("H", 1.0, 0.0)
 
     def test_certification_derives_bound(self):
         # c is H's floor in mode H and inf supp b in mode B, bv the law's BV norm

@@ -28,6 +28,7 @@ from randblock.disorder import ConstantValue, DensitySpec, bv_norm, support_boun
 from randblock.spectra import certified_floor
 
 
+EXAMPLE = Path(__file__).parents[1] / "configs" / "example.json"
 _V = {"type": "uniform", "lo": 1, "hi": 2}
 _B = {"type": "uniform", "lo": -0.5, "hi": 0.5}
 
@@ -95,6 +96,36 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[FAIL]" in out
 
+    def test_swapped_boundary_table_is_caught(self, capsys, monkeypatch):
+        # verify builds its blocks from the table the ensembles run, so + and -
+        # swapped there break the counting chains
+        table = randblock.spectra.BOUNDARY_MODES
+        plus, minus = table["+"], table["-"]
+        monkeypatch.setitem(table, "+", minus)
+        monkeypatch.setitem(table, "-", plus)
+        assert main(["verify", "--seed", "1"]) == 1
+        assert "[FAIL] bracketing-sandwich" in capsys.readouterr().out
+
+    def test_gap_bound_failure_reported(self, capsys, monkeypatch):
+        # one instance whose bracketing margin falls below -1e-9 fails the suite
+        margins = randblock.verify.gap_margins
+        calls = []
+
+        def one_below(rng, n):
+            margin, bracketing = margins(rng, n)
+            calls.append(n)
+            return margin, -1e-6 if len(calls) == 1 else bracketing
+
+        monkeypatch.setattr(randblock.verify, "gap_margins", one_below)
+        assert main(["verify", "--seed", "1"]) == 1
+        assert ("[FAIL] gap-bound: worst margin -1.000e-06 (replay seed 1)\n"
+                in capsys.readouterr().out)
+
+    def test_zero_split_failure_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(randblock.verify, "zero_split_check", lambda ev: False)
+        assert main(["verify", "--seed", "1"]) == 1
+        assert "[FAIL] zero-split: split violated (replay seed 1)\n" in capsys.readouterr().out
+
 
 class TestConfigErrors:
     def test_missing_config_flag(self, capsys):
@@ -129,6 +160,27 @@ class TestConfigErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["ids", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_unreadable_config_path(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["ids", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: cannot read config: ") and str(path) in err
+
+    @pytest.mark.parametrize("overrides, line", [
+        ({"cube": 5}, "cube: expected an object, got 5"),
+        ({"disorder": {"V": {"type": "piecewise", "breakpoints": [0, 1, 2], "heights": [1]},
+                       "b": _B}},
+         "disorder.V: need k+1 breakpoints for k cell heights"),
+        ({"disorder": {"V": {"type": "piecewise", "breakpoints": [0, 2, 1], "heights": [1, 1]},
+                       "b": _B}},
+         "disorder.V.breakpoints: must be strictly ascending"),
+    ], ids=["record-not-an-object", "breakpoints-count", "breakpoints-descending"])
+    def test_refusal_line(self, tmp_path, capsys, overrides, line):
+        path = write_config(tmp_path, base_doc(**overrides))
+        assert main(["ids", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
 
     @pytest.mark.parametrize("mode, disorder, err", [
         ("H", {"V": {"type": "uniform", "lo": 0, "hi": 1}, "b": _B},
@@ -439,7 +491,7 @@ class TestConfigErrors:
             return real(driver, lower)
 
         monkeypatch.setattr(randblock.eigen, "_lapack_band", counted)
-        doc = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+        doc = json.loads(EXAMPLE.read_text())
         doc.update(realizations=500, bin_width=1e-12)
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -699,6 +751,18 @@ class TestEnsembleCommands:
         main(["ids", "--config", path, "--out", str(d1)])
         main(["ids", "--config", path, "--out", str(d2), "--seed", "99"])
         assert (d1 / "ids.csv").read_bytes() != (d2 / "ids.csv").read_bytes()
+
+    def test_wegner_prints_one_line(self, tmp_path, capsys):
+        assert main(["wegner", "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "wegner_report.json").read_text())
+        assert capsys.readouterr().out == (f"wegner: {report['checked_bins']} bins checked, "
+                                           f"{len(report['violations'])} violations\n")
+
+    def test_lifshits_prints_one_line(self, tmp_path, capsys):
+        assert main(["lifshits", "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
+        fit = json.loads((tmp_path / "lifshits_fit.json").read_text())
+        assert capsys.readouterr().out == (f"lifshits: alpha_hat = {fit['alpha_hat']:.4f} "
+                                           f"+/- {fit['jackknife_stderr']:.4f}\n")
 
     def test_wegner_report(self, tmp_path):
         doc = base_doc(cube={"dim": 1, "side": 11}, realizations=30,

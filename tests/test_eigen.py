@@ -83,6 +83,10 @@ class TestEigvalsh:
         with pytest.raises(ValueError):
             eigvalsh(SymmetricBand(np.array([[1.0, np.inf], [0.0, 0.0]])))
 
+    def test_complex_symmetric_band_refused(self):
+        with pytest.raises(ValueError, match="^band storage must be a 2-d float64 array$"):
+            SymmetricBand(np.ones((2, 3), dtype=complex))
+
     def test_non_finite_in_one_matrix_of_a_stack(self):
         stack = np.stack([np.eye(3)] * 4)
         stack[2, 1, 0] = np.inf

@@ -42,6 +42,11 @@ class TestLaplacian:
         with pytest.raises(TypeError):
             laplacian(Cube(1, 3), BoundaryMode.NEUMANN, -1)
 
+    def test_mode_name_refused(self):
+        # a mode's value is not a mode
+        with pytest.raises(ValueError, match="^unknown boundary mode neumann$"):
+            laplacian(Cube(1, 3), "neumann")
+
 
 def boundary_term(cube):
     """Γ = (D - N) / 2 read off the dense Dirichlet and Neumann Laplacians."""
@@ -336,6 +341,10 @@ class TestSquareIdentity:
         b = b + b.T
         scale = (np.abs(eigvalsh(h)).max() + np.abs(eigvalsh(b)).max()) ** 2
         assert square_identity_residual(h, b) <= 1e-12 * scale
+
+    def test_unequal_shapes_refused(self):
+        with pytest.raises(ValueError, match="^H and B must have equal dimensions$"):
+            square_identity_residual(np.eye(3), np.eye(2))
 
     def test_b_zero(self):
         rng = np.random.default_rng(5)

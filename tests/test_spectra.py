@@ -25,6 +25,7 @@ from randblock.spectra import (
     band_driver,
     base_matrices,
     build_block,
+    dense_blocks,
     _chunk_count,
     _chunks,
     _freedman_diaconis,
@@ -68,6 +69,26 @@ class TestCleanSpectrum:
         v, b = realization_fields(cfg, 0)
         ev = eigvalsh(build_block(cfg, v, b))
         assert np.allclose(ev, [-3, -1, 0, 0, 1, 3], atol=1e-12)
+
+
+class TestDenseBlocks:
+    @pytest.mark.parametrize("dim, side", [(1, 7), (2, 4), (3, 3)])
+    def test_each_distinct_laplacian_made_dense_once(self, monkeypatch, dim, side):
+        cube = Cube(dim, side)
+        rng = np.random.default_rng(dim)
+        h, b = rng.uniform(1, 2, cube.n_sites), rng.uniform(-0.5, 0.5, cube.n_sites)
+        alone = {bnd: dense_blocks(cube, h, b, (bnd,))[0] for bnd in ("+", "-", "D", "N")}
+        made = []
+        to_dense = randblock.spectra.dense
+        monkeypatch.setattr(randblock.spectra, "dense",
+                            lambda lower: made.append(lower) or to_dense(lower))
+        blocks = dense_blocks(cube, h, b, tuple(alone))
+        assert len(made) == 2       # the Dirichlet and the Neumann Laplacian
+        # sharing them changes no bit of any block
+        assert [m.tobytes() for m in blocks] == [m.tobytes() for m in alone.values()]
+        made.clear()
+        dense_blocks(cube, h, b, ("D",))
+        assert len(made) == 1
 
 
 class TestDeterminism:
