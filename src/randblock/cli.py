@@ -114,8 +114,8 @@ def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,
     """Write ``<command>_manifest.json``: the config document ``echo`` as
     read, with the seed the run used, the time since ``t0`` and the outputs'
     digests, plus the failures (their count and sorted indices), LAPACK
-    driver, half-bandwidth and worker threads of the ensemble ``result`` for
-    commands that run one."""
+    driver, half-bandwidth, worker threads and near-grid eigenvalue count of
+    the ensemble ``result`` for commands that run one."""
     manifest = {
         "tool_version": __version__,
         # LAPACK driver and half-bandwidth of the ensemble's band solves, if any
@@ -123,6 +123,8 @@ def _write_manifest(out_dir: Path, command: str, echo: dict, t0: float,
         "half_bandwidth": None if result is None else result.half_bandwidth,
         # the pool threads that solved it, 0 on the calling thread
         "workers": None if result is None else result.workers,
+        # ids.csv and dos.csv are the same on every driver and BLAS build when 0
+        "near_grid_eigenvalues": None if result is None else result.near_grid_eigenvalues,
         # spectra depend in the last bits on the BLAS build and its threads
         "blas": _blas_identity(),
         "thread_env": {k: v for k, v in sorted(os.environ.items())

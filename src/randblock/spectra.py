@@ -1,4 +1,4 @@
-"""Disorder-ensemble driver: IDS curves, DOS histograms, gap statistics.
+"""Disorder-ensemble driver: IDS curves, DOS bins, gap statistics.
 
 A run's operator is [[H_top, B], [B, -H_bot]] with H = -Δ_X + U0 + V and
 B = diag(b), -Δ_X the positive semidefinite Laplacian (`operators.laplacian`)
@@ -14,6 +14,11 @@ counted on the IDS grid into int64 sums (`_solve_chunk`), on the calling
 thread or on a pool of threads whose LAPACK calls release the GIL
 (`pool_workers`, `eigen.band_routine`).  Integer sums are exact and chunks are
 aggregated in index order, so no output depends on the thread count or cuts.
+The DOS is read off the same sums: a bin is m grid cells (E_a, E_b], and
+its count is Σk(E_b) − Σk(E_a).  The IDS and the DOS thus depend on the
+spectra only through integer counts at fixed energies, and each chunk also
+counts the eigenvalues within the solver's error of a grid point, where a
+count could differ between drivers or BLAS builds.
 Which band is solved is chosen per run (`band_driver`):
 
 - D/N boundaries with a certified floor λ = min U0 + inf supp V with λ > 0
@@ -80,7 +85,7 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         SeedPolicy(self.base_seed)    # refuses a seed outside [0, 2^64)
-        # |E| <= ρ <= max|U0| + 4d + max|V| + max|b|; the grid and bins span [-ρ, ρ]
+        # |E| <= ρ <= max|U0| + 4d + max|V| + max|b|; the default grid spans ±(ρ + 0.5)
         (v_lo, v_hi), (b_lo, b_hi) = map(support_bounds, (self.disorder.mu_v, self.disorder.mu_b))
         u0 = float(np.abs(self.potential.values).max())
         top = u0 + 4 * self.cube.dim + max(-v_lo, v_hi) + max(-b_lo, b_hi)
@@ -116,6 +121,7 @@ class EnsembleResult:
     half_bandwidth: int               # of the band storage that driver solved
     failures: list[int]               # indices whose solve failed, ascending
     workers: int                      # pool threads that solved it (`pool_workers`), 0 if none
+    near_grid_eigenvalues: int        # eigenvalues within the solver's error of a grid point
 
     @property
     def realization_ids(self) -> np.ndarray:
@@ -271,29 +277,30 @@ def _chunks(realizations: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
-# grid-length arrays alive as the IDS is formed: the grid, the sums (two), the mean, the
-# variance, its root, the standard error, and ten for the variance's lists of Python ints
-_GRID_ARRAYS = 17
+# grid-length arrays alive as the IDS is formed: the grid, the near-grid windows (two),
+# the sums (two), the mean, the variance, its root, the standard error, and ten for the
+# variance's lists of Python ints; the DOS bins that follow, at most one per grid cell,
+# peak lower: 16 at one bin a cell
+_GRID_ARRAYS = 19
 _FIXED_BYTES = 1 << 14   # objects of fixed size: a 1-d side-2 cube at R = 1 traced ~9 KB
 
 
 def peak_bytes(config: ExperimentConfig, workers: int) -> int:
     """Estimated peak memory of `run_ensemble` with ``workers`` worker
-    threads (`pool_workers`), in five terms: the clean part, shared by the
+    threads (`pool_workers`), in four terms: the clean part, shared by the
     threads; per thread, the larger of the longest chunk's draw (6·C·n floats
     for C realizations: V, and b with `sample_iid`'s temporaries) and its
     solve (2·C·n floats of fields, and two block bands: a realization's and
     LAPACK's copy), plus four grid-length rows (its sums, a count and its
-    square); per realization 4n + 1 floats (spectrum, pooled copy, min|E|), an
-    array object and two list slots (its own and a growing list's eighth);
-    `_GRID_ARRAYS` grid-length arrays and `_FIXED_BYTES`; and the DOS
-    histogram, checked on top (`_histogram_bins`)."""
+    square); per realization 2n + 1 floats (spectrum, min|E|), an array
+    object and two list slots (its own and a growing list's eighth); and
+    `_GRID_ARRAYS` grid-length arrays and `_FIXED_BYTES`."""
     n, r = config.cube.n_sites, config.realizations
     chunk = -(-r // _chunk_count(r, workers))
     clean = 8 * n * (2 * config.cube.half_bandwidth + 3)
     draw, solve = 8 * 6 * chunk * n, 8 * 2 * chunk * n + 2 * block_band_bytes(config.cube)
     thread = max(draw, solve) + 8 * 4 * config.grid_points
-    per_realization = 8 * (4 * n + 3) + np.empty(0).__sizeof__()
+    per_realization = 8 * (2 * n + 3) + np.empty(0).__sizeof__()
     fixed = 8 * _GRID_ARRAYS * config.grid_points + _FIXED_BYTES
     return clean + thread * max(workers, 1) + r * per_realization + fixed
 
@@ -312,12 +319,36 @@ def _realization_band(clean: CleanPart, v: np.ndarray,
     return SymmetricBand(block_band(clean.cube, clean.top, clean.bot, b, h))
 
 
+def _grid_tolerance(config: ExperimentConfig, clean: CleanPart) -> float:
+    """How far the run's solver may move an eigenvalue (`eigen.eigvalsh`):
+    2n·eps·ρ on ``dsbevd`` and 2n·eps·ρ²/λ on ``zhbevd``, ρ = ``clean.radius``
+    and λ = `certified_floor`."""
+    tol = 2 * config.cube.n_sites * np.finfo(np.float64).eps * clean.radius
+    if clean.driver == SquaredBand.driver:
+        tol *= clean.radius / certified_floor(config)
+    return tol
+
+
+def _grid_windows(config: ExperimentConfig, clean: CleanPart, grid: np.ndarray) -> np.ndarray:
+    """The ascending edges of the windows [g - tol, g + tol) about the grid
+    points g, tol = `_grid_tolerance`, one span when they would overlap: an
+    eigenvalue lies within tol of a grid point iff an odd number of edges
+    are at or below it."""
+    tol = _grid_tolerance(config, clean)
+    if 2 * tol < np.diff(grid).min():
+        return np.column_stack((grid - tol, grid + tol)).ravel()
+    return np.array([grid[0] - tol, grid[-1] + tol])
+
+
 def _solve_chunk(config: ExperimentConfig, clean: CleanPart, grid: np.ndarray,
-                 indices: range) -> tuple[list[np.ndarray], list[int], np.ndarray]:
+                 windows: np.ndarray,
+                 indices: range) -> tuple[list[np.ndarray], list[int], np.ndarray, int]:
     """Draw, build and solve the realizations ``indices``: the spectra that
-    solved, in index order, the indices that failed, and the int64 sums (Σk,
-    Σk²) over the solved of their count k of eigenvalues at or below ``grid``."""
-    spectra, failed, moments = [], [], np.zeros((2, grid.size), np.int64)
+    solved, in index order, the indices that failed, the int64 sums (Σk,
+    Σk²) over the solved of their count k of eigenvalues at or below ``grid``,
+    and how many of their eigenvalues lie in the near-grid ``windows``
+    (`_grid_windows`)."""
+    spectra, failed, moments, near = [], [], np.zeros((2, grid.size), np.int64), 0
     for index, v, b in zip(indices, *ensemble_fields(config, indices)):
         try:
             ev = eigvalsh(_realization_band(clean, v, b))
@@ -327,7 +358,8 @@ def _solve_chunk(config: ExperimentConfig, clean: CleanPart, grid: np.ndarray,
         spectra.append(ev)
         k = ev.searchsorted(grid, "right")
         moments += k, k * k
-    return spectra, failed, moments
+        near += int(np.count_nonzero(windows.searchsorted(ev, "right") & 1))
+    return spectra, failed, moments, near
 
 
 def _ids_from_moments(moments: np.ndarray, r: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,66 +396,25 @@ def default_grid(config: ExperimentConfig, clean: CleanPart) -> np.ndarray:
     return np.linspace(-r, r, config.grid_points)
 
 
-def _freedman_diaconis(pooled: np.ndarray) -> float:
-    """The Freedman-Diaconis bin width of the sorted ``pooled``."""
-    # the quartiles of np.percentile's "linear" method, bit for bit, read off
-    # the sorted array: np.percentile itself imports numpy.ma (through np.unique)
-    n = len(pooled)
-
-    def quartile(q):
-        x = (n - 1) * q
-        k = int(x)
-        a, b, t = pooled[k], pooled[min(k + 1, n - 1)], x - k
-        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
-
-    iqr = quartile(0.75) - quartile(0.25)
-    width = 2.0 * iqr / n ** (1.0 / 3.0)
-    if width <= 0:
-        width = (pooled[-1] - pooled[0]) / 64 or 1.0
-    return float(width)
-
-
-# float arrays of the bin count's length alive at once: the edges, the counts,
-# the density, the proportions, the standard errors and the centers, and the
-# edge sums the centers are halved from; no earlier step holds more
-_HISTOGRAM_ARRAYS = 7
-
-
-def _histogram_bins(lo: float, hi: float, width: float, held: int) -> float:
-    """The bin count of a DOS histogram over [lo, hi], as a float (inf for a
-    subnormal width): max(1, ⌈(hi - lo)/width⌉), and one more when that
-    quotient rounded down onto an integer and left the last edge
-    lo + width·count below hi, where the last bin would leave out the maximum.
-    MemoryLimitError when its arrays would not fit beside the ``held``
-    bytes of the run that bins (`peak_bytes`)."""
-    with np.errstate(over="ignore"):
-        nbins = max(1.0, np.ceil((hi - lo) / width))
-    if lo + width * nbins < hi:
-        nbins += 1
-    check_memory(8 * _HISTOGRAM_ARRAYS * (nbins + 1) + held,
-                 f"the DOS histogram ({nbins:.3g} bins of width {width!r}) with its ensemble")
-    return nbins
-
-
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Sample, build, diagonalize and aggregate R independent realizations.
 
     Raises MemoryLimitError before allocating when `peak_bytes` exceeds
-    `lattice.memory_limit`, and when the DOS histogram's arrays on top of it
-    do: before binning, and for a given ``bin_width`` already before the
-    first solve (every |E| <= ρ: it checks the bins over [-ρ, ρ])."""
+    `lattice.memory_limit`.  The DOS bins are m grid cells each, the last one
+    what remains; m is ``bin_width``, or else the Freedman–Diaconis width
+    2·IQR/(R'·2n)^(1/3) of the IDS's quartiles (the first grid points where
+    Σk reaches a quarter and three quarters of R'·2n), in grid spacings,
+    rounded and kept within [1, points − 1].  Bin (E_a, E_b] counts
+    Σk(E_b) − Σk(E_a): eigenvalues outside the grid fall in no bin."""
     workers = pool_workers(config)
-    needed = peak_bytes(config, workers)
-    check_memory(needed,
+    check_memory(peak_bytes(config, workers),
                  f"the ensemble on a {config.cube.dim}-d cube of side {config.cube.side} "
                  f"(half-bandwidth {block_half_bandwidth(config.cube)}, {config.realizations} "
                  f"realizations, {max(workers, 1)} thread(s))")
     clean = base_matrices(config)
-    if config.bin_width is not None:
-        _histogram_bins(-clean.radius, clean.radius, config.bin_width, needed)
     grid = default_grid(config, clean)
-    solve = partial(_solve_chunk, config, clean, grid)
-    spectra, failures, moments = [], [], np.zeros((2, grid.size), np.int64)
+    solve = partial(_solve_chunk, config, clean, grid, _grid_windows(config, clean, grid))
+    spectra, failures, moments, near = [], [], np.zeros((2, grid.size), np.int64), 0
     # the LAPACK routine is built, and its ABI probed, before any thread
     # would build it; a routine that fails the probe fails the run, not
     # each realization
@@ -433,36 +424,38 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
         if workers:     # the pool's import is paid only by runs that start one
             from concurrent.futures import ThreadPoolExecutor
             solve_all = stack.enter_context(ThreadPoolExecutor(workers)).map
-        for solved, failed, sums in solve_all(solve, _chunks(config.realizations, workers)):
+        for solved, failed, sums, close in solve_all(solve, _chunks(config.realizations, workers)):
             spectra += solved    # in index order, as they arrive
             failures += failed
             moments += sums
+            near += close
     if len(failures) > 0.01 * config.realizations:
         raise EigenError(f"{len(failures)} of {config.realizations} eigensolves failed")
-    ids_mean, ids_stderr = _ids_from_moments(moments, len(spectra), 2 * config.cube.n_sites)
+    size, points = 2 * config.cube.n_sites, grid.size
+    total, sums = len(spectra) * size, moments[0]
+    ids_mean, ids_stderr = _ids_from_moments(moments, len(spectra), size)
 
-    pooled = np.concatenate(spectra)
-    pooled.sort()
-    width = config.bin_width or _freedman_diaconis(pooled)
-    lo, hi = pooled[0], pooled[-1]
-    nbins = _histogram_bins(lo, hi, width, needed)
-    edges = lo + width * np.arange(int(nbins) + 1)
-    # np.histogram's rule: every bin is half-open but the last, which holds its right edge
-    hist = pooled.searchsorted(edges)
-    hist[-1] = pooled.searchsorted(edges[-1], "right")
-    hist = np.diff(hist)
-    total = pooled.size
-    density = hist / (total * width)
-    p = hist / total
-    stderr = np.sqrt(p * (1.0 - p) * total) / (total * width)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    width = config.bin_width
+    if width is None:
+        q1, q3 = grid[np.minimum((4 * sums).searchsorted([total, 3 * total]), points - 1)]
+        width = 2.0 * float(q3 - q1) / total ** (1.0 / 3.0)
+    # in Python floats, whose overflow is inf; the span is positive (`ExperimentConfig`)
+    cells = max(1, round(min(width * (points - 1) / float(grid[-1] - grid[0]), points - 1)))
+    edges = np.append(np.arange(0, points - 1, cells), points - 1)
+    counts = np.diff(sums[edges])
+    lo, hi = grid[edges[:-1]], grid[edges[1:]]
+    widths = hi - lo
+    density = counts / (total * widths)
+    p = counts / total
+    stderr = np.sqrt(p * (1.0 - p) * total) / (total * widths)
+    centers = 0.5 * (lo + hi)
 
     gaps = np.fromiter((np.abs(ev).min() for ev in spectra), np.float64, len(spectra))
     half_bandwidth = (2 * config.cube.half_bandwidth if clean.driver == SquaredBand.driver
                       else block_half_bandwidth(config.cube))
     return EnsembleResult(config, spectra, grid, ids_mean, ids_stderr,
-                          centers, hist, density, stderr, gaps, clean.driver,
-                          half_bandwidth, failures, workers)
+                          centers, counts, density, stderr, gaps, clean.driver,
+                          half_bandwidth, failures, workers, near)
 
 
 def zero_split_check(ev: np.ndarray) -> bool:

@@ -307,9 +307,6 @@ class TestConfigErrors:
         ("ids", {"potential": {"period": [2], "values": [0, True]}}, "potential.values[1]"),
         ("ids", {"potential": {"period": [2], "values": [0, math.nan]}}, "potential.values[1]"),
         ("ids", {"potential": {"period": ["2"], "values": [0, 0.5]}}, "potential.period[0]"),
-        ("dos", {"bin_width": 1e-12}, "the DOS histogram"),
-        ("dos", {"bin_width": 1e-300}, "the DOS histogram"),
-        ("dos", {"bin_width": 5e-324}, "the DOS histogram"),
         ("dostransform", {"dos_transform": {
             "beta": 1.0, "source": {"type": "uniform", "lo": -2, "hi": 2},
             "energies": {"lo": -1, "hi": 1, "points": 10**12}}}, "the DOS transform"),
@@ -382,8 +379,7 @@ class TestConfigErrors:
             "energies-lo-string", "energies-hi-infinite", "c-zero", "c-negative",
             "potential-value-string", "potential-value-boolean",
             "potential-value-nan", "potential-period-string",
-            "bin-width-too-small-for-memory", "bin-width-bin-count-too-large",
-            "bin-width-subnormal", "energies-points-too-many-for-memory",
+            "energies-points-too-many-for-memory",
             "energies-points-zero", "epsilons-empty", "energies-hi-below-lo",
             "energies-hi-equal-lo", "epsilons-number", "epsilons-string-not-array",
             "breakpoints-number", "period-number", "period-string",
@@ -480,55 +476,6 @@ class TestConfigErrors:
         path = write_config(tmp_path, base_doc(potential={"period": period, "values": [0, 0.5]}))
         assert main(["ids", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "potential.period: expected an array" in capsys.readouterr().err
-
-    def test_dos_bin_width_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
-        # every |E| <= ρ bounds the bin count before the first realization
-        calls = []
-        real = randblock.eigen._lapack_band
-
-        def counted(driver, lower):
-            calls.append(lower.shape)
-            return real(driver, lower)
-
-        monkeypatch.setattr(randblock.eigen, "_lapack_band", counted)
-        doc = json.loads(EXAMPLE.read_text())
-        doc.update(realizations=500, bin_width=1e-12)
-        path = write_config(tmp_path, doc)
-        out = tmp_path / "out"
-        assert main(["dos", "--config", path, "--out", str(out), "--threads", "1"]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("config error: the DOS histogram")
-        assert calls == []
-        assert not out.exists()
-        # the counter counts every solve of the same config with a sane width
-        path = write_config(tmp_path, dict(doc, bin_width=0.05))
-        assert main(["dos", "--config", path, "--out", str(out), "--threads", "1"]) == 0
-        assert len(calls) == 500
-
-    def test_dos_histogram_checked_with_the_ensemble(self, tmp_path, capsys, monkeypatch):
-        # a limit that holds the histogram's arrays over [-ρ, ρ] and the run's
-        # estimate each alone, but not both: refused before any solve
-        doc = base_doc(bin_width=1e-4)
-        config, _ = parse_config(doc)
-        radius = randblock.spectra.base_matrices(config).radius
-        nbins = math.ceil(2 * radius / 1e-4) + 1     # at most one bin more than the run's
-        histogram = 8 * randblock.spectra._HISTOGRAM_ARRAYS * (nbins + 1)
-        estimate = randblock.spectra.peak_bytes(config, 0)
-        assert histogram > estimate
-        monkeypatch.setattr(randblock.lattice, "memory_limit", lambda: histogram + estimate // 2)
-
-        def never(*args):
-            raise AssertionError("a realization was solved before the histogram was checked")
-
-        monkeypatch.setattr(randblock.spectra, "_solve_chunk", never)
-        out = tmp_path / "out"
-        assert main(["dos", "--config", write_config(tmp_path, doc), "--out", str(out),
-                     "--threads", "1"]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("config error: the DOS histogram")
-        assert not out.exists()
 
     def test_wegner_mode_named(self, tmp_path, capsys):
         doc = base_doc(disorder={"V": _V, "b": {"type": "constant", "value": 0.5}},
@@ -937,6 +884,28 @@ class TestEnsembleCommands:
         driver = "dsbevd" if sections.get("boundary") in ("+", "-") else "zhbevd"
         expected = (driver, 2) if ensemble else (None, None)   # 1-d cubes
         assert (manifest["driver"], manifest["half_bandwidth"]) == expected
+        assert manifest["near_grid_eigenvalues"] == (0 if ensemble else None)
+
+    def test_ids_and_dos_the_same_on_either_driver(self, tmp_path, monkeypatch):
+        # ids.csv and dos.csv read integer counts at fixed energies: with no
+        # eigenvalue within the solver's error of a grid point, the square and
+        # the block write the same bytes, though their spectra differ in the last bits
+        path = write_config(tmp_path, base_doc(cube={"dim": 1, "side": 31}, realizations=20))
+        written = {}
+        for driver in ("zhbevd", "dsbevd"):
+            monkeypatch.setattr(randblock.spectra, "band_driver",
+                                lambda config, radius, driver=driver: driver)
+            for command, name in (("ids", "ids.csv"), ("dos", "dos.csv"), ("gap", "gap.csv")):
+                out = tmp_path / driver / command
+                assert main([command, "--config", path, "--out", str(out), "--threads", "1",
+                             "--quiet"]) == 0
+                manifest = json.loads((out / f"{command}_manifest.json").read_text())
+                assert manifest["driver"] == driver
+                assert manifest["near_grid_eigenvalues"] == 0
+                written[driver, name] = (out / name).read_bytes()
+        for name in ("ids.csv", "dos.csv"):
+            assert written["zhbevd", name] == written["dsbevd", name]
+        assert written["zhbevd", "gap.csv"] != written["dsbevd", "gap.csv"]
 
     @pytest.mark.parametrize("command, threads, workers", [
         ("ids", "1", 0), ("ids", "2", 2), ("gap", "4", 2), ("dostransform", "2", None)])

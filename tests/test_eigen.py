@@ -593,27 +593,29 @@ _TWO_THREADS = textwrap.dedent("""
     from randblock.disorder import DensitySpec, DisorderModel
     from randblock.eigen import band_routine
     from randblock.lattice import Cube, PeriodicPotential
-    from randblock.spectra import ExperimentConfig, _solve_chunk, base_matrices, default_grid
+    from randblock.spectra import (ExperimentConfig, _grid_windows, _solve_chunk, base_matrices,
+                                   default_grid)
     disorder = DisorderModel(DensitySpec.uniform(1, 2), DensitySpec.uniform(-0.5, 0.5))
     for boundary, driver in (("N", "zhbevd"), ("+", "dsbevd")):
         config = ExperimentConfig(Cube(2, 8), boundary, disorder, PeriodicPotential.zero(2), 64, 7)
         clean = base_matrices(config)
         assert clean.driver == driver
         grid = default_grid(config, clean)
-        serial, failed, moments = _solve_chunk(config, clean, grid, range(64))
+        windows = _grid_windows(config, clean, grid)
+        serial, failed, moments, near = _solve_chunk(config, clean, grid, windows, range(64))
         assert not failed and len(serial) == 64
         band_routine(driver)
         start = threading.Barrier(2, timeout=60)
 
         def solve(_):
             start.wait()
-            return _solve_chunk(config, clean, grid, range(64))
+            return _solve_chunk(config, clean, grid, windows, range(64))
 
         with ThreadPoolExecutor(2) as pool:
-            for spectra, failed, sums in pool.map(solve, range(2)):
+            for spectra, failed, sums, close in pool.map(solve, range(2)):
                 assert not failed
                 assert [w.tobytes() for w in spectra] == [w.tobytes() for w in serial], driver
-                assert (sums == moments).all(), driver
+                assert (sums == moments).all() and close == near, driver
 """)
 
 

@@ -28,9 +28,8 @@ from randblock.spectra import (
     dense_blocks,
     _chunk_count,
     _chunks,
-    _freedman_diaconis,
-    _HISTOGRAM_ARRAYS,
-    _histogram_bins,
+    _grid_tolerance,
+    _grid_windows,
     _ids_from_moments,
     _solve_chunk,
     default_grid,
@@ -216,9 +215,9 @@ class TestChunks:
             raise AssertionError("the estimate cut the chunks")
         monkeypatch.setattr(randblock.spectra, "_chunks", cut)
         small, large = (make_config(side=9, realizations=r) for r in (4096, 10**15))
-        # both runs have chunks of 64: R adds only each realization's spectrum
-        # with its pooled copy, its min|E| and its list slots
-        per_realization = 8 * (4 * 9 + 1 + 2) + np.empty(0).__sizeof__()
+        # both runs have chunks of 64: R adds only each realization's spectrum,
+        # its min|E| and its list slots
+        per_realization = 8 * (2 * 9 + 1 + 2) + np.empty(0).__sizeof__()
         assert (peak_bytes(large, workers) - peak_bytes(small, workers)
                 == per_realization * (10**15 - 4096))
 
@@ -234,7 +233,9 @@ class TestChunks:
         result = run_ensemble(cfg)
         assert list(result.realization_ids) == list(range(self.R))
         for r, ev in zip(result.realization_ids, result.spectra):
-            (single,), _, _ = _solve_chunk(cfg, clean, result.grid, range(r, r + 1))
+            (single,), _, _, _ = _solve_chunk(cfg, clean, result.grid,
+                                              _grid_windows(cfg, clean, result.grid),
+                                              range(r, r + 1))
             assert ev.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("start, stop", [(0, 64), (60, 70), (64, 128), (128, 131)])
@@ -325,10 +326,9 @@ class TestPeakBytes:
             # tiny, long runs, where each realization's list slots count
             (1, 2, "N", 1024, 2, None, 1), (1, 2, "+", 1024, 2, None, 1),
             (1, 2, "N", 1024, 16, None, 1), (1, 2, "N", 4096, 2, None, 1),
-            # a long run on a short grid, where the pooled spectra, sorted in
-            # place, are the largest aggregate
+            # a long run on a short grid, where the spectra are the largest aggregate
             (1, 201, "N", 256, 2, None, 1),
-            # a given bin width whose histogram outweighs the rest of the run
+            # a given bin width of one grid cell: as many bins as cells
             (1, 5, "N", 4, 512, 1e-3, 1), (1, 5, "N", 4, 512, 1e-4, 1),
             # a thread pool of two, whose threads tracemalloc sees
             (2, 8, "N", 64, 512, None, 2)]
@@ -354,16 +354,11 @@ class TestPeakBytes:
         run_ensemble(replace(cfg, cube=Cube(dim, 2), realizations=2))
         tracemalloc.start()
         try:
-            result = run_ensemble(cfg)
+            run_ensemble(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if bin_width is None:
-            assert peak <= peak_bytes(cfg, workers)
-        else:
-            # the run's histogram arrays on top of the estimate: what the run checks
-            nbins = result.dos_counts.size
-            assert peak <= peak_bytes(cfg, workers) + 8 * _HISTOGRAM_ARRAYS * (nbins + 1)
+        assert peak <= peak_bytes(cfg, workers)
 
 
 class TestBandedSolve:
@@ -423,7 +418,8 @@ class TestCleanPart:
         solved = []
         monkeypatch.setattr(randblock.spectra, "eigvalsh",
                             lambda band: solved.append(band.lower) or eigvalsh(band))
-        _solve_chunk(cfg, clean, default_grid(cfg, clean), range(64))
+        grid = default_grid(cfg, clean)
+        _solve_chunk(cfg, clean, grid, _grid_windows(cfg, clean, grid), range(64))
         assert len(solved) == 64
         for k, band in enumerate(solved):
             assert band.base is None and band.flags.f_contiguous
@@ -574,13 +570,18 @@ class TestEnsembleStatistics:
         assert not np.any(lo_mask) or np.all(self.result.ids_mean[lo_mask] == 0)
 
     def test_dos_integrates_to_one(self):
-        width = np.diff(self.result.dos_centers).mean()
-        assert self.result.dos_density.sum() * width == pytest.approx(1.0, rel=1e-9)
+        # over each bin's own width: the last bin holds what is left of the grid
+        widths = np.diff(run_edges(self.result))
+        assert (self.result.dos_density * widths).sum() == pytest.approx(1.0, rel=1e-9)
 
     def test_dos_roughly_even(self):
-        # spectra are exactly symmetric, so mirrored bins agree within noise
-        centers, dens, err = (self.result.dos_centers, self.result.dos_density,
-                              self.result.dos_stderr)
+        # spectra are exactly symmetric, so mirrored bins agree within noise; the
+        # bins on the symmetric grid mirror each other when a bin's cells divide
+        # the grid's 511 cells, as 7 do
+        grid = self.result.grid
+        result = run_ensemble(replace(self.result.config, bin_width=7 * (grid[1] - grid[0])))
+        assert result.dos_counts.size == 73
+        centers, dens, err = result.dos_centers, result.dos_density, result.dos_stderr
         for c, d, s in zip(centers, dens, err):
             j = np.argmin(np.abs(centers + c))
             tol = 2 * (s + err[j]) + 1e-12
@@ -592,81 +593,180 @@ class TestEnsembleStatistics:
             assert symmetry_residual(ev) < 1e-9 * np.abs(ev).max()
 
 
-def _percentile_width(pooled):
-    # the Freedman–Diaconis width as it was written on np.percentile
-    q75, q25 = np.percentile(pooled, [75, 25])
-    width = 2.0 * (q75 - q25) / len(pooled) ** (1.0 / 3.0)
-    if width <= 0:
-        width = (pooled.max() - pooled.min()) / 64 or 1.0
-    return float(width)
+def bin_edges(grid, cells):
+    """The DOS bin edges on ``grid`` of ``cells`` cells a bin: every
+    ``cells``-th grid point from the first, and the last."""
+    return grid[np.append(np.arange(0, grid.size - 1, cells), grid.size - 1)]
 
 
-class TestDosHistogram:
-    def test_freedman_diaconis_is_np_percentile(self):
-        rng = np.random.default_rng(8)
-        sizes = [1, 2, 3, 1, 2, 3, *rng.integers(1, 2001, 1500)]
-        for i, n in enumerate(sizes):
-            x = rng.normal(0.5, 2.0, n)
-            if i % 3 == 0:
-                x = np.round(x, 1)         # ties
-            want = _percentile_width(x)
-            got = _freedman_diaconis(np.sort(x))
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
+def pooled_cells(spectra, grid):
+    """The Freedman–Diaconis cells of a bin, from the pooled spectra: each
+    quartile is the first grid point at or above the ⌈N/4⌉-th and ⌈3N/4⌉-th
+    smallest of the N eigenvalues."""
+    pooled = np.sort(np.concatenate(spectra))
+    total = pooled.size
+    q1, q3 = (grid[min(grid.searchsorted(pooled[-(-j * total // 4) - 1]), grid.size - 1)]
+              for j in (1, 3))
+    width = 2.0 * (q3 - q1) / total ** (1.0 / 3.0)
+    spacing = (grid[-1] - grid[0]) / (grid.size - 1)
+    return int(min(grid.size - 1, max(1, round(width / spacing))))
 
-    @pytest.mark.parametrize("spectra, bin_width", [
-        # width 0.25 from -1: every eigenvalue on an edge, the largest on the
-        # last one, and ties within and across realizations
-        ([[-1.0, -0.5, -0.5, 0.0, 0.5, 1.0], [-0.75, -0.5, 0.0, 0.0, 0.5, 1.0],
-          [-1.0, -0.25, 0.25, 0.5, 0.75, 1.0]], 0.25),
+
+def run_edges(result):
+    """A run's bin edges, from its grid and its first bin's center."""
+    grid = result.grid
+    return bin_edges(grid, round(2 * (result.dos_centers[0] - grid[0]) / (grid[1] - grid[0])))
+
+
+def pooled_counts(spectra, edges):
+    """The eigenvalues of the pooled spectra in each bin (E_a, E_b]."""
+    return np.diff(np.sort(np.concatenate(spectra)).searchsorted(edges, "right"))
+
+
+class TestDosBins:
+    """The DOS bins are m grid cells each, counted off the IDS's sums; the
+    oracle counts the pooled spectra with `searchsorted`."""
+
+    ON_EDGES = [[-1.0, -0.5, -0.5, 0.0, 0.5, 1.0], [-0.75, -0.5, 0.0, 0.0, 0.5, 1.0],
+                [-1.0, -0.25, 0.25, 0.5, 0.75, 1.0]]
+
+    @pytest.mark.parametrize("spectra, kw", [
+        # every eigenvalue on a grid point of spacing 0.25, ties within and
+        # across realizations: one cell a bin, so each point is an edge, and the
+        # two at the first grid point fall in no bin
+        (ON_EDGES, {"grid_lo": -1.0, "grid_hi": 1.0, "grid_points": 9, "bin_width": 0.25}),
+        # two cells a bin: the odd grid points lie inside bins, the even on edges
+        (ON_EDGES, {"grid_lo": -1.0, "grid_hi": 1.0, "grid_points": 9, "bin_width": 0.5}),
+        # three cells a bin of the grid's eight: the last bin holds the two left
+        (ON_EDGES, {"grid_lo": -1.0, "grid_hi": 1.0, "grid_points": 9, "bin_width": 0.75}),
         # one realization, on the Freedman–Diaconis width
-        ([[-2.0, -1.1, -0.3, 0.3, 1.1, 2.0]], None),
-        # one value: zero quartile range and zero span, one bin of width 1
-        ([[1.0] * 6] * 2, None),
-    ])
-    def test_counts_are_np_histogram(self, monkeypatch, spectra, bin_width):
+        ([[-2.0, -1.1, -0.3, 0.3, 1.1, 2.0]], {}),
+        # one value: zero quartile range, one cell a bin
+        ([[1.0] * 6] * 2, {}),
+    ], ids=["on-edges-1-cell", "on-edges-2-cells", "on-edges-3-cells", "freedman-diaconis",
+            "one-value"])
+    def test_counts_are_pooled_searchsorted(self, monkeypatch, spectra, kw):
+        # 1-d side-3 realizations whose solves return ``spectra``
         solved = iter(map(np.array, spectra))
         monkeypatch.setattr(randblock.spectra, "eigvalsh", lambda band: next(solved))
         zero = ConstantValue(0.0)
-        cfg = ExperimentConfig(Cube(1, 3), "N", DisorderModel(zero, zero), PeriodicPotential.zero(1),
-                               len(spectra), 0, bin_width=bin_width)
-        counts = run_ensemble(cfg).dos_counts
-        pooled = np.concatenate(spectra)
-        edges = pooled.min() + (bin_width or _percentile_width(pooled)) * np.arange(counts.size + 1)
-        assert edges[-1] >= pooled.max()
-        assert np.array_equal(counts, np.histogram(pooled, edges)[0])
+        result = run_ensemble(ExperimentConfig(Cube(1, 3), "N", DisorderModel(zero, zero),
+                                               PeriodicPotential.zero(1), len(spectra), 0, **kw))
+        grid = result.grid
+        width = kw.get("bin_width")
+        cells = (round(width / (grid[1] - grid[0])) if width else pooled_cells(spectra, grid))
+        edges = bin_edges(grid, cells)
+        assert np.array_equal(result.dos_centers, 0.5 * (edges[:-1] + edges[1:]))
+        assert np.array_equal(result.dos_counts, pooled_counts(spectra, edges))
+        # density and binomial standard error over each bin's own width
+        total, widths = sum(map(len, spectra)), np.diff(edges)
+        p = result.dos_counts / total
+        np.testing.assert_allclose(result.dos_density, p / widths, rtol=1e-15)
+        np.testing.assert_allclose(result.dos_stderr, np.sqrt(p * (1 - p) / total) / widths,
+                                   rtol=1e-14)
+        if "grid_lo" in kw:
+            # every eigenvalue sits on a grid point; the first point's are in no bin
+            assert result.near_grid_eigenvalues == sum(map(len, spectra))
+            assert result.dos_counts.sum() == sum(map(len, spectra)) - 2
 
-    def test_counts_of_a_run_are_np_histogram(self):
+    def test_counts_of_a_run_are_pooled_searchsorted(self):
         result = run_ensemble(make_config(side=9, realizations=20))
-        pooled = np.concatenate(result.spectra)
-        edges = pooled.min() + _percentile_width(pooled) * np.arange(result.dos_counts.size + 1)
-        assert np.array_equal(result.dos_counts, np.histogram(pooled, edges)[0])
+        edges = bin_edges(result.grid, pooled_cells(result.spectra, result.grid))
+        assert edges.size > 2
+        assert np.array_equal(result.dos_centers, 0.5 * (edges[:-1] + edges[1:]))
+        assert np.array_equal(result.dos_counts, pooled_counts(result.spectra, edges))
+
+    def test_quartiles_are_pooled_order_statistics(self, monkeypatch):
+        # 8 eigenvalues: 8^(1/3) = 2, so a bin is exactly i3 - i1 cells, the
+        # grid distance of the quartiles; eigenvalues on grid points, ties and
+        # eigenvalues off the grid included
+        grid = np.linspace(-1, 1, 41)
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(200):
+            picks = rng.choice(np.r_[grid, rng.uniform(-1.2, 1.2, 20)], (2, 4))
+            spectra = [np.sort(row) for row in picks]
+            solved = iter(spectra)
+            monkeypatch.setattr(randblock.spectra, "eigvalsh", lambda band: next(solved))
+            zero = ConstantValue(0.0)
+            cfg = ExperimentConfig(Cube(1, 2), "N", DisorderModel(zero, zero),
+                                   PeriodicPotential.zero(1), 2, 0, grid_lo=-1.0, grid_hi=1.0,
+                                   grid_points=41)
+            result = run_ensemble(cfg)
+            pooled = np.sort(np.concatenate(spectra))
+            i1, i3 = (min(grid.searchsorted(pooled[j]), 40) for j in (1, 5))
+            cells = pooled_cells(spectra, grid)
+            assert cells == max(1, i3 - i1)
+            edges = bin_edges(grid, cells)
+            assert np.array_equal(result.dos_centers, 0.5 * (edges[:-1] + edges[1:]))
+            seen.add(cells)
+        assert len(seen) > 10
+
+    @pytest.mark.parametrize("bin_width, cells", [
+        (2.6, 3), (5e-324, 1), (1e-300, 1), (1e308, 511)])
+    def test_bin_width_in_grid_cells(self, bin_width, cells):
+        # a given width is rounded to whole grid cells, at least one and at most the grid
+        cfg = make_config(side=9, realizations=4)
+        spacing = np.diff(run_ensemble(cfg).grid).mean()
+        width = bin_width * spacing if bin_width == 2.6 else bin_width
+        result = run_ensemble(replace(cfg, bin_width=width))
+        edges = bin_edges(result.grid, cells)
+        assert result.dos_counts.size == -(-511 // cells)
+        assert np.array_equal(result.dos_centers, 0.5 * (edges[:-1] + edges[1:]))
+        assert np.array_equal(result.dos_counts, pooled_counts(result.spectra, edges))
+        assert result.dos_counts.sum() == 4 * 18
+
+    def test_grid_narrower_than_the_spectrum(self):
+        # eigenvalues outside an explicit grid fall in no bin
+        result = run_ensemble(make_config(side=9, realizations=4, grid_lo=1.5, grid_hi=3.0))
+        sums = np.rint(result.ids_mean * 4 * 18).astype(np.int64)
+        assert 0 < sums[0] and sums[-1] < 4 * 18
+        assert result.dos_counts.sum() == sums[-1] - sums[0]
+        edges = bin_edges(result.grid, pooled_cells(result.spectra, result.grid))
+        assert np.array_equal(result.dos_counts, pooled_counts(result.spectra, edges))
 
     def test_keeps_the_largest_eigenvalues(self):
-        # (hi - lo)/width rounds down onto 41 here, and the 41st edge lands
-        # one rounding below the spectrum's maximum 0.884
+        # the spectrum is ±0.884 in each realization, inside the default grid:
+        # every eigenvalue is counted, and each bin's density over its own
+        # width integrates to 1
         zero, v = ConstantValue(0.0), ConstantValue(0.884)
         cfg = ExperimentConfig(Cube(1, 1), "N", DisorderModel(v, zero), PeriodicPotential.zero(1),
                                3, 0, bin_width=0.04312195121951219)
         result = run_ensemble(cfg)
         assert result.dos_counts.sum() == 3 * 2
-        assert abs((result.dos_density * cfg.bin_width).sum() - 1.0) <= 1e-12
+        widths = np.diff(run_edges(result))
+        assert abs((result.dos_density * widths).sum() - 1.0) <= 1e-12
 
-    def test_bins_cover_the_maximum(self):
-        # widths span/k·(1 ± eps) put (hi - lo)/width on or next to an integer
-        rng = np.random.default_rng(9)
-        added = 0
-        for _ in range(5000):
-            lo, hi = np.sort(rng.uniform(-10, 10, 2))
-            width = (hi - lo) / rng.integers(1, 200) * (1 + rng.choice([-1, 0, 1]) * 2.2e-16)
-            nbins = _histogram_bins(lo, hi, width, 0)
-            edges = lo + width * np.arange(int(nbins) + 1)
-            assert edges[-1] >= hi
-            assert np.histogram([lo, hi], edges)[0].sum() == 2
-            # a bin is added only where the ⌈span/width⌉ bins leave hi out
-            ceil = max(1.0, np.ceil((hi - lo) / width))
-            assert nbins == ceil + (lo + width * ceil < hi)
-            added += nbins > ceil
-        assert added > 0
+
+class TestNearGrid:
+    """Eigenvalues within the solver's error of a grid point, counted per chunk."""
+
+    @pytest.mark.parametrize("boundary, driver", [("N", "zhbevd"), ("+", "dsbevd")])
+    def test_tolerance_is_the_solvers_bound(self, boundary, driver):
+        cfg = make_config(side=9, boundary=boundary)
+        clean = base_matrices(cfg)
+        assert clean.driver == driver
+        eps, rho = np.finfo(np.float64).eps, clean.radius
+        bound = 18 * eps * rho * (rho / randblock.spectra.certified_floor(cfg)
+                                  if driver == "zhbevd" else 1.0)
+        assert _grid_tolerance(cfg, clean) == pytest.approx(bound, rel=1e-15)
+
+    # a tolerance of a fifth of the spacing, so that many eigenvalues count, and
+    # of 0.6 spacings, whose windows overlap into one span
+    @pytest.mark.parametrize("share", [0.2, 0.6])
+    # on the narrower grid most eigenvalues lie beyond its ends
+    @pytest.mark.parametrize("explicit", [{}, {"grid_lo": 1.5, "grid_hi": 3.0}],
+                             ids=["default", "inside-the-spectrum"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_count_is_brute_force(self, monkeypatch, threads, explicit, share):
+        set_cpus(monkeypatch, 2)
+        cfg = make_config(side=9, realizations=TestChunks.R, threads=threads, **explicit)
+        grid = default_grid(cfg, base_matrices(cfg))
+        tol = share * (grid[1] - grid[0])
+        monkeypatch.setattr(randblock.spectra, "_grid_tolerance", lambda config, clean: tol)
+        result = run_ensemble(cfg)
+        distance = np.abs(np.concatenate(result.spectra)[:, None] - result.grid).min(axis=1)
+        assert result.near_grid_eigenvalues == np.count_nonzero(distance <= tol) > 0
 
 
 @pytest.mark.parametrize("boundary", ["+", "-"])
